@@ -9,7 +9,8 @@ bound-chaining arithmetic of abstract degree-reduction ledgers.
 __version__ = "0.1.0"
 
 from .enumeration import (effective_sections, enclosing_box, h0_hat,
-                          h0_hat_sef, span_rank, strictly_effective_sections)
+                          h0_hat_sef, strictly_effective_sections)
+from .linalg import span_rank
 from .minima import ball_volume, euler_characteristic, successive_minima
 from .norms import (NormedModule, make_ellipsoid, make_normed_module,
                     make_polymax, make_scaled, norm_eval, twist)

@@ -151,30 +151,31 @@ def cmd_verify(args) -> int:
     return _emit("verify", cfg, summary, args.seed, started, code)
 
 
+# theorem -> the config fields its evaluator takes, with their types
+_THEOREM_FIELDS = {
+    "trivial": {"r_minus": int, "deg_LQ": int, "L2": float},
+    "B": {"g": int, "d_circ": int, "kappa": int, "L2": float},
+    "C": {"d_circ": int, "kappa": int, "eps": int, "L2": float},
+    "D": {"g": int, "kappa": int, "eps": int, "omega2": float},
+    "deg1": {"g": int, "kappa": int, "L2": float},
+    "E": {"g": int, "kappa": int, "eps": int, "absD": float, "r1": int,
+          "r2": int, "omega2": float, "delta": float, "gamma": float},
+}
+_THEOREM_BOUNDS = {"trivial": trivial_bound, "B": theorem_b_bound,
+                   "C": theorem_c_bound, "D": theorem_d_bound,
+                   "deg1": deg_one_bound}
+
+
 def _eval_theorem(name: str, cfg: dict):
-    if name == "trivial":
-        return {"bound": trivial_bound(int(cfg["r_minus"]), int(cfg["deg_LQ"]),
-                                       float(cfg["L2"]))}
-    if name == "B":
-        return {"bound": theorem_b_bound(int(cfg["g"]), int(cfg["d_circ"]),
-                                         int(cfg["kappa"]), float(cfg["L2"]))}
-    if name == "C":
-        return {"bound": theorem_c_bound(int(cfg["d_circ"]), int(cfg["kappa"]),
-                                         int(cfg["eps"]), float(cfg["L2"]))}
-    if name == "D":
-        return {"bound": theorem_d_bound(int(cfg["g"]), int(cfg["kappa"]),
-                                         int(cfg["eps"]), float(cfg["omega2"]))}
-    if name == "deg1":
-        return {"bound": deg_one_bound(int(cfg["g"]), int(cfg["kappa"]),
-                                       float(cfg["L2"]))}
+    if name not in _THEOREM_FIELDS:
+        raise ConfigError(f"unknown theorem {name!r}")
+    try:
+        args = {key: kind(cfg[key]) for key, kind in _THEOREM_FIELDS[name].items()}
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"bad theorem {name} config: {exc!r}") from exc
     if name == "E":
-        ctx = ArithmeticContext(
-            g=int(cfg["g"]), kappa=int(cfg["kappa"]), eps=int(cfg["eps"]),
-            absD=float(cfg["absD"]), r1=int(cfg["r1"]), r2=int(cfg["r2"]),
-            omega2=float(cfg["omega2"]), delta=float(cfg["delta"]),
-            gamma=float(cfg["gamma"]))
-        return corollary_e(ctx)
-    raise ConfigError(f"unknown theorem {name!r}")
+        return corollary_e(ArithmeticContext(**args))
+    return {"bound": _THEOREM_BOUNDS[name](**args)}
 
 
 def cmd_ledger(args) -> int:

@@ -1,125 +1,30 @@
-"""Exact enumeration of effective sections and spans.
+"""Exact enumeration of effective sections.
 
-Membership tests are compiled to pure-integer comparisons: the rational norm
-data gets a common denominator D, every lattice vector v receives an integer
-key (max |A'_j . v| for PolyMax, v^T G' v for Ellipsoid), and ``norm(v) <= t``
-becomes an integer comparison against t (plus one certified e^alpha interval
-comparison when the norm carries a twist).
+Every vector of the enclosing box of the ball of radius t is tested through
+the module's compiled norm (``norms.CompiledNorm``): its integer key is
+compared against the integer acceptance window for t, and only keys inside
+the window's gap (twisted norms, near the boundary) need the exact e^alpha
+comparison.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
+from functools import lru_cache
 from typing import List, Tuple
 
-from .errors import EnumerationBudgetExceeded, UnboundedBall
-from .intervals import compare_exp, exp_interval, exp_upper, frac_sqrt_bounds
-from .linalg import independent_rows, invert, span_rank
-from .norms import Ellipsoid, NormedModule, PolyMax, Scaled, base_spec
+from .errors import EnumerationBudgetExceeded
+from .norms import CompiledNorm, NormedModule, NormSpec, compile_norm
 
 DEFAULT_BUDGET = 10 ** 8
 
 
-def _lcm(values) -> int:
-    return reduce(math.lcm, values, 1)
-
-
-class _Membership:
-    """Integer-key membership oracle for one normed module."""
-
-    def __init__(self, module: NormedModule):
-        spec, alpha = base_spec(module.norm)
-        self.rank = module.rank
-        self.alpha = alpha
-        self.ellipsoidal = isinstance(spec, Ellipsoid)
-        if self.ellipsoidal:
-            den = _lcm([x.denominator for row in spec.gram for x in row])
-            self.den = den
-            self.gram_int = [[int(x * den) for x in row] for row in spec.gram]
-        else:
-            den = _lcm([x.denominator for row in spec.functionals for x in row])
-            self.den = den
-            self.rows_int = [[int(x * den) for x in row] for row in spec.functionals]
-        # scale entering the comparison: e^{alpha} (polymax) or e^{2 alpha}
-        self.scale = (2 * alpha) if self.ellipsoidal else alpha
-        if self.scale != 0:
-            self._iv = exp_interval(self.scale, 128)
-        self.spec = spec
-
-    def key(self, v) -> int:
-        """Integer key; norm = e^{-alpha} * key/den (polymax) or
-        e^{-alpha} * sqrt(key/den) (ellipsoid)."""
-        if self.ellipsoidal:
-            total = 0
-            for i, gi in enumerate(self.gram_int):
-                vi = v[i]
-                if vi:
-                    total += vi * sum(g * x for g, x in zip(gi, v))
-            return total
-        best = 0
-        for row in self.rows_int:
-            s = abs(sum(a * x for a, x in zip(row, v)))
-            if s > best:
-                best = s
-        return best
-
-    def key_threshold_cmp(self, key: int, t: Fraction) -> int:
-        """Sign of norm(v) - t given the integer key of v."""
-        if key == 0:
-            return 0 if t == 0 else -1
-        if t <= 0:
-            return 1
-        if self.ellipsoidal:
-            ratio = Fraction(key, self.den) / (t * t)
-        else:
-            ratio = Fraction(key, self.den) / t
-        if self.scale == 0:
-            return (ratio > 1) - (ratio < 1)
-        lo, hi = self._iv
-        if ratio < lo:
-            return -1
-        if ratio > hi:
-            return 1
-        return compare_exp(ratio, self.scale)
-
-    def norm_log_from_key(self, key: int) -> float:
-        if key == 0:
-            return float("-inf")
-        base = math.log(key) - math.log(self.den)
-        if self.ellipsoidal:
-            base /= 2
-        return base - float(self.alpha)
-
-
-def _real_unit_bounds(norm) -> List[Fraction]:
-    """Rational upper bounds on |x_k| over the real unit ball."""
-    if isinstance(norm, Scaled):
-        inner = _real_unit_bounds(norm.inner)
-        factor = exp_upper(norm.alpha)
-        return [b * factor for b in inner]
-    if isinstance(norm, Ellipsoid):
-        inv = invert(norm.gram)
-        return [frac_sqrt_bounds(inv[k][k])[1] for k in range(len(inv))]
-    # PolyMax: pick r independent functionals, invert, row-sum the inverse
-    rows = norm.functionals
-    r = norm.dim
-    idx = independent_rows(rows, r)
-    if len(idx) < r:
-        raise UnboundedBall("functionals do not span R^r")
-    a_inv = invert([rows[i] for i in idx])
-    return [sum(abs(a_inv[k][j]) for j in range(r)) for k in range(r)]
-
-
-def enclosing_box(norm) -> List[int]:
-    """Per-coordinate integer bounds B_k with ||x|| <= 1 => |x_k| <= B_k."""
-    return [int(b) for b in _real_unit_bounds(norm)]
-
-
-def _box_for_radius(module: NormedModule, radius: Fraction) -> List[int]:
-    return [int(b * radius) for b in _real_unit_bounds(module.norm)]
+def enclosing_box(norm: NormSpec, radius=1) -> List[int]:
+    """Per-coordinate integer bounds B_k with ||x|| <= radius => |x_k| <= B_k."""
+    return compile_norm(norm).box(radius)
 
 
 def _check_budget(bounds: List[int], budget: int) -> None:
@@ -130,48 +35,30 @@ def _check_budget(bounds: List[int], budget: int) -> None:
         raise EnumerationBudgetExceeded(predicted, budget)
 
 
-from functools import lru_cache
-
-
 @lru_cache(maxsize=2048)
 def vectors_with_keys(module: NormedModule, radius: Fraction,
-                      budget: int = DEFAULT_BUDGET) -> Tuple[_Membership, list]:
+                      budget: int = DEFAULT_BUDGET) -> Tuple[CompiledNorm, list]:
     """All lattice vectors with norm <= radius, as (key, vector) pairs.
 
     The list is sorted by (key, vector) so downstream consumers are
     deterministic regardless of enumeration order.
     """
-    bounds = _box_for_radius(module, radius)
+    compiled = compile_norm(module.norm)
+    bounds = compiled.box(radius)
     _check_budget(bounds, budget)
-    mem = _Membership(module)
-    out = []
     if module.rank == 0:
-        return mem, [(0, ())]
-
-    # integer acceptance window: key <= k_in is inside, key >= k_out outside,
-    # the (rare, twisted-threshold) gap in between is refined exactly
-    t = radius * radius if mem.ellipsoidal else radius
-    bound = t * mem.den
-    if mem.scale == 0:
-        k_in = bound.numerator // bound.denominator
-        k_out = k_in + 1
-    else:
-        lo, hi = mem._iv
-        blo, bhi = bound * lo, bound * hi
-        k_in = blo.numerator // blo.denominator
-        k_out = -((-bhi.numerator) // bhi.denominator)
-
-    import itertools
-
-    key_f = mem.key
+        return compiled, [(0, ())]
+    k_in, k_out = compiled.window(radius)
+    key_f = compiled.key
+    out = []
     for v in itertools.product(*[range(-b, b + 1) for b in bounds]):
         key = key_f(v)
         if key <= k_in:
             out.append((key, v))
-        elif key < k_out and mem.key_threshold_cmp(key, radius) <= 0:
+        elif key < k_out and compiled.cmp(key, radius) <= 0:
             out.append((key, v))
     out.sort()
-    return mem, out
+    return compiled, out
 
 
 @dataclass(frozen=True)
@@ -184,9 +71,9 @@ class SectionSet:
 
 @lru_cache(maxsize=2048)
 def _sections(module: NormedModule, strict: bool, budget: int) -> SectionSet:
-    mem, pairs = vectors_with_keys(module, Fraction(1), budget)
+    compiled, pairs = vectors_with_keys(module, Fraction(1), budget)
     if strict:
-        keep = tuple(v for k, v in pairs if mem.key_threshold_cmp(k, Fraction(1)) < 0)
+        keep = tuple(v for k, v in pairs if compiled.cmp(k, Fraction(1)) < 0)
     else:
         keep = tuple(v for _, v in pairs)
     return SectionSet(keep, "open" if strict else "closed", len(keep),
@@ -222,6 +109,5 @@ __all__ = [
     "enclosing_box",
     "h0_hat",
     "h0_hat_sef",
-    "span_rank",
     "vectors_with_keys",
 ]

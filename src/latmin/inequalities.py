@@ -18,9 +18,9 @@ from dataclasses import dataclass, asdict
 from fractions import Fraction
 from typing import List, Sequence, Tuple
 
-from .enumeration import (DEFAULT_BUDGET, effective_sections, h0_hat, h0_hat_sef,
-                          span_rank, strictly_effective_sections)
-from .errors import ConfigError
+from .enumeration import DEFAULT_BUDGET, effective_sections, h0_hat, h0_hat_sef
+from .errors import ConfigError, EnumerationBudgetExceeded
+from .linalg import span_rank
 from .minima import euler_characteristic, successive_minima
 from .norms import (NormedModule, make_ellipsoid, make_normed_module,
                     make_polymax, twist)
@@ -288,7 +288,6 @@ def run_suite(config: SuiteConfig) -> dict:
             alphas.append(alphas[-1] + rng.fraction(Fraction(0), Fraction(3, 4), 8))
         jobs.append((mod, alpha, alphas))
 
-    from .errors import EnumerationBudgetExceeded
     for idx, (mod, alpha, alphas) in enumerate(jobs):
         try:
             for rep in _run_checks(mod, alpha, alphas, config, config.seed):

@@ -11,6 +11,7 @@ against misuse and raises Undecidable.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import mpmath
@@ -30,8 +31,13 @@ def _mpf_to_fraction(x) -> Fraction:
 
 
 def exp_interval(x: Fraction, prec: int = 80) -> tuple[Fraction, Fraction]:
-    """Return rational (lo, hi) with lo <= e^x <= hi at ~prec bits."""
-    with mpmath.workprec(prec):
+    """Return rational (lo, hi) with lo <= e^x <= hi at ~prec bits.
+
+    Rounding x to w bits moves e^x by a relative error of about |x| * 2^-w,
+    so the working precision grows with the bit length of |x|.
+    """
+    work = prec + (abs(x.numerator) // x.denominator).bit_length() + 16
+    with mpmath.workprec(work):
         v = _mpf_to_fraction(mpmath.exp(mpmath.mpf(x.numerator) / x.denominator))
     slack = Fraction(1, 1 << (prec - 8))
     return v * (1 - slack), v * (1 + slack)
@@ -74,11 +80,6 @@ def frac_sqrt_bounds(f: Fraction) -> tuple[Fraction, Fraction]:
     # sqrt(p/q) = sqrt(p*q)/q; bracket the integer square root at high scale
     scale = 1 << 64
     n = p * q * scale * scale
-    root = _isqrt(n)
+    root = math.isqrt(n)
     return Fraction(root, q * scale), Fraction(root + 1, q * scale)
 
-
-def _isqrt(n: int) -> int:
-    import math
-
-    return math.isqrt(n)

@@ -9,39 +9,6 @@ from __future__ import annotations
 from fractions import Fraction
 
 
-def span_rank(vectors) -> int:
-    """Rank over Q of the span of the given integer/rational vectors.
-
-    Equals the Z-rank of the generated submodule.  Fraction-free Gaussian
-    elimination (Bareiss-style pivoting with exact arithmetic).
-    """
-    rows = [list(map(Fraction, v)) for v in vectors if any(v)]
-    if not rows:
-        return 0
-    ncols = len(rows[0])
-    rank = 0
-    col = 0
-    while rank < len(rows) and col < ncols:
-        pivot = None
-        for i in range(rank, len(rows)):
-            if rows[i][col] != 0:
-                pivot = i
-                break
-        if pivot is None:
-            col += 1
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        pv = rows[rank][col]
-        for i in range(rank + 1, len(rows)):
-            f = rows[i][col] / pv
-            if f:
-                for j in range(col, ncols):
-                    rows[i][j] -= f * rows[rank][j]
-        rank += 1
-        col += 1
-    return rank
-
-
 def determinant(matrix) -> Fraction:
     """Exact determinant via fraction-free elimination."""
     m = [list(map(Fraction, row)) for row in matrix]
@@ -124,14 +91,26 @@ class IncrementalSpan:
         return False
 
 
+def span_rank(vectors) -> int:
+    """Rank over Q of the span of the given integer/rational vectors.
+
+    Equals the Z-rank of the generated submodule.  Stops at the first vector
+    that brings the span to full column rank.
+    """
+    span = IncrementalSpan()
+    for v in vectors:
+        if span.add(v) and span.rank == len(v):
+            break
+    return span.rank
+
+
 def independent_rows(rows, target_rank: int):
     """Indices of the first target_rank linearly independent rows."""
+    span = IncrementalSpan()
     chosen = []
-    basis = []
     for idx, row in enumerate(rows):
-        if span_rank(basis + [row]) > len(chosen):
+        if span.add(row):
             chosen.append(idx)
-            basis.append(row)
             if len(chosen) == target_rank:
-                return chosen
+                break
     return chosen

@@ -2,9 +2,11 @@
 
 Minima are found by exhaustive enumeration: grow the search radius
 geometrically until the enumerated vectors span the full rank, then take the
-rank-increasing prefix of the norm-sorted list.  Volumes are exact for
-ellipsoids, square PolyMax systems and rank-2 polygons, and seeded
-counter-based Monte Carlo otherwise.
+rank-increasing prefix of the key-sorted list; the exact parts of each
+minimum are read off the compiled norm (``norms.CompiledNorm``).  Volumes
+are exact for ellipsoids, square PolyMax systems and rank-2 polygons, and
+seeded counter-based Monte Carlo otherwise, testing sample points with the
+compiled norm's key.
 """
 
 from __future__ import annotations
@@ -12,12 +14,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Tuple
+from functools import lru_cache
+from typing import List
 
-from .enumeration import DEFAULT_BUDGET, _Membership, _real_unit_bounds, vectors_with_keys
+from .enumeration import DEFAULT_BUDGET, vectors_with_keys
 from .errors import PreconditionViolated
-from .linalg import determinant
-from .norms import Ellipsoid, NormedModule, PolyMax, base_spec
+from .linalg import IncrementalSpan, determinant
+from .norms import NormedModule, compile_norm, make_polymax
+from .rng import _mix, derive
 
 
 @dataclass(frozen=True)
@@ -35,11 +39,6 @@ def _canonical(v: tuple) -> bool:
     return True
 
 
-from functools import lru_cache
-
-from .linalg import IncrementalSpan
-
-
 @lru_cache(maxsize=1024)
 def successive_minima(module: NormedModule, budget: int = DEFAULT_BUDGET) -> MinimaReport:
     """lambda_i = min { t : rank <{v : ||v|| <= t}> >= i }, with witnesses."""
@@ -48,7 +47,7 @@ def successive_minima(module: NormedModule, budget: int = DEFAULT_BUDGET) -> Min
         raise PreconditionViolated("successive minima need rank >= 1")
     radius = Fraction(1)
     while True:
-        mem, pairs = vectors_with_keys(module, radius, budget)
+        compiled, pairs = vectors_with_keys(module, radius, budget)
         nonzero = [(k, v) for k, v in pairs if any(v)]
         probe = IncrementalSpan()
         for _, v in nonzero:
@@ -70,9 +69,9 @@ def successive_minima(module: NormedModule, budget: int = DEFAULT_BUDGET) -> Min
             if span.rank == r:
                 break
 
-    lambdas = tuple(math.exp(mem.norm_log_from_key(k)) for k in keys)
-    mus = tuple(-mem.norm_log_from_key(k) + 0.0 for k in keys)
-    parts = tuple((mem.alpha, k, mem.den, mem.ellipsoidal) for k in keys)
+    lambdas = tuple(math.exp(compiled.log(k)) for k in keys)
+    mus = tuple(-compiled.log(k) + 0.0 for k in keys)
+    parts = tuple((compiled.alpha, k, compiled.den, compiled.squared) for k in keys)
     return MinimaReport(lambdas, mus, tuple(witnesses), parts)
 
 
@@ -109,16 +108,9 @@ def _clip(poly, cx: Fraction, cy: Fraction, rhs: Fraction):
 
 def polygon_ball_area(functionals) -> Fraction:
     """Exact area of {x in R^2 : max_j |<a_j, x>| <= 1}."""
-    from .linalg import independent_rows, invert
-
-    rows = list(functionals)
-    idx = independent_rows(rows, 2)
-    a_inv = invert([rows[i] for i in idx])
-    bx = sum(abs(a_inv[0][j]) for j in range(2)) + 1
-    by = sum(abs(a_inv[1][j]) for j in range(2)) + 1
+    bx, by = (b + 1 for b in compile_norm(make_polymax(functionals)).unit_bounds)
     poly = [(-bx, -by), (bx, -by), (bx, by), (-bx, by)]
-    poly = [(Fraction(x), Fraction(y)) for x, y in poly]
-    for cx, cy in rows:
+    for cx, cy in functionals:
         poly = _clip(poly, cx, cy, Fraction(1))
         poly = _clip(poly, -cx, -cy, Fraction(1))
     area = Fraction(0)
@@ -130,39 +122,21 @@ def polygon_ball_area(functionals) -> Fraction:
     return abs(area) / 2
 
 
-def _float_norm(spec, alpha: Fraction):
-    """Float evaluator of the norm at real points (Monte Carlo only)."""
-    scale = math.exp(-float(alpha))
-    if isinstance(spec, Ellipsoid):
-        gram = [[float(x) for x in row] for row in spec.gram]
-
-        def f(x):
-            q = 0.0
-            for i, gi in enumerate(gram):
-                q += x[i] * sum(g * xj for g, xj in zip(gi, x))
-            return scale * math.sqrt(max(q, 0.0))
-    else:
-        rows = [[float(a) for a in row] for row in spec.functionals]
-
-        def f(x):
-            return scale * max(abs(sum(a * xj for a, xj in zip(row, x))) for row in rows)
-    return f
-
-
 @lru_cache(maxsize=1024)
 def ball_volume(module: NormedModule, samples: int = 100_000,
                 seed: int = 0) -> VolumeReport:
     """Volume of the unit ball B(M) = {x : ||x|| <= 1}."""
-    spec, alpha = base_spec(module.norm)
+    compiled = compile_norm(module.norm)
+    alpha = compiled.alpha
     r = module.rank
     shift = r * float(alpha)  # scaling by e^{-alpha} multiplies volume by e^{r alpha}
     if r == 0:
         return VolumeReport(1.0, "exact-parallelepiped", 0.0, 0.0, Fraction(1))
-    if isinstance(spec, Ellipsoid):
-        det = determinant(spec.gram)
+    if compiled.squared:
+        det = determinant(compiled.data)
         log_v = log_unit_ball_volume(r) - 0.5 * math.log(det) + shift
         return VolumeReport(math.exp(log_v), "exact-ellipsoid", 0.0, log_v)
-    rows = spec.functionals
+    rows = compiled.data
     if len(rows) == r:
         det = abs(determinant(rows))
         base = Fraction(2) ** r / det
@@ -174,16 +148,16 @@ def ball_volume(module: NormedModule, samples: int = 100_000,
         log_v = math.log(area) + shift
         return VolumeReport(math.exp(log_v), "exact-polygon", 0.0, log_v,
                             area if alpha == 0 else None)
-    # Monte Carlo rejection sampling over the enclosing box
+    # Monte Carlo rejection sampling over the enclosing box; a point is in
+    # the ball when its key is at most den * e^scale
     if samples < 10_000:
         raise PreconditionViolated("monte-carlo volume needs samples >= 10^4")
-    bounds = [float(b) for b in _real_unit_bounds(module.norm)]
-    norm_f = _float_norm(spec, alpha)
+    bounds = [float(b) for b in compiled.unit_bounds]
+    key_f = compiled.key
+    limit = compiled.den * math.exp(float(compiled.scale))
     digest = int(module.digest(), 16)
     # counter-based stream keyed by (seed, instance digest, sample index);
     # per-sample coordinates come from successive mixes of that key
-    from .rng import _mix, derive
-
     base = derive(seed, digest)
     scale53 = 2.0 ** -53
     hits = 0
@@ -191,7 +165,7 @@ def ball_volume(module: NormedModule, samples: int = 100_000,
         state = _mix(base ^ i)
         point = [(2.0 * ((_mix(state ^ (k + 1)) >> 11) * scale53) - 1.0) * bounds[k]
                  for k in range(r)]
-        if norm_f(point) <= 1.0:
+        if key_f(point) <= limit:
             hits += 1
     box_vol = 1.0
     for b in bounds:

@@ -10,19 +10,26 @@ The central object is a pair (Z^r, ||.||) where the norm is described exactly:
 The lattice is always Z^r with covolume 1; general lattices are normalized by
 pulling the norm back through a basis change before construction.  Scale
 twists accumulate additively in alpha and nested Scaled specs are flattened.
+
+This is the only module that knows how a norm is represented.  Everything
+else evaluates norms through ``compile_norm(spec)``, a cached
+``CompiledNorm``: integer keys, one exact comparator, the integer acceptance
+window and enclosing box for a radius, and log norms.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence, Union
+from functools import lru_cache
+from typing import List, Sequence, Tuple, Union
 
-from .errors import DimensionMismatch, InvalidNorm, UnboundedBall
-from .intervals import compare_exp
-from .linalg import leading_principal_minors, span_rank
+from .errors import ConfigError, DimensionMismatch, InvalidNorm, UnboundedBall
+from .intervals import compare_exp, exp_interval, exp_upper, frac_sqrt_bounds
+from .linalg import independent_rows, invert, leading_principal_minors, span_rank
 
 
 def parse_rational(s) -> Fraction:
@@ -142,54 +149,128 @@ def base_spec(norm: NormSpec):
     return norm, Fraction(0)
 
 
-@dataclass(frozen=True)
-class NormValue:
-    """Exact handle ``e^{-alpha} * q`` or ``e^{-alpha} * sqrt(q)``.
+class CompiledNorm:
+    """A norm spec compiled to integer data, built once per spec.
 
-    For PolyMax norms q is the rational max |<a_j, v>| (squared=False); for
-    Ellipsoid norms q is the rational norm-square (squared=True).
+    With den the lcm of the entry denominators, A' = den * A (PolyMax rows)
+    or G' = den * G (Ellipsoid gram) is integer, and every vector v gets the
+    key max_j |A'_j . v| or v^T G' v.  Then norm(v) = e^{-alpha} * key/den
+    or e^{-alpha} * sqrt(key/den), so ``norm(v) <= t`` compares key/den with
+    t (or t^2) times e^scale, scale = alpha (or 2 alpha): an integer test
+    against a certified 128-bit window on e^scale, refined exactly inside it.
     """
 
-    q: Fraction
-    alpha: Fraction
-    squared: bool
+    def __init__(self, norm: NormSpec):
+        spec, self.alpha = base_spec(norm)
+        self.rank = spec.dim
+        self.squared = isinstance(spec, Ellipsoid)
+        self.data = spec.gram if self.squared else spec.functionals
+        self.den = math.lcm(*(x.denominator for row in self.data for x in row))
+        self.int_rows = [[int(x * self.den) for x in row] for row in self.data]
+        self.scale = 2 * self.alpha if self.squared else self.alpha
+        # certified enclosure of e^scale; exact for an untwisted norm
+        self.exp_window = exp_interval(self.scale, 128) if self.scale else (1, 1)
+        # rational bounds on |x_k| over the real unit ball
+        if self.squared:
+            inv = invert(self.data)
+            bounds = [frac_sqrt_bounds(inv[k][k])[1] for k in range(self.rank)]
+        else:
+            # r independent functionals, inverted: row sums of the inverse
+            idx = independent_rows(self.data, self.rank)
+            if len(idx) < self.rank:
+                raise UnboundedBall("functionals do not span R^r")
+            bounds = [sum(map(abs, row))
+                      for row in invert([self.data[i] for i in idx])]
+        factor = exp_upper(self.alpha)
+        self.unit_bounds = [b * factor for b in bounds]
 
-    def le(self, threshold) -> bool:
-        """Decide norm <= threshold exactly (threshold a rational >= 0)."""
-        return self._cmp(parse_rational(threshold)) <= 0
+    def key(self, v):
+        """Key of an int, Fraction or float vector (exact for the first two)."""
+        if self.squared:
+            total = 0
+            for i, gi in enumerate(self.int_rows):
+                vi = v[i]
+                if vi:
+                    total += vi * sum(g * x for g, x in zip(gi, v))
+            return total
+        best = 0
+        for row in self.int_rows:
+            s = abs(sum(a * x for a, x in zip(row, v)))
+            if s > best:
+                best = s
+        return best
 
-    def lt(self, threshold) -> bool:
-        return self._cmp(parse_rational(threshold)) < 0
-
-    def _cmp(self, t: Fraction) -> int:
-        if self.q == 0:
-            return (t < 0) - (t > 0) if t != 0 else 0
+    def cmp(self, key, t: Fraction) -> int:
+        """Sign of norm(v) - t for a vector v with this key."""
+        if key == 0:  # norm 0: the sign of -t
+            return (t < 0) - (t > 0)
         if t <= 0:
             return 1
-        if self.squared:
-            ratio = self.q / (t * t)
-            scale = 2 * self.alpha
-        else:
-            ratio = self.q / t
-            scale = self.alpha
-        # norm <=> t  iff  ratio <=> e^scale
-        return compare_exp(ratio, scale)
+        ratio = Fraction(key, self.den) / (t * t if self.squared else t)
+        lo, hi = self.exp_window
+        if ratio < lo:
+            return -1
+        if ratio > hi:
+            return 1
+        return compare_exp(ratio, self.scale)
 
-    def log(self) -> float:
-        """Natural log of the norm value (-inf at 0)."""
-        import math
+    def window(self, t: Fraction) -> Tuple[int, int]:
+        """Integer keys (k_in, k_out) for radius t: a key <= k_in is inside,
+        a key >= k_out outside, and one in between needs ``cmp``."""
+        bound = (t * t if self.squared else t) * self.den
+        lo, hi = self.exp_window
+        blo, bhi = bound * lo, bound * hi
+        return blo.numerator // blo.denominator, -(-bhi.numerator // bhi.denominator)
 
-        if self.q == 0:
+    def log(self, key) -> float:
+        """Natural log of the norm of a vector with this key (-inf at 0)."""
+        if key == 0:
             return float("-inf")
-        base = math.log(self.q)
+        base = math.log(key) - math.log(self.den)
         if self.squared:
             base /= 2
         return base - float(self.alpha)
 
-    def to_float(self) -> float:
-        import math
+    def box(self, radius=1) -> List[int]:
+        """Integer bounds B_k with ||x|| <= radius => |x_k| <= B_k."""
+        return [int(b * radius) for b in self.unit_bounds]
 
-        return math.exp(self.log()) if self.q != 0 else 0.0
+
+@lru_cache(maxsize=2048)
+def compile_norm(norm: NormSpec) -> CompiledNorm:
+    """The compiled form of a norm spec, built once per spec."""
+    return CompiledNorm(norm)
+
+
+@dataclass(frozen=True)
+class NormValue:
+    """Exact norm value of one vector: its key under the compiled norm."""
+
+    norm: CompiledNorm
+    key: Union[int, Fraction]
+
+    @property
+    def q(self) -> Fraction:
+        """key/den: the norm (PolyMax) or norm-square (Ellipsoid), untwisted."""
+        return Fraction(self.key, self.norm.den)
+
+    @property
+    def squared(self) -> bool:
+        return self.norm.squared
+
+    def le(self, threshold) -> bool:
+        """Decide norm <= threshold exactly."""
+        return self.norm.cmp(self.key, parse_rational(threshold)) <= 0
+
+    def lt(self, threshold) -> bool:
+        return self.norm.cmp(self.key, parse_rational(threshold)) < 0
+
+    def log(self) -> float:
+        """Natural log of the norm value (-inf at 0)."""
+        return self.norm.log(self.key)
+
+    def to_float(self) -> float:
+        return math.exp(self.log())
 
 
 @dataclass(frozen=True)
@@ -220,25 +301,16 @@ def twist(module: NormedModule, alpha) -> NormedModule:
     return NormedModule(module.rank, make_scaled(module.norm, alpha))
 
 
-def norm_eval(module: NormedModule, v: Sequence[int]) -> NormValue:
+def norm_eval(module: NormedModule, v: Sequence) -> NormValue:
     """Exact norm value of an integer (or rational) vector."""
     if len(v) != module.rank:
         raise DimensionMismatch(f"vector length {len(v)} != rank {module.rank}")
-    spec, alpha = base_spec(module.norm)
-    vv = [parse_rational(x) for x in v]
-    if isinstance(spec, Ellipsoid):
-        q = Fraction(0)
-        for i, gi in enumerate(spec.gram):
-            if vv[i]:
-                q += vv[i] * sum(g * x for g, x in zip(gi, vv))
-        return NormValue(q, alpha, True)
-    q = max((abs(sum(a * x for a, x in zip(row, vv))) for row in spec.functionals),
-            default=Fraction(0))
-    return NormValue(q, alpha, False)
+    compiled = compile_norm(module.norm)
+    return NormValue(compiled, compiled.key([parse_rational(x) for x in v]))
 
 
 def spec_from_json(data: dict) -> NormSpec:
-    kind = data.get("type")
+    kind = data["type"]
     if kind == "ellipsoid":
         return make_ellipsoid(data["gram"])
     if kind == "polymax":
@@ -249,7 +321,12 @@ def spec_from_json(data: dict) -> NormSpec:
 
 
 def module_from_json(data: dict) -> NormedModule:
-    return make_normed_module(int(data["rank"]), spec_from_json(data["norm"]))
+    """Parse and validate a module; malformed data raises ConfigError."""
+    try:
+        rank, spec = int(data["rank"]), spec_from_json(data["norm"])
+    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+        raise ConfigError(f"bad module JSON: {exc!r}") from exc
+    return make_normed_module(rank, spec)
 
 
 def load_module(path: str) -> NormedModule:

@@ -123,6 +123,27 @@ def test_missing_module_file_exits_2(capsys):
     assert doc["error"]["type"] == "FileNotFoundError"
 
 
+DISK_NORM = {"type": "ellipsoid", "gram": [["1/1", "0/1"], ["0/1", "1/1"]]}
+
+
+@pytest.mark.parametrize("argv, doc", [
+    (["count"], {"rank": 1, "norm": {"type": "ellipsoid", "gram": [["x"]]}}),
+    (["count"], {"rank": 1, "norm": {"type": "polymax", "functionals": [["1/0"]]}}),
+    (["count"], {"rank": "two", "norm": DISK_NORM}),
+    (["count"], [1, 2]),
+    (["ledger", "eval", "--theorem", "B"],
+     {"g": "x", "d_circ": 2, "kappa": 1, "L2": 10.0}),
+], ids=["bad-literal", "zero-denominator", "bad-rank", "not-an-object",
+        "bad-theorem-field"])
+def test_malformed_input_exits_2(capsys, tmp_path, argv, doc):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(doc))
+    flag = "--config" if argv[0] == "ledger" else "--module"
+    code, out = run_main(capsys, argv + [flag, str(path)])
+    assert code == 2
+    assert out["error"]["type"] == "ConfigError"
+
+
 def test_budget_exhaustion_exits_3(capsys, tmp_path):
     path = tmp_path / "wide.json"
     path.write_text(json.dumps({

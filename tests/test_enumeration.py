@@ -16,8 +16,8 @@ import pytest
 from latmin.enumeration import (effective_sections, enclosing_box, h0_hat,
                                 h0_hat_sef, strictly_effective_sections)
 from latmin.errors import EnumerationBudgetExceeded
-from latmin.norms import (Ellipsoid, Scaled, base_spec, make_ellipsoid,
-                          make_normed_module, make_polymax, twist)
+from latmin.norms import (Ellipsoid, base_spec, make_ellipsoid,
+                          make_normed_module, make_polymax, norm_eval, twist)
 
 
 # --- independent oracle ----------------------------------------------------
@@ -92,13 +92,22 @@ def _oracle_inside(module, v, strict):
         return lhs < thresh
 
 
+def oracle_box_vectors(module):
+    return itertools.product(*[range(-b, b + 1) for b in _oracle_box(module)])
+
+
 def oracle_sections(module, strict=False):
-    box = _oracle_box(module)
-    hits = []
-    for v in itertools.product(*[range(-b, b + 1) for b in box]):
-        if _oracle_inside(module, v, strict):
-            hits.append(v)
-    return sorted(hits)
+    return sorted(v for v in oracle_box_vectors(module)
+                  if _oracle_inside(module, v, strict))
+
+
+def assert_norm_eval_matches(module, closed, strict):
+    """norm_eval(.).le(1) / .lt(1) decide oracle membership on the whole box."""
+    closed, strict = set(closed), set(strict)
+    for v in oracle_box_vectors(module):
+        value = norm_eval(module, v)
+        assert value.le(1) == (v in closed), v
+        assert value.lt(1) == (v in strict), v
 
 
 # --- tests -----------------------------------------------------------------
@@ -163,13 +172,15 @@ def test_matches_oracle_on_random_modules(seed):
 
     cfg = SuiteConfig(seed=seed, trials=1, rank_max=3)
     m = random_module(seed * 1000 + 17, cfg)
-    got = sorted(effective_sections(m).vectors)
-    assert got == oracle_sections(m, strict=False)
-    got_s = sorted(strictly_effective_sections(m).vectors)
-    assert got_s == oracle_sections(m, strict=True)
+    closed, strict = oracle_sections(m), oracle_sections(m, strict=True)
+    assert sorted(effective_sections(m).vectors) == closed
+    assert sorted(strictly_effective_sections(m).vectors) == strict
+    assert_norm_eval_matches(m, closed, strict)
 
 
 def test_oracle_agrees_on_twisted_ellipsoid():
     m = twist(make_normed_module(2, make_ellipsoid(
         [["1/2", "1/5"], ["1/5", "2/3"]])), Fraction(-2, 5))
-    assert sorted(effective_sections(m).vectors) == oracle_sections(m)
+    closed = oracle_sections(m)
+    assert sorted(effective_sections(m).vectors) == closed
+    assert_norm_eval_matches(m, closed, oracle_sections(m, strict=True))

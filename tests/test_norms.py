@@ -63,6 +63,10 @@ def test_norm_eval_exact_values():
     assert v.squared and v.q == 25
     assert v.le(5) and not v.lt(5)
     assert v.to_float() == pytest.approx(5.0)
+    # the zero vector has norm 0, which is not <= a negative threshold
+    zero = norm_eval(m, (0, 0))
+    assert zero.le(0) and not zero.lt(0)
+    assert not zero.le(-1) and zero.lt(1)
 
     box = make_normed_module(2, make_polymax([["1/4", "0/1"], ["0/1", "1/1"]]))
     w = norm_eval(box, (4, 0))
