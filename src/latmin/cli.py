@@ -92,30 +92,38 @@ def _emit_error(subcommand: str, exc: Exception, exit_code: int) -> int:
 
 
 def _budget(args) -> int:
-    if getattr(args, "budget", None):
-        return args.budget
-    env = os.environ.get("LATMIN_BUDGET")
-    return int(env) if env else DEFAULT_BUDGET
+    """The enumeration budget: --budget, else LATMIN_BUDGET, else the default."""
+    budget = args.budget
+    if budget is None:
+        env = os.environ.get("LATMIN_BUDGET")
+        try:
+            budget = int(env) if env else DEFAULT_BUDGET
+        except ValueError:
+            raise ConfigError(f"LATMIN_BUDGET must be an integer, got {env!r}") from None
+    if budget < 0:
+        raise ConfigError(f"budget must be nonnegative, got {budget}")
+    return budget
 
 
 def cmd_count(args) -> int:
     started = time.monotonic()
+    budget = _budget(args)
     module = load_module(args.module)
-    sections = (strictly_effective_sections(module, _budget(args)) if args.strict
-                else effective_sections(module, _budget(args)))
+    sections = (strictly_effective_sections(module, budget) if args.strict
+                else effective_sections(module, budget))
     report = {"count": sections.count, "log_count": sections.log_count,
               "threshold_kind": sections.threshold_kind}
     if args.emit_vectors:
         report["vectors"] = [list(v) for v in sections.vectors]
-    cfg = {"module": args.module, "strict": args.strict,
-           "budget": _budget(args)}
+    cfg = {"module": args.module, "strict": args.strict, "budget": budget}
     return _emit("count", cfg, report, None, started)
 
 
 def cmd_minima(args) -> int:
     started = time.monotonic()
+    budget = _budget(args)
     module = load_module(args.module)
-    rep = successive_minima(module, _budget(args))
+    rep = successive_minima(module, budget)
     report = {
         "lambdas": list(rep.lambdas),
         "mus": list(rep.mus),
@@ -123,30 +131,28 @@ def cmd_minima(args) -> int:
         "exact": [{"alpha": a, "key": k, "den": d,
                    "squared": sq} for a, k, d, sq in rep.mu_parts],
     }
-    cfg = {"module": args.module, "budget": _budget(args)}
+    cfg = {"module": args.module, "budget": budget}
     return _emit("minima", cfg, report, None, started)
 
 
 def cmd_chi(args) -> int:
     started = time.monotonic()
     module = load_module(args.module)
-    chi = euler_characteristic(module, args.samples, args.seed)
-    report = {"chi": chi.value, "stderr": chi.stderr, "method": chi.method}
-    cfg = {"module": args.module, "samples": args.samples, "seed": args.seed}
-    return _emit("chi", cfg, report, args.seed, started)
+    chi = euler_characteristic(module)
+    report = {"chi": chi.value, "method": chi.method}
+    return _emit("chi", {"module": args.module}, report, None, started)
 
 
 def cmd_verify(args) -> int:
     started = time.monotonic()
     if args.suite != "counting":
         raise ConfigError(f"unknown suite {args.suite!r}")
+    budget = _budget(args)
     config = SuiteConfig(seed=args.seed, trials=args.trials,
-                         rank_max=args.max_rank, budget=_budget(args),
-                         samples=args.samples)
+                         rank_max=args.max_rank, budget=budget)
     summary = run_suite(config)
     cfg = {"suite": args.suite, "trials": args.trials, "seed": args.seed,
-           "max_rank": args.max_rank, "budget": _budget(args),
-           "samples": args.samples}
+           "max_rank": args.max_rank, "budget": budget}
     code = 1 if summary["total_violations"] else 0
     return _emit("verify", cfg, summary, args.seed, started, code)
 
@@ -238,8 +244,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("chi", help="Euler characteristic")
     p.add_argument("--module", required=True)
-    p.add_argument("--samples", type=int, default=100_000)
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_chi)
 
     p = sub.add_parser("verify", help="run the inequality suite")
@@ -248,7 +252,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--max-rank", type=int, default=3)
     p.add_argument("--budget", type=int)
-    p.add_argument("--samples", type=int, default=20_000)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("ledger", help="reduction-ledger tools")

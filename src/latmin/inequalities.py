@@ -5,10 +5,8 @@ are proved theorems, so a "violated" verdict on any instance means an
 implementation bug; the batch runner treats violations as data and dumps the
 offending instance for replay.
 
-Tolerance policy: quantities derived from exact counts/volumes are compared
-with tol 1e-9 (they are evaluated in IEEE doubles); Monte Carlo quantities
-use a guard band of 4 standard errors + 1e-9 and are marked "inconclusive"
-rather than "violated" inside the band.
+Tolerance policy: every count and volume is exact, so every quantity is
+compared with tol 1e-9, the rounding of its evaluation in IEEE doubles.
 """
 
 from __future__ import annotations
@@ -36,29 +34,17 @@ class InequalityReport:
     rhs: float
     slack: float
     holds: bool
-    mode: str               # "exact" or "interval"
+    mode: str               # always "exact"
     instance_digest: str
     tol: float
-    verdict: str            # "holds" | "violated" | "inconclusive"
+    verdict: str            # "holds" | "violated"
 
 
-def _report(name: str, lhs: float, rhs: float, digest: str,
-            stderr: float = 0.0) -> InequalityReport:
+def _report(name: str, lhs: float, rhs: float, digest: str) -> InequalityReport:
     slack = rhs - lhs
-    if stderr:
-        mode = "interval"
-        tol = 4.0 * stderr + EXACT_TOL
-    else:
-        mode = "exact"
-        tol = EXACT_TOL
-    if slack < -tol:
-        verdict = "violated"
-    elif mode == "interval" and slack < tol:
-        verdict = "inconclusive"
-    else:
-        verdict = "holds"
-    return InequalityReport(name, lhs, rhs, slack, slack >= -tol, mode,
-                            digest, tol, verdict)
+    holds = slack >= -EXACT_TOL
+    return InequalityReport(name, lhs, rhs, slack, holds, "exact", digest,
+                            EXACT_TOL, "holds" if holds else "violated")
 
 
 def _xlogx(n: int) -> float:
@@ -135,19 +121,18 @@ def check_filtration(module: NormedModule, alphas: Sequence,
     ]
 
 
-def check_second_minima(module: NormedModule, samples: int = 100_000,
-                        seed: int = 0,
+def check_second_minima(module: NormedModule,
                         budget: int = DEFAULT_BUDGET) -> List[InequalityReport]:
     """Minkowski window: r log 2 - log r! <= chi - sum mu_i <= r log 2."""
     digest = module.digest()
     r = module.rank
-    chi = euler_characteristic(module, samples, seed)
+    chi = euler_characteristic(module)
     minima = successive_minima(module, budget)
     gap = chi.value - sum(minima.mus)
     return [
         _report("minima-window-lower", r * LOG2 - math.lgamma(r + 1), gap,
-                digest, chi.stderr),
-        _report("minima-window-upper", gap, r * LOG2, digest, chi.stderr),
+                digest),
+        _report("minima-window-upper", gap, r * LOG2, digest),
     ]
 
 
@@ -167,15 +152,14 @@ def check_gs_count(module: NormedModule,
     ]
 
 
-def check_minkowski_count(module: NormedModule, samples: int = 100_000,
-                          seed: int = 0,
+def check_minkowski_count(module: NormedModule,
                           budget: int = DEFAULT_BUDGET) -> InequalityReport:
     """chi <= h0 + r log 2."""
     digest = module.digest()
-    chi = euler_characteristic(module, samples, seed)
+    chi = euler_characteristic(module)
     h0 = h0_hat(module, budget)
     return _report("minkowski-count", chi.value, h0 + module.rank * LOG2,
-                   digest, chi.stderr)
+                   digest)
 
 
 @dataclass(frozen=True)
@@ -191,7 +175,6 @@ class SuiteConfig:
     twist_hi: Fraction = Fraction(1, 2)
     filtration_max_len: int = 4
     budget: int = DEFAULT_BUDGET
-    samples: int = 20_000
 
     def validate(self) -> None:
         if self.trials < 1:
@@ -241,15 +224,15 @@ def witness_modules() -> List[NormedModule]:
     return [z1, box]
 
 
-def _run_checks(module: NormedModule, alpha: Fraction, alphas, config: SuiteConfig,
-                seed: int) -> List[InequalityReport]:
+def _run_checks(module: NormedModule, alpha: Fraction, alphas,
+                config: SuiteConfig) -> List[InequalityReport]:
     reports = []
     reports += check_norm_scaling(module, alpha, config.budget)
     reports += check_sef_gap(module, config.budget)
     reports += check_filtration(module, alphas, config.budget)
-    reports += check_second_minima(module, config.samples, seed, config.budget)
+    reports += check_second_minima(module, config.budget)
     reports += check_gs_count(module, config.budget)
-    reports.append(check_minkowski_count(module, config.samples, seed, config.budget))
+    reports.append(check_minkowski_count(module, config.budget))
     return reports
 
 
@@ -262,14 +245,12 @@ def run_suite(config: SuiteConfig) -> dict:
 
     def record(rep: InequalityReport, module: NormedModule) -> None:
         s = stats.setdefault(rep.name, {"checked": 0, "holds": 0, "violations": 0,
-                                        "inconclusive": 0, "min_slack": None})
+                                        "min_slack": None})
         s["checked"] += 1
         if rep.verdict == "violated":
             s["violations"] += 1
             violations.append({"report": asdict(rep),
                                "instance": module.to_json()})
-        elif rep.verdict == "inconclusive":
-            s["inconclusive"] += 1
         else:
             s["holds"] += 1
         if s["min_slack"] is None or rep.slack < s["min_slack"]:
@@ -290,7 +271,7 @@ def run_suite(config: SuiteConfig) -> dict:
 
     for idx, (mod, alpha, alphas) in enumerate(jobs):
         try:
-            for rep in _run_checks(mod, alpha, alphas, config, config.seed):
+            for rep in _run_checks(mod, alpha, alphas, config):
                 record(rep, mod)
         except EnumerationBudgetExceeded:
             skipped += 1

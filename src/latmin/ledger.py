@@ -116,6 +116,14 @@ def derived_intersections(ledger: Ledger) -> Tuple[List[float], List[float]]:
     return l2, l2p
 
 
+def _chain_value(steps) -> float:
+    """sum r_i c_i + 4 r_0 log r_0 + 2 r_0 log 3 over the given steps: the
+    chained count bound with the terminal section count taken as 0."""
+    r0 = steps[0].r
+    return (sum(s.r * s.c for s in steps)
+            + 4.0 * r0 * math.log(r0) + 2.0 * r0 * LOG3)
+
+
 def onestep_chain(ledger: Ledger, j: int) -> Tuple[InequalityReport, InequalityReport]:
     """Intersection chain at step j plus the evaluated count-side bound.
 
@@ -129,9 +137,7 @@ def onestep_chain(ledger: Ledger, j: int) -> Tuple[InequalityReport, InequalityR
     digest = ledger.digest()
     lhs = l2p[j] + 2.0 * sum(s.d * s.c for s in ledger.steps[: j + 1])
     first = _report("chain-intersection", lhs, ledger.L2_0, digest)
-    r0 = ledger.steps[0].r
-    value = (sum(s.r * s.c for s in ledger.steps[: j + 1])
-             + 4.0 * r0 * math.log(r0) + 2.0 * r0 * LOG3)
+    value = _chain_value(ledger.steps[: j + 1])
     second = _report("chain-count-bound", value, value, digest)
     return first, second
 
@@ -308,7 +314,6 @@ def verify_constant_chain(g_max: int, kappa_max: int) -> List[InequalityReport]:
     if g_max < 2 or kappa_max < 1:
         raise PreconditionViolated("need g_max >= 2 and kappa_max >= 1")
     mins = {"i": None, "ii": None, "iii": None}
-    vals = {}
     min_margin_ii_per_d = None
     for g in range(2, g_max + 1):
         for kappa in range(1, kappa_max + 1):
@@ -324,7 +329,6 @@ def verify_constant_chain(g_max: int, kappa_max: int) -> List[InequalityReport]:
             for key, s in (("i", s_i), ("ii", s_ii), ("iii", s_iii)):
                 if mins[key] is None or s < mins[key]:
                     mins[key] = s
-                    vals[key] = (g, kappa)
             margin = s_ii / d
             if min_margin_ii_per_d is None or margin < min_margin_ii_per_d:
                 min_margin_ii_per_d = margin
@@ -409,15 +413,12 @@ def theorem_chain_check(ledger: Ledger) -> InequalityReport:
     4 r_0 log r_0 + 2 r_0 log 3.  The closed form is theorem_b_bound for
     positive genus / genus zero and theorem_c_bound for the Clifford modes.
     """
-    ledger.validate()
     derived_intersections(ledger)
     d0 = ledger.steps[0].d
     if d0 % ledger.kappa:
         raise ConfigError("d_0 must be a multiple of kappa")
     d_circ = d0 // ledger.kappa
-    r0 = ledger.steps[0].r
-    value = (sum(s.r * s.c for s in ledger.steps)
-             + 4.0 * r0 * math.log(r0) + 2.0 * r0 * LOG3)
+    value = _chain_value(ledger.steps)
     if ledger.mode == "positive-genus":
         if ledger.g < 1:
             raise PreconditionViolated("positive-genus ledger needs g >= 1")

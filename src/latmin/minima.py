@@ -4,9 +4,9 @@ Minima are found by exhaustive enumeration: grow the search radius
 geometrically until the enumerated vectors span the full rank, then take the
 rank-increasing prefix of the key-sorted list; the exact parts of each
 minimum are read off the compiled norm (``norms.CompiledNorm``).  Volumes
-are exact for ellipsoids, square PolyMax systems and rank-2 polygons, and
-seeded counter-based Monte Carlo otherwise, testing sample points with the
-compiled norm's key.
+are exact: a closed form for ellipsoids, and Lasserre's facet recursion in
+rational arithmetic for every PolyMax ball (Lasserre, J. Optim. Theory
+Appl. 39, 1983).
 """
 
 from __future__ import annotations
@@ -20,8 +20,7 @@ from typing import List
 from .enumeration import DEFAULT_BUDGET, vectors_with_keys
 from .errors import PreconditionViolated
 from .linalg import IncrementalSpan, determinant
-from .norms import NormedModule, compile_norm, make_polymax
-from .rng import _mix, derive
+from .norms import NormedModule, compile_norm
 
 
 @dataclass(frozen=True)
@@ -78,10 +77,9 @@ def successive_minima(module: NormedModule, budget: int = DEFAULT_BUDGET) -> Min
 @dataclass(frozen=True)
 class VolumeReport:
     value: float
-    method: str             # exact-ellipsoid | exact-parallelepiped | exact-polygon | monte-carlo
-    stderr: float
+    method: str             # exact-ellipsoid | exact-polytope
     log_value: float
-    exact: Fraction | None = None  # rational volume where one exists (alpha = 0 part)
+    exact: Fraction | None = None  # rational volume of an untwisted polymax ball
 
 
 def log_unit_ball_volume(r: int) -> float:
@@ -89,104 +87,117 @@ def log_unit_ball_volume(r: int) -> float:
     return (r / 2) * math.log(math.pi) - math.lgamma(r / 2 + 1)
 
 
-def _clip(poly, cx: Fraction, cy: Fraction, rhs: Fraction):
-    """Clip a convex polygon against cx*x + cy*y <= rhs (exact)."""
-    out = []
-    n = len(poly)
-    for i in range(n):
-        ax, ay = poly[i]
-        bx, by = poly[(i + 1) % n]
-        da = cx * ax + cy * ay - rhs
-        db = cx * bx + cy * by - rhs
-        if da <= 0:
-            out.append((ax, ay))
-        if (da < 0 < db) or (db < 0 < da):
-            t = da / (da - db)
-            out.append((ax + t * (bx - ax), ay + t * (by - ay)))
-    return out
+def _node(lower, upper, slabs):
+    """Normal form of {y : lower <= y <= upper, lo <= c.y <= hi per slab}.
+
+    Slabs with one nonzero coefficient are folded into the box, parallel
+    slabs (scaled by their first nonzero coefficient) are merged, the box is
+    translated to [0, w] and slabs the box already satisfies are dropped.
+    Returns (w, slabs), or None when a width or a slab's range in the box is
+    empty or flat (the recursion gives any other such set volume 0).
+    Lasserre's formula counts a repeated facet twice: nodes must be normal.
+    """
+    lower, upper = list(lower), list(upper)
+    merged = {}
+    for c, lo, hi in slabs:
+        nonzero = [k for k, x in enumerate(c) if x]
+        if not nonzero:
+            if lo > 0 or hi < 0:
+                return None
+            continue
+        f = c[nonzero[0]]
+        lo, hi = (lo / f, hi / f) if f > 0 else (hi / f, lo / f)
+        if len(nonzero) == 1:
+            k = nonzero[0]
+            lower[k], upper[k] = max(lower[k], lo), min(upper[k], hi)
+        else:
+            c = tuple(x / f for x in c)
+            if c in merged:
+                lo, hi = max(lo, merged[c][0]), min(hi, merged[c][1])
+            merged[c] = (lo, hi)
+    widths = tuple(u - l for l, u in zip(lower, upper))
+    if min(widths) <= 0:
+        return None
+    kept = []
+    for c, (lo, hi) in merged.items():
+        shift = sum(x * l for x, l in zip(c, lower))
+        lo, hi = lo - shift, hi - shift
+        cmin = sum(x * w for x, w in zip(c, widths) if x < 0)
+        cmax = sum(x * w for x, w in zip(c, widths) if x > 0)
+        if hi <= max(lo, cmin) or lo >= cmax:
+            return None
+        if lo > cmin or hi < cmax:
+            kept.append((c, lo, hi))
+    return widths, tuple(sorted(kept))
 
 
-def polygon_ball_area(functionals) -> Fraction:
-    """Exact area of {x in R^2 : max_j |<a_j, x>| <= 1}."""
-    bx, by = (b + 1 for b in compile_norm(make_polymax(functionals)).unit_bounds)
-    poly = [(-bx, -by), (bx, -by), (bx, by), (-bx, by)]
-    for cx, cy in functionals:
-        poly = _clip(poly, cx, cy, Fraction(1))
-        poly = _clip(poly, -cx, -cy, Fraction(1))
-    area = Fraction(0)
-    n = len(poly)
-    for i in range(n):
-        x0, y0 = poly[i]
-        x1, y1 = poly[(i + 1) % n]
-        area += x0 * y1 - x1 * y0
-    return abs(area) / 2
+def _node_volume(node, memo: dict) -> Fraction:
+    """Lasserre's recursion vol_n(P) = (1/n) sum_i b_i vol_{n-1}(proj F_i)/|c_p|
+    over the facets c.y = level of a normal node, with b_i the facet's
+    distance term; each face is projected by eliminating the coordinate p
+    with the largest |c_p|."""
+    widths, slabs = node
+    if not slabs:
+        return math.prod(widths)
+    if node in memo:
+        return memo[node]
+    n = len(widths)
+    # (c, level, b) per facet c.y = level: the upper box facets y_k = w_k
+    # (the lower ones have b = 0) and both sides of each slab; _node finds
+    # the face of a side that the box already satisfies flat
+    facets = [(tuple(Fraction(i == k) for i in range(n)), w, w)
+              for k, w in enumerate(widths)]
+    for c, lo, hi in slabs:
+        facets += [(c, hi, hi), (c, lo, -lo)]
+    total = Fraction(0)
+    for c, level, b in facets:
+        if not b:
+            continue
+        p = max(range(n), key=lambda k: abs(c[k]))
+        d = tuple(x / c[p] for x in c[:p] + c[p + 1:])
+        t = level / c[p]  # y_p = t - d.y on the face
+        face = _node([0] * (n - 1), widths[:p] + widths[p + 1:],
+                     [(d, t - widths[p], t)]
+                     + [(tuple(e - f[p] * x for e, x in zip(f[:p] + f[p + 1:], d)),
+                         lo - f[p] * t, hi - f[p] * t)
+                        for f, lo, hi in slabs])
+        if face is not None:
+            total += b * _node_volume(face, memo) / abs(c[p])
+    memo[node] = total / n
+    return memo[node]
 
 
 @lru_cache(maxsize=1024)
-def ball_volume(module: NormedModule, samples: int = 100_000,
-                seed: int = 0) -> VolumeReport:
+def ball_volume(module: NormedModule) -> VolumeReport:
     """Volume of the unit ball B(M) = {x : ||x|| <= 1}."""
     compiled = compile_norm(module.norm)
     alpha = compiled.alpha
     r = module.rank
     shift = r * float(alpha)  # scaling by e^{-alpha} multiplies volume by e^{r alpha}
-    if r == 0:
-        return VolumeReport(1.0, "exact-parallelepiped", 0.0, 0.0, Fraction(1))
     if compiled.squared:
         det = determinant(compiled.data)
         log_v = log_unit_ball_volume(r) - 0.5 * math.log(det) + shift
-        return VolumeReport(math.exp(log_v), "exact-ellipsoid", 0.0, log_v)
-    rows = compiled.data
-    if len(rows) == r:
-        det = abs(determinant(rows))
-        base = Fraction(2) ** r / det
-        log_v = r * math.log(2) - math.log(det) + shift
-        return VolumeReport(math.exp(log_v), "exact-parallelepiped", 0.0, log_v,
-                            base if alpha == 0 else None)
-    if r == 2:
-        area = polygon_ball_area(rows)
-        log_v = math.log(area) + shift
-        return VolumeReport(math.exp(log_v), "exact-polygon", 0.0, log_v,
-                            area if alpha == 0 else None)
-    # Monte Carlo rejection sampling over the enclosing box; a point is in
-    # the ball when its key is at most den * e^scale
-    if samples < 10_000:
-        raise PreconditionViolated("monte-carlo volume needs samples >= 10^4")
-    bounds = [float(b) for b in compiled.unit_bounds]
-    key_f = compiled.key
-    limit = compiled.den * math.exp(float(compiled.scale))
-    digest = int(module.digest(), 16)
-    # counter-based stream keyed by (seed, instance digest, sample index);
-    # per-sample coordinates come from successive mixes of that key
-    base = derive(seed, digest)
-    scale53 = 2.0 ** -53
-    hits = 0
-    for i in range(samples):
-        state = _mix(base ^ i)
-        point = [(2.0 * ((_mix(state ^ (k + 1)) >> 11) * scale53) - 1.0) * bounds[k]
-                 for k in range(r)]
-        if key_f(point) <= limit:
-            hits += 1
-    box_vol = 1.0
-    for b in bounds:
-        box_vol *= 2.0 * b
-    p = hits / samples
-    value = box_vol * p
-    stderr = box_vol * math.sqrt(max(p * (1.0 - p), 0.0) / samples)
-    log_v = math.log(value) if value > 0 else float("-inf")
-    return VolumeReport(value, "monte-carlo", stderr, log_v)
+        return VolumeReport(math.exp(log_v), "exact-ellipsoid", log_v)
+    # with y = A0 x for the compiled basis rows A0, the ball is the cube
+    # [-1, 1]^r cut by the slabs |c_j . y| <= 1, c_j = a_j A0^{-1}
+    inv = compiled.basis_inverse
+    slabs = [(tuple(sum(a * inv[i][k] for i, a in enumerate(row))
+                    for k in range(r)), -1, 1)
+             for j, row in enumerate(compiled.data) if j not in compiled.basis]
+    det = determinant([compiled.data[i] for i in compiled.basis])
+    vol = _node_volume(_node([-1] * r, [1] * r, slabs), {}) / abs(det)
+    log_v = math.log(vol.numerator) - math.log(vol.denominator) + shift
+    return VolumeReport(math.exp(log_v), "exact-polytope", log_v,
+                        vol if alpha == 0 else None)
 
 
 @dataclass(frozen=True)
 class ChiReport:
     value: float
-    stderr: float
     method: str
 
 
-def euler_characteristic(module: NormedModule, samples: int = 100_000,
-                         seed: int = 0) -> ChiReport:
+def euler_characteristic(module: NormedModule) -> ChiReport:
     """chi(M) = log vol(B(M)); the covolume of Z^r is 1."""
-    vol = ball_volume(module, samples, seed)
-    stderr = vol.stderr / vol.value if vol.stderr else 0.0
-    return ChiReport(vol.log_value, stderr, vol.method)
+    vol = ball_volume(module)
+    return ChiReport(vol.log_value, vol.method)

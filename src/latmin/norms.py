@@ -14,7 +14,7 @@ twists accumulate additively in alpha and nested Scaled specs are flattened.
 This is the only module that knows how a norm is represented.  Everything
 else evaluates norms through ``compile_norm(spec)``, a cached
 ``CompiledNorm``: integer keys, one exact comparator, the integer acceptance
-window and enclosing box for a radius, and log norms.
+window and box for a radius, log norms, and a PolyMax basis with its inverse.
 """
 
 from __future__ import annotations
@@ -175,12 +175,13 @@ class CompiledNorm:
             inv = invert(self.data)
             bounds = [frac_sqrt_bounds(inv[k][k])[1] for k in range(self.rank)]
         else:
-            # r independent functionals, inverted: row sums of the inverse
-            idx = independent_rows(self.data, self.rank)
-            if len(idx) < self.rank:
+            # r independent functionals A0 with y = A0 x: |y_i| <= 1 on the
+            # ball, so |x_k| is at most the row sums of A0^{-1}
+            self.basis = independent_rows(self.data, self.rank)
+            if len(self.basis) < self.rank:
                 raise UnboundedBall("functionals do not span R^r")
-            bounds = [sum(map(abs, row))
-                      for row in invert([self.data[i] for i in idx])]
+            self.basis_inverse = invert([self.data[i] for i in self.basis])
+            bounds = [sum(map(abs, row)) for row in self.basis_inverse]
         factor = exp_upper(self.alpha)
         self.unit_bounds = [b * factor for b in bounds]
 
@@ -323,9 +324,11 @@ def spec_from_json(data: dict) -> NormSpec:
 def module_from_json(data: dict) -> NormedModule:
     """Parse and validate a module; malformed data raises ConfigError."""
     try:
-        rank, spec = int(data["rank"]), spec_from_json(data["norm"])
+        rank, spec = data["rank"], spec_from_json(data["norm"])
     except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise ConfigError(f"bad module JSON: {exc!r}") from exc
+    if type(rank) is not int:  # bool is an int subclass, and not a rank
+        raise ConfigError(f"bad module JSON: rank {rank!r} is not an integer")
     return make_normed_module(rank, spec)
 
 

@@ -128,7 +128,7 @@ def test_criterion_4_minima_window():
     corpus = _exact_volume_corpus()
     assert len(corpus) >= 300
     for module in corpus:
-        assert ball_volume(module).stderr == 0.0
+        assert ball_volume(module).method in ("exact-ellipsoid", "exact-polytope")
         lower, upper = check_second_minima(module)
         assert lower.mode == "exact" and upper.mode == "exact"
         assert lower.slack >= -1e-9, (lower, module.to_json())
@@ -145,12 +145,10 @@ def test_criterion_5_minkowski_count():
     for module in _exact_volume_corpus():
         rep = check_minkowski_count(module)
         assert rep.verdict != "violated", (rep, module.to_json())
-    # Monte Carlo instances may be inconclusive but never violated
-    mc = make_normed_module(3, make_polymax(
+    # a polymax with a slab beyond its rank: exact volume 23/3
+    cut = make_normed_module(3, make_polymax(
         [[1, 0, 0], [0, 1, 0], [0, 0, 1], ["1/2", "1/2", "1/2"]]))
-    for seed in range(5):
-        rep = check_minkowski_count(mc, samples=20_000, seed=seed)
-        assert rep.verdict != "violated"
+    assert check_minkowski_count(cut).verdict == "holds"
 
 
 @criterion(6, "1000 simulated ledgers per mode: feasible, chained bounds "
@@ -236,7 +234,7 @@ def test_criterion_9_cli_determinism(tmp_path):
     commands = [
         ["count", "--module", str(module)],
         ["minima", "--module", str(module)],
-        ["chi", "--module", str(module), "--seed", "3"],
+        ["chi", "--module", str(module)],
         ["verify", "--trials", "3", "--seed", "7"],
         ["ledger", "eval", "--config", str(ledger)],
         ["ledger", "sweep", "--g-max", "20", "--kappa-max", "3"],

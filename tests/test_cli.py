@@ -130,10 +130,14 @@ DISK_NORM = {"type": "ellipsoid", "gram": [["1/1", "0/1"], ["0/1", "1/1"]]}
     (["count"], {"rank": 1, "norm": {"type": "ellipsoid", "gram": [["x"]]}}),
     (["count"], {"rank": 1, "norm": {"type": "polymax", "functionals": [["1/0"]]}}),
     (["count"], {"rank": "two", "norm": DISK_NORM}),
+    (["count"], {"rank": 2.5, "norm": DISK_NORM}),
+    (["count"], {"rank": "2.5", "norm": DISK_NORM}),
+    (["count"], {"rank": True, "norm": {"type": "ellipsoid", "gram": [["1/1"]]}}),
     (["count"], [1, 2]),
     (["ledger", "eval", "--theorem", "B"],
      {"g": "x", "d_circ": 2, "kappa": 1, "L2": 10.0}),
-], ids=["bad-literal", "zero-denominator", "bad-rank", "not-an-object",
+], ids=["bad-literal", "zero-denominator", "bad-rank", "fractional-rank",
+        "fractional-rank-string", "boolean-rank", "not-an-object",
         "bad-theorem-field"])
 def test_malformed_input_exits_2(capsys, tmp_path, argv, doc):
     path = tmp_path / "input.json"
@@ -155,6 +159,20 @@ def test_budget_exhaustion_exits_3(capsys, tmp_path):
                                   "--budget", "50"])
     assert code == 3
     assert doc["error"]["type"] == "EnumerationBudgetExceeded"
+
+
+def test_zero_budget_exits_3(capsys, tmp_path):
+    code, doc = run_main(capsys, ["count", "--module", write_disk2(tmp_path),
+                                  "--budget", "0"])
+    assert code == 3
+    assert doc["error"]["type"] == "EnumerationBudgetExceeded"
+
+
+def test_negative_budget_exits_2(capsys, tmp_path):
+    code, doc = run_main(capsys, ["count", "--module", write_disk2(tmp_path),
+                                  "--budget", "-1"])
+    assert code == 2
+    assert doc["error"]["type"] == "ConfigError"
 
 
 def test_bad_usage_exits_2(capsys):
@@ -186,3 +204,11 @@ def test_env_budget_respected(tmp_path):
     path = write_disk2(tmp_path)
     out = _run(["count", "--module", path], {"LATMIN_BUDGET": "3"})
     assert out.returncode == 3
+
+
+def test_non_integer_env_budget_exits_2(tmp_path):
+    out = _run(["count", "--module", write_disk2(tmp_path)],
+               {"LATMIN_BUDGET": "x"})
+    assert out.returncode == 2
+    assert json.loads(out.stdout)["error"]["type"] == "ConfigError"
+    assert out.stderr == b""

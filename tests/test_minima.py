@@ -1,16 +1,18 @@
 """Successive minima, unit-ball volumes, Euler characteristic."""
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
 
 from latmin.errors import PreconditionViolated
+from latmin.inequalities import SuiteConfig, random_module
+from latmin.linalg import span_rank
 from latmin.minima import (ball_volume, euler_characteristic,
-                           log_unit_ball_volume, polygon_ball_area,
-                           successive_minima)
-from latmin.norms import (make_ellipsoid, make_normed_module, make_polymax,
-                          twist)
+                           log_unit_ball_volume, successive_minima)
+from latmin.norms import (compile_norm, make_ellipsoid, make_normed_module,
+                          make_polymax, twist)
 
 
 def euclid(rank):
@@ -29,7 +31,6 @@ def test_minima_of_euclidean_lattice():
     assert rep.mus == (0.0, 0.0, 0.0)
     assert len(rep.witnesses) == 3
     # witnesses are canonical sign representatives spanning the full rank
-    from latmin.linalg import span_rank
     assert span_rank(rep.witnesses) == 3
 
 
@@ -70,7 +71,6 @@ def test_log_unit_ball_volume_known_values():
 def test_ellipsoid_volume_exact():
     vol = ball_volume(euclid(2))
     assert vol.method == "exact-ellipsoid"
-    assert vol.stderr == 0.0
     assert vol.value == pytest.approx(math.pi)
     # det scales the volume by 1/sqrt(det)
     squished = make_normed_module(2, make_ellipsoid([[4, 0], [0, 1]]))
@@ -79,20 +79,16 @@ def test_ellipsoid_volume_exact():
 
 def test_parallelepiped_volume_exact():
     vol = ball_volume(box_module())
-    assert vol.method == "exact-parallelepiped"
+    assert vol.method == "exact-polytope"
     assert vol.exact == Fraction(16)
     assert vol.value == pytest.approx(16.0)
 
 
 def test_polygon_volume_exact():
     # unit square cut by |x + y| <= 1: area 3
-    area = polygon_ball_area([(Fraction(1), Fraction(0)),
-                              (Fraction(0), Fraction(1)),
-                              (Fraction(1), Fraction(1))])
-    assert area == Fraction(3)
     m = make_normed_module(2, make_polymax([[1, 0], [0, 1], [1, 1]]))
     vol = ball_volume(m)
-    assert vol.method == "exact-polygon"
+    assert vol.method == "exact-polytope"
     assert vol.exact == Fraction(3)
 
 
@@ -104,29 +100,101 @@ def test_twist_scales_volume():
     assert v1.log_value == pytest.approx(v0.log_value + 2 * float(a))
 
 
-def test_monte_carlo_volume_brackets_truth():
+def test_truncated_cube_volume_exact():
     # cube |x_i| <= 1 truncated by |x1+x2+x3| <= 2: volume 8 - 1/3
     m = make_normed_module(3, make_polymax(
         [[1, 0, 0], [0, 1, 0], [0, 0, 1], ["1/2", "1/2", "1/2"]]))
-    vol = ball_volume(m, samples=200_000, seed=5)
-    assert vol.method == "monte-carlo"
-    truth = 8.0 - 1.0 / 3.0
-    assert abs(vol.value - truth) <= 4.0 * vol.stderr
-    # deterministic: same seed, same estimate
-    assert ball_volume(m, samples=200_000, seed=5).value == vol.value
-    assert ball_volume(m, samples=200_000, seed=6).value != vol.value
-
-
-def test_monte_carlo_needs_enough_samples():
-    m = make_normed_module(3, make_polymax(
-        [[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1]]))
-    with pytest.raises(PreconditionViolated):
-        ball_volume(m, samples=100)
+    vol = ball_volume(m)
+    assert vol.method == "exact-polytope"
+    assert vol.exact == Fraction(23, 3)
+    assert vol.log_value == pytest.approx(math.log(23 / 3))
 
 
 def test_euler_characteristic_values():
     chi = euler_characteristic(euclid(2))
     assert chi.value == pytest.approx(math.log(math.pi))
-    assert chi.stderr == 0.0
+    assert chi.method == "exact-ellipsoid"
     chi4 = euler_characteristic(box_module())
     assert chi4.value == pytest.approx(math.log(16))
+
+
+def test_octahedron_volume_exact():
+    # max over sign patterns of |x +- y +- z| is |x| + |y| + |z|
+    m = make_normed_module(3, make_polymax(
+        [[1, 1, 1], [1, 1, -1], [1, -1, 1], [-1, 1, 1]]))
+    assert ball_volume(m).exact == Fraction(4, 3)
+
+
+def random_rows(seed):
+    """A random spanning system of rank 2..5 with 0..3 rows beyond its rank."""
+    rng = random.Random(seed)
+    r = rng.randint(2, 5)
+    while True:
+        rows = [[Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+                 for _ in range(r)] for _ in range(r + rng.randint(0, 3))]
+        if span_rank(rows) == r:
+            return rng, rows
+
+
+def exact_volume(rows):
+    return ball_volume(make_normed_module(len(rows[0]), make_polymax(rows))).exact
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_polytope_volume_invariances(seed):
+    rng, rows = random_rows(seed)
+    r = len(rows[0])
+    vol = exact_volume(rows)
+    assert vol > 0
+    shuffled = rows[:]
+    rng.shuffle(shuffled)
+    assert exact_volume(shuffled) == vol
+    assert exact_volume([[-x for x in row] for row in rows]) == vol
+    # every row again, negated: the same slabs, which must merge
+    assert exact_volume(rows + [[-x for x in row] for row in rows[::-1]]) == vol
+    # |(a_1 + a_2)/2 . x| <= 1 follows from the first two rows
+    implied = [(x + y) / 2 for x, y in zip(rows[0], rows[1])]
+    assert exact_volume(rows + [implied]) == vol
+    # A -> A U for a unimodular U maps the ball onto itself up to det U = 1
+    u = [[int(i == j) for j in range(r)] for i in range(r)]
+    for _ in range(2 * r):
+        i, j = rng.sample(range(r), 2)
+        k = rng.choice((-2, -1, 1, 2))
+        for row in u:
+            row[j] += k * row[i]
+    au = [[sum(a * u[i][j] for i, a in enumerate(row)) for j in range(r)]
+          for row in rows]
+    assert exact_volume(au) == vol
+    c = Fraction(rng.randint(1, 5), rng.randint(1, 5))
+    assert exact_volume([[c * x for x in row] for row in rows]) == vol / c ** r
+
+
+def monte_carlo_volume(module, samples, seed):
+    """Seeded rejection-sampling estimate (value, stderr) of vol B(module):
+    an independent oracle for the exact volume, testing points of the
+    enclosing box with the compiled norm's key."""
+    compiled = compile_norm(module.norm)
+    bounds = [float(b) for b in compiled.unit_bounds]
+    limit = compiled.den * math.exp(float(compiled.scale))
+    rng = random.Random(seed)
+    hits = sum(compiled.key([rng.uniform(-b, b) for b in bounds]) <= limit
+               for _ in range(samples))
+    box = math.prod(2 * b for b in bounds)
+    p = hits / samples
+    return box * p, box * math.sqrt(p * (1 - p) / samples)
+
+
+def test_polytope_volume_matches_monte_carlo_oracle():
+    cfg = SuiteConfig(rank_min=3, rank_max=5, norm_families=("polymax",))
+    modules = []
+    seed = 0
+    while len(modules) < 10:
+        m = random_module(seed, cfg)
+        seed += 1
+        if len(compile_norm(m.norm).data) > m.rank:
+            modules.append(m)
+    for i, m in enumerate(modules):
+        vol = ball_volume(m)
+        assert vol.method == "exact-polytope"
+        estimate, stderr = monte_carlo_volume(m, 20_000, i)
+        assert abs(vol.value - estimate) <= 4.0 * stderr, m.to_json()
