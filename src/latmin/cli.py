@@ -24,15 +24,12 @@ from fractions import Fraction
 from . import __version__
 from .enumeration import (DEFAULT_BUDGET, effective_sections,
                           strictly_effective_sections)
-from .errors import (ConfigError, DimensionMismatch, EnumerationBudgetExceeded,
-                     InfeasibleLedger, InvalidNorm, PreconditionViolated,
-                     UnboundedBall, Undecidable)
+from .errors import ConfigError, LatminError
 from .inequalities import SuiteConfig, run_suite
-from .ledger import (ArithmeticContext, SimulationParams, corollary_e,
-                     deg_one_bound, ledger_from_json, simulate_reduction,
-                     sum_ci_bound, theorem_b_bound, theorem_c_bound,
-                     theorem_chain_check, theorem_d_bound, trivial_bound,
-                     verify_constant_chain)
+from .ledger import (ArithmeticContext, corollary_e, deg_one_bound,
+                     ledger_from_json, simulate_reduction, sum_ci_bound,
+                     theorem_b_bound, theorem_c_bound, theorem_chain_check,
+                     theorem_d_bound, trivial_bound, verify_constant_chain)
 from .minima import euler_characteristic, successive_minima
 from .norms import format_rational, load_module
 
@@ -204,11 +201,10 @@ def cmd_ledger(args) -> int:
         conf = {"g_max": args.g_max, "kappa_max": args.kappa_max}
         return _emit("ledger-sweep", conf, reports, None, started, code)
     if args.ledger_cmd == "simulate":
-        params = SimulationParams(mode=args.mode)
         out = []
         violations = 0
         for t in range(args.trials):
-            ledger = simulate_reduction(args.seed + t, params)
+            ledger = simulate_reduction(args.seed + t, args.mode)
             chain = theorem_chain_check(ledger)
             sumci = sum_ci_bound(ledger)
             if not (chain.holds and sumci.holds):
@@ -227,7 +223,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="latmin",
                                      description="normed lattice toolkit")
     parser.add_argument("--threads", type=int, default=1,
-                        help="worker cap (output is identical at any level)")
+                        help="accepted for compatibility; has no effect yet")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("count", help="count effective sections")
@@ -280,13 +276,10 @@ def main(argv=None) -> int:
     name = getattr(args, "command", "?")
     try:
         return args.func(args)
-    except EnumerationBudgetExceeded as exc:
-        return _emit_error(name, exc, 3)
-    except Undecidable as exc:
-        return _emit_error(name, exc, 3)
-    except (ConfigError, InvalidNorm, UnboundedBall, DimensionMismatch,
-            PreconditionViolated, InfeasibleLedger, FileNotFoundError,
-            json.JSONDecodeError, KeyError) as exc:
+    except LatminError as exc:
+        return _emit_error(name, exc, exc.exit_code)
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+        # an input file that cannot be read or parsed is bad input
         return _emit_error(name, exc, 2)
 
 

@@ -5,12 +5,17 @@ the module's compiled norm (``norms.CompiledNorm``): its integer key is
 compared against the integer acceptance window for t, and only keys inside
 the window's gap (twisted norms, near the boundary) need the exact e^alpha
 comparison.
+
+The key-sorted closed unit ball is the one list behind every count: the
+strict set {||v|| < 1} is its prefix below the sphere, found by bisection
+on the keys.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -20,6 +25,7 @@ from .errors import EnumerationBudgetExceeded
 from .norms import CompiledNorm, NormedModule, NormSpec, compile_norm
 
 DEFAULT_BUDGET = 10 ** 8
+ONE = Fraction(1)
 
 
 def enclosing_box(norm: NormSpec, radius=1) -> List[int]:
@@ -35,7 +41,9 @@ def _check_budget(bounds: List[int], budget: int) -> None:
         raise EnumerationBudgetExceeded(predicted, budget)
 
 
-@lru_cache(maxsize=2048)
+# Over the corpus (verify --max-rank 5 --trials 6, seeds 0-17) at most 3
+# other lists are used between two uses of one list; 32 leaves a wide margin.
+@lru_cache(maxsize=32)
 def vectors_with_keys(module: NormedModule, radius: Fraction,
                       budget: int = DEFAULT_BUDGET) -> Tuple[CompiledNorm, list]:
     """All lattice vectors with norm <= radius, as (key, vector) pairs.
@@ -46,8 +54,6 @@ def vectors_with_keys(module: NormedModule, radius: Fraction,
     compiled = compile_norm(module.norm)
     bounds = compiled.box(radius)
     _check_budget(bounds, budget)
-    if module.rank == 0:
-        return compiled, [(0, ())]
     k_in, k_out = compiled.window(radius)
     key_f = compiled.key
     out = []
@@ -61,6 +67,15 @@ def vectors_with_keys(module: NormedModule, radius: Fraction,
     return compiled, out
 
 
+def _strict_end(compiled: CompiledNorm, pairs: list) -> int:
+    """Length of the prefix of the closed unit ball with ||v|| < 1.
+
+    ``cmp`` is monotone in the key and the list is key-sorted, so the first
+    pair on or outside the sphere is found in O(log n) comparisons.
+    """
+    return bisect_left(pairs, 0, key=lambda pair: compiled.cmp(pair[0], ONE))
+
+
 @dataclass(frozen=True)
 class SectionSet:
     vectors: tuple
@@ -69,36 +84,32 @@ class SectionSet:
     log_count: float
 
 
-@lru_cache(maxsize=2048)
-def _sections(module: NormedModule, strict: bool, budget: int) -> SectionSet:
-    compiled, pairs = vectors_with_keys(module, Fraction(1), budget)
-    if strict:
-        keep = tuple(v for k, v in pairs if compiled.cmp(k, Fraction(1)) < 0)
-    else:
-        keep = tuple(v for _, v in pairs)
-    return SectionSet(keep, "open" if strict else "closed", len(keep),
-                      math.log(len(keep)))
+def _section_set(pairs: list, kind: str) -> SectionSet:
+    return SectionSet(tuple(v for _, v in pairs), kind, len(pairs),
+                      math.log(len(pairs)))
 
 
 def effective_sections(module: NormedModule, budget: int = DEFAULT_BUDGET) -> SectionSet:
     """{v in Z^r : ||v|| <= 1}, exactly."""
-    return _sections(module, False, budget)
+    _, pairs = vectors_with_keys(module, ONE, budget)
+    return _section_set(pairs, "closed")
 
 
 def strictly_effective_sections(module: NormedModule,
                                 budget: int = DEFAULT_BUDGET) -> SectionSet:
-    """{v in Z^r : ||v|| < 1}, exactly."""
-    return _sections(module, True, budget)
+    """{v in Z^r : ||v|| < 1}, exactly: a prefix of the closed-ball list."""
+    compiled, pairs = vectors_with_keys(module, ONE, budget)
+    return _section_set(pairs[:_strict_end(compiled, pairs)], "open")
 
 
 def h0_hat(module: NormedModule, budget: int = DEFAULT_BUDGET) -> float:
     """log # {v : ||v|| <= 1}."""
-    return effective_sections(module, budget).log_count
+    return math.log(len(vectors_with_keys(module, ONE, budget)[1]))
 
 
 def h0_hat_sef(module: NormedModule, budget: int = DEFAULT_BUDGET) -> float:
     """log # {v : ||v|| < 1}."""
-    return strictly_effective_sections(module, budget).log_count
+    return math.log(_strict_end(*vectors_with_keys(module, ONE, budget)))
 
 
 __all__ = [

@@ -4,6 +4,8 @@
 class LatminError(Exception):
     """Base class for all toolkit errors."""
 
+    exit_code = 2  # the CLI's exit code: bad input
+
 
 class InvalidNorm(LatminError):
     """Ellipsoid gram matrix is not symmetric positive definite."""
@@ -20,6 +22,8 @@ class DimensionMismatch(LatminError):
 class EnumerationBudgetExceeded(LatminError):
     """Predicted candidate count exceeds the enumeration budget."""
 
+    exit_code = 3
+
     def __init__(self, predicted, budget):
         super().__init__(f"predicted {predicted} candidates exceeds budget {budget}")
         self.predicted = predicted
@@ -28,6 +32,8 @@ class EnumerationBudgetExceeded(LatminError):
 
 class Undecidable(LatminError):
     """Interval refinement hit the hard precision floor without a decision."""
+
+    exit_code = 3
 
 
 class InfeasibleLedger(LatminError):

@@ -16,7 +16,7 @@ from dataclasses import dataclass, asdict
 from fractions import Fraction
 from typing import List, Sequence, Tuple
 
-from .enumeration import DEFAULT_BUDGET, effective_sections, h0_hat, h0_hat_sef
+from .enumeration import DEFAULT_BUDGET, h0_hat, h0_hat_sef, vectors_with_keys
 from .errors import ConfigError, EnumerationBudgetExceeded
 from .linalg import span_rank
 from .minima import euler_characteristic, successive_minima
@@ -34,17 +34,15 @@ class InequalityReport:
     rhs: float
     slack: float
     holds: bool
-    mode: str               # always "exact"
     instance_digest: str
-    tol: float
     verdict: str            # "holds" | "violated"
 
 
 def _report(name: str, lhs: float, rhs: float, digest: str) -> InequalityReport:
     slack = rhs - lhs
     holds = slack >= -EXACT_TOL
-    return InequalityReport(name, lhs, rhs, slack, holds, "exact", digest,
-                            EXACT_TOL, "holds" if holds else "violated")
+    return InequalityReport(name, lhs, rhs, slack, holds, digest,
+                            "holds" if holds else "violated")
 
 
 def _xlogx(n: int) -> float:
@@ -101,8 +99,8 @@ def check_filtration(module: NormedModule, alphas: Sequence,
     digest = module.digest()
     ranks = []
     for a in alphas:
-        sections = effective_sections(twist(module, -a), budget)
-        ranks.append(span_rank(sections.vectors))
+        _, pairs = vectors_with_keys(twist(module, -a), Fraction(1), budget)
+        ranks.append(span_rank(v for _, v in pairs))
     r0 = ranks[0]
     h0 = h0_hat(module, budget)
     h0n = h0_hat(twist(module, -alphas[-1]), budget)
@@ -169,11 +167,6 @@ class SuiteConfig:
     rank_min: int = 1
     rank_max: int = 3
     norm_families: tuple = ("ellipsoid", "polymax")
-    alpha_min: Fraction = Fraction(0)
-    alpha_max: Fraction = Fraction(3)
-    twist_lo: Fraction = Fraction(-1, 2)
-    twist_hi: Fraction = Fraction(1, 2)
-    filtration_max_len: int = 4
     budget: int = DEFAULT_BUDGET
 
     def validate(self) -> None:
@@ -213,7 +206,7 @@ def random_module(seed: int, config: SuiteConfig) -> NormedModule:
         spec = make_polymax(rows)
     module = make_normed_module(rank, spec)
     if rng.randint(0, 1):
-        module = twist(module, rng.fraction(config.twist_lo, config.twist_hi))
+        module = twist(module, rng.fraction(Fraction(-1, 2), Fraction(1, 2)))
     return module
 
 
@@ -262,8 +255,9 @@ def run_suite(config: SuiteConfig) -> dict:
     for t in range(config.trials):
         mod = random_module(derive(config.seed, t), config)
         rng = DetRNG(config.seed, t, 0xC0FFEE)
-        alpha = rng.fraction(config.alpha_min, config.alpha_max, 8)
-        n = rng.randint(0, max(config.filtration_max_len - 1, 0))
+        # scaling alpha in [0, 3]; a filtration of at most 4 alphas
+        alpha = rng.fraction(Fraction(0), Fraction(3), 8)
+        n = rng.randint(0, 3)
         alphas = [Fraction(0)]
         for _ in range(n):
             alphas.append(alphas[-1] + rng.fraction(Fraction(0), Fraction(3, 4), 8))

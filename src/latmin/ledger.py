@@ -344,39 +344,25 @@ def verify_constant_chain(g_max: int, kappa_max: int) -> List[InequalityReport]:
     return reports
 
 
-@dataclass(frozen=True)
-class SimulationParams:
-    mode: str
-    kappa: int = 1
-    g: int | None = None
-    n_min: int = 0
-    n_max: int = 3
-    deg0_max: int = 12
-    c_max: float = 2.0
-    slack_max: float = 2.0
-
-
-def simulate_reduction(seed: int, params: SimulationParams) -> Ledger:
+def simulate_reduction(seed: int, mode: str) -> Ledger:
     """Deterministic admissible ledger from a seed.
 
-    Degrees strictly decrease, ranks satisfy the mode constraint, and L2_0 is
-    chosen large enough that both the derived intersections and the summed-c
-    bound are feasible by construction.
+    kappa = 1, n in [0, 3] reduction steps after the first, deg_0 <= 12, and
+    c, slack in [0, 2].  Degrees strictly decrease, ranks satisfy the mode
+    constraint, and L2_0 is chosen large enough that both the derived
+    intersections and the summed-c bound are feasible by construction.
     """
-    if params.mode not in MODES:
-        raise ConfigError(f"unknown mode {params.mode!r}")
+    if mode not in MODES:
+        raise ConfigError(f"unknown mode {mode!r}")
     rng = DetRNG(seed, 0x1ED6E2)
-    kappa = params.kappa
-    if params.g is not None:
-        g = params.g
-    elif params.mode == "genus-zero":
+    if mode == "genus-zero":
         g = 0
-    elif params.mode == "positive-genus":
+    elif mode == "positive-genus":
         g = rng.randint(1, 5)
     else:
         g = rng.randint(2, 6)
-    n = rng.randint(params.n_min, params.n_max)
-    deg0 = rng.randint(max(2, n + 2), max(params.deg0_max, n + 3))
+    n = rng.randint(0, 3)
+    deg0 = rng.randint(n + 2, 12)
     candidates = list(range(1, deg0))
     picks = []
     for _ in range(n):
@@ -384,24 +370,23 @@ def simulate_reduction(seed: int, params: SimulationParams) -> Ledger:
     degs = sorted([deg0] + picks, reverse=True)
 
     steps = []
-    for deg in degs:
-        d = deg * kappa
-        if params.mode == "positive-genus":
+    for d in degs:
+        if mode == "positive-genus":
             r = rng.randint(1, d)
-        elif params.mode == "genus-zero":
-            r = d + kappa
-        elif params.mode == "clifford-hyperelliptic":
-            r = rng.randint(1, d // 2 + kappa)
+        elif mode == "genus-zero":
+            r = d + 1
+        elif mode == "clifford-hyperelliptic":
+            r = rng.randint(1, d // 2 + 1)
         else:  # clifford-nonhyperelliptic: strong Clifford bound
-            r = rng.randint(1, max(1, (d + kappa) // 2))
-        c = round(rng.u01() * params.c_max, 6)
-        slack = round(rng.u01() * params.slack_max, 6)
+            r = rng.randint(1, (d + 1) // 2)
+        c = round(rng.u01() * 2.0, 6)
+        slack = round(rng.u01() * 2.0, 6)
         steps.append(LedgerStep(d, r, c, slack))
 
     need_chain = 2.0 * sum(s.d * s.c for s in steps) + sum(s.slack for s in steps)
     need_sumci = steps[0].d * (steps[0].c + sum(s.c for s in steps))
     l2 = max(need_chain, need_sumci) + round(rng.u01() * 5.0, 6)
-    ledger = Ledger(g, kappa, tuple(steps), l2, params.mode)
+    ledger = Ledger(g, 1, tuple(steps), l2, mode)
     ledger.validate()
     return ledger
 

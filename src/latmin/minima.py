@@ -1,12 +1,14 @@
 """Successive minima, unit-ball volumes, and the Euler characteristic.
 
 Minima are found by exhaustive enumeration: grow the search radius
-geometrically until the enumerated vectors span the full rank, then take the
-rank-increasing prefix of the key-sorted list; the exact parts of each
-minimum are read off the compiled norm (``norms.CompiledNorm``).  Volumes
-are exact: a closed form for ellipsoids, and Lasserre's facet recursion in
-rational arithmetic for every PolyMax ball (Lasserre, J. Optim. Theory
-Appl. 39, 1983).
+geometrically until the enumerated vectors span the full rank.  At each
+radius one span pass over the canonical nonzero vectors of the key-sorted
+ball list (at radius 1 the list whose prefix below the sphere is the strict
+section set) decides that and picks the rank-increasing vectors as
+witnesses; the exact parts of each minimum are read off the compiled norm
+(``norms.CompiledNorm``).  Volumes are exact: a closed form for ellipsoids,
+and Lasserre's facet recursion in rational arithmetic for every PolyMax ball
+(Lasserre, J. Optim. Theory Appl. 39, 1983).
 """
 
 from __future__ import annotations
@@ -15,7 +17,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import List
 
 from .enumeration import DEFAULT_BUDGET, vectors_with_keys
 from .errors import PreconditionViolated
@@ -32,10 +33,11 @@ class MinimaReport:
 
 
 def _canonical(v: tuple) -> bool:
+    """v != 0 and its first nonzero entry is positive: one of each pair +-v."""
     for x in v:
         if x:
             return x > 0
-    return True
+    return False
 
 
 @lru_cache(maxsize=1024)
@@ -44,34 +46,23 @@ def successive_minima(module: NormedModule, budget: int = DEFAULT_BUDGET) -> Min
     r = module.rank
     if r < 1:
         raise PreconditionViolated("successive minima need rank >= 1")
-    radius = Fraction(1)
-    while True:
+    radius, span = Fraction(1), IncrementalSpan()
+    while span.rank < r:
         compiled, pairs = vectors_with_keys(module, radius, budget)
-        nonzero = [(k, v) for k, v in pairs if any(v)]
-        probe = IncrementalSpan()
-        for _, v in nonzero:
-            if probe.add(v) and probe.rank == r:
-                break
-        if probe.rank >= r:
-            break
+        span, found = IncrementalSpan(), []
+        for key, vec in pairs:
+            if _canonical(vec) and span.add(vec):
+                found.append((key, vec))
+                if span.rank == r:
+                    break
         radius *= 2
 
-    witnesses: List[tuple] = []
-    keys: List[int] = []
-    span = IncrementalSpan()
-    for key, vec in nonzero:
-        if not _canonical(vec):
-            continue
-        if span.add(vec):
-            witnesses.append(vec)
-            keys.append(key)
-            if span.rank == r:
-                break
-
+    keys = [k for k, _ in found]
+    witnesses = tuple(v for _, v in found)
     lambdas = tuple(math.exp(compiled.log(k)) for k in keys)
     mus = tuple(-compiled.log(k) + 0.0 for k in keys)
     parts = tuple((compiled.alpha, k, compiled.den, compiled.squared) for k in keys)
-    return MinimaReport(lambdas, mus, tuple(witnesses), parts)
+    return MinimaReport(lambdas, mus, witnesses, parts)
 
 
 @dataclass(frozen=True)

@@ -68,7 +68,3 @@ class DetRNG:
     def choice(self, seq):
         return seq[self.randint(0, len(seq) - 1)]
 
-
-def stream_u01(seed: int, *key: int) -> float:
-    """One uniform variate addressed purely by its key (counter-based)."""
-    return (derive(seed, *key) >> 11) * (2.0 ** -53)

@@ -123,6 +123,22 @@ def test_missing_module_file_exits_2(capsys):
     assert doc["error"]["type"] == "FileNotFoundError"
 
 
+@pytest.mark.parametrize("argv, content, error", [
+    (["count", "--module"], None, "IsADirectoryError"),
+    (["ledger", "eval", "--config"], None, "IsADirectoryError"),
+    (["count", "--module"], b'{"rank": 1, "\xff": 0}', "UnicodeDecodeError"),
+], ids=["module-directory", "ledger-directory", "module-not-utf8"])
+def test_unreadable_input_exits_2(capsys, tmp_path, argv, content, error):
+    path = tmp_path / "input"
+    if content is None:
+        path.mkdir()
+    else:
+        path.write_bytes(content)
+    code, doc = run_main(capsys, argv + [str(path)])
+    assert code == 2
+    assert doc["error"]["type"] == error
+
+
 DISK_NORM = {"type": "ellipsoid", "gram": [["1/1", "0/1"], ["0/1", "1/1"]]}
 
 

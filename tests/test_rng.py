@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from latmin.rng import DetRNG, derive, stream_u01
+from latmin.rng import DetRNG, derive
 
 
 def test_derive_is_stable_and_key_sensitive():
@@ -38,6 +38,3 @@ def test_fraction_stays_on_grid():
         assert (f * 8).denominator == 1
 
 
-def test_stream_u01_is_addressable():
-    assert stream_u01(1, 2, 3) == stream_u01(1, 2, 3)
-    assert stream_u01(1, 2, 3) != stream_u01(1, 2, 4)
