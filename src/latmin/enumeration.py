@@ -1,10 +1,15 @@
 """Exact enumeration of effective sections.
 
-Every vector of the enclosing box of the ball of radius t is tested through
-the module's compiled norm (``norms.CompiledNorm``): its integer key is
-compared against the integer acceptance window for t, and only keys inside
-the window's gap (twisted norms, near the boundary) need the exact e^alpha
-comparison.
+The ball of radius t is walked depth first, x_0 outermost, over the
+module's compiled norm (``norms.CompiledNorm``).  Each level admits only
+the integers x_i that can still finish with an integer key at most
+cap = max(k_in, k_out - 1), where (k_in, k_out) is the integer acceptance
+window for t: exact ranges from the integer LDL^T chain for ellipsoids
+(Fincke & Pohst, Math. Comp. 44, 1985), and per-row intervals for PolyMax
+norms.  Keys at most k_in are inside; only keys inside the window's gap
+(twisted norms, near the boundary) need the exact e^alpha comparison.  The
+enclosing box is still what the budget is charged on, and it clips every
+level.
 
 The key-sorted closed unit ball is the one list behind every count: the
 strict set {||v|| < 1} is its prefix below the sphere, found by bisection
@@ -13,8 +18,8 @@ on the keys.
 
 from __future__ import annotations
 
-import itertools
 import math
+import operator
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
@@ -41,6 +46,88 @@ def _check_budget(bounds: List[int], budget: int) -> None:
         raise EnumerationBudgetExceeded(predicted, budget)
 
 
+def _pools(bounds: List[int]) -> List[tuple]:
+    """The integers -B..B per coordinate, built once per walk, so that all
+    vectors share one int object per value (ints below -5 are not cached)."""
+    return [tuple(range(-b, b + 1)) for b in bounds]
+
+
+def _ellipsoid_walk(compiled: CompiledNorm, cap: int, bounds: List[int]):
+    """(key, v) for the v in the box with key v^T G' v <= cap, depth first.
+
+    x_0 is the outermost coordinate.  At level i, with P the value of the
+    chain at x_{<i}, x_i = t is admissible iff S_i(x_0..x_i) <= cap, i.e.
+    (a t + b)^2 <= d (a cap - P), so with s = isqrt of the right side
+    t runs over [-((b + s) // a), (s - b) // a], clipped to the box.
+    """
+    chain, last = compiled.chain, len(bounds) - 1
+    x, pools = [0] * len(bounds), _pools(bounds)
+
+    def level(i: int, p: int):
+        a, d, row = chain[i]
+        room = d * (a * cap - p)
+        if room < 0:
+            return
+        b = sum(map(operator.mul, row, x))
+        s = math.isqrt(room)
+        lo, hi = max(-((b + s) // a), -bounds[i]), min((s - b) // a, bounds[i])
+        if lo > hi:
+            return
+        line, base = pools[i][lo + bounds[i]:hi + bounds[i] + 1], d * p
+        if i == last:  # d = 1 and the chain value is the key
+            head = tuple(x[:i])
+            for t in line:
+                u = a * t + b
+                yield (u * u + base) // a, head + (t,)
+            return
+        for t in line:
+            u = a * t + b
+            x[i] = t
+            yield from level(i + 1, (u * u + base) // a)
+
+    yield from level(0, 0)
+
+
+def _polymax_walk(compiled: CompiledNorm, cap: int, bounds: List[int]):
+    """(key, v) for the v in the box with key max_j |A'_j . v| <= cap.
+
+    With p_j the partial sum over x_{<i} and tail_j = sum_{l>i} |a'_jl| B_l,
+    row j admits x_i = t only if |p_j + a'_ji t| <= cap + tail_j; a row with
+    a'_ji = 0 prunes the branch when |p_j| exceeds that limit.  The tails
+    vanish at the innermost level, so every vector reached there is kept.
+    """
+    rows, r = compiled.int_rows, len(bounds)
+    columns = [[row[i] for row in rows] for i in range(r)]
+    limits = [[cap + sum(abs(row[l]) * bounds[l] for l in range(i + 1, r))
+               for row in rows] for i in range(r)]
+    x, pools = [0] * r, _pools(bounds)
+
+    def level(i: int, partial: list):
+        lo, hi = -bounds[i], bounds[i]
+        for p, a, lim in zip(partial, columns[i], limits[i]):
+            if a > 0:
+                lo, hi = max(lo, -((lim + p) // a)), min(hi, (lim - p) // a)
+            elif a < 0:
+                lo, hi = max(lo, -((lim - p) // -a)), min(hi, (lim + p) // -a)
+            elif abs(p) > lim:
+                return
+        if lo > hi:
+            return
+        column, line = columns[i], pools[i][lo + bounds[i]:hi + bounds[i] + 1]
+        if i == r - 1:
+            head = tuple(x[:i])
+            values = [p + a * lo for p, a in zip(partial, column)]
+            for t in line:
+                yield max(map(abs, values)), head + (t,)
+                values = list(map(operator.add, values, column))
+            return
+        for t in line:
+            x[i] = t
+            yield from level(i + 1, [p + a * t for p, a in zip(partial, column)])
+
+    yield from level(0, [0] * len(rows))
+
+
 # Over the corpus (verify --max-rank 5 --trials 6, seeds 0-17) at most 3
 # other lists are used between two uses of one list; 32 leaves a wide margin.
 @lru_cache(maxsize=32)
@@ -48,21 +135,21 @@ def vectors_with_keys(module: NormedModule, radius: Fraction,
                       budget: int = DEFAULT_BUDGET) -> Tuple[CompiledNorm, list]:
     """All lattice vectors with norm <= radius, as (key, vector) pairs.
 
-    The list is sorted by (key, vector) so downstream consumers are
-    deterministic regardless of enumeration order.
+    The budget is charged on the enclosing box; the walk visits only the
+    vectors with key <= cap = max(k_in, k_out - 1), and those with a key in
+    (k_in, cap] are decided by the exact comparator.  The list is sorted by
+    (key, vector) so downstream consumers are deterministic regardless of
+    enumeration order.
     """
     compiled = compile_norm(module.norm)
     bounds = compiled.box(radius)
     _check_budget(bounds, budget)
     k_in, k_out = compiled.window(radius)
-    key_f = compiled.key
-    out = []
-    for v in itertools.product(*[range(-b, b + 1) for b in bounds]):
-        key = key_f(v)
-        if key <= k_in:
-            out.append((key, v))
-        elif key < k_out and compiled.cmp(key, radius) <= 0:
-            out.append((key, v))
+    walk = _ellipsoid_walk if compiled.squared else _polymax_walk
+    # rank 0: the zero vector, key 0, is the only lattice vector
+    pairs = walk(compiled, max(k_in, k_out - 1), bounds) if bounds else [(0, ())]
+    out = [(key, v) for key, v in pairs
+           if key <= k_in or compiled.cmp(key, radius) <= 0]
     out.sort()
     return compiled, out
 

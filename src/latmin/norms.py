@@ -14,7 +14,8 @@ twists accumulate additively in alpha and nested Scaled specs are flattened.
 This is the only module that knows how a norm is represented.  Everything
 else evaluates norms through ``compile_norm(spec)``, a cached
 ``CompiledNorm``: integer keys, one exact comparator, the integer acceptance
-window and box for a radius, log norms, and a PolyMax basis with its inverse.
+window and box for a radius, log norms, the integer LDL^T chain of an
+Ellipsoid that enumeration prunes with, and a PolyMax basis with its inverse.
 """
 
 from __future__ import annotations
@@ -174,6 +175,7 @@ class CompiledNorm:
         if self.squared:
             inv = invert(self.data)
             bounds = [frac_sqrt_bounds(inv[k][k])[1] for k in range(self.rank)]
+            self.chain = self._schur_chain()
         else:
             # r independent functionals A0 with y = A0 x: |y_i| <= 1 on the
             # ball, so |x_k| is at most the row sums of A0^{-1}
@@ -184,6 +186,28 @@ class CompiledNorm:
             bounds = [sum(map(abs, row)) for row in self.basis_inverse]
         factor = exp_upper(self.alpha)
         self.unit_bounds = [b * factor for b in bounds]
+
+    def _schur_chain(self) -> list:
+        """Exact integer LDL^T data of G', one entry (a, d, row) per level i.
+
+        S_i is the form on x_0..x_i of min over real x_{>i} of x^T G' x, and
+        D_i = det G'[>i, >i] (D_{r-1} = 1), so D_i * S_i is integer.  With
+        a = D_{i-1} = D_i * S_i[i][i] and row = (D_i * S_i)[i][:i], the value
+        P_i = D_i * S_i(x_0..x_i) at x_i = t is ((a t + b)^2 + d P_{i-1}) / a
+        with d = D_i, b = row . x_{<i} and P_{-1} = 0: an exact integer
+        division, and P_{r-1} is the key.
+        """
+        s = [list(map(Fraction, row)) for row in self.int_rows]
+        d, chain = 1, []
+        for i in reversed(range(self.rank)):
+            pivot = s[i][i]
+            a = int(d * pivot)
+            chain.append((a, d, [int(d * x) for x in s[i][:i]]))
+            # minimising over x_i: the Schur complement of the pivot
+            s = [[s[j][k] - s[j][i] * s[i][k] / pivot for k in range(i)]
+                 for j in range(i)]
+            d = a
+        return chain[::-1]
 
     def key(self, v):
         """Key of an int, Fraction or float vector (exact for the first two)."""

@@ -29,7 +29,7 @@ from latmin.norms import make_ellipsoid, make_normed_module, make_polymax, twist
 from latmin.rng import DetRNG, derive
 from test_enumeration import oracle_sections
 
-from latmin.enumeration import effective_sections, strictly_effective_sections
+from latmin.enumeration import effective_sections
 
 
 def criterion(n, desc):

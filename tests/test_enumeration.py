@@ -2,21 +2,28 @@
 
 The oracle shares nothing with the production enumerator: it computes its own
 bounding box by exact Gauss-Jordan elimination, evaluates the norm of every
-candidate as a Fraction, and settles twisted comparisons with high-precision
-mpmath directly.
+candidate exactly on its own integer-scaled copy of the data, and settles
+twisted comparisons with high-precision mpmath directly.  The production
+walk prunes by exact per-level ranges, so the oracle is run at every radius
+the library enumerates at.
 """
 
 import itertools
+import json
 import math
+import operator
+import random
 from fractions import Fraction
 
 import mpmath
 import pytest
 
+from latmin.cli import main
 from latmin.enumeration import (effective_sections, enclosing_box, h0_hat,
-                                h0_hat_sef, strictly_effective_sections)
+                                h0_hat_sef, strictly_effective_sections,
+                                vectors_with_keys)
 from latmin.errors import EnumerationBudgetExceeded
-from latmin.norms import (Ellipsoid, base_spec, make_ellipsoid,
+from latmin.norms import (Ellipsoid, base_spec, compile_norm, make_ellipsoid,
                           make_normed_module, make_polymax, norm_eval, twist)
 
 
@@ -38,8 +45,8 @@ def _oracle_invert(matrix):
     return [row[n:] for row in aug]
 
 
-def _oracle_box(module):
-    """Integer box guaranteed to contain the unit ball (slightly generous)."""
+def _oracle_box(module, radius=1):
+    """Integer box guaranteed to contain the ball (slightly generous)."""
     spec, alpha = base_spec(module.norm)
     grow = math.exp(float(alpha)) * (1 + 1e-9) + 1e-9
     r = module.rank
@@ -70,35 +77,47 @@ def _oracle_box(module):
                 probe.append(row)
         inv = _oracle_invert(chosen)
         reach = [float(sum(abs(inv[k][j]) for j in range(r))) for k in range(r)]
-    return [int(math.floor(b * grow)) + 1 for b in reach]
+    return [int(math.floor(b * grow * radius)) + 1 for b in reach]
 
 
-def _oracle_inside(module, v, strict):
+def _oracle_membership(module, strict, radius=1):
+    """The test v -> ||v|| < radius (strict) or ||v|| <= radius, exactly."""
     spec, alpha = base_spec(module.norm)
+    radius = Fraction(radius)
     if isinstance(spec, Ellipsoid):
-        q = sum(Fraction(v[i]) * sum(g * x for g, x in zip(row, v))
-                for i, row in enumerate(spec.gram))
-        power = 2 * alpha
+        data, limit, power = spec.gram, radius ** 2, 2 * alpha
     else:
-        q = max(abs(sum(a * x for a, x in zip(row, v)))
-                for row in spec.functionals)
-        power = alpha
+        data, limit, power = spec.functionals, radius, alpha
+    # integer data: every entry times the lcm of the denominators
+    scale = math.lcm(*(x.denominator for row in data for x in row))
+    rows = [[int(x * scale) for x in row] for row in data]
+    bound = limit * scale
+    if isinstance(spec, Ellipsoid):
+        def value(v):
+            return sum(x * sum(map(operator.mul, row, v))
+                       for x, row in zip(v, rows))
+    else:
+        def value(v):
+            return max(abs(sum(map(operator.mul, row, v))) for row in rows)
     if alpha == 0:
-        return q < 1 if strict else q <= 1
-    # rational q vs e^power, ties impossible for alpha != 0
+        if strict:
+            return lambda v: value(v) < bound
+        return lambda v: value(v) <= bound
+    # integer value vs bound * e^power, ties impossible for alpha != 0
     with mpmath.workdps(60):
-        thresh = mpmath.exp(mpmath.mpf(power.numerator) / power.denominator)
-        lhs = mpmath.mpf(q.numerator) / q.denominator
-        return lhs < thresh
+        thresh = (mpmath.exp(mpmath.mpf(power.numerator) / power.denominator)
+                  * bound.numerator / bound.denominator)
+    return lambda v: value(v) < thresh
 
 
-def oracle_box_vectors(module):
-    return itertools.product(*[range(-b, b + 1) for b in _oracle_box(module)])
+def oracle_box_vectors(module, radius=1):
+    return itertools.product(*[range(-b, b + 1)
+                               for b in _oracle_box(module, radius)])
 
 
-def oracle_sections(module, strict=False):
-    return sorted(v for v in oracle_box_vectors(module)
-                  if _oracle_inside(module, v, strict))
+def oracle_sections(module, strict=False, radius=1):
+    inside = _oracle_membership(module, strict, radius)
+    return sorted(v for v in oracle_box_vectors(module, radius) if inside(v))
 
 
 def assert_norm_eval_matches(module, closed, strict):
@@ -184,3 +203,150 @@ def test_oracle_agrees_on_twisted_ellipsoid():
     closed = oracle_sections(m)
     assert sorted(effective_sections(m).vectors) == closed
     assert_norm_eval_matches(m, closed, oracle_sections(m, strict=True))
+
+
+# --- the pruned walk at every radius ---------------------------------------
+
+# successive_minima enumerates at radii 1, 2, 4, ...; 1/3 leaves only a few
+# points, or only 0
+RADII = (Fraction(1, 3), Fraction(1), Fraction(2), Fraction(4))
+# largest unit-ball half-width per rank: the oracle box at radius 4 stays
+# below about 10^5 candidates
+REACH = {1: 3, 2: 2, 3: Fraction(3, 2), 4: Fraction(8, 5), 5: Fraction(6, 5)}
+
+
+def _ceil64(x):
+    """x rounded up to a multiple of 1/64: the ball shrinks a little."""
+    return Fraction(math.ceil(x * 64), 64)
+
+
+def shaped_module(rank, family, twisted):
+    """A seeded random module whose unit ball reaches about REACH[rank]."""
+    rng = random.Random(f"walk:{rank}:{family}:{twisted}")
+    if family == "ellipsoid":
+        # G = A^T A + I with A = 2I + noise, scaled so the box fits REACH
+        a = [[2 * (i == j) + rng.randint(-2, 2) for j in range(rank)]
+             for i in range(rank)]
+        gram = [[sum(a[k][i] * a[k][j] for k in range(rank)) + (i == j)
+                 for j in range(rank)] for i in range(rank)]
+        inv = _oracle_invert(gram)
+        scale = _ceil64(max(inv[k][k] for k in range(rank)) / REACH[rank] ** 2)
+        spec = make_ellipsoid([[x * scale for x in row] for row in gram])
+    else:
+        # square part with zero and negative off-diagonal entries, then
+        # 0-2 rows beyond the rank
+        rows = [[Fraction(rng.randint(-2, 2), 4) if i != j else Fraction(1)
+                 for j in range(rank)] for i in range(rank)]
+        rows += [[Fraction(rng.randint(-2, 2), 3) for _ in range(rank)]
+                 for _ in range(rng.randint(0, 2))]
+        inv = _oracle_invert(rows[:rank])
+        reach = max(sum(abs(x) for x in row) for row in inv)
+        scale = _ceil64(reach / REACH[rank])
+        spec = make_polymax([[x * scale for x in row] for row in rows])
+    module = make_normed_module(rank, spec)
+    if twisted:
+        module = twist(module, Fraction(rng.choice((-5, -3, -1, 1, 3, 5)), 12))
+    return module
+
+
+def hand_built_modules():
+    zero_columns = make_polymax([["1/2", "0", "0"], ["0", "-1", "0"],
+                                 ["0", "1/3", "-1/2"], ["0", "0", "1"]])
+    mixed_signs = make_polymax([["1", "0", "-1/3"], ["0", "-1", "1/4"],
+                                ["-1/5", "1/3", "1"], ["1/2", "-1/2", "-1/2"]])
+    # eigenvalues 2 - 1/50 and 1/50: a needle along (1, -1)
+    needle = make_ellipsoid([["1", "49/50"], ["49/50", "1"]])
+    # G = A^T A for a badly reduced basis A
+    a = [[1, 4, 3], [0, 1, 4], [0, 0, 1]]
+    skewed = make_ellipsoid([[sum(a[k][i] * a[k][j] for k in range(3))
+                              for j in range(3)] for i in range(3)])
+    modules = [make_normed_module(spec.dim, spec)
+               for spec in (zero_columns, mixed_signs, needle, skewed)]
+    return modules + [twist(m, Fraction(-2, 7)) for m in modules]
+
+
+def assert_walk_matches_oracle(module, radius):
+    compiled, pairs = vectors_with_keys(module, radius)
+    assert pairs == sorted(pairs)
+    assert sorted(v for _, v in pairs) == oracle_sections(module, radius=radius)
+    assert all(key == compiled.key(v) for key, v in pairs)
+
+
+@pytest.mark.parametrize("radius", RADII, ids=str)
+@pytest.mark.parametrize("twisted", [False, True], ids=["plain", "twisted"])
+@pytest.mark.parametrize("family", ["ellipsoid", "polymax"])
+@pytest.mark.parametrize("rank", range(1, 6))
+def test_walk_matches_oracle_at_radius(rank, family, twisted, radius):
+    assert_walk_matches_oracle(shaped_module(rank, family, twisted), radius)
+
+
+@pytest.mark.parametrize("radius", RADII, ids=str)
+@pytest.mark.parametrize("index", range(8))
+def test_walk_matches_oracle_on_hand_built_modules(index, radius):
+    assert_walk_matches_oracle(hand_built_modules()[index], radius)
+
+
+@pytest.mark.parametrize("radius", RADII, ids=str)
+def test_rank_zero_walk(radius):
+    for spec in (make_ellipsoid([]), make_polymax([[]])):
+        m = make_normed_module(0, spec)
+        assert vectors_with_keys(m, radius)[1] == [(0, ())]
+
+
+def _e_convergent(bits, below):
+    """A convergent p/q of e with q > 2^bits, below or above e.
+
+    e = [2; 1, 2, 1, 1, 4, 1, 1, 6, ...], and |e - p/q| < 1/q^2; the
+    convergents of even index lie below e, those of odd index above.
+    """
+    terms = itertools.chain.from_iterable(
+        itertools.chain([(2,)], ((1, 2 * k, 1) for k in itertools.count(1))))
+    p, q, p_prev, q_prev = 1, 0, 0, 1
+    for n, a in enumerate(terms):
+        p, q, p_prev, q_prev = a * p + p_prev, a * q + q_prev, p, q
+        if q.bit_length() > bits and n % 2 == (0 if below else 1):
+            return Fraction(p, q)
+
+
+@pytest.mark.parametrize("below", [True, False], ids=["below", "above"])
+@pytest.mark.parametrize("family", ["ellipsoid", "polymax"])
+def test_keys_inside_the_exp_window_are_decided_exactly(family, below):
+    """||(1,)|| is within 2^-160 of 1, so its key lies strictly between
+    k_in and k_out: the walk must reach it and the comparator decide it."""
+    c = _e_convergent(80, below)
+    with mpmath.workdps(200):
+        assert (mpmath.mpf(c.numerator) / c.denominator < mpmath.e) == below
+    if family == "polymax":  # ||x|| = e^-1 c |x|
+        m = twist(make_normed_module(1, make_polymax([[c]])), 1)
+    else:  # ||x|| = e^-1/2 sqrt(c) |x|
+        m = twist(make_normed_module(1, make_ellipsoid([[c]])), Fraction(1, 2))
+    compiled = compile_norm(m.norm)
+    k_in, k_out = compiled.window(Fraction(1))
+    assert k_in < compiled.key((1,)) < k_out
+    expected = [(0,), (-1,), (1,)] if below else [(0,)]
+    assert [v for _, v in vectors_with_keys(m, Fraction(1))[1]] == expected
+    assert strictly_effective_sections(m).count == len(expected)
+
+
+def _box_size(module):
+    return math.prod(2 * b + 1 for b in enclosing_box(module.norm))
+
+
+def test_budget_is_charged_on_the_box():
+    m = shaped_module(3, "polymax", True)
+    size = _box_size(m)
+    assert effective_sections(m, budget=size).count < size
+    with pytest.raises(EnumerationBudgetExceeded):
+        effective_sections(m, budget=size - 1)
+
+
+def test_cli_budget_below_the_box_exits_3(capsys, tmp_path):
+    m = shaped_module(3, "ellipsoid", False)
+    path = tmp_path / "module.json"
+    path.write_text(json.dumps(m.to_json()))
+    size = _box_size(m)
+    assert main(["count", "--module", str(path), "--budget", str(size)]) == 0
+    capsys.readouterr()
+    assert main(["count", "--module", str(path), "--budget", str(size - 1)]) == 3
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["error"]["type"] == "EnumerationBudgetExceeded"

@@ -11,7 +11,7 @@ from latmin.inequalities import (SuiteConfig, check_filtration,
                                  check_norm_scaling, check_second_minima,
                                  check_sef_gap, random_module, run_suite,
                                  witness_modules)
-from latmin.norms import make_ellipsoid, make_normed_module, make_polymax
+from latmin.norms import make_ellipsoid, make_normed_module
 
 
 def euclid(rank):

@@ -7,8 +7,8 @@ import pytest
 
 from latmin.errors import DimensionMismatch, InvalidNorm, UnboundedBall
 from latmin.norms import (Scaled, base_spec, format_rational, make_ellipsoid,
-                          make_normed_module, make_polymax, make_scaled,
-                          module_from_json, norm_eval, parse_rational, twist)
+                          make_normed_module, make_polymax, module_from_json,
+                          norm_eval, parse_rational, twist)
 
 
 def euclid(rank):
