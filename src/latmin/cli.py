@@ -201,6 +201,10 @@ def cmd_ledger(args) -> int:
         conf = {"g_max": args.g_max, "kappa_max": args.kappa_max}
         return _emit("ledger-sweep", conf, reports, None, started, code)
     if args.ledger_cmd == "simulate":
+        if args.trials < 1:
+            raise ConfigError("trials must be >= 1")
+        if args.seed < 0:
+            raise ConfigError("seed must be >= 0")
         out = []
         violations = 0
         for t in range(args.trials):

@@ -55,10 +55,10 @@ def _pools(bounds: List[int]) -> List[tuple]:
 def _ellipsoid_walk(compiled: CompiledNorm, cap: int, bounds: List[int]):
     """(key, v) for the v in the box with key v^T G' v <= cap, depth first.
 
-    x_0 is the outermost coordinate.  At level i, with P the value of the
-    chain at x_{<i}, x_i = t is admissible iff S_i(x_0..x_i) <= cap, i.e.
-    (a t + b)^2 <= d (a cap - P), so with s = isqrt of the right side
-    t runs over [-((b + s) // a), (s - b) // a], clipped to the box.
+    x_0 is the outermost coordinate.  At level i, with P the value at
+    x_{<i} of the chain (``linalg.ldl_chain``), x_i = t is admissible iff
+    S_i <= cap, i.e. (a t + b)^2 <= d (a cap - P), so with s = isqrt of the
+    right side t runs over [-((b + s) // a), (s - b) // a], clipped to the box.
     """
     chain, last = compiled.chain, len(bounds) - 1
     x, pools = [0] * len(bounds), _pools(bounds)

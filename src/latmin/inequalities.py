@@ -172,6 +172,8 @@ class SuiteConfig:
     def validate(self) -> None:
         if self.trials < 1:
             raise ConfigError("trials must be >= 1")
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
         if not (1 <= self.rank_min <= self.rank_max <= 8):
             raise ConfigError("ranks must satisfy 1 <= rank_min <= rank_max <= 8")
         if not self.norm_families:

@@ -1,38 +1,64 @@
 """Exact rational linear algebra: ranks, determinants, inverses.
 
-Everything here works on lists of Fractions (or ints) and never touches
-floating point, so ranks and minors are decided exactly.
+There is one elimination, ``IncrementalSpan.add``: a fraction-free row
+echelon in the sense of Bareiss (Math. Comp. 22, 1968), in integers only.
+Ranks, determinants, inverses and the LDL^T chain of an integer gram matrix
+are read off it; ``Fraction`` appears only in the values returned.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 
+class IncrementalSpan:
+    """Fraction-free row echelon: add vectors one by one, track the rank.
+
+    Each row is scaled to integers by the lcm of its denominators.  Stored
+    row k, with pivot p_k in column c_k, holds the (k+1)x(k+1) minors of the
+    scaled rows 0..k on the columns c_0..c_{k-1}, j.
+    """
+
+    def __init__(self):
+        self._rows = []  # (integer echelon row, pivot column, scale) triples
+
+    @property
+    def rank(self) -> int:
+        return len(self._rows)
+
+    def add(self, vector) -> bool:
+        """Reduce against the echelon; return True if the rank grew."""
+        scale = math.lcm(*(x.denominator for x in vector))
+        v = [x.numerator * (scale // x.denominator) for x in vector]
+        prev = 1
+        for row, piv, _ in self._rows:
+            # applied even when v[piv] = 0, so that the next division is exact
+            p, c = row[piv], v[piv]
+            v = [(p * x - c * y) // prev for x, y in zip(v, row)]
+            prev = p
+        for j, x in enumerate(v):
+            if x:
+                self._rows.append((v, j, scale))
+                return True
+        return False
+
+
+def _det(matrix):
+    """(numerator, denominator) of the determinant of a square matrix."""
+    span = IncrementalSpan()
+    if not all(span.add(row) for row in matrix):
+        return 0, 1
+    # the last pivot is the minor of all the scaled rows, columns in pivot order
+    cols = [piv for _, piv, _ in span._rows]
+    inversions = sum(a > b for k, a in enumerate(cols) for b in cols[k + 1:])
+    last = span._rows[-1][0][cols[-1]] if cols else 1
+    return (-1) ** inversions * last, math.prod(s for _, _, s in span._rows)
+
+
 def determinant(matrix) -> Fraction:
-    """Exact determinant via fraction-free elimination."""
-    m = [list(map(Fraction, row)) for row in matrix]
-    n = len(m)
-    det = Fraction(1)
-    for col in range(n):
-        pivot = None
-        for i in range(col, n):
-            if m[i][col] != 0:
-                pivot = i
-                break
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            m[col], m[pivot] = m[pivot], m[col]
-            det = -det
-        pv = m[col][col]
-        det *= pv
-        for i in range(col + 1, n):
-            f = m[i][col] / pv
-            if f:
-                for j in range(col, n):
-                    m[i][j] -= f * m[col][j]
-    return det
+    """Exact determinant, read off the fraction-free echelon of the rows."""
+    return Fraction(*_det(matrix))
 
 
 def leading_principal_minors(matrix):
@@ -42,53 +68,38 @@ def leading_principal_minors(matrix):
 
 
 def invert(matrix):
-    """Exact inverse of a square rational matrix (Gauss-Jordan)."""
+    """Exact inverse of a square rational matrix: cofactors over the determinant."""
+    num, den = _det(matrix)
+    if not num:
+        raise ZeroDivisionError("singular matrix")
+
+    def entry(i, j):  # the (j, i) cofactor over the determinant
+        c_num, c_den = _det([row[:i] + row[i + 1:]
+                             for k, row in enumerate(matrix) if k != j])
+        return Fraction((-1) ** (i + j) * c_num * den, c_den * num)
+
     n = len(matrix)
-    aug = [list(map(Fraction, row)) + [Fraction(i == j) for j in range(n)]
-           for i, row in enumerate(matrix)]
-    for col in range(n):
-        pivot = None
-        for i in range(col, n):
-            if aug[i][col] != 0:
-                pivot = i
-                break
-        if pivot is None:
-            raise ZeroDivisionError("singular matrix")
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        pv = aug[col][col]
-        aug[col] = [x / pv for x in aug[col]]
-        for i in range(n):
-            if i != col and aug[i][col]:
-                f = aug[i][col]
-                aug[i] = [a - f * b for a, b in zip(aug[i], aug[col])]
-    return [row[n:] for row in aug]
+    return [[entry(i, j) for j in range(n)] for i in range(n)]
 
 
-class IncrementalSpan:
-    """Row-echelon accumulator: add vectors one by one, track the rank."""
+def ldl_chain(gram) -> list:
+    """Integer LDL^T data of a positive definite integer gram G, one entry
+    (a, d, row) per level i.
 
-    def __init__(self):
-        self._rows = []   # reduced rows, each with a pivot column
-        self._pivots = []
-
-    @property
-    def rank(self) -> int:
-        return len(self._rows)
-
-    def add(self, vector) -> bool:
-        """Reduce against the basis; return True if the rank grew."""
-        v = [Fraction(x) for x in vector]
-        for row, piv in zip(self._rows, self._pivots):
-            if v[piv]:
-                f = v[piv] / row[piv]
-                for j in range(piv, len(v)):
-                    v[j] -= f * row[j]
-        for j, x in enumerate(v):
-            if x:
-                self._rows.append(v)
-                self._pivots.append(j)
-                return True
-        return False
+    S_i is the form on x_0..x_i of min over real x_{>i} of x^T G x and
+    D_i = det G[>i, >i] (D_{r-1} = 1).  With d = D_i, a = D_{i-1} and
+    row = (D_i * S_i)[i][:i], the integer P_i = D_i * S_i(x_0..x_i) at
+    x_i = t is ((a t + b)^2 + d P_{i-1}) / a, b = row . x_{<i}, P_{-1} = 0,
+    and P_{r-1} = x^T G x.  These are minors of G reversed in rows and
+    columns: level r-1-k holds echelon row k's pivot (a), the pivot before
+    it (d) and its entries after the pivot, reversed (row).
+    """
+    span = IncrementalSpan()
+    for row in reversed(gram):
+        span.add(row[::-1])
+    rows = [row for row, _, _ in span._rows]
+    pivots = [1] + [row[k] for k, row in enumerate(rows)]
+    return [(pivots[k + 1], pivots[k], row[:k:-1]) for k, row in enumerate(rows)][::-1]
 
 
 def span_rank(vectors) -> int:

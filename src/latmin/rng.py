@@ -21,9 +21,11 @@ def _mix(z: int) -> int:
 
 
 def derive(*keys: int) -> int:
-    """Fold a tuple of integers into a single 64-bit state."""
+    """Fold a tuple of nonnegative integers into a single 64-bit state."""
     state = 0x8BADF00D5EEDC0DE
     for k in keys:
+        if k < 0:  # k >>= 64 would never reach 0
+            raise ValueError(f"negative key {k}")
         state = _mix(state ^ (k & _MASK))
         # fold in the high bits of arbitrarily large keys
         k >>= 64

@@ -164,6 +164,20 @@ def test_malformed_input_exits_2(capsys, tmp_path, argv, doc):
     assert out["error"]["type"] == "ConfigError"
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "--trials", "1", "--seed", "-1"],
+    ["ledger", "simulate", "--mode", "positive-genus", "--trials", "1",
+     "--seed", "-1"],
+    ["ledger", "simulate", "--mode", "positive-genus", "--trials", "0"],
+    ["ledger", "simulate", "--mode", "positive-genus", "--trials", "-3"],
+], ids=["verify-negative-seed", "simulate-negative-seed", "simulate-zero-trials",
+        "simulate-negative-trials"])
+def test_bad_seed_or_trials_exits_2(capsys, argv):
+    code, doc = run_main(capsys, argv)
+    assert code == 2
+    assert doc["error"]["type"] == "ConfigError"
+
+
 def test_budget_exhaustion_exits_3(capsys, tmp_path):
     path = tmp_path / "wide.json"
     path.write_text(json.dumps({

@@ -1,11 +1,16 @@
 """Exact rational linear algebra."""
 
+import itertools
+import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from latmin.linalg import (IncrementalSpan, determinant, independent_rows,
                            invert, leading_principal_minors, span_rank)
+from test_enumeration import _oracle_invert
 
 
 def test_span_rank_basic():
@@ -20,6 +25,16 @@ def test_determinant_exact():
     assert determinant([[Fraction(1, 2), 0], [0, Fraction(1, 3)]]) == Fraction(1, 6)
     assert determinant([[1, 2], [2, 4]]) == 0
     assert determinant([[2, 1, 0], [1, 2, 1], [0, 1, 2]]) == 4
+    assert determinant([]) == 1
+    # the pivot columns of a permutation matrix are out of order
+    assert determinant([[0, 1], [1, 0]]) == -1
+    assert determinant([[0, 1, 0], [0, 0, 1], [1, 0, 0]]) == 1  # a 3-cycle
+    assert determinant([[0, 0, 1], [0, 1, 0], [1, 0, 0]]) == -1
+    negative_pivot = [[Fraction(-1, 2), Fraction(1, 3)],
+                      [Fraction(1, 4), Fraction(2, 5)]]
+    assert determinant(negative_pivot) == Fraction(-17, 60)
+    assert invert(negative_pivot) == [[Fraction(-24, 17), Fraction(20, 17)],
+                                      [Fraction(15, 17), Fraction(30, 17)]]
 
 
 def test_leading_principal_minors():
@@ -48,3 +63,73 @@ def test_incremental_span_matches_span_rank():
 def test_independent_rows_prefers_first():
     rows = [(1, 1), (2, 2), (0, 1)]
     assert independent_rows(rows, 2) == [0, 2]
+
+
+# --- random rational matrices against independent oracles ------------------
+
+def _oracle_det(matrix):
+    """Leibniz expansion over all permutations."""
+    n = len(matrix)
+    total = Fraction(0)
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        total += (-1) ** inversions * math.prod(matrix[i][perm[i]] for i in range(n))
+    return total
+
+
+def _oracle_independent(rows):
+    """Rows are independent over Q iff their Gram matrix is nonsingular."""
+    return _oracle_det([[sum(a * b for a, b in zip(u, v)) for v in rows]
+                        for u in rows]) != 0
+
+
+@st.composite
+def rational_matrices(draw, square):
+    """n x m matrices B C of rank at most k <= 6, some rows zeroed, some
+    rows scaled to ints; the entries of B and C have denominators 1..6."""
+    n = draw(st.integers(0, 6))
+    m = n if square else draw(st.integers(0, 6))
+    k = draw(st.integers(0, min(n, m)))
+    entry = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 6))
+    b = draw(st.lists(st.lists(entry, min_size=k, max_size=k), min_size=n, max_size=n))
+    c = draw(st.lists(st.lists(entry, min_size=m, max_size=m), min_size=k, max_size=k))
+    rows = []
+    for i in range(n):
+        row = [sum((b[i][t] * c[t][j] for t in range(k)), Fraction(0))
+               for j in range(m)]
+        kind = draw(st.sampled_from(("fraction", "int", "zero")))
+        if kind == "int":
+            scale = math.lcm(*(x.denominator for x in row))
+            row = [int(x * scale) for x in row]
+        elif kind == "zero":
+            row = [0] * m
+        rows.append(row)
+    return rows
+
+
+@settings(deadline=None, max_examples=150)
+@given(rational_matrices(square=True))
+def test_determinant_and_invert_match_oracles(matrix):
+    det = determinant(matrix)
+    assert isinstance(det, Fraction)
+    assert det == _oracle_det(matrix)
+    if det:
+        assert invert(matrix) == _oracle_invert(matrix)
+    else:
+        with pytest.raises(ZeroDivisionError):
+            invert(matrix)
+
+
+@settings(deadline=None, max_examples=150)
+@given(rational_matrices(square=False), st.integers(1, 6))
+def test_span_matches_oracle(rows, target):
+    chosen, grew = [], []
+    for row in rows:
+        grew.append(_oracle_independent(chosen + [row]))
+        if grew[-1]:
+            chosen.append(row)
+    span = IncrementalSpan()
+    assert [span.add(row) for row in rows] == grew
+    assert span.rank == span_rank(rows) == len(chosen)
+    indices = [i for i, g in enumerate(grew) if g]
+    assert independent_rows(rows, target) == indices[:target]

@@ -1,14 +1,17 @@
 """Norm specs: construction, validation, exact evaluation, JSON round-trips."""
 
 import json
+import math
 from fractions import Fraction
 
 import pytest
 
 from latmin.errors import DimensionMismatch, InvalidNorm, UnboundedBall
-from latmin.norms import (Scaled, base_spec, format_rational, make_ellipsoid,
-                          make_normed_module, make_polymax, module_from_json,
-                          norm_eval, parse_rational, twist)
+from latmin.inequalities import SuiteConfig, random_module
+from latmin.norms import (Ellipsoid, Scaled, base_spec, compile_norm,
+                          format_rational, make_ellipsoid, make_normed_module,
+                          make_polymax, module_from_json, norm_eval,
+                          parse_rational, twist)
 
 
 def euclid(rank):
@@ -105,3 +108,39 @@ def test_scaled_spec_json_keeps_alpha():
     data = m.to_json()
     assert data["norm"]["type"] == "scaled"
     assert data["norm"]["alpha"] == "3/2"
+
+
+def _schur_chain_oracle(gram):
+    """The LDL^T chain by its definition: Schur complements in Fractions.
+
+    With G' = den * G integer, S_i the form on x_0..x_i of min over real
+    x_{>i} of x^T G' x and D_i = det G'[>i, >i] (D_{r-1} = 1), level i holds
+    (D_{i-1}, D_i, (D_i * S_i)[i][:i]), all integers.
+    """
+    den = math.lcm(*(x.denominator for row in gram for x in row))
+    s = [[Fraction(x * den) for x in row] for row in gram]
+    d, chain = 1, []
+    for i in reversed(range(len(s))):
+        pivot = s[i][i]
+        a = int(d * pivot)
+        chain.append((a, d, [int(d * x) for x in s[i][:i]]))
+        s = [[s[j][k] - s[j][i] * s[i][k] / pivot for k in range(i)]
+             for j in range(i)]
+        d = a
+    return chain[::-1]
+
+
+def test_ellipsoid_chain_matches_schur_complements():
+    config = SuiteConfig(rank_max=8)
+    norms = [random_module(seed, config).norm for seed in range(400)]
+    grams = [["5/2", "-1/3", "1/4", "-1"], ["-1/3", "2", "-1/5", "-1/2"],
+             ["1/4", "-1/5", "3/2", "-2/3"], ["-1", "-1/2", "-2/3", "7/3"]]
+    norms.append(make_ellipsoid(grams))
+    norms.append(twist(make_normed_module(4, make_ellipsoid(grams)), "-3/7").norm)
+    checked = 0
+    for norm in norms:
+        spec, _ = base_spec(norm)
+        if isinstance(spec, Ellipsoid):
+            assert compile_norm(norm).chain == _schur_chain_oracle(spec.gram)
+            checked += 1
+    assert checked == 183  # 181 corpus ellipsoids and the two above

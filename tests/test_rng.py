@@ -15,6 +15,19 @@ def test_derive_is_stable_and_key_sensitive():
     assert derive(big) != derive(big + (1 << 70))  # high bits are folded in
 
 
+def test_derive_values_are_pinned():
+    assert derive(1, 2, 3) == 0xF67460394F9E7B63
+    assert derive((1 << 64) + 5) == 0x6C6C184791DD18E9
+    assert derive(7, 1 << 130) == 0x9EE304B1C6AEE88A
+
+
+def test_derive_rejects_negative_keys():
+    with pytest.raises(ValueError):
+        derive(-1)
+    with pytest.raises(ValueError):
+        derive(3, -(1 << 70))
+
+
 def test_detrng_sequences_replay():
     a = [DetRNG(7, 11).u01() for _ in range(5)]
     b = [DetRNG(7, 11).u01() for _ in range(5)]
