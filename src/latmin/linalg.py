@@ -72,14 +72,11 @@ def invert(matrix):
     num, den = _det(matrix)
     if not num:
         raise ZeroDivisionError("singular matrix")
-
-    def entry(i, j):  # the (j, i) cofactor over the determinant
-        c_num, c_den = _det([row[:i] + row[i + 1:]
-                             for k, row in enumerate(matrix) if k != j])
-        return Fraction((-1) ** (i + j) * c_num * den, c_den * num)
-
-    n = len(matrix)
-    return [[entry(i, j) for j in range(n)] for i in range(n)]
+    # entry (i, j) is the (j, i) cofactor: drop row j and column i
+    minors = [[_det([r[:i] + r[i + 1:] for k, r in enumerate(matrix) if k != j])
+               for j in range(len(matrix))] for i in range(len(matrix))]
+    return [[Fraction((-1) ** (i + j) * c * den, d * num) for j, (c, d) in enumerate(row)]
+            for i, row in enumerate(minors)]
 
 
 def ldl_chain(gram) -> list:
@@ -120,8 +117,8 @@ def independent_rows(rows, target_rank: int):
     span = IncrementalSpan()
     chosen = []
     for idx, row in enumerate(rows):
+        if len(chosen) == target_rank:
+            break
         if span.add(row):
             chosen.append(idx)
-            if len(chosen) == target_rank:
-                break
     return chosen

@@ -31,7 +31,8 @@ from typing import List, Sequence, Tuple, Union
 
 from .errors import ConfigError, DimensionMismatch, InvalidNorm, UnboundedBall
 from .intervals import compare_exp, exp_interval, exp_upper, frac_sqrt_bounds
-from .linalg import independent_rows, invert, ldl_chain, leading_principal_minors, span_rank
+from .linalg import (determinant, independent_rows, invert, ldl_chain,
+                     leading_principal_minors, span_rank)
 
 
 def parse_rational(s) -> Fraction:
@@ -174,8 +175,11 @@ class CompiledNorm:
         self.exp_window = exp_interval(self.scale, 128) if self.scale else (1, 1)
         # rational bounds on |x_k| over the real unit ball
         if self.squared:
-            inv = invert(self.data)
-            bounds = [frac_sqrt_bounds(inv[k][k])[1] for k in range(self.rank)]
+            # (G^-1)_kk = det G[~k, ~k] / det G: the box needs only the diagonal
+            det, bounds = determinant(self.data), []
+            for k in range(self.rank):
+                minor = [r[:k] + r[k + 1:] for i, r in enumerate(self.data) if i != k]
+                bounds.append(frac_sqrt_bounds(determinant(minor) / det)[1])
             self.chain = ldl_chain(self.int_rows)
         else:
             # r independent functionals A0 with y = A0 x: |y_i| <= 1 on the

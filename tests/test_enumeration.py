@@ -350,3 +350,14 @@ def test_cli_budget_below_the_box_exits_3(capsys, tmp_path):
     assert main(["count", "--module", str(path), "--budget", str(size - 1)]) == 3
     doc = json.loads(capsys.readouterr().out)
     assert doc["error"]["type"] == "EnumerationBudgetExceeded"
+
+
+def test_ellipsoid_box_is_the_floor_of_the_real_one():
+    # on the real unit ball of x^T G x, max |x_k| = sqrt((G^-1)_kk) exactly
+    specs = [shaped_module(rank, "ellipsoid", False).norm for rank in range(1, 6)]
+    specs += [m.norm for m in hand_built_modules()[2:4]]  # the needle, the skewed gram
+    for spec in specs:
+        inv = _oracle_invert(spec.gram)
+        floors = [math.isqrt(inv[k][k].numerator // inv[k][k].denominator)
+                  for k in range(spec.dim)]
+        assert enclosing_box(spec) == floors

@@ -63,6 +63,7 @@ def test_incremental_span_matches_span_rank():
 def test_independent_rows_prefers_first():
     rows = [(1, 1), (2, 2), (0, 1)]
     assert independent_rows(rows, 2) == [0, 2]
+    assert independent_rows(rows, 0) == []
 
 
 # --- random rational matrices against independent oracles ------------------
@@ -107,7 +108,7 @@ def rational_matrices(draw, square):
     return rows
 
 
-@settings(deadline=None, max_examples=150)
+@settings(deadline=None, max_examples=150, derandomize=True)
 @given(rational_matrices(square=True))
 def test_determinant_and_invert_match_oracles(matrix):
     det = determinant(matrix)
@@ -120,8 +121,8 @@ def test_determinant_and_invert_match_oracles(matrix):
             invert(matrix)
 
 
-@settings(deadline=None, max_examples=150)
-@given(rational_matrices(square=False), st.integers(1, 6))
+@settings(deadline=None, max_examples=150, derandomize=True)
+@given(rational_matrices(square=False), st.integers(0, 6))
 def test_span_matches_oracle(rows, target):
     chosen, grew = [], []
     for row in rows:
