@@ -7,7 +7,9 @@ violation, 2 usage/config error, 3 budget or undecidability error.
 Reals are serialized as decimal strings with 12 significant digits (plus an
 exact "p/q" field where one exists) so output is byte-identical across runs
 and platforms.  Wall-clock timing is only emitted when LATMIN_TIMING is set,
-to keep default output reproducible.
+to keep default output reproducible.  The report is encoded once, compact
+with sorted keys; that string is hashed for manifest.result_digest (16 hex
+digits of sha256) and spliced into the printed {"manifest", "report"} line.
 """
 
 from __future__ import annotations
@@ -26,12 +28,12 @@ from .enumeration import (DEFAULT_BUDGET, effective_sections,
                           strictly_effective_sections)
 from .errors import ConfigError, LatminError
 from .inequalities import SuiteConfig, run_suite
-from .ledger import (ArithmeticContext, corollary_e, deg_one_bound,
-                     ledger_from_json, simulate_reduction, sum_ci_bound,
-                     theorem_b_bound, theorem_c_bound, theorem_chain_check,
-                     theorem_d_bound, trivial_bound, verify_constant_chain)
+from .ledger import (eval_theorem, ledger_from_json, simulate_reduction,
+                     sum_ci_bound, theorem_chain_check, verify_constant_chain)
 from .minima import euler_characteristic, successive_minima
 from .norms import format_rational, load_module
+
+_dumps = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 
 def fmt_real(x: float) -> str:
@@ -42,39 +44,34 @@ def jsonable(obj):
     """Deterministic JSON form: floats as 12-sig strings, Fractions as p/q."""
     if isinstance(obj, float):
         return fmt_real(obj)
-    if isinstance(obj, Fraction):
-        return format_rational(obj)
-    if isinstance(obj, bool) or isinstance(obj, int) or obj is None:
+    if obj is None or isinstance(obj, (str, int)):  # bool is an int
         return obj
-    if isinstance(obj, str):
-        return obj
-    if dataclasses.is_dataclass(obj):
-        return {k: jsonable(v) for k, v in dataclasses.asdict(obj).items()}
     if isinstance(obj, dict):
         return {str(k): jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [jsonable(v) for v in obj]
+    if isinstance(obj, Fraction):  # an ABC, so a slow test: after the builtins
+        return format_rational(obj)
+    if dataclasses.is_dataclass(obj):  # field by field, with no deep copy
+        return {f.name: jsonable(getattr(obj, f.name))
+                for f in dataclasses.fields(obj)}
     return str(obj)
 
 
 def _emit(subcommand: str, config: dict, report, seed, started: float,
           exit_code: int = 0) -> int:
-    body = jsonable(report)
-    digest = hashlib.sha256(
-        json.dumps(body, sort_keys=True, separators=(",", ":")).encode()
-    ).hexdigest()[:16]
+    body = _dumps(jsonable(report))
     manifest = {
         "tool": "latmin",
         "version": __version__,
         "subcommand": subcommand,
         "config": jsonable(config),
         "seed": seed,
-        "result_digest": digest,
+        "result_digest": hashlib.sha256(body.encode()).hexdigest()[:16],
     }
     if os.environ.get("LATMIN_TIMING"):
         manifest["duration_s"] = fmt_real(time.monotonic() - started)
-    doc = {"report": body, "manifest": manifest}
-    print(json.dumps(doc, sort_keys=True, separators=(",", ":")))
+    print('{"manifest":' + _dumps(manifest) + ',"report":' + body + "}")
     return exit_code
 
 
@@ -84,7 +81,7 @@ def _emit_error(subcommand: str, exc: Exception, exit_code: int) -> int:
         "manifest": {"tool": "latmin", "version": __version__,
                      "subcommand": subcommand},
     }
-    print(json.dumps(doc, sort_keys=True, separators=(",", ":")))
+    print(_dumps(doc))
     return exit_code
 
 
@@ -154,45 +151,18 @@ def cmd_verify(args) -> int:
     return _emit("verify", cfg, summary, args.seed, started, code)
 
 
-# theorem -> the config fields its evaluator takes, with their types
-_THEOREM_FIELDS = {
-    "trivial": {"r_minus": int, "deg_LQ": int, "L2": float},
-    "B": {"g": int, "d_circ": int, "kappa": int, "L2": float},
-    "C": {"d_circ": int, "kappa": int, "eps": int, "L2": float},
-    "D": {"g": int, "kappa": int, "eps": int, "omega2": float},
-    "deg1": {"g": int, "kappa": int, "L2": float},
-    "E": {"g": int, "kappa": int, "eps": int, "absD": float, "r1": int,
-          "r2": int, "omega2": float, "delta": float, "gamma": float},
-}
-_THEOREM_BOUNDS = {"trivial": trivial_bound, "B": theorem_b_bound,
-                   "C": theorem_c_bound, "D": theorem_d_bound,
-                   "deg1": deg_one_bound}
-
-
-def _eval_theorem(name: str, cfg: dict):
-    if name not in _THEOREM_FIELDS:
-        raise ConfigError(f"unknown theorem {name!r}")
-    try:
-        args = {key: kind(cfg[key]) for key, kind in _THEOREM_FIELDS[name].items()}
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"bad theorem {name} config: {exc!r}") from exc
-    if name == "E":
-        return corollary_e(ArithmeticContext(**args))
-    return {"bound": _THEOREM_BOUNDS[name](**args)}
-
-
 def cmd_ledger(args) -> int:
     started = time.monotonic()
     if args.ledger_cmd == "eval":
         with open(args.config) as fh:
             cfg = json.load(fh)
         if args.theorem:
-            report = _eval_theorem(args.theorem, cfg)
+            report, code = eval_theorem(args.theorem, cfg), 0
         else:
             ledger = ledger_from_json(cfg)
-            chain = theorem_chain_check(ledger)
-            report = {"theorem_chain": chain, "sum_ci": sum_ci_bound(ledger)}
-        code = 0
+            report = {"theorem_chain": theorem_chain_check(ledger),
+                      "sum_ci": sum_ci_bound(ledger)}
+            code = 0 if all(r.holds for r in report.values()) else 1
         conf = {"config": args.config, "theorem": args.theorem}
         return _emit("ledger-eval", conf, report, None, started, code)
     if args.ledger_cmd == "sweep":
@@ -209,8 +179,7 @@ def cmd_ledger(args) -> int:
         violations = 0
         for t in range(args.trials):
             ledger = simulate_reduction(args.seed + t, args.mode)
-            chain = theorem_chain_check(ledger)
-            sumci = sum_ci_bound(ledger)
+            chain, sumci = theorem_chain_check(ledger), sum_ci_bound(ledger)
             if not (chain.holds and sumci.holds):
                 violations += 1
             out.append({"ledger": ledger.to_json(), "theorem_chain": chain,

@@ -14,8 +14,6 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-import mpmath
-
 from .errors import Undecidable
 
 # relative interval width floor before giving up
@@ -36,6 +34,8 @@ def exp_interval(x: Fraction, prec: int = 80) -> tuple[Fraction, Fraction]:
     Rounding x to w bits moves e^x by a relative error of about |x| * 2^-w,
     so the working precision grows with the bit length of |x|.
     """
+    import mpmath  # loaded on first use: only twisted norms need e^x
+
     work = prec + (abs(x.numerator) // x.denominator).bit_length() + 16
     with mpmath.workprec(work):
         v = _mpf_to_fraction(mpmath.exp(mpmath.mpf(x.numerator) / x.denominator))

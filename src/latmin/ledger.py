@@ -14,7 +14,8 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
+from functools import cached_property
 from typing import List, Tuple
 
 from .errors import ConfigError, InfeasibleLedger, PreconditionViolated
@@ -30,6 +31,8 @@ LOG3 = math.log(3.0)
 LOG2PI = math.log(2.0 * math.pi)
 
 _FEAS_TOL = 1e-12
+_STEP_FIELDS = {"d": int, "r": int, "c": float, "slack": float}
+_LEDGER_FIELDS = {"g": int, "kappa": int, "L2_0": float}
 
 
 @dataclass(frozen=True)
@@ -79,20 +82,35 @@ class Ledger:
     def to_json(self) -> dict:
         return {"g": self.g, "kappa": self.kappa, "mode": self.mode,
                 "L2_0": self.L2_0,
-                "steps": [asdict(s) for s in self.steps]}
+                "steps": [dict(vars(s)) for s in self.steps]}
 
     def digest(self) -> str:
+        return self._digest
+
+    @cached_property  # once per ledger; == and hash read only the fields
+    def _digest(self) -> str:
         blob = json.dumps(self.to_json(), sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
+def _checked_fields(kinds: dict, data: dict) -> dict:
+    """`kinds` fields of `data`: ints as JSON integers (no bool), reals finite."""
+    out = {key: data[key] if kind is int else float(data[key])
+           for key, kind in kinds.items()}
+    for key, value in out.items():
+        if type(value) is not kinds[key] or not math.isfinite(value):
+            raise ValueError(f"{key} = {value!r} is not a finite "
+                             f"{kinds[key].__name__}")
+    return out
+
+
 def ledger_from_json(data: dict) -> Ledger:
     try:
-        steps = tuple(LedgerStep(int(s["d"]), int(s["r"]), float(s["c"]),
-                                 float(s["slack"])) for s in data["steps"])
-        ledger = Ledger(int(data["g"]), int(data["kappa"]), steps,
-                        float(data["L2_0"]), str(data["mode"]))
-    except (KeyError, TypeError, ValueError) as exc:
+        steps = tuple(LedgerStep(**_checked_fields(_STEP_FIELDS, s))
+                      for s in data["steps"])
+        ledger = Ledger(steps=steps, mode=str(data["mode"]),
+                        **_checked_fields(_LEDGER_FIELDS, data))
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"bad ledger JSON: {exc}") from exc
     ledger.validate()
     return ledger
@@ -125,11 +143,11 @@ def _chain_value(steps) -> float:
 
 
 def onestep_chain(ledger: Ledger, j: int) -> Tuple[InequalityReport, InequalityReport]:
-    """Intersection chain at step j plus the evaluated count-side bound.
+    """Intersection chain at step j plus the count-side bound.
 
     The count bound treats the terminal section count as 0 (the reduction's
-    endpoint), so its numeric value is sum r_i c_i + 4 r_0 log r_0 +
-    2 r_0 log 3 over i <= j; it is carried in the second report's lhs/rhs.
+    endpoint): sum r_i c_i + 4 r_0 log r_0 + 2 r_0 log 3 over i <= j, which
+    the second report compares with theorem_chain_check's closed form.
     """
     if not (0 <= j < len(ledger.steps)):
         raise ConfigError(f"step index {j} out of range")
@@ -137,8 +155,8 @@ def onestep_chain(ledger: Ledger, j: int) -> Tuple[InequalityReport, InequalityR
     digest = ledger.digest()
     lhs = l2p[j] + 2.0 * sum(s.d * s.c for s in ledger.steps[: j + 1])
     first = _report("chain-intersection", lhs, ledger.L2_0, digest)
-    value = _chain_value(ledger.steps[: j + 1])
-    second = _report("chain-count-bound", value, value, digest)
+    second = _report("chain-count-bound", _chain_value(ledger.steps[: j + 1]),
+                     theorem_chain_check(ledger).rhs, digest)
     return first, second
 
 
@@ -294,6 +312,34 @@ def corollary_e(ctx: ArithmeticContext) -> CorollaryEReport:
     return CorollaryEReport(c, rhs_omega, rhs_chi, ctx.delta,
                             ctx.delta <= rhs_omega + 1e-9,
                             ctx.delta <= rhs_chi + 1e-9)
+
+
+# theorem -> the config fields its evaluator takes, with their types
+_THEOREM_FIELDS = {
+    "trivial": {"r_minus": int, "deg_LQ": int, "L2": float},
+    "B": {"g": int, "d_circ": int, "kappa": int, "L2": float},
+    "C": {"d_circ": int, "kappa": int, "eps": int, "L2": float},
+    "D": {"g": int, "kappa": int, "eps": int, "omega2": float},
+    "deg1": {"g": int, "kappa": int, "L2": float},
+    "E": {"g": int, "kappa": int, "eps": int, "absD": float, "r1": int,
+          "r2": int, "omega2": float, "delta": float, "gamma": float},
+}
+_THEOREM_BOUNDS = {"trivial": trivial_bound, "B": theorem_b_bound,
+                   "C": theorem_c_bound, "D": theorem_d_bound,
+                   "deg1": deg_one_bound}
+
+
+def eval_theorem(name: str, cfg: dict):
+    """Evaluate theorem `name` on the config fields it takes."""
+    if name not in _THEOREM_FIELDS:
+        raise ConfigError(f"unknown theorem {name!r}")
+    try:
+        args = _checked_fields(_THEOREM_FIELDS[name], cfg)
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"bad theorem {name} config: {exc!r}") from exc
+    if name == "E":
+        return corollary_e(ArithmeticContext(**args))
+    return {"bound": _THEOREM_BOUNDS[name](**args)}
 
 
 def asymptotic_margin_per_d() -> float:

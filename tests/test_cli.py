@@ -1,12 +1,28 @@
 """CLI behaviour: JSON output, exit codes, determinism."""
 
+import dataclasses
+import hashlib
 import json
+import os
 import subprocess
 import sys
+from fractions import Fraction
+from typing import Any
 
 import pytest
 
-from latmin.cli import main
+import latmin
+from latmin.cli import fmt_real, jsonable, main
+from latmin.inequalities import SuiteConfig, run_suite
+from latmin.ledger import (ArithmeticContext, corollary_e, simulate_reduction,
+                           sum_ci_bound, theorem_chain_check)
+from latmin.norms import format_rational
+
+
+LEDGER = {"g": 2, "kappa": 1, "mode": "positive-genus", "L2_0": 20.0,
+          "steps": [{"d": 4, "r": 3, "c": 1.0, "slack": 2.0}]}
+THEOREM_E = {"g": 2, "kappa": 1, "eps": 1, "absD": 1.0, "r1": 1, "r2": 0,
+             "omega2": 12.0, "delta": 0.0, "gamma": 0.0}
 
 
 def write_disk2(tmp_path):
@@ -96,6 +112,18 @@ def test_ledger_eval_theorem_flag(capsys, tmp_path):
     assert doc["report"]["bound"] == "19.3340757538"
 
 
+def test_ledger_eval_violation_exits_1(capsys, tmp_path):
+    # feasible, but c_0 + c_0 + c_1 = 1 > L^2 / d_0 = 1/2
+    cfg = tmp_path / "ledger.json"
+    cfg.write_text(json.dumps(dict(LEDGER, L2_0=2.0, steps=[
+        {"d": 4, "r": 1, "c": 0.0, "slack": 0.0},
+        {"d": 1, "r": 1, "c": 1.0, "slack": 0.0}])))
+    code, doc = run_main(capsys, ["ledger", "eval", "--config", str(cfg)])
+    assert code == 1
+    assert doc["report"]["sum_ci"]["verdict"] == "violated"
+    assert doc["report"]["theorem_chain"]["verdict"] == "holds"
+
+
 def test_ledger_eval_bad_schema_exits_2(capsys, tmp_path):
     cfg = write_ledger(tmp_path, [
         {"d": 2, "r": 1, "c": 0.0, "slack": 0.0},
@@ -152,9 +180,20 @@ DISK_NORM = {"type": "ellipsoid", "gram": [["1/1", "0/1"], ["0/1", "1/1"]]}
     (["count"], [1, 2]),
     (["ledger", "eval", "--theorem", "B"],
      {"g": "x", "d_circ": 2, "kappa": 1, "L2": 10.0}),
+    (["ledger", "eval"], dict(LEDGER, L2_0="nan")),
+    (["ledger", "eval"], dict(LEDGER, L2_0="inf", steps=[
+        {"d": 4, "r": 3, "c": "nan", "slack": 2.0}])),
+    (["ledger", "eval"], dict(LEDGER, steps=[
+        {"d": 4.7, "r": 3, "c": 1.0, "slack": 2.0}])),
+    (["ledger", "eval"], dict(LEDGER, kappa=True)),
+    (["ledger", "eval", "--theorem", "E"], dict(THEOREM_E, absD="nan")),
+    (["ledger", "eval", "--theorem", "B"],
+     {"g": 2, "d_circ": 2.5, "kappa": 1, "L2": 10.0}),
 ], ids=["bad-literal", "zero-denominator", "bad-rank", "fractional-rank",
         "fractional-rank-string", "boolean-rank", "not-an-object",
-        "bad-theorem-field"])
+        "bad-theorem-field", "nan-ledger-real", "nan-and-inf-ledger-reals",
+        "fractional-ledger-degree", "boolean-ledger-kappa",
+        "nan-theorem-real", "fractional-theorem-integer"])
 def test_malformed_input_exits_2(capsys, tmp_path, argv, doc):
     path = tmp_path / "input.json"
     path.write_text(json.dumps(doc))
@@ -242,3 +281,103 @@ def test_non_integer_env_budget_exits_2(tmp_path):
     assert out.returncode == 2
     assert json.loads(out.stdout)["error"]["type"] == "ConfigError"
     assert out.stderr == b""
+
+
+def test_cli_import_does_not_load_mpmath():
+    src = os.path.dirname(os.path.dirname(latmin.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, latmin.cli; sys.exit('mpmath' in sys.modules)"],
+        capture_output=True, env=env)
+    assert out.returncode == 0, out.stderr
+
+
+def _asdict_jsonable(obj):
+    """The former cli.jsonable, built on dataclasses.asdict: the oracle."""
+    if isinstance(obj, float):
+        return fmt_real(obj)
+    if isinstance(obj, Fraction):
+        return format_rational(obj)
+    if isinstance(obj, bool) or isinstance(obj, int) or obj is None:
+        return obj
+    if isinstance(obj, str):
+        return obj
+    if dataclasses.is_dataclass(obj):
+        return {k: _asdict_jsonable(v)
+                for k, v in dataclasses.asdict(obj).items()}
+    if isinstance(obj, dict):
+        return {str(k): _asdict_jsonable(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_asdict_jsonable(v) for v in obj]
+    return str(obj)
+
+
+@dataclasses.dataclass(frozen=True)
+class _Leaf:
+    x: Any
+    y: Any = None
+
+
+@dataclasses.dataclass
+class _Node:
+    leaves: list
+    pair: tuple
+    table: dict
+    child: Any = None
+
+
+def _jsonable_cases():
+    leaf = _Leaf(Fraction(-3, 4), (True, 1, 0.1))
+    node = _Node([leaf, _Leaf(None, complex(1, 2))],
+                 (Fraction(5), _Leaf("s", [2.5e-13, 1e300])),
+                 {1: leaf, "k": [False, None], (1, 2): Fraction(0)},
+                 _Node([], (), {}, child=leaf))
+    ledger = simulate_reduction(3, "clifford-hyperelliptic")
+    context = ArithmeticContext(g=2, kappa=1, eps=1, absD=1.0, r1=1, r2=0,
+                                omega2=12.0, delta=0.0, gamma=0.0)
+    return [
+        leaf, node, [node, (node,)], {"a": node, 2: (leaf, [leaf])},
+        Fraction(7, 3), True, 1, None, 0.0, -1.5, float("nan"), "x",
+        complex(0, 1), {3, }, b"bytes",
+        {"ledger": ledger.to_json(), "theorem_chain":
+         theorem_chain_check(ledger), "sum_ci": sum_ci_bound(ledger)},
+        corollary_e(context),
+        run_suite(SuiteConfig(seed=7, trials=2, rank_max=3)),
+    ]
+
+
+def test_jsonable_matches_asdict_oracle():
+    for obj in _jsonable_cases():
+        got, want = jsonable(obj), _asdict_jsonable(obj)
+        assert got == want, obj
+        # == takes True for 1 and 1.0; the encoded text does not
+        assert (json.dumps(got, sort_keys=True, default=repr)
+                == json.dumps(want, sort_keys=True, default=repr)), obj
+
+
+# first 16 hex digits of the sha256 of stdout, as produced by the
+# asdict-based serializer that encoded the report twice
+PINNED_STDOUT = {
+    "positive-genus": (["ledger", "simulate", "--mode", "positive-genus",
+                        "--trials", "2500", "--seed", "7"], "486e014999c69095"),
+    "genus-zero": (["ledger", "simulate", "--mode", "genus-zero",
+                    "--trials", "2500", "--seed", "7"], "319d84d04c300256"),
+    "clifford-hyperelliptic": (
+        ["ledger", "simulate", "--mode", "clifford-hyperelliptic",
+         "--trials", "2500", "--seed", "7"], "300584784583bf90"),
+    "clifford-nonhyperelliptic": (
+        ["ledger", "simulate", "--mode", "clifford-nonhyperelliptic",
+         "--trials", "2500", "--seed", "7"], "20d91f5ac026653b"),
+    "sweep": (["ledger", "sweep", "--g-max", "200", "--kappa-max", "10"],
+              "4930ae8db62449d7"),
+}
+
+
+@pytest.mark.parametrize("argv, want", PINNED_STDOUT.values(),
+                         ids=PINNED_STDOUT.keys())
+def test_ledger_stdout_is_pinned(capsys, monkeypatch, argv, want):
+    monkeypatch.delenv("LATMIN_TIMING", raising=False)
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest()[:16] == want

@@ -1,5 +1,8 @@
 """Reduction ledgers, closed-form bounds, and the constant-absorption sweep."""
 
+import dataclasses
+import hashlib
+import json
 import math
 
 import pytest
@@ -52,6 +55,20 @@ def test_ledger_json_round_trip_and_digest():
         ledger_from_json({"g": 2, "kappa": 1, "mode": "positive-genus"})
 
 
+def test_digest_is_cached_sha256_of_to_json():
+    led, fresh = sample_ledger(), sample_ledger()
+    before = hash(led)
+    blob = json.dumps(led.to_json(), sort_keys=True, separators=(",", ":"))
+    assert led.digest() == hashlib.sha256(blob.encode()).hexdigest()[:16]
+    assert led.digest() is led.digest()  # computed once
+    # fresh has not computed its digest; the cached one changes nothing
+    assert led == fresh and hash(led) == hash(fresh) == before
+    assert led.to_json() == fresh.to_json()
+    assert led.to_json()["steps"] == [dataclasses.asdict(s) for s in led.steps]
+    bumped = dataclasses.replace(led, L2_0=21.0)
+    assert bumped != led and bumped.digest() != led.digest()
+
+
 def test_derived_intersections_frozen_example():
     l2, l2p = derived_intersections(sample_ledger())
     assert l2 == [20.0, 10.0]      # L_1^2 = 12 - slack 2
@@ -72,6 +89,9 @@ def test_onestep_chain_frozen_example():
     assert first.holds
     # chained count value: sum r_i c_i + 4 r_0 log r_0 + 2 r_0 log 3
     assert second.lhs == pytest.approx(3.0 + 12 * LOG3 + 6 * LOG3)
+    # ... against the closed form that theorem_chain_check uses
+    assert second.rhs == theorem_chain_check(sample_ledger()).rhs
+    assert second.slack > 0 and second.holds
     with pytest.raises(ConfigError):
         onestep_chain(sample_ledger(), 5)
 
@@ -190,8 +210,8 @@ def test_simulation_is_deterministic_and_feasible():
         assert led.digest() == simulate_reduction(42, mode).digest()
         derived_intersections(led)  # feasible by construction
         for j in range(len(led.steps)):
-            first, _ = onestep_chain(led, j)
-            assert first.holds
+            first, second = onestep_chain(led, j)
+            assert first.holds and second.holds
         assert sum_ci_bound(led).holds
         assert theorem_chain_check(led).holds
 
