@@ -157,7 +157,10 @@ def cmd_ledger(args) -> int:
         with open(args.config) as fh:
             cfg = json.load(fh)
         if args.theorem:
-            report, code = eval_theorem(args.theorem, cfg), 0
+            report = eval_theorem(args.theorem, cfg)
+            # only Corollary E checks a value (delta_X) against its bounds
+            code = int(args.theorem == "E"
+                       and not (report.holds_omega and report.holds_chi))
         else:
             ledger = ledger_from_json(cfg)
             report = {"theorem_chain": theorem_chain_check(ledger),

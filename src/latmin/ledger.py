@@ -51,6 +51,9 @@ class Ledger:
     L2_0: float
     mode: str
 
+    def __post_init__(self):
+        self.validate()  # once per ledger: every ledger in use is admissible
+
     def validate(self) -> None:
         if self.mode not in MODES:
             raise ConfigError(f"unknown ledger mode {self.mode!r}")
@@ -112,13 +115,11 @@ def ledger_from_json(data: dict) -> Ledger:
                         **_checked_fields(_LEDGER_FIELDS, data))
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"bad ledger JSON: {exc}") from exc
-    ledger.validate()
     return ledger
 
 
 def derived_intersections(ledger: Ledger) -> Tuple[List[float], List[float]]:
     """Forward sequences L_i^2 and L_i'^2 = L_i^2 - 2 d_i c_i."""
-    ledger.validate()
     l2 = [ledger.L2_0]
     l2p = []
     for i, s in enumerate(ledger.steps):
@@ -432,9 +433,7 @@ def simulate_reduction(seed: int, mode: str) -> Ledger:
     need_chain = 2.0 * sum(s.d * s.c for s in steps) + sum(s.slack for s in steps)
     need_sumci = steps[0].d * (steps[0].c + sum(s.c for s in steps))
     l2 = max(need_chain, need_sumci) + round(rng.u01() * 5.0, 6)
-    ledger = Ledger(g, 1, tuple(steps), l2, mode)
-    ledger.validate()
-    return ledger
+    return Ledger(g, 1, tuple(steps), l2, mode)
 
 
 def theorem_chain_check(ledger: Ledger) -> InequalityReport:

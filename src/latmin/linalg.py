@@ -61,12 +61,6 @@ def determinant(matrix) -> Fraction:
     return Fraction(*_det(matrix))
 
 
-def leading_principal_minors(matrix):
-    """List of the n leading principal minors of a square matrix."""
-    n = len(matrix)
-    return [determinant([row[: k + 1] for row in matrix[: k + 1]]) for k in range(n)]
-
-
 def invert(matrix):
     """Exact inverse of a square rational matrix: cofactors over the determinant."""
     num, den = _det(matrix)

@@ -20,7 +20,7 @@ from functools import lru_cache
 
 from .enumeration import DEFAULT_BUDGET, vectors_with_keys
 from .errors import PreconditionViolated
-from .linalg import IncrementalSpan, determinant
+from .linalg import IncrementalSpan
 from .norms import NormedModule, compile_norm
 
 
@@ -107,7 +107,7 @@ def _node(lower, upper, slabs):
                 lo, hi = max(lo, merged[c][0]), min(hi, merged[c][1])
             merged[c] = (lo, hi)
     widths = tuple(u - l for l, u in zip(lower, upper))
-    if min(widths) <= 0:
+    if any(w <= 0 for w in widths):
         return None
     kept = []
     for c, (lo, hi) in merged.items():
@@ -166,8 +166,7 @@ def ball_volume(module: NormedModule) -> VolumeReport:
     r = module.rank
     shift = r * float(alpha)  # scaling by e^{-alpha} multiplies volume by e^{r alpha}
     if compiled.squared:
-        det = determinant(compiled.data)
-        log_v = log_unit_ball_volume(r) - 0.5 * math.log(det) + shift
+        log_v = log_unit_ball_volume(r) - 0.5 * math.log(compiled.det) + shift
         return VolumeReport(math.exp(log_v), "exact-ellipsoid", log_v)
     # with y = A0 x for the compiled basis rows A0, the ball is the cube
     # [-1, 1]^r cut by the slabs |c_j . y| <= 1, c_j = a_j A0^{-1}
@@ -175,8 +174,7 @@ def ball_volume(module: NormedModule) -> VolumeReport:
     slabs = [(tuple(sum(a * inv[i][k] for i, a in enumerate(row))
                     for k in range(r)), -1, 1)
              for j, row in enumerate(compiled.data) if j not in compiled.basis]
-    det = determinant([compiled.data[i] for i in compiled.basis])
-    vol = _node_volume(_node([-1] * r, [1] * r, slabs), {}) / abs(det)
+    vol = _node_volume(_node([-1] * r, [1] * r, slabs), {}) / abs(compiled.det)
     log_v = math.log(vol.numerator) - math.log(vol.denominator) + shift
     return VolumeReport(math.exp(log_v), "exact-polytope", log_v,
                         vol if alpha == 0 else None)

@@ -15,12 +15,16 @@ This is the only module that knows how a norm is represented.  Everything
 else evaluates norms through ``compile_norm(spec)``, a cached
 ``CompiledNorm``: integer keys, one exact comparator, the integer acceptance
 window and box for a radius, log norms, the integer LDL^T chain of an
-Ellipsoid that enumeration prunes with, and a PolyMax basis with its inverse.
+Ellipsoid that enumeration prunes with, a PolyMax basis with its inverse,
+and the determinant of the gram or of the basis.
 ``linalg`` computes the chain, the box and the basis in integer arithmetic.
+The compile is the only check of norm data (``make_normed_module`` compiles),
+and a twist reuses its base's compile, recomputing only the scale.
 """
 
 from __future__ import annotations
 
+import copy
 import hashlib
 import json
 import math
@@ -31,12 +35,13 @@ from typing import List, Sequence, Tuple, Union
 
 from .errors import ConfigError, DimensionMismatch, InvalidNorm, UnboundedBall
 from .intervals import compare_exp, exp_interval, exp_upper, frac_sqrt_bounds
-from .linalg import (determinant, independent_rows, invert, ldl_chain,
-                     leading_principal_minors, span_rank)
+from .linalg import determinant, independent_rows, invert, ldl_chain
 
 
 def parse_rational(s) -> Fraction:
-    """Parse a 'p/q' string (or int) into a Fraction."""
+    """Parse a 'p/q' string (or int) into a Fraction; a bool is no number."""
+    if isinstance(s, bool):
+        raise TypeError(f"{s!r} is not a rational")
     if isinstance(s, int):
         return Fraction(s)
     if isinstance(s, Fraction):
@@ -56,19 +61,6 @@ class Ellipsoid:
     def dim(self) -> int:
         return len(self.gram)
 
-    def validate(self) -> None:
-        n = self.dim
-        for row in self.gram:
-            if len(row) != n:
-                raise InvalidNorm("gram matrix is not square")
-        for i in range(n):
-            for j in range(i):
-                if self.gram[i][j] != self.gram[j][i]:
-                    raise InvalidNorm("gram matrix is not symmetric")
-        for k, minor in enumerate(leading_principal_minors(self.gram)):
-            if minor <= 0:
-                raise InvalidNorm(f"leading principal minor {k + 1} is {minor} <= 0")
-
     def to_json(self) -> dict:
         return {
             "type": "ellipsoid",
@@ -83,16 +75,6 @@ class PolyMax:
     @property
     def dim(self) -> int:
         return len(self.functionals[0]) if self.functionals else 0
-
-    def validate(self) -> None:
-        if not self.functionals:
-            raise UnboundedBall("no functionals")
-        n = self.dim
-        for row in self.functionals:
-            if len(row) != n:
-                raise InvalidNorm("functionals have inconsistent lengths")
-        if span_rank(self.functionals) != n:
-            raise UnboundedBall("functionals do not span R^r; unit ball unbounded")
 
     def to_json(self) -> dict:
         return {
@@ -109,11 +91,6 @@ class Scaled:
     @property
     def dim(self) -> int:
         return self.inner.dim
-
-    def validate(self) -> None:
-        if isinstance(self.inner, Scaled):
-            raise InvalidNorm("Scaled specs must be flattened")
-        self.inner.validate()
 
     def to_json(self) -> dict:
         return {
@@ -163,33 +140,53 @@ class CompiledNorm:
     against a certified 128-bit window on e^scale, refined exactly inside it.
     """
 
-    def __init__(self, norm: NormSpec):
-        spec, self.alpha = base_spec(norm)
-        self.rank = spec.dim
+    def __init__(self, spec: Union[Ellipsoid, PolyMax]):
+        """Compile an unscaled spec, rejecting data that is not a norm."""
+        self.rank = n = spec.dim
         self.squared = isinstance(spec, Ellipsoid)
         self.data = spec.gram if self.squared else spec.functionals
+        if not self.data and not self.squared:
+            raise UnboundedBall("no functionals")
+        if any(len(row) != n for row in self.data):
+            raise InvalidNorm("gram matrix is not square" if self.squared
+                              else "functionals have inconsistent lengths")
         self.den = math.lcm(*(x.denominator for row in self.data for x in row))
         self.int_rows = [[int(x * self.den) for x in row] for row in self.data]
-        self.scale = 2 * self.alpha if self.squared else self.alpha
-        # certified enclosure of e^scale; exact for an untwisted norm
-        self.exp_window = exp_interval(self.scale, 128) if self.scale else (1, 1)
         # rational bounds on |x_k| over the real unit ball
         if self.squared:
-            # (G^-1)_kk = det G[~k, ~k] / det G: the box needs only the diagonal
-            det, bounds = determinant(self.data), []
-            for k in range(self.rank):
-                minor = [r[:k] + r[k + 1:] for i, r in enumerate(self.data) if i != k]
-                bounds.append(frac_sqrt_bounds(determinant(minor) / det)[1])
+            if any(self.data[i][j] != self.data[j][i]
+                   for i in range(n) for j in range(i)):
+                raise InvalidNorm("gram matrix is not symmetric")
+            # the pivots a are the trailing principal minors of G', all > 0
+            # exactly when G is positive definite (Sylvester's criterion)
             self.chain = ldl_chain(self.int_rows)
+            if len(self.chain) < n or any(a <= 0 for a, _, _ in self.chain):
+                raise InvalidNorm("gram matrix is not positive definite")
+            self.det = Fraction(self.chain[0][0] if n else 1, self.den ** n)
+            # (G^-1)_kk = det G[~k, ~k] / det G: the box needs only the diagonal
+            bounds = []
+            for k in range(n):
+                minor = [r[:k] + r[k + 1:] for i, r in enumerate(self.data) if i != k]
+                bounds.append(frac_sqrt_bounds(determinant(minor) / self.det)[1])
         else:
             # r independent functionals A0 with y = A0 x: |y_i| <= 1 on the
             # ball, so |x_k| is at most the row sums of A0^{-1}
-            self.basis = independent_rows(self.data, self.rank)
-            if len(self.basis) < self.rank:
-                raise UnboundedBall("functionals do not span R^r")
-            self.basis_inverse = invert([self.data[i] for i in self.basis])
+            self.basis = independent_rows(self.data, n)
+            if len(self.basis) < n:
+                raise UnboundedBall("functionals do not span R^r; unit ball unbounded")
+            rows = [self.data[i] for i in self.basis]
+            self.det = determinant(rows)
+            self.basis_inverse = invert(rows)
             bounds = [sum(map(abs, row)) for row in self.basis_inverse]
-        factor = exp_upper(self.alpha)
+        self._scale(Fraction(0), bounds)
+
+    def _scale(self, alpha: Fraction, bounds) -> None:
+        """Set the twist alpha: the e^scale window and the scaled unit bounds."""
+        self.alpha = alpha
+        self.scale = 2 * alpha if self.squared else alpha
+        # certified enclosure of e^scale; exact for an untwisted norm
+        self.exp_window = exp_interval(self.scale, 128) if self.scale else (1, 1)
+        factor = exp_upper(alpha)
         self.unit_bounds = [b * factor for b in bounds]
 
     def key(self, v):
@@ -246,8 +243,14 @@ class CompiledNorm:
 
 @lru_cache(maxsize=2048)
 def compile_norm(norm: NormSpec) -> CompiledNorm:
-    """The compiled form of a norm spec, built once per spec."""
-    return CompiledNorm(norm)
+    """The compiled form of a norm spec, built once per spec.  A twist is a
+    shallow copy of its base's compile: only the scale is recomputed."""
+    if not isinstance(norm, Scaled):
+        return CompiledNorm(norm)
+    base = compile_norm(norm.inner)
+    compiled = copy.copy(base)
+    compiled._scale(norm.alpha, base.unit_bounds)
+    return compiled
 
 
 @dataclass(frozen=True)
@@ -295,12 +298,14 @@ class NormedModule:
 
 
 def make_normed_module(rank: int, norm: NormSpec) -> NormedModule:
-    """Validate and freeze a normed module."""
+    """Validate and freeze a normed module; compiling the norm checks its data."""
     if rank < 0:
         raise DimensionMismatch("rank must be nonnegative")
     if norm.dim != rank:
         raise DimensionMismatch(f"norm dimension {norm.dim} != rank {rank}")
-    norm.validate()
+    if isinstance(norm, Scaled) and isinstance(norm.inner, Scaled):
+        raise InvalidNorm("Scaled specs must be flattened")
+    compile_norm(norm)
     return NormedModule(rank, norm)
 
 

@@ -80,6 +80,15 @@ def test_chi_output(capsys, tmp_path):
     assert doc["report"]["chi"] == "1.14472988585"  # log pi
 
 
+def test_chi_of_rank_zero_polymax(capsys, tmp_path):
+    path = tmp_path / "zero.json"
+    path.write_text(json.dumps({"rank": 0, "norm": {"type": "polymax",
+                                                    "functionals": [[]]}}))
+    code, doc = run_main(capsys, ["chi", "--module", str(path)])
+    assert code == 0
+    assert doc["report"] == {"chi": "0", "method": "exact-polytope"}
+
+
 def test_verify_small_suite(capsys):
     code, doc = run_main(capsys, ["verify", "--trials", "3", "--seed", "7"])
     assert code == 0
@@ -122,6 +131,17 @@ def test_ledger_eval_violation_exits_1(capsys, tmp_path):
     assert code == 1
     assert doc["report"]["sum_ci"]["verdict"] == "violated"
     assert doc["report"]["theorem_chain"]["verdict"] == "holds"
+
+
+def test_theorem_e_violation_exits_1(capsys, tmp_path):
+    cfg = tmp_path / "thm.json"
+    for delta, holds, want in ((0.0, True, 0), (1000.0, False, 1)):
+        cfg.write_text(json.dumps(dict(THEOREM_E, delta=delta)))
+        code, doc = run_main(capsys, ["ledger", "eval", "--config", str(cfg),
+                                      "--theorem", "E"])
+        assert code == want
+        assert doc["report"]["holds_omega"] is holds
+        assert doc["report"]["holds_chi"] is holds
 
 
 def test_ledger_eval_bad_schema_exits_2(capsys, tmp_path):
@@ -178,6 +198,10 @@ DISK_NORM = {"type": "ellipsoid", "gram": [["1/1", "0/1"], ["0/1", "1/1"]]}
     (["count"], {"rank": "2.5", "norm": DISK_NORM}),
     (["count"], {"rank": True, "norm": {"type": "ellipsoid", "gram": [["1/1"]]}}),
     (["count"], [1, 2]),
+    (["count"], {"rank": 1, "norm": {"type": "ellipsoid", "gram": [[True]]}}),
+    (["count"], {"rank": 1, "norm": {"type": "polymax", "functionals": [[True]]}}),
+    (["count"], {"rank": 1, "norm": {"type": "scaled", "alpha": True,
+                                     "inner": {"type": "ellipsoid", "gram": [["1/1"]]}}}),
     (["ledger", "eval", "--theorem", "B"],
      {"g": "x", "d_circ": 2, "kappa": 1, "L2": 10.0}),
     (["ledger", "eval"], dict(LEDGER, L2_0="nan")),
@@ -191,6 +215,7 @@ DISK_NORM = {"type": "ellipsoid", "gram": [["1/1", "0/1"], ["0/1", "1/1"]]}
      {"g": 2, "d_circ": 2.5, "kappa": 1, "L2": 10.0}),
 ], ids=["bad-literal", "zero-denominator", "bad-rank", "fractional-rank",
         "fractional-rank-string", "boolean-rank", "not-an-object",
+        "boolean-gram-entry", "boolean-functional-entry", "boolean-alpha",
         "bad-theorem-field", "nan-ledger-real", "nan-and-inf-ledger-reals",
         "fractional-ledger-degree", "boolean-ledger-kappa",
         "nan-theorem-real", "fractional-theorem-integer"])
@@ -377,6 +402,24 @@ PINNED_STDOUT = {
 @pytest.mark.parametrize("argv, want", PINNED_STDOUT.values(),
                          ids=PINNED_STDOUT.keys())
 def test_ledger_stdout_is_pinned(capsys, monkeypatch, argv, want):
+    monkeypatch.delenv("LATMIN_TIMING", raising=False)
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest()[:16] == want
+
+
+# sha256 prefixes of the stdout of three corpus commands, pinned from the
+# release before the compiled norm became the validator; the rank-8 run is
+# pinned in CI only, since it takes about 15 s
+PINNED_VERIFY = {seed: (["verify", "--max-rank", "5", "--trials", "6", "--seed",
+                         str(seed)], want)
+                 for seed, want in ((0, "01d4b95842f82c69"), (1, "b7885099572b8171"),
+                                    (2, "0f05bc8bdc57f4ad"))}
+
+
+@pytest.mark.parametrize("argv, want", PINNED_VERIFY.values(),
+                         ids=[f"seed-{s}" for s in PINNED_VERIFY])
+def test_verify_stdout_is_pinned(capsys, monkeypatch, argv, want):
     monkeypatch.delenv("LATMIN_TIMING", raising=False)
     assert main(argv) == 0
     out = capsys.readouterr().out

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from latmin.linalg import (IncrementalSpan, determinant, independent_rows,
-                           invert, leading_principal_minors, span_rank)
+                           invert, span_rank)
 from test_enumeration import _oracle_invert
 
 
@@ -35,11 +35,6 @@ def test_determinant_exact():
     assert determinant(negative_pivot) == Fraction(-17, 60)
     assert invert(negative_pivot) == [[Fraction(-24, 17), Fraction(20, 17)],
                                       [Fraction(15, 17), Fraction(30, 17)]]
-
-
-def test_leading_principal_minors():
-    m = [[2, 1], [1, 2]]
-    assert leading_principal_minors(m) == [2, 3]
 
 
 def test_invert_round_trip():

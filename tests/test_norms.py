@@ -2,16 +2,20 @@
 
 import json
 import math
+import random
 from fractions import Fraction
 
 import pytest
 
+from latmin import linalg
 from latmin.errors import DimensionMismatch, InvalidNorm, UnboundedBall
 from latmin.inequalities import SuiteConfig, random_module
+from latmin.intervals import exp_interval, exp_upper
 from latmin.norms import (Ellipsoid, Scaled, base_spec, compile_norm,
                           format_rational, make_ellipsoid, make_normed_module,
                           make_polymax, module_from_json, norm_eval,
                           parse_rational, twist)
+from test_linalg import _oracle_det
 
 
 def euclid(rank):
@@ -144,3 +148,97 @@ def test_ellipsoid_chain_matches_schur_complements():
             assert compile_norm(norm).chain == _schur_chain_oracle(spec.gram)
             checked += 1
     assert checked == 183  # 181 corpus ellipsoids and the two above
+
+
+def _leading_minors_oracle(gram):
+    """Leading principal minors by the Leibniz expansion."""
+    return [_oracle_det([row[:k] for row in gram[:k]]) for k in range(1, len(gram) + 1)]
+
+
+def _symmetric_corpus():
+    """Seeded symmetric rational matrices of rank 1-6: positive definite,
+    semidefinite, indefinite, and positive definite but for the last minor
+    (zero or negative), with the first entry's sign flipped too."""
+    rng = random.Random(20240607)
+    entry = lambda: Fraction(rng.randint(-4, 4), rng.randint(1, 5))  # noqa: E731
+    out = []
+    for n in range(1, 7):
+        for _ in range(6):
+            for k in (n, n - 1, max(n - 2, 0)):  # B^T B has rank <= k
+                b = [[entry() for _ in range(n)] for _ in range(k)]
+                gram = [[sum((b[t][i] * b[t][j] for t in range(k)), Fraction(0))
+                         for j in range(n)] for i in range(n)]
+                out.append(gram)
+            sym = [[entry() for _ in range(n)] for _ in range(n)]
+            out.append([[sym[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)])
+            pd = out[-4]
+            minors = _leading_minors_oracle(pd)
+            if n > 1 and minors[-1] > 0 and minors[-2] > 0:
+                # det is affine in the last diagonal entry, with slope minors[-2]
+                for drop in (0, Fraction(1, 3)):
+                    last = [row[:] for row in pd]
+                    last[-1][-1] -= minors[-1] / minors[-2] + drop
+                    out.append(last)
+            flipped = [row[:] for row in pd]
+            flipped[0][0] = -flipped[0][0]
+            out.append(flipped)
+    return out
+
+
+def test_compile_rejects_exactly_the_non_positive_definite_grams():
+    corpus = _symmetric_corpus()
+    kinds = {"valid": 0, "last-minor-only": 0, "invalid": 0}
+    for gram in corpus:
+        minors = _leading_minors_oracle(gram)
+        spec = make_ellipsoid(gram)
+        if all(m > 0 for m in minors):
+            module = make_normed_module(len(gram), spec)
+            assert compile_norm(module.norm).det == minors[-1]
+            kinds["valid"] += 1
+            continue
+        with pytest.raises(InvalidNorm, match="not positive definite"):
+            make_normed_module(len(gram), spec)
+        kinds["invalid"] += 1
+        kinds["last-minor-only"] += all(m > 0 for m in minors[:-1])
+    assert min(kinds.values()) >= 20, kinds
+
+
+def test_compile_rejects_malformed_norm_data():
+    with pytest.raises(InvalidNorm, match="not square"):
+        make_normed_module(2, make_ellipsoid([[1, 0], [0]]))
+    with pytest.raises(InvalidNorm, match="inconsistent lengths"):
+        make_normed_module(2, make_polymax([[1, 0], [1]]))
+    with pytest.raises(UnboundedBall, match="no functionals"):
+        make_normed_module(0, make_polymax([]))
+    with pytest.raises(InvalidNorm, match="flattened"):
+        make_normed_module(1, Scaled(Scaled(make_ellipsoid([[1]]), Fraction(1)),
+                                     Fraction(1)))
+    with pytest.raises(TypeError):  # a JSON boolean is not a rational
+        make_ellipsoid([[True]])
+
+
+def test_twist_reuses_its_base_compile(monkeypatch):
+    polymax = make_normed_module(3, make_polymax(
+        [["1/2", 0, 0], [0, 1, "1/3"], [1, 1, 1], [0, 0, "3/2"]]))
+    gram = [["5/2", "-1/3", "1/4"], ["-1/3", 2, "-1/5"], ["1/4", "-1/5", "3/2"]]
+    ellipsoid = make_normed_module(3, make_ellipsoid(gram))
+    adds = []
+    original = linalg.IncrementalSpan.add
+    monkeypatch.setattr(linalg.IncrementalSpan, "add",
+                        lambda span, v: adds.append(v) or original(span, v))
+    for module in (polymax, ellipsoid):
+        base = compile_norm(module.norm)
+        for a in (Fraction(5, 11), Fraction(-7, 13)):
+            twisted = compile_norm(twist(module, a).norm)
+            assert twisted is not base and twisted.alpha == a
+            assert twisted.det is base.det and twisted.int_rows is base.int_rows
+            if module is polymax:
+                assert twisted.basis_inverse is base.basis_inverse
+                assert twisted.scale == a
+            else:
+                assert twisted.chain is base.chain
+                assert twisted.scale == 2 * a
+            assert twisted.unit_bounds == [b * exp_upper(a) for b in base.unit_bounds]
+            assert twisted.exp_window == exp_interval(twisted.scale, 128)
+        assert base.alpha == 0 and base.exp_window == (1, 1)  # the base is untouched
+    assert adds == []  # a twisted compile runs no elimination
