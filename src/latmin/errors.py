@@ -25,7 +25,11 @@ class EnumerationBudgetExceeded(LatminError):
     exit_code = 3
 
     def __init__(self, predicted, budget):
-        super().__init__(f"predicted {predicted} candidates exceeds budget {budget}")
+        try:  # past the interpreter's int-to-str digit limit: a power of two
+            shown = str(predicted)
+        except ValueError:
+            shown = f"at least 2^{predicted.bit_length() - 1}"
+        super().__init__(f"predicted {shown} candidates exceeds budget {budget}")
         self.predicted = predicted
         self.budget = budget
 

@@ -72,6 +72,14 @@ def exp_upper(x: Fraction, prec: int = 80) -> Fraction:
     return exp_interval(x, prec)[1]
 
 
+def exp_float(x: float) -> float:
+    """e^x as a double; inf past the double range."""
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
+
+
 def frac_sqrt_bounds(f: Fraction) -> tuple[Fraction, Fraction]:
     """Rational (lo, hi) with lo <= sqrt(f) <= hi for f >= 0."""
     if f < 0:

@@ -6,7 +6,10 @@ nonnegative intersection slack.  The geometric construction itself is out of
 scope; its arithmetic consequences (derived self-intersections, chained
 count bounds, closed-form constants) are all mechanically checkable here.
 
-All evaluation is double precision; comparisons use tolerance 1e-9.
+Admissibility is decided once, when a Ledger is made: the mode's rules,
+feasible derived intersections (kept on the ledger) and the preconditions of
+its closed-form bound.  The checks below are then arithmetic on a valid
+ledger.  All evaluation is double precision; verdicts use EXACT_TOL.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from functools import cached_property
 from typing import List, Tuple
 
 from .errors import ConfigError, InfeasibleLedger, PreconditionViolated
-from .inequalities import InequalityReport, _report
+from .inequalities import EXACT_TOL, InequalityReport, _report
 from .minima import log_unit_ball_volume
 from .rng import DetRNG
 
@@ -55,6 +58,9 @@ class Ledger:
         self.validate()  # once per ledger: every ledger in use is admissible
 
     def validate(self) -> None:
+        """The mode's rules; then L_i^2 and L_i'^2 = L_i^2 - 2 d_i c_i, which
+        must be >= 0 (to _FEAS_TOL) and are kept outside the fields; then
+        the preconditions of theorem_chain_check's closed-form bound."""
         if self.mode not in MODES:
             raise ConfigError(f"unknown ledger mode {self.mode!r}")
         if self.g < 0 or self.kappa < 1:
@@ -63,15 +69,13 @@ class Ledger:
             raise ConfigError("ledger needs at least one step")
         if self.L2_0 < 0:
             raise ConfigError("L2_0 must be nonnegative")
-        prev_d = None
         for i, s in enumerate(self.steps):
             if s.d <= 0 or s.r <= 0:
                 raise ConfigError(f"step {i}: d and r must be positive")
             if s.c < 0 or s.slack < 0:
                 raise ConfigError(f"step {i}: c and slack must be nonnegative")
-            if prev_d is not None and s.d >= prev_d:
+            if i and s.d >= self.steps[i - 1].d:
                 raise ConfigError(f"step {i}: degrees must strictly decrease")
-            prev_d = s.d
             if self.mode == "positive-genus":
                 if s.r > s.d:
                     raise ConfigError(f"step {i}: positive genus needs r <= d")
@@ -81,6 +85,21 @@ class Ledger:
             else:
                 if s.r > s.d / 2 + self.kappa:
                     raise ConfigError(f"step {i}: Clifford needs r <= d/2 + kappa")
+        l2, l2p = [self.L2_0], []
+        for i, s in enumerate(self.steps):
+            prime = l2[i] - 2.0 * s.d * s.c
+            if prime < -_FEAS_TOL:
+                raise InfeasibleLedger(f"L'_{i}^2 = {prime} < 0")
+            l2p.append(prime)
+            l2.append(prime - s.slack)
+            if l2[-1] < -_FEAS_TOL:
+                raise InfeasibleLedger(f"L_{i + 1}^2 = {l2[-1]} < 0")
+        if self.steps[0].d % self.kappa:
+            raise ConfigError("d_0 must be a multiple of kappa")
+        if self.mode == "positive-genus" and self.g < 1:
+            raise PreconditionViolated("positive-genus ledger needs g >= 1")
+        object.__setattr__(self, "_l2", tuple(l2[:-1]))  # one L_i^2 per step
+        object.__setattr__(self, "_l2p", tuple(l2p))
 
     def to_json(self) -> dict:
         return {"g": self.g, "kappa": self.kappa, "mode": self.mode,
@@ -111,28 +130,15 @@ def ledger_from_json(data: dict) -> Ledger:
     try:
         steps = tuple(LedgerStep(**_checked_fields(_STEP_FIELDS, s))
                       for s in data["steps"])
-        ledger = Ledger(steps=steps, mode=str(data["mode"]),
-                        **_checked_fields(_LEDGER_FIELDS, data))
+        return Ledger(steps=steps, mode=str(data["mode"]),
+                      **_checked_fields(_LEDGER_FIELDS, data))
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"bad ledger JSON: {exc}") from exc
-    return ledger
 
 
 def derived_intersections(ledger: Ledger) -> Tuple[List[float], List[float]]:
-    """Forward sequences L_i^2 and L_i'^2 = L_i^2 - 2 d_i c_i."""
-    l2 = [ledger.L2_0]
-    l2p = []
-    for i, s in enumerate(ledger.steps):
-        prime = l2[i] - 2.0 * s.d * s.c
-        if prime < -_FEAS_TOL:
-            raise InfeasibleLedger(f"L'_{i}^2 = {prime} < 0")
-        l2p.append(prime)
-        nxt = prime - s.slack
-        if nxt < -_FEAS_TOL:
-            raise InfeasibleLedger(f"L_{i + 1}^2 = {nxt} < 0")
-        if i + 1 < len(ledger.steps):
-            l2.append(nxt)
-    return l2, l2p
+    """Forward sequences L_i^2 and L_i'^2 = L_i^2 - 2 d_i c_i, as new lists."""
+    return list(ledger._l2), list(ledger._l2p)
 
 
 def _chain_value(steps) -> float:
@@ -152,9 +158,8 @@ def onestep_chain(ledger: Ledger, j: int) -> Tuple[InequalityReport, InequalityR
     """
     if not (0 <= j < len(ledger.steps)):
         raise ConfigError(f"step index {j} out of range")
-    l2, l2p = derived_intersections(ledger)
     digest = ledger.digest()
-    lhs = l2p[j] + 2.0 * sum(s.d * s.c for s in ledger.steps[: j + 1])
+    lhs = ledger._l2p[j] + 2.0 * sum(s.d * s.c for s in ledger.steps[: j + 1])
     first = _report("chain-intersection", lhs, ledger.L2_0, digest)
     second = _report("chain-count-bound", _chain_value(ledger.steps[: j + 1]),
                      theorem_chain_check(ledger).rhs, digest)
@@ -163,7 +168,6 @@ def onestep_chain(ledger: Ledger, j: int) -> Tuple[InequalityReport, InequalityR
 
 def sum_ci_bound(ledger: Ledger) -> InequalityReport:
     """c_0 + sum c_i <= L^2 / d_0 (must hold for every feasible ledger)."""
-    derived_intersections(ledger)
     lhs = ledger.steps[0].c + sum(s.c for s in ledger.steps)
     rhs = ledger.L2_0 / ledger.steps[0].d
     return _report("sum-ci", lhs, rhs, ledger.digest())
@@ -216,8 +220,7 @@ def theorem_d_bound(g: int, kappa: int, eps: int, omega2: float) -> float:
         raise PreconditionViolated("eps must be 1 or 2")
     if kappa < 1 or omega2 < 0:
         raise PreconditionViolated("need kappa >= 1 and omega2 >= 0")
-    d = (2 * g - 2) * kappa
-    return ((g + eps - 1) / (4.0 * (g - 1))) * omega2 + 4.0 * d * math.log(3.0 * d)
+    return theorem_c_bound(2 * g - 2, kappa, eps, omega2)
 
 
 def deg_one_bound(g: int, kappa: int, L2: float) -> float:
@@ -264,6 +267,9 @@ class ArithmeticContext:
     delta: float
     gamma: float
 
+    def __post_init__(self):
+        self.validate()  # once per context, like a Ledger
+
     def validate(self) -> None:
         if self.g < 2:
             raise PreconditionViolated("context needs g >= 2")
@@ -303,7 +309,6 @@ class CorollaryEReport:
 
 def corollary_e(ctx: ArithmeticContext) -> CorollaryEReport:
     """Evaluate both closed-form upper bounds on delta_X."""
-    ctx.validate()
     g, eps = ctx.g, ctx.eps
     c = c_constant(g, ctx.kappa, ctx.absD)
     rhs_omega = (2.0 + 3.0 * eps / (g - 1)) * ctx.omega2 + 12.0 * ctx.gamma + 3.0 * c
@@ -311,8 +316,8 @@ def corollary_e(ctx: ArithmeticContext) -> CorollaryEReport:
     rhs_chi = ((8.0 + 4.0 * eps / (g - 1 + eps)) * chi_fal
                + (4.0 * (g - 1) / (g - 1 + eps)) * ctx.gamma + c)
     return CorollaryEReport(c, rhs_omega, rhs_chi, ctx.delta,
-                            ctx.delta <= rhs_omega + 1e-9,
-                            ctx.delta <= rhs_chi + 1e-9)
+                            ctx.delta <= rhs_omega + EXACT_TOL,
+                            ctx.delta <= rhs_chi + EXACT_TOL)
 
 
 # theorem -> the config fields its evaluator takes, with their types
@@ -345,7 +350,7 @@ def eval_theorem(name: str, cfg: dict):
 
 def asymptotic_margin_per_d() -> float:
     """Limit of the per-unit-d margin in the 25d absorption as g -> infinity."""
-    return 25.0 - 16.0 * LOG3 - 2.0 * LOG2PI
+    return C_D - 16.0 * LOG3 - 2.0 * LOG2PI
 
 
 def verify_constant_chain(g_max: int, kappa_max: int) -> List[InequalityReport]:
@@ -360,8 +365,7 @@ def verify_constant_chain(g_max: int, kappa_max: int) -> List[InequalityReport]:
     """
     if g_max < 2 or kappa_max < 1:
         raise PreconditionViolated("need g_max >= 2 and kappa_max >= 1")
-    mins = {"i": None, "ii": None, "iii": None}
-    min_margin_ii_per_d = None
+    mins = dict.fromkeys(("i", "ii", "iii", "ii-per-d"), math.inf)
     for g in range(2, g_max + 1):
         for kappa in range(1, kappa_max + 1):
             d = (2 * g - 2) * kappa
@@ -369,26 +373,21 @@ def verify_constant_chain(g_max: int, kappa_max: int) -> List[InequalityReport]:
             dlogd = d * math.log(d)
             cprime = 4.5 * dlogd + 4.0 * d * LOG3
             s_i = (54.0 * dlogd + 61.0 * d) - (12.0 * cprime + 4.0 * r * LOG2PI)
-            s_ii = (18.0 * dlogd + 25.0 * d) - (4.0 * cprime + 4.0 * r * LOG2PI)
+            s_ii = (C_DLOGD * dlogd + C_D * d) - (4.0 * cprime + 4.0 * r * LOG2PI)
             s_iii = (cprime
                      - (4.0 * d * math.log(3.0 * d) + r * LOG2
                         + 0.5 * r * math.log(r) - 0.5 * r * LOG2PI))
-            for key, s in (("i", s_i), ("ii", s_ii), ("iii", s_iii)):
-                if mins[key] is None or s < mins[key]:
-                    mins[key] = s
-            margin = s_ii / d
-            if min_margin_ii_per_d is None or margin < min_margin_ii_per_d:
-                min_margin_ii_per_d = margin
+            for key, s in (("i", s_i), ("ii", s_ii), ("iii", s_iii),
+                           ("ii-per-d", s_ii / d)):
+                mins[key] = min(mins[key], s)
     digest = f"grid-g{g_max}-k{kappa_max}"
-    reports = [
+    return [
         _report("chain-absorb-12cprime", -mins["i"], 0.0, digest),
         _report("chain-absorb-4cprime", -mins["ii"], 0.0, digest),
         _report("chain-absorb-into-cprime", -mins["iii"], 0.0, digest),
+        # per-unit-d margin of (ii), attached for reporting
+        _report("chain-margin-ii-per-d", 0.0, mins["ii-per-d"], digest),
     ]
-    # per-unit-d margin of (ii), attached for reporting
-    reports.append(_report("chain-margin-ii-per-d", 0.0,
-                           min_margin_ii_per_d, digest))
-    return reports
 
 
 def simulate_reduction(seed: int, mode: str) -> Ledger:
@@ -411,9 +410,8 @@ def simulate_reduction(seed: int, mode: str) -> Ledger:
     n = rng.randint(0, 3)
     deg0 = rng.randint(n + 2, 12)
     candidates = list(range(1, deg0))
-    picks = []
-    for _ in range(n):
-        picks.append(candidates.pop(rng.randint(0, len(candidates) - 1)))
+    picks = [candidates.pop(rng.randint(0, len(candidates) - 1))
+             for _ in range(n)]
     degs = sorted([deg0] + picks, reverse=True)
 
     steps = []
@@ -443,15 +441,9 @@ def theorem_chain_check(ledger: Ledger) -> InequalityReport:
     4 r_0 log r_0 + 2 r_0 log 3.  The closed form is theorem_b_bound for
     positive genus / genus zero and theorem_c_bound for the Clifford modes.
     """
-    derived_intersections(ledger)
-    d0 = ledger.steps[0].d
-    if d0 % ledger.kappa:
-        raise ConfigError("d_0 must be a multiple of kappa")
-    d_circ = d0 // ledger.kappa
+    d_circ = ledger.steps[0].d // ledger.kappa
     value = _chain_value(ledger.steps)
     if ledger.mode == "positive-genus":
-        if ledger.g < 1:
-            raise PreconditionViolated("positive-genus ledger needs g >= 1")
         bound = theorem_b_bound(ledger.g, d_circ, ledger.kappa, ledger.L2_0)
     elif ledger.mode == "genus-zero":
         bound = theorem_b_bound(0, d_circ, ledger.kappa, ledger.L2_0)

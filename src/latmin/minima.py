@@ -20,6 +20,7 @@ from functools import lru_cache
 
 from .enumeration import DEFAULT_BUDGET, vectors_with_keys
 from .errors import PreconditionViolated
+from .intervals import exp_float
 from .linalg import IncrementalSpan
 from .norms import NormedModule, compile_norm
 
@@ -59,7 +60,7 @@ def successive_minima(module: NormedModule, budget: int = DEFAULT_BUDGET) -> Min
 
     keys = [k for k, _ in found]
     witnesses = tuple(v for _, v in found)
-    lambdas = tuple(math.exp(compiled.log(k)) for k in keys)
+    lambdas = tuple(exp_float(compiled.log(k)) for k in keys)
     mus = tuple(-compiled.log(k) + 0.0 for k in keys)
     parts = tuple((compiled.alpha, k, compiled.den, compiled.squared) for k in keys)
     return MinimaReport(lambdas, mus, witnesses, parts)
@@ -167,7 +168,7 @@ def ball_volume(module: NormedModule) -> VolumeReport:
     shift = r * float(alpha)  # scaling by e^{-alpha} multiplies volume by e^{r alpha}
     if compiled.squared:
         log_v = log_unit_ball_volume(r) - 0.5 * math.log(compiled.det) + shift
-        return VolumeReport(math.exp(log_v), "exact-ellipsoid", log_v)
+        return VolumeReport(exp_float(log_v), "exact-ellipsoid", log_v)
     # with y = A0 x for the compiled basis rows A0, the ball is the cube
     # [-1, 1]^r cut by the slabs |c_j . y| <= 1, c_j = a_j A0^{-1}
     inv = compiled.basis_inverse
@@ -176,7 +177,7 @@ def ball_volume(module: NormedModule) -> VolumeReport:
              for j, row in enumerate(compiled.data) if j not in compiled.basis]
     vol = _node_volume(_node([-1] * r, [1] * r, slabs), {}) / abs(compiled.det)
     log_v = math.log(vol.numerator) - math.log(vol.denominator) + shift
-    return VolumeReport(math.exp(log_v), "exact-polytope", log_v,
+    return VolumeReport(exp_float(log_v), "exact-polytope", log_v,
                         vol if alpha == 0 else None)
 
 

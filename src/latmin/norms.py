@@ -34,7 +34,8 @@ from functools import lru_cache
 from typing import List, Sequence, Tuple, Union
 
 from .errors import ConfigError, DimensionMismatch, InvalidNorm, UnboundedBall
-from .intervals import compare_exp, exp_interval, exp_upper, frac_sqrt_bounds
+from .intervals import (compare_exp, exp_float, exp_interval, exp_upper,
+                        frac_sqrt_bounds)
 from .linalg import determinant, independent_rows, invert, ldl_chain
 
 
@@ -120,13 +121,6 @@ def make_scaled(inner: NormSpec, alpha) -> NormSpec:
     if alpha == 0:
         return inner
     return Scaled(inner, alpha)
-
-
-def base_spec(norm: NormSpec):
-    """(unscaled spec, accumulated alpha)."""
-    if isinstance(norm, Scaled):
-        return norm.inner, norm.alpha
-    return norm, Fraction(0)
 
 
 class CompiledNorm:
@@ -281,7 +275,7 @@ class NormValue:
         return self.norm.log(self.key)
 
     def to_float(self) -> float:
-        return math.exp(self.log())
+        return exp_float(self.log())
 
 
 @dataclass(frozen=True)

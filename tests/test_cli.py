@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -269,6 +270,55 @@ def test_negative_budget_exits_2(capsys, tmp_path):
     assert doc["error"]["type"] == "ConfigError"
 
 
+def _scaled(alpha, inner):
+    return {"rank": 2, "norm": {"type": "scaled", "alpha": alpha, "inner": inner}}
+
+
+HEXAGON_INNER = {"type": "polymax", "functionals": [[1, 0], [0, 1], [1, 1]]}
+
+
+def test_large_twist_count_exits_3(capsys, tmp_path):
+    path = tmp_path / "twist.json"
+    # the box has about 4 e^10000 points: more digits than str(int) prints
+    path.write_text(json.dumps(_scaled("5000", DISK_NORM)))
+    for extra in ([], ["--budget", "100"]):
+        code, doc = run_main(capsys, ["count", "--module", str(path)] + extra)
+        assert code == 3
+        assert doc["error"]["type"] == "EnumerationBudgetExceeded"
+        assert doc["error"]["message"].startswith("predicted at least 2^")
+
+
+def test_large_twist_minima_print_inf(capsys, tmp_path):
+    path = tmp_path / "twist.json"
+    # lambda = e^2000 is past the double range
+    path.write_text(json.dumps(_scaled("-2000", DISK_NORM)))
+    code, doc = run_main(capsys, ["minima", "--module", str(path)])
+    assert code == 0
+    assert doc["report"]["lambdas"] == ["inf", "inf"]
+    assert doc["report"]["mus"] == ["-2000", "-2000"]
+    assert doc["report"]["exact"] == [
+        {"alpha": "-2000/1", "key": 1, "den": 1, "squared": True}] * 2
+
+
+def test_large_twist_chi_is_finite(capsys, tmp_path):
+    path = tmp_path / "twist.json"
+    # vol = 3 e^4000 is past the double range; its log is not
+    path.write_text(json.dumps(_scaled("2000", HEXAGON_INNER)))
+    code, doc = run_main(capsys, ["chi", "--module", str(path)])
+    assert code == 0
+    assert doc["report"] == {"chi": fmt_real(math.log(3) + 4000.0),
+                             "method": "exact-polytope"}
+
+
+def test_budget_message_names_the_count(capsys, tmp_path):
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(_scaled("1/2", HEXAGON_INNER)))
+    code, doc = run_main(capsys, ["count", "--module", str(path),
+                                  "--budget", "2"])
+    assert code == 3
+    assert doc["error"]["message"] == "predicted 9 candidates exceeds budget 2"
+
+
 def test_bad_usage_exits_2(capsys):
     assert main(["no-such-command"]) == 2
     assert main([]) == 2
@@ -404,6 +454,58 @@ PINNED_STDOUT = {
 def test_ledger_stdout_is_pinned(capsys, monkeypatch, argv, want):
     monkeypatch.delenv("LATMIN_TIMING", raising=False)
     assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest()[:16] == want
+
+
+README_LEDGER = {"g": 2, "kappa": 1, "mode": "positive-genus", "L2_0": 20.0,
+                 "steps": [{"d": 4, "r": 3, "c": 1.0, "slack": 2.0},
+                           {"d": 2, "r": 2, "c": 0.0, "slack": 0.0}]}
+INFEASIBLE_LEDGER = dict(LEDGER, steps=[{"d": 4, "r": 3, "c": 3.0, "slack": 0.0}])
+THEOREM_D = {"g": 3, "kappa": 2, "eps": 1, "omega2": 12.0}
+
+# exit code and sha256 prefix of the stdout of `ledger eval --config
+# config.json [--theorem T]`, pinned from the release that checked a ledger's
+# feasibility and preconditions in theorem_chain_check
+PINNED_EVAL = {
+    "readme": (None, README_LEDGER, 0, "2fe4221311b5365e"),
+    "genus-0": (None, dict(README_LEDGER, g=0), 2, "e3648ba16788b125"),
+    "infeasible": (None, INFEASIBLE_LEDGER, 2, "636524b3c0f69232"),
+    "kappa-2-d0-5": (None, dict(README_LEDGER, kappa=2, steps=[
+        {"d": 5, "r": 3, "c": 1.0, "slack": 2.0}]), 2, "45e3963d481d01ae"),
+    "genus-0-infeasible": (None, dict(INFEASIBLE_LEDGER, g=0), 2,
+                           "636524b3c0f69232"),
+    "bad-mode": (None, dict(README_LEDGER, mode="bogus"), 2, "2ed87a3704c66c58"),
+    "genus-zero": (None, dict(README_LEDGER, g=0, mode="genus-zero", steps=[
+        {"d": 4, "r": 5, "c": 1.0, "slack": 2.0},
+        {"d": 2, "r": 3, "c": 0.0, "slack": 0.0}]), 0, "68c2d2801d7e0214"),
+    "clifford": (None, dict(README_LEDGER, g=3, mode="clifford-hyperelliptic"),
+                 0, "5af9fea67c3df820"),
+    "B": ("B", {"g": 2, "d_circ": 2, "kappa": 1, "L2": 10.0}, 0,
+          "ebe905dcc3c734c6"),
+    "C": ("C", {"d_circ": 4, "kappa": 1, "eps": 1, "L2": 20.0}, 0,
+          "4596509df5c05a8d"),
+    "D": ("D", THEOREM_D, 0, "5801c86855342088"),
+    "D-eps-3": ("D", dict(THEOREM_D, eps=3), 2, "51ba96b4c21456b8"),
+    "D-omega2-negative": ("D", dict(THEOREM_D, omega2=-1.0), 2,
+                          "855e60380539617a"),
+    "E": ("E", THEOREM_E, 0, "6dd12a5c96752403"),
+    "E-bad-split": ("E", dict(THEOREM_E, r1=2), 2, "da64370421f69e51"),
+    "deg1": ("deg1", {"g": 1, "kappa": 2, "L2": 3.0}, 0, "2b21190adf8175ec"),
+    "trivial": ("trivial", {"r_minus": 1, "deg_LQ": 2, "L2": 10.0}, 0,
+                "bfd9533a9178e885"),
+}
+
+
+@pytest.mark.parametrize("theorem, cfg, code, want", PINNED_EVAL.values(),
+                         ids=PINNED_EVAL.keys())
+def test_ledger_eval_is_pinned(capsys, monkeypatch, tmp_path, theorem, cfg,
+                               code, want):
+    monkeypatch.delenv("LATMIN_TIMING", raising=False)
+    monkeypatch.chdir(tmp_path)  # the config path is part of the output
+    (tmp_path / "config.json").write_text(json.dumps(cfg))
+    argv = ["ledger", "eval", "--config", "config.json"]
+    assert main(argv + (["--theorem", theorem] if theorem else [])) == code
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest()[:16] == want
 

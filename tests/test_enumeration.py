@@ -23,7 +23,7 @@ from latmin.enumeration import (effective_sections, enclosing_box, h0_hat,
                                 h0_hat_sef, strictly_effective_sections,
                                 vectors_with_keys)
 from latmin.errors import EnumerationBudgetExceeded
-from latmin.norms import (Ellipsoid, base_spec, compile_norm, make_ellipsoid,
+from latmin.norms import (Ellipsoid, Scaled, compile_norm, make_ellipsoid,
                           make_normed_module, make_polymax, norm_eval, twist)
 
 
@@ -47,7 +47,8 @@ def _oracle_invert(matrix):
 
 def _oracle_box(module, radius=1):
     """Integer box guaranteed to contain the ball (slightly generous)."""
-    spec, alpha = base_spec(module.norm)
+    spec, alpha = ((module.norm.inner, module.norm.alpha)
+                   if isinstance(module.norm, Scaled) else (module.norm, Fraction(0)))
     grow = math.exp(float(alpha)) * (1 + 1e-9) + 1e-9
     r = module.rank
     if isinstance(spec, Ellipsoid):
@@ -82,7 +83,8 @@ def _oracle_box(module, radius=1):
 
 def _oracle_membership(module, strict, radius=1):
     """The test v -> ||v|| < radius (strict) or ||v|| <= radius, exactly."""
-    spec, alpha = base_spec(module.norm)
+    spec, alpha = ((module.norm.inner, module.norm.alpha)
+                   if isinstance(module.norm, Scaled) else (module.norm, Fraction(0)))
     radius = Fraction(radius)
     if isinstance(spec, Ellipsoid):
         data, limit, power = spec.gram, radius ** 2, 2 * alpha

@@ -7,6 +7,8 @@ import math
 
 import pytest
 
+from latmin import ledger as ledger_module
+from latmin.cli import main
 from latmin.errors import ConfigError, InfeasibleLedger, PreconditionViolated
 from latmin.ledger import (ArithmeticContext, Ledger, LedgerStep,
                            asymptotic_margin_per_d, c_constant, chi_ok,
@@ -76,9 +78,8 @@ def test_derived_intersections_frozen_example():
 
 
 def test_infeasible_ledger_raises():
-    bad = Ledger(2, 1, (LedgerStep(4, 3, 3.0, 0.0),), 20.0, "positive-genus")
     with pytest.raises(InfeasibleLedger):
-        derived_intersections(bad)
+        Ledger(2, 1, (LedgerStep(4, 3, 3.0, 0.0),), 20.0, "positive-genus")
 
 
 def test_onestep_chain_frozen_example():
@@ -229,3 +230,80 @@ def test_positive_genus_rank_never_exceeds_degree():
         assert all(s.r <= s.d for s in led.steps)
         assert (sum(s.r * s.c for s in led.steps)
                 <= sum(s.d * s.c for s in led.steps) + 1e-12)
+
+
+def test_inadmissible_ledgers_raise_when_made():
+    steps = (LedgerStep(4, 3, 3.0, 0.0),)  # L'_0^2 = 20 - 24 < 0
+    with pytest.raises(InfeasibleLedger, match=r"L'_0\^2 = -4.0 < 0"):
+        Ledger(2, 1, steps, 20.0, "positive-genus")
+    with pytest.raises(InfeasibleLedger, match=r"L_1\^2 = -1.0 < 0"):
+        Ledger(2, 1, (LedgerStep(4, 3, 1.0, 13.0),), 20.0, "positive-genus")
+    with pytest.raises(ConfigError, match="d_0 must be a multiple of kappa"):
+        Ledger(2, 2, (LedgerStep(5, 3, 1.0, 2.0),), 20.0, "positive-genus")
+    with pytest.raises(PreconditionViolated, match="needs g >= 1"):
+        Ledger(0, 1, (LedgerStep(4, 3, 1.0, 2.0),), 20.0, "positive-genus")
+    # several faults: the one theorem_chain_check met first is reported
+    with pytest.raises(InfeasibleLedger):
+        Ledger(0, 2, (LedgerStep(5, 3, 3.0, 0.0),), 20.0, "positive-genus")
+    with pytest.raises(ConfigError, match="multiple of kappa"):
+        Ledger(0, 2, (LedgerStep(5, 3, 1.0, 2.0),), 20.0, "positive-genus")
+    with pytest.raises(PreconditionViolated):
+        ledger_from_json(dict(sample_ledger().to_json(), g=0))
+
+
+def test_derived_intersections_hands_out_copies():
+    led = sample_ledger()
+    l2, l2p = derived_intersections(led)
+    l2.append(-1.0)
+    l2p[0] = -1.0
+    assert derived_intersections(led) == ([20.0, 10.0], [12.0, 10.0])
+    assert onestep_chain(led, 0)[0].lhs == pytest.approx(20.0)
+
+
+def test_checks_read_the_ledger_without_deriving(monkeypatch):
+    led = sample_ledger()
+    want = (theorem_chain_check(led), sum_ci_bound(led), onestep_chain(led, 1))
+
+    def fail(_):
+        raise AssertionError("checked or derived again")
+
+    monkeypatch.setattr(ledger_module, "derived_intersections", fail)
+    assert (theorem_chain_check(led), sum_ci_bound(led),
+            onestep_chain(led, 1)) == want
+    ctx = ArithmeticContext(g=2, kappa=1, eps=1, absD=1.0, r1=1, r2=0,
+                            omega2=12.0, delta=0.0, gamma=0.0)
+    monkeypatch.setattr(ArithmeticContext, "validate", fail)
+    assert corollary_e(ctx).holds_omega  # validated once, when made
+
+
+def test_simulate_derives_each_ledger_once(monkeypatch, capsys):
+    calls = {"validate": 0, "derived": 0}
+    validate, derived = Ledger.validate, ledger_module.derived_intersections
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(Ledger, "validate", counted("validate", validate))
+    monkeypatch.setattr(ledger_module, "derived_intersections",
+                        counted("derived", derived))
+    assert main(["ledger", "simulate", "--mode", "positive-genus",
+                 "--trials", "40", "--seed", "7"]) == 0
+    capsys.readouterr()
+    assert calls == {"validate": 40, "derived": 0}
+
+
+def test_theorem_d_and_sweep_state_their_constants_once(monkeypatch):
+    margin = asymptotic_margin_per_d()
+    before = {r.name: r for r in verify_constant_chain(20, 3)}
+    monkeypatch.setattr(ledger_module, "C_D", 24)
+    assert abs(asymptotic_margin_per_d() - (margin - 1.0)) < 1e-12
+    after = {r.name: r for r in verify_constant_chain(20, 3)}
+    assert after["chain-absorb-4cprime"].lhs > before["chain-absorb-4cprime"].lhs
+    assert after["chain-absorb-12cprime"] == before["chain-absorb-12cprime"]
+    monkeypatch.setattr(ledger_module, "theorem_c_bound", lambda *a: a)
+    assert theorem_d_bound(3, 2, 1, 12.0) == (4, 2, 1, 12.0)
+    with pytest.raises(PreconditionViolated, match="omega2 >= 0"):
+        theorem_d_bound(3, 2, 1, -1.0)  # D's own checks come first

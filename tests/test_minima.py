@@ -12,7 +12,7 @@ from latmin.linalg import span_rank
 from latmin.minima import (ball_volume, euler_characteristic,
                            log_unit_ball_volume, successive_minima)
 from latmin.norms import (compile_norm, make_ellipsoid, make_normed_module,
-                          make_polymax, twist)
+                          make_polymax, norm_eval, twist)
 
 
 def euclid(rank):
@@ -98,6 +98,16 @@ def test_twist_scales_volume():
     v0 = ball_volume(m)
     v1 = ball_volume(twist(m, a))
     assert v1.log_value == pytest.approx(v0.log_value + 2 * float(a))
+
+
+def test_volumes_and_norms_past_the_double_range_are_inf():
+    disk = twist(euclid(2), 400)  # vol = pi e^800
+    vol = ball_volume(disk)
+    assert vol.value == math.inf
+    assert vol.log_value == pytest.approx(math.log(math.pi) + 800)
+    assert ball_volume(twist(box_module(), 400)).value == math.inf
+    assert norm_eval(twist(euclid(2), -800), (1, 0)).to_float() == math.inf
+    assert successive_minima(twist(euclid(1), -800)).lambdas == (math.inf,)
 
 
 def test_truncated_cube_volume_exact():
