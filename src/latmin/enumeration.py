@@ -1,26 +1,25 @@
 """Exact enumeration of effective sections.
 
-The ball of radius t is walked depth first, x_0 outermost, over the
-module's compiled norm (``norms.CompiledNorm``).  Each level admits only
-the integers x_i that can still finish with an integer key at most
-cap = max(k_in, k_out - 1), where (k_in, k_out) is the integer acceptance
-window for t: exact ranges from the integer LDL^T chain for ellipsoids
-(Fincke & Pohst, Math. Comp. 44, 1985), and per-row intervals for PolyMax
-norms.  Keys at most k_in are inside; only keys inside the window's gap
-(twisted norms, near the boundary) need the exact e^alpha comparison.  The
-enclosing box is still what the budget is charged on, and it clips every
-level.
+Each threshold becomes one integer first: ``CompiledNorm.cap(t)`` is the
+largest key K with ||v|| <= t exactly when key(v) <= K, and the strict
+ball {||v|| < t} has its own cap.  The lattice vectors with key at most K
+are walked depth first, x_0 outermost, over the module's compiled norm
+(``norms.CompiledNorm``): each level admits only the integers x_i that can
+still finish with a key at most K, exact ranges from the integer LDL^T
+chain for ellipsoids (Fincke & Pohst, Math. Comp. 44, 1985), and per-row
+intervals for PolyMax norms.  Every vector the walk reaches is kept.  The
+enclosing box of the cap clips every level and is what the budget is
+charged on.
 
 The key-sorted closed unit ball is the one list behind every count: the
-strict set {||v|| < 1} is its prefix below the sphere, found by bisection
-on the keys.
+strict set {||v|| < 1} is its prefix up to the strict cap.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-from bisect import bisect_left
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -33,15 +32,16 @@ DEFAULT_BUDGET = 10 ** 8
 ONE = Fraction(1)
 
 
-def enclosing_box(norm: NormSpec, radius=1) -> List[int]:
-    """Per-coordinate integer bounds B_k with ||x|| <= radius => |x_k| <= B_k."""
-    return compile_norm(norm).box(radius)
+def enclosing_box(norm: NormSpec) -> List[int]:
+    """Per-coordinate integer bounds B_k with ||x|| <= 1 => |x_k| <= B_k: the
+    box of the window's upper key, at least the cap, found with no ``cmp``."""
+    compiled = compile_norm(norm)
+    k_in, k_out = compiled.window(ONE)
+    return compiled.box(max(k_in, k_out - 1))
 
 
 def _check_budget(bounds: List[int], budget: int) -> None:
-    predicted = 1
-    for b in bounds:
-        predicted *= 2 * b + 1
+    predicted = math.prod(2 * b + 1 for b in bounds)
     if predicted > budget:
         raise EnumerationBudgetExceeded(predicted, budget)
 
@@ -131,36 +131,34 @@ def _polymax_walk(compiled: CompiledNorm, cap: int, bounds: List[int]):
 # Over the corpus (verify --max-rank 5 --trials 6, seeds 0-17) at most 3
 # other lists are used between two uses of one list; 32 leaves a wide margin.
 @lru_cache(maxsize=32)
-def vectors_with_keys(module: NormedModule, radius: Fraction,
+def vectors_with_keys(module: NormedModule, cap: int,
                       budget: int = DEFAULT_BUDGET) -> Tuple[CompiledNorm, list]:
-    """All lattice vectors with norm <= radius, as (key, vector) pairs.
+    """All lattice vectors with key <= cap, as (key, vector) pairs.
 
-    The budget is charged on the enclosing box; the walk visits only the
-    vectors with key <= cap = max(k_in, k_out - 1), and those with a key in
-    (k_in, cap] are decided by the exact comparator.  The list is sorted by
+    The budget is charged on the box of the cap.  The list is sorted by
     (key, vector) so downstream consumers are deterministic regardless of
     enumeration order.
     """
     compiled = compile_norm(module.norm)
-    bounds = compiled.box(radius)
+    bounds = compiled.box(cap)
     _check_budget(bounds, budget)
-    k_in, k_out = compiled.window(radius)
     walk = _ellipsoid_walk if compiled.squared else _polymax_walk
     # rank 0: the zero vector, key 0, is the only lattice vector
-    pairs = walk(compiled, max(k_in, k_out - 1), bounds) if bounds else [(0, ())]
-    out = [(key, v) for key, v in pairs
-           if key <= k_in or compiled.cmp(key, radius) <= 0]
-    out.sort()
-    return compiled, out
+    return compiled, sorted(walk(compiled, cap, bounds)) if bounds else [(0, ())]
+
+
+def unit_ball(module: NormedModule,
+              budget: int = DEFAULT_BUDGET) -> Tuple[CompiledNorm, list]:
+    """The key-sorted closed unit ball; the budget is charged on the
+    enclosing box first, so a huge twist never bisects its window's gap."""
+    _check_budget(enclosing_box(module.norm), budget)
+    compiled = compile_norm(module.norm)
+    return vectors_with_keys(module, compiled.cap(ONE), budget)
 
 
 def _strict_end(compiled: CompiledNorm, pairs: list) -> int:
-    """Length of the prefix of the closed unit ball with ||v|| < 1.
-
-    ``cmp`` is monotone in the key and the list is key-sorted, so the first
-    pair on or outside the sphere is found in O(log n) comparisons.
-    """
-    return bisect_left(pairs, 0, key=lambda pair: compiled.cmp(pair[0], ONE))
+    """Length of the prefix of the closed unit ball with ||v|| < 1."""
+    return bisect_right(pairs, compiled.cap(ONE, True), key=operator.itemgetter(0))
 
 
 @dataclass(frozen=True)
@@ -178,25 +176,25 @@ def _section_set(pairs: list, kind: str) -> SectionSet:
 
 def effective_sections(module: NormedModule, budget: int = DEFAULT_BUDGET) -> SectionSet:
     """{v in Z^r : ||v|| <= 1}, exactly."""
-    _, pairs = vectors_with_keys(module, ONE, budget)
+    _, pairs = unit_ball(module, budget)
     return _section_set(pairs, "closed")
 
 
 def strictly_effective_sections(module: NormedModule,
                                 budget: int = DEFAULT_BUDGET) -> SectionSet:
     """{v in Z^r : ||v|| < 1}, exactly: a prefix of the closed-ball list."""
-    compiled, pairs = vectors_with_keys(module, ONE, budget)
+    compiled, pairs = unit_ball(module, budget)
     return _section_set(pairs[:_strict_end(compiled, pairs)], "open")
 
 
 def h0_hat(module: NormedModule, budget: int = DEFAULT_BUDGET) -> float:
     """log # {v : ||v|| <= 1}."""
-    return math.log(len(vectors_with_keys(module, ONE, budget)[1]))
+    return math.log(len(unit_ball(module, budget)[1]))
 
 
 def h0_hat_sef(module: NormedModule, budget: int = DEFAULT_BUDGET) -> float:
     """log # {v : ||v|| < 1}."""
-    return math.log(_strict_end(*vectors_with_keys(module, ONE, budget)))
+    return math.log(_strict_end(*unit_ball(module, budget)))
 
 
 __all__ = [
@@ -207,5 +205,6 @@ __all__ = [
     "enclosing_box",
     "h0_hat",
     "h0_hat_sef",
+    "unit_ball",
     "vectors_with_keys",
 ]

@@ -16,7 +16,7 @@ from dataclasses import dataclass, asdict
 from fractions import Fraction
 from typing import List, Sequence, Tuple
 
-from .enumeration import DEFAULT_BUDGET, h0_hat, h0_hat_sef, vectors_with_keys
+from .enumeration import DEFAULT_BUDGET, h0_hat, h0_hat_sef, unit_ball
 from .errors import ConfigError, EnumerationBudgetExceeded
 from .linalg import span_rank
 from .minima import euler_characteristic, successive_minima
@@ -99,7 +99,7 @@ def check_filtration(module: NormedModule, alphas: Sequence,
     digest = module.digest()
     ranks = []
     for a in alphas:
-        _, pairs = vectors_with_keys(twist(module, -a), Fraction(1), budget)
+        _, pairs = unit_ball(twist(module, -a), budget)
         ranks.append(span_rank(v for _, v in pairs))
     r0 = ranks[0]
     h0 = h0_hat(module, budget)

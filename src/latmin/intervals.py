@@ -79,15 +79,3 @@ def exp_float(x: float) -> float:
     except OverflowError:
         return math.inf
 
-
-def frac_sqrt_bounds(f: Fraction) -> tuple[Fraction, Fraction]:
-    """Rational (lo, hi) with lo <= sqrt(f) <= hi for f >= 0."""
-    if f < 0:
-        raise ValueError("negative argument")
-    p, q = f.numerator, f.denominator
-    # sqrt(p/q) = sqrt(p*q)/q; bracket the integer square root at high scale
-    scale = 1 << 64
-    n = p * q * scale * scale
-    root = math.isqrt(n)
-    return Fraction(root, q * scale), Fraction(root + 1, q * scale)
-

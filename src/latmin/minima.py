@@ -1,14 +1,15 @@
 """Successive minima, unit-ball volumes, and the Euler characteristic.
 
-Minima are found by exhaustive enumeration: grow the search radius
-geometrically until the enumerated vectors span the full rank.  At each
-radius one span pass over the canonical nonzero vectors of the key-sorted
-ball list (at radius 1 the list whose prefix below the sphere is the strict
-section set) decides that and picks the rank-increasing vectors as
-witnesses; the exact parts of each minimum are read off the compiled norm
-(``norms.CompiledNorm``).  Volumes are exact: a closed form for ellipsoids,
-and Lasserre's facet recursion in rational arithmetic for every PolyMax ball
-(Lasserre, J. Optim. Theory Appl. 39, 1983).
+Minima are found by exhaustive enumeration over a ladder of integer key
+caps (``norms.CompiledNorm``): from the cap of radius 1, whose list the
+counts share, or from the ceiling, the largest key of a unit vector, when
+the unit ball already reaches it; the ceiling's ball spans, so no rung
+passes it, and the minima of a twist do not depend on the size of e^alpha.
+One span pass over the canonical nonzero vectors of each key-sorted list
+picks the rank-increasing vectors as witnesses; the exact parts of each
+minimum are read off the compiled norm.  Volumes are exact: a closed form
+for ellipsoids, and Lasserre's facet recursion in rational arithmetic for
+every PolyMax ball (Lasserre, J. Optim. Theory Appl. 39, 1983).
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .enumeration import DEFAULT_BUDGET, vectors_with_keys
+from .enumeration import DEFAULT_BUDGET, ONE, vectors_with_keys
 from .errors import PreconditionViolated
 from .intervals import exp_float
 from .linalg import IncrementalSpan
@@ -47,16 +48,19 @@ def successive_minima(module: NormedModule, budget: int = DEFAULT_BUDGET) -> Min
     r = module.rank
     if r < 1:
         raise PreconditionViolated("successive minima need rank >= 1")
-    radius, span = Fraction(1), IncrementalSpan()
+    compiled, span = compile_norm(module.norm), IncrementalSpan()
+    ceiling = max(compiled.key([int(i == k) for i in range(r)]) for k in range(r))
+    cap = ceiling if compiled.window(ONE)[0] >= ceiling else compiled.cap(ONE)
     while span.rank < r:
-        compiled, pairs = vectors_with_keys(module, radius, budget)
+        _, pairs = vectors_with_keys(module, cap, budget)
         span, found = IncrementalSpan(), []
         for key, vec in pairs:
             if _canonical(vec) and span.add(vec):
                 found.append((key, vec))
                 if span.rank == r:
                     break
-        radius *= 2
+        # radius doubling, in keys: a key scales as t^2 (Ellipsoid) or t
+        cap = min(ceiling, max(1, (4 if compiled.squared else 2) * cap))
 
     keys = [k for k, _ in found]
     witnesses = tuple(v for _, v in found)

@@ -13,8 +13,8 @@ twists accumulate additively in alpha and nested Scaled specs are flattened.
 
 This is the only module that knows how a norm is represented.  Everything
 else evaluates norms through ``compile_norm(spec)``, a cached
-``CompiledNorm``: integer keys, one exact comparator, the integer acceptance
-window and box for a radius, log norms, the integer LDL^T chain of an
+``CompiledNorm``: integer keys, one exact comparator, the integer key cap of
+a radius and the box of a cap, log norms, the integer LDL^T chain of an
 Ellipsoid that enumeration prunes with, a PolyMax basis with its inverse,
 and the determinant of the gram or of the basis.
 ``linalg`` computes the chain, the box and the basis in integer arithmetic.
@@ -34,8 +34,7 @@ from functools import lru_cache
 from typing import List, Sequence, Tuple, Union
 
 from .errors import ConfigError, DimensionMismatch, InvalidNorm, UnboundedBall
-from .intervals import (compare_exp, exp_float, exp_interval, exp_upper,
-                        frac_sqrt_bounds)
+from .intervals import compare_exp, exp_float, exp_interval
 from .linalg import determinant, independent_rows, invert, ldl_chain
 
 
@@ -123,6 +122,13 @@ def make_scaled(inner: NormSpec, alpha) -> NormSpec:
     return Scaled(inner, alpha)
 
 
+def _root(n: int) -> int:
+    """isqrt(n), or past 2^256 an upper bound from the top 256 bits (isqrt
+    is quadratic in the bit length, and a larger box is still sound)."""
+    shift = max(0, n.bit_length() - 256) // 2
+    return (math.isqrt(n >> 2 * shift) + (shift > 0)) << shift
+
+
 class CompiledNorm:
     """A norm spec compiled to integer data, built once per spec.
 
@@ -130,8 +136,8 @@ class CompiledNorm:
     or G' = den * G (Ellipsoid gram) is integer, and every vector v gets the
     key max_j |A'_j . v| or v^T G' v.  Then norm(v) = e^{-alpha} * key/den
     or e^{-alpha} * sqrt(key/den), so ``norm(v) <= t`` compares key/den with
-    t (or t^2) times e^scale, scale = alpha (or 2 alpha): an integer test
-    against a certified 128-bit window on e^scale, refined exactly inside it.
+    t (or t^2) times e^scale, scale = alpha (or 2 alpha): once per threshold,
+    as ``cap(t)``, the integer K with norm(v) <= t exactly when key(v) <= K.
     """
 
     def __init__(self, spec: Union[Ellipsoid, PolyMax]):
@@ -146,7 +152,7 @@ class CompiledNorm:
                               else "functionals have inconsistent lengths")
         self.den = math.lcm(*(x.denominator for row in self.data for x in row))
         self.int_rows = [[int(x * self.den) for x in row] for row in self.data]
-        # rational bounds on |x_k| over the real unit ball
+        # box_ratios f_k: key(x) <= cap bounds |x_k| by sqrt(cap f_k) or cap f_k
         if self.squared:
             if any(self.data[i][j] != self.data[j][i]
                    for i in range(n) for j in range(i)):
@@ -157,31 +163,29 @@ class CompiledNorm:
             if len(self.chain) < n or any(a <= 0 for a, _, _ in self.chain):
                 raise InvalidNorm("gram matrix is not positive definite")
             self.det = Fraction(self.chain[0][0] if n else 1, self.den ** n)
-            # (G^-1)_kk = det G[~k, ~k] / det G: the box needs only the diagonal
-            bounds = []
-            for k in range(n):
-                minor = [r[:k] + r[k + 1:] for i, r in enumerate(self.data) if i != k]
-                bounds.append(frac_sqrt_bounds(determinant(minor) / self.det)[1])
+            # (G'^-1)_kk = det G'[~k, ~k] / det G': only the diagonal is needed
+            minors = ([r[:k] + r[k + 1:] for i, r in enumerate(self.int_rows) if i != k]
+                      for k in range(n))
+            self.box_ratios = [determinant(m) / self.chain[0][0] for m in minors]
         else:
-            # r independent functionals A0 with y = A0 x: |y_i| <= 1 on the
-            # ball, so |x_k| is at most the row sums of A0^{-1}
+            # r independent functionals A0 with y = A0 x: |y_i| <= cap/den on
+            # the ball, so |x_k| is at most that times the row sums of |A0^{-1}|
             self.basis = independent_rows(self.data, n)
             if len(self.basis) < n:
                 raise UnboundedBall("functionals do not span R^r; unit ball unbounded")
             rows = [self.data[i] for i in self.basis]
             self.det = determinant(rows)
             self.basis_inverse = invert(rows)
-            bounds = [sum(map(abs, row)) for row in self.basis_inverse]
-        self._scale(Fraction(0), bounds)
+            self.box_ratios = [sum(map(abs, row)) / self.den
+                               for row in self.basis_inverse]
+        self._scale(Fraction(0))
 
-    def _scale(self, alpha: Fraction, bounds) -> None:
-        """Set the twist alpha: the e^scale window and the scaled unit bounds."""
+    def _scale(self, alpha: Fraction) -> None:
+        """Set the twist alpha and the certified window on e^scale."""
         self.alpha = alpha
         self.scale = 2 * alpha if self.squared else alpha
         # certified enclosure of e^scale; exact for an untwisted norm
         self.exp_window = exp_interval(self.scale, 128) if self.scale else (1, 1)
-        factor = exp_upper(alpha)
-        self.unit_bounds = [b * factor for b in bounds]
 
     def key(self, v):
         """Key of an int, Fraction or float vector (exact for the first two)."""
@@ -221,6 +225,18 @@ class CompiledNorm:
         blo, bhi = bound * lo, bound * hi
         return blo.numerator // blo.denominator, -(-bhi.numerator // bhi.denominator)
 
+    def cap(self, t: Fraction, strict: bool = False) -> int:
+        """The largest key K with norm(v) <= t (< t if strict) iff key(v) <= K,
+        for t > 0.  Only an untwisted sphere meets an integer key, k_in = k_out;
+        else k_in is inside, k_out outside, and ``cmp`` is bisected between."""
+        lo, hi = self.window(t)
+        if lo == hi:
+            return lo - strict
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (mid, hi) if self.cmp(mid, t) < 0 else (lo, mid)
+        return lo
+
     def log(self, key) -> float:
         """Natural log of the norm of a vector with this key (-inf at 0)."""
         if key == 0:
@@ -230,9 +246,10 @@ class CompiledNorm:
             base /= 2
         return base - float(self.alpha)
 
-    def box(self, radius=1) -> List[int]:
-        """Integer bounds B_k with ||x|| <= radius => |x_k| <= B_k."""
-        return [int(b * radius) for b in self.unit_bounds]
+    def box(self, cap: int) -> List[int]:
+        """Integer bounds B_k with key(x) <= cap => |x_k| <= B_k."""
+        bounds = [cap * f.numerator // f.denominator for f in self.box_ratios]
+        return list(map(_root, bounds)) if self.squared else bounds
 
 
 @lru_cache(maxsize=2048)
@@ -243,7 +260,7 @@ def compile_norm(norm: NormSpec) -> CompiledNorm:
         return CompiledNorm(norm)
     base = compile_norm(norm.inner)
     compiled = copy.copy(base)
-    compiled._scale(norm.alpha, base.unit_bounds)
+    compiled._scale(norm.alpha)
     return compiled
 
 
@@ -253,15 +270,6 @@ class NormValue:
 
     norm: CompiledNorm
     key: Union[int, Fraction]
-
-    @property
-    def q(self) -> Fraction:
-        """key/den: the norm (PolyMax) or norm-square (Ellipsoid), untwisted."""
-        return Fraction(self.key, self.norm.den)
-
-    @property
-    def squared(self) -> bool:
-        return self.norm.squared
 
     def le(self, threshold) -> bool:
         """Decide norm <= threshold exactly."""

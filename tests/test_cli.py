@@ -300,6 +300,33 @@ def test_large_twist_minima_print_inf(capsys, tmp_path):
         {"alpha": "-2000/1", "key": 1, "den": 1, "squared": True}] * 2
 
 
+def test_huge_twist_count_exits_3(capsys, tmp_path):
+    path = tmp_path / "twist.json"
+    # the cap has about 2.9 * 10^7 bits: the box is rooted from its top 256
+    # bits, where an exact isqrt would take seconds per coordinate
+    path.write_text(json.dumps(_scaled("10000000", DISK_NORM)))
+    code, doc = run_main(capsys, ["count", "--module", str(path)])
+    assert code == 3
+    assert doc["error"]["message"].startswith("predicted at least 2^")
+
+
+@pytest.mark.parametrize("alpha, inner, witnesses", [
+    ("10", DISK_NORM, [[0, 1], [1, 0]]),
+    ("5000", DISK_NORM, [[0, 1], [1, 0]]),
+    ("2000", HEXAGON_INNER, [[0, 1], [1, -1]]),
+])
+def test_large_twist_minima_start_at_the_ceiling(capsys, tmp_path, alpha, inner,
+                                                 witnesses):
+    """The unit ball holds about e^(2 alpha) points, but the ball of the
+    ceiling key 1 already spans: minima are those of e^-alpha times Z^2."""
+    path = tmp_path / "twist.json"
+    path.write_text(json.dumps(_scaled(alpha, inner)))
+    code, doc = run_main(capsys, ["minima", "--module", str(path)])
+    assert code == 0
+    assert doc["report"]["mus"] == [alpha, alpha]
+    assert doc["report"]["witnesses"] == witnesses
+
+
 def test_large_twist_chi_is_finite(capsys, tmp_path):
     path = tmp_path / "twist.json"
     # vol = 3 e^4000 is past the double range; its log is not

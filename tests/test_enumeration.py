@@ -209,8 +209,9 @@ def test_oracle_agrees_on_twisted_ellipsoid():
 
 # --- the pruned walk at every radius ---------------------------------------
 
-# successive_minima enumerates at radii 1, 2, 4, ...; 1/3 leaves only a few
-# points, or only 0
+# the walk runs at the key cap of each radius: successive_minima climbs
+# from the cap of radius 1 by radius doubling; 1/3 leaves only a few points,
+# or only 0
 RADII = (Fraction(1, 3), Fraction(1), Fraction(2), Fraction(4))
 # largest unit-ball half-width per rank: the oracle box at radius 4 stays
 # below about 10^5 candidates
@@ -268,10 +269,17 @@ def hand_built_modules():
 
 
 def assert_walk_matches_oracle(module, radius):
-    compiled, pairs = vectors_with_keys(module, radius)
+    """The walk at the cap of a radius lists the oracle's closed ball, and
+    the strict cap cuts the oracle's open ball out of it."""
+    compiled, pairs = vectors_with_keys(module, compile_norm(module.norm).cap(radius))
     assert pairs == sorted(pairs)
-    assert sorted(v for _, v in pairs) == oracle_sections(module, radius=radius)
+    closed = oracle_sections(module, radius=radius)
+    assert sorted(v for _, v in pairs) == closed
     assert all(key == compiled.key(v) for key, v in pairs)
+    inside = _oracle_membership(module, True, radius)
+    strict_cap = compiled.cap(radius, strict=True)
+    assert sorted(v for key, v in pairs if key <= strict_cap) == [
+        v for v in closed if inside(v)]
 
 
 @pytest.mark.parametrize("radius", RADII, ids=str)
@@ -292,7 +300,7 @@ def test_walk_matches_oracle_on_hand_built_modules(index, radius):
 def test_rank_zero_walk(radius):
     for spec in (make_ellipsoid([]), make_polymax([[]])):
         m = make_normed_module(0, spec)
-        assert vectors_with_keys(m, radius)[1] == [(0, ())]
+        assert vectors_with_keys(m, compile_norm(m.norm).cap(radius))[1] == [(0, ())]
 
 
 def _e_convergent(bits, below):
@@ -326,8 +334,23 @@ def test_keys_inside_the_exp_window_are_decided_exactly(family, below):
     k_in, k_out = compiled.window(Fraction(1))
     assert k_in < compiled.key((1,)) < k_out
     expected = [(0,), (-1,), (1,)] if below else [(0,)]
-    assert [v for _, v in vectors_with_keys(m, Fraction(1))[1]] == expected
+    assert compiled.cap(Fraction(1)) == compiled.key((1,)) - (not below)
+    assert [v for _, v in vectors_with_keys(m, compiled.cap(Fraction(1)))[1]] == expected
     assert strictly_effective_sections(m).count == len(expected)
+
+
+def test_cap_is_exact_at_ties():
+    """An untwisted sphere through an integer key puts the strict cap one
+    below the closed one; a twisted sphere meets no key, and they agree."""
+    disk = compile_norm(euclid(2).norm)
+    assert (disk.cap(Fraction(1)), disk.cap(Fraction(1), strict=True)) == (1, 0)
+    assert (disk.cap(Fraction(3, 2)), disk.cap(Fraction(3, 2), strict=True)) == (2, 2)
+    quarter = compile_norm(make_polymax([["1/4", 0], [0, 1]]))  # den 4
+    assert (quarter.cap(Fraction(1)), quarter.cap(Fraction(1), strict=True)) == (4, 3)
+    # ||v||^2 = e^(-2/3) key: e^(2/3) = 1.947..., 4 e^(2/3) = 7.79...
+    twisted = compile_norm(twist(euclid(2), Fraction(1, 3)).norm)
+    for t, cap in ((Fraction(1), 1), (Fraction(2), 7)):
+        assert twisted.cap(t) == twisted.cap(t, strict=True) == cap
 
 
 def _box_size(module):

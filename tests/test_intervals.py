@@ -4,8 +4,7 @@ from fractions import Fraction
 
 import mpmath
 
-from latmin.intervals import (compare_exp, exp_interval, exp_upper,
-                              frac_sqrt_bounds)
+from latmin.intervals import compare_exp, exp_interval, exp_upper
 
 
 def _mpf(f: Fraction):
@@ -57,9 +56,3 @@ def test_exp_upper_dominates():
     assert exp_upper(Fraction(0)) == 1
     assert exp_upper(Fraction(1)) > Fraction(271, 100)
 
-
-def test_frac_sqrt_bounds_bracket():
-    for f in [Fraction(2), Fraction(9), Fraction(5, 7)]:
-        lo, hi = frac_sqrt_bounds(f)
-        assert lo * lo <= f <= hi * hi
-        assert hi - lo < Fraction(1, 1 << 60)

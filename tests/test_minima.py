@@ -6,13 +6,17 @@ from fractions import Fraction
 
 import pytest
 
+from latmin import minima
 from latmin.errors import PreconditionViolated
 from latmin.inequalities import SuiteConfig, random_module
 from latmin.linalg import span_rank
 from latmin.minima import (ball_volume, euler_characteristic,
                            log_unit_ball_volume, successive_minima)
-from latmin.norms import (compile_norm, make_ellipsoid, make_normed_module,
-                          make_polymax, norm_eval, twist)
+from latmin.norms import (Ellipsoid, Scaled, compile_norm, make_ellipsoid,
+                          make_normed_module, make_polymax, norm_eval, twist)
+from test_enumeration import (_oracle_invert, hand_built_modules, oracle_sections,
+                              shaped_module)
+from test_linalg import _oracle_independent
 
 
 def euclid(rank):
@@ -54,6 +58,69 @@ def test_twist_shifts_minima_additively():
         assert al1 - al0 == a  # mu_i increases by exactly alpha
     for m0, m1 in zip(plain.mus, twisted.mus):
         assert m1 == pytest.approx(m0 + float(a))
+
+
+def _oracle_minima(module):
+    """Witnesses and untwisted key values key/den of the successive minima:
+    the greedy choice, by (value, vector), of canonical rank-increasing
+    vectors in the oracle's ball of a radius that holds every e_k."""
+    spec = module.norm.inner if isinstance(module.norm, Scaled) else module.norm
+    alpha, r = getattr(module.norm, "alpha", Fraction(0)), module.rank
+    if isinstance(spec, Ellipsoid):
+        def value(v):
+            return sum(x * g * y for x, row in zip(v, spec.gram) for g, y in zip(row, v))
+        reach = max(math.sqrt(spec.gram[k][k]) for k in range(r))
+    else:
+        def value(v):
+            return max(abs(sum(a * x for a, x in zip(row, v))) for row in spec.functionals)
+        reach = max(abs(row[k]) for row in spec.functionals for k in range(r))
+    radius = Fraction(math.ceil(math.exp(-float(alpha)) * reach * 64) + 1, 64)
+    chosen = []
+    for v in sorted(oracle_sections(module, radius=radius), key=lambda v: (value(v), v)):
+        # v > 0 lexicographically: nonzero, first nonzero entry positive
+        if v > (0,) * r and _oracle_independent(chosen + [v]):
+            chosen.append(v)
+    return chosen, [value(v) for v in chosen]
+
+
+def _record_caps(monkeypatch):
+    """The cap of every list successive_minima asks for, in order."""
+    caps, listed = [], minima.vectors_with_keys
+    monkeypatch.setattr(minima, "vectors_with_keys", lambda module, cap, budget: (
+        caps.append(cap) or listed(module, cap, budget)))
+    return caps
+
+
+def _minima_modules():
+    modules = [shaped_module(rank, family, twisted) for rank in range(1, 5)
+               for family in ("ellipsoid", "polymax") for twisted in (False, True)]
+    return modules + hand_built_modules() + [box_module(), twist(euclid(2), 3)]
+
+
+@pytest.mark.parametrize("index", range(26))
+def test_minima_match_the_oracle(monkeypatch, index):
+    """Same witnesses and values as the oracle, from lists whose caps never
+    pass the ceiling, the largest key of a unit vector."""
+    module = _minima_modules()[index]
+    caps = _record_caps(monkeypatch)
+    rep = successive_minima.__wrapped__(module)
+    compiled, r = compile_norm(module.norm), module.rank
+    assert max(caps) <= max(compiled.key([int(i == k) for i in range(r)])
+                            for k in range(r))
+    witnesses, values = _oracle_minima(module)
+    assert list(rep.witnesses) == witnesses
+    assert [Fraction(k, den) for _, k, den, _ in rep.mu_parts] == values
+
+
+@pytest.mark.parametrize("alpha, most", [(-2000, 3), (10, 1), (5000, 1)])
+def test_twisted_minima_take_few_rungs(monkeypatch, alpha, most):
+    """The ladder climbs from the unit ball's cap (0 for alpha = -2000) and
+    never past the ceiling, the key 1 of e_k here, whatever e^alpha is."""
+    caps = _record_caps(monkeypatch)
+    rep = successive_minima.__wrapped__(twist(euclid(2), alpha))
+    assert len(caps) <= most and caps[-1] == 1
+    assert rep.witnesses == ((0, 1), (1, 0))
+    assert rep.mus == (float(alpha), float(alpha))
 
 
 def test_minima_need_positive_rank():
@@ -181,10 +248,14 @@ def test_polytope_volume_invariances(seed):
 
 def monte_carlo_volume(module, samples, seed):
     """Seeded rejection-sampling estimate (value, stderr) of vol B(module):
-    an independent oracle for the exact volume, testing points of the
-    enclosing box with the compiled norm's key."""
+    an independent oracle for the exact volume, testing points of a box
+    around the real ball with the compiled norm's key.  With y = A0 x for
+    r independent rows A0, |y_i| <= e^alpha on the ball, so |x_k| is at
+    most e^alpha times the row sums of |A0^-1|."""
     compiled = compile_norm(module.norm)
-    bounds = [float(b) for b in compiled.unit_bounds]
+    rows = [compiled.data[i] for i in compiled.basis]
+    bounds = [math.exp(float(compiled.alpha)) * float(sum(map(abs, row)))
+              for row in _oracle_invert(rows)]
     limit = compiled.den * math.exp(float(compiled.scale))
     rng = random.Random(seed)
     hits = sum(compiled.key([rng.uniform(-b, b) for b in bounds]) <= limit

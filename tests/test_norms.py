@@ -7,10 +7,10 @@ from fractions import Fraction
 
 import pytest
 
-from latmin import linalg
+from latmin import linalg, norms
 from latmin.errors import DimensionMismatch, InvalidNorm, UnboundedBall
 from latmin.inequalities import SuiteConfig, random_module
-from latmin.intervals import exp_interval, exp_upper
+from latmin.intervals import exp_interval
 from latmin.norms import (Ellipsoid, Scaled, compile_norm,
                           format_rational, make_ellipsoid, make_normed_module,
                           make_polymax, module_from_json, norm_eval,
@@ -66,7 +66,7 @@ def test_twist_flattens_and_accumulates():
 def test_norm_eval_exact_values():
     m = euclid(2)
     v = norm_eval(m, (3, 4))
-    assert v.squared and v.q == 25
+    assert (v.key, v.norm.den) == (25, 1)
     assert v.le(5) and not v.lt(5)
     assert v.to_float() == pytest.approx(5.0)
     # the zero vector has norm 0, which is not <= a negative threshold
@@ -76,7 +76,7 @@ def test_norm_eval_exact_values():
 
     box = make_normed_module(2, make_polymax([["1/4", "0/1"], ["0/1", "1/1"]]))
     w = norm_eval(box, (4, 0))
-    assert not w.squared and w.q == 1
+    assert (w.key, w.norm.den) == (4, 4)  # ||(4, 0)|| = 4/4
     assert w.le(1) and not w.lt(1)
 
 
@@ -237,7 +237,30 @@ def test_twist_reuses_its_base_compile(monkeypatch):
             else:
                 assert twisted.chain is base.chain
                 assert twisted.scale == 2 * a
-            assert twisted.unit_bounds == [b * exp_upper(a) for b in base.unit_bounds]
+            # the box of a cap is the base's: the twist moves only the cap
+            assert twisted.box_ratios is base.box_ratios
+            for cap in (0, 1, 7, 10 ** 6, 10 ** 90):
+                assert twisted.box(cap) == base.box(cap)
             assert twisted.exp_window == exp_interval(twisted.scale, 128)
         assert base.alpha == 0 and base.exp_window == (1, 1)  # the base is untouched
     assert adds == []  # a twisted compile runs no elimination
+
+
+def test_box_root_is_exact_below_2_256_and_never_below_isqrt_past_it():
+    rng = random.Random(11)
+    for bits in (0, 1, 64, 255, 256, 257, 258, 300, 1000, 5000):
+        for _ in range(25):
+            n = rng.getrandbits(bits) | (1 << bits >> 1)  # bit length = bits
+            exact, root = math.isqrt(n), norms._root(n)
+            if bits <= 256:
+                assert root == exact, n
+            else:  # from the top 256 bits: relative slack about 2^-127
+                assert exact <= root <= exact + (exact >> 120) + 1, n
+    # the box of a huge cap: the exact floors of sqrt(cap (G'^-1)_kk) or more
+    compiled = compile_norm(make_ellipsoid([["5/2", "-1/3"], ["-1/3", 2]]))
+    for cap in (1, 10 ** 30, 10 ** 80, 7 ** 900):
+        exact = [math.isqrt(cap * f.numerator // f.denominator)
+                 for f in compiled.box_ratios]
+        box = compiled.box(cap)
+        assert all(e <= b for e, b in zip(exact, box))
+        assert box == exact or cap * max(compiled.box_ratios) >= 1 << 256
