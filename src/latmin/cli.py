@@ -199,7 +199,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="latmin",
                                      description="normed lattice toolkit")
     parser.add_argument("--threads", type=int, default=1,
-                        help="accepted for compatibility; has no effect yet")
+                        help="at least 1; has no effect yet")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("count", help="count effective sections")
@@ -251,6 +251,8 @@ def main(argv=None) -> int:
         return 2 if exc.code else 0
     name = getattr(args, "command", "?")
     try:
+        if args.threads < 1:
+            raise ConfigError(f"threads must be >= 1, got {args.threads}")
         return args.func(args)
     except LatminError as exc:
         return _emit_error(name, exc, exc.exit_code)

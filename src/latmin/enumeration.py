@@ -7,22 +7,24 @@ are walked depth first, x_0 outermost, over the module's compiled norm
 (``norms.CompiledNorm``): each level admits only the integers x_i that can
 still finish with a key at most K, exact ranges from the integer LDL^T
 chain for ellipsoids (Fincke & Pohst, Math. Comp. 44, 1985), and per-row
-intervals for PolyMax norms.  Every vector the walk reaches is kept.  The
-enclosing box of the cap clips every level and is what the budget is
-charged on.
+intervals for PolyMax norms.  At the innermost level that range is a
+line: every t in [lo, hi] ends in the ball.  The enclosing box of the cap
+clips every level and is what the budget is charged on.
 
-The key-sorted closed unit ball is the one list behind every count: the
-strict set {||v|| < 1} is its prefix up to the strict cap.
+A count adds hi - lo + 1 per line at the closed or the strict cap and
+lists nothing, in O(r) memory.  ``vectors_with_keys`` expands the same
+lines into a key-sorted list, for the vectors of a ``SectionSet`` (read
+on first access), the minima and the filtration ranks.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from itertools import repeat
 from typing import List, Tuple
 
 from .errors import EnumerationBudgetExceeded
@@ -46,22 +48,17 @@ def _check_budget(bounds: List[int], budget: int) -> None:
         raise EnumerationBudgetExceeded(predicted, budget)
 
 
-def _pools(bounds: List[int]) -> List[tuple]:
-    """The integers -B..B per coordinate, built once per walk, so that all
-    vectors share one int object per value (ints below -5 are not cached)."""
-    return [tuple(range(-b, b + 1)) for b in bounds]
-
-
 def _ellipsoid_walk(compiled: CompiledNorm, cap: int, bounds: List[int]):
-    """(key, v) for the v in the box with key v^T G' v <= cap, depth first.
+    """Lines (head, lo, hi, keys) of the v in the box with v^T G' v <= cap:
+    the v = head + (t,) for lo <= t <= hi, keys() their keys, depth first.
 
     x_0 is the outermost coordinate.  At level i, with P the value at
     x_{<i} of the chain (``linalg.ldl_chain``), x_i = t is admissible iff
     S_i <= cap, i.e. (a t + b)^2 <= d (a cap - P), so with s = isqrt of the
-    right side t runs over [-((b + s) // a), (s - b) // a], clipped to the box.
+    right side t runs over [-((b + s) // a), (s - b) // a], clipped to the
+    box.  At the innermost level d = 1 and the chain value is the key.
     """
-    chain, last = compiled.chain, len(bounds) - 1
-    x, pools = [0] * len(bounds), _pools(bounds)
+    chain, last, x = compiled.chain, len(bounds) - 1, [0] * len(bounds)
 
     def level(i: int, p: int):
         a, d, row = chain[i]
@@ -71,16 +68,13 @@ def _ellipsoid_walk(compiled: CompiledNorm, cap: int, bounds: List[int]):
         b = sum(map(operator.mul, row, x))
         s = math.isqrt(room)
         lo, hi = max(-((b + s) // a), -bounds[i]), min((s - b) // a, bounds[i])
-        if lo > hi:
+        if i == last:
+            if lo <= hi:
+                yield tuple(x[:i]), lo, hi, lambda: [
+                    (u * u + p) // a for u in range(a * lo + b, a * hi + b + 1, a)]
             return
-        line, base = pools[i][lo + bounds[i]:hi + bounds[i] + 1], d * p
-        if i == last:  # d = 1 and the chain value is the key
-            head = tuple(x[:i])
-            for t in line:
-                u = a * t + b
-                yield (u * u + base) // a, head + (t,)
-            return
-        for t in line:
+        base = d * p
+        for t in range(lo, hi + 1):
             u = a * t + b
             x[i] = t
             yield from level(i + 1, (u * u + base) // a)
@@ -89,18 +83,18 @@ def _ellipsoid_walk(compiled: CompiledNorm, cap: int, bounds: List[int]):
 
 
 def _polymax_walk(compiled: CompiledNorm, cap: int, bounds: List[int]):
-    """(key, v) for the v in the box with key max_j |A'_j . v| <= cap.
+    """Lines, as in ``_ellipsoid_walk``, of the v with max_j |A'_j . v| <= cap.
 
     With p_j the partial sum over x_{<i} and tail_j = sum_{l>i} |a'_jl| B_l,
     row j admits x_i = t only if |p_j + a'_ji t| <= cap + tail_j; a row with
     a'_ji = 0 prunes the branch when |p_j| exceeds that limit.  The tails
-    vanish at the innermost level, so every vector reached there is kept.
+    vanish at the innermost level, so every vector of a line is in the ball,
+    and along a line row j runs through p_j + a'_ji t, a progression in t.
     """
-    rows, r = compiled.int_rows, len(bounds)
+    rows, r, x = compiled.int_rows, len(bounds), [0] * len(bounds)
     columns = [[row[i] for row in rows] for i in range(r)]
     limits = [[cap + sum(abs(row[l]) * bounds[l] for l in range(i + 1, r))
                for row in rows] for i in range(r)]
-    x, pools = [0] * r, _pools(bounds)
 
     def level(i: int, partial: list):
         lo, hi = -bounds[i], bounds[i]
@@ -111,21 +105,27 @@ def _polymax_walk(compiled: CompiledNorm, cap: int, bounds: List[int]):
                 lo, hi = max(lo, -((lim - p) // -a)), min(hi, (lim + p) // -a)
             elif abs(p) > lim:
                 return
-        if lo > hi:
-            return
-        column, line = columns[i], pools[i][lo + bounds[i]:hi + bounds[i] + 1]
         if i == r - 1:
-            head = tuple(x[:i])
-            values = [p + a * lo for p, a in zip(partial, column)]
-            for t in line:
-                yield max(map(abs, values)), head + (t,)
-                values = list(map(operator.add, values, column))
+            if lo <= hi:
+                yield tuple(x[:i]), lo, hi, lambda: list(map(max, zip(*(
+                    map(abs, range(p + a * lo, p + a * (hi + 1), a) if a
+                        else repeat(p, hi - lo + 1))
+                    for p, a in zip(partial, columns[i])))))
             return
-        for t in line:
+        for t in range(lo, hi + 1):
             x[i] = t
-            yield from level(i + 1, [p + a * t for p, a in zip(partial, column)])
+            yield from level(i + 1, [p + a * t for p, a in zip(partial, columns[i])])
 
     yield from level(0, [0] * len(rows))
+
+
+def _lines(module: NormedModule, cap: int, budget: int):
+    """The compiled norm, the box of the cap (charged) and the walk's lines."""
+    compiled = compile_norm(module.norm)
+    bounds = compiled.box(cap)
+    _check_budget(bounds, budget)
+    walk = _ellipsoid_walk if compiled.squared else _polymax_walk
+    return compiled, bounds, walk(compiled, cap, bounds)
 
 
 # Over the corpus (verify --max-rank 5 --trials 6, seeds 0-17) at most 3
@@ -133,68 +133,81 @@ def _polymax_walk(compiled: CompiledNorm, cap: int, bounds: List[int]):
 @lru_cache(maxsize=32)
 def vectors_with_keys(module: NormedModule, cap: int,
                       budget: int = DEFAULT_BUDGET) -> Tuple[CompiledNorm, list]:
-    """All lattice vectors with key <= cap, as (key, vector) pairs.
+    """All lattice vectors with key <= cap, as (key, vector) pairs sorted so
+    that consumers are deterministic; the budget is charged on the box of
+    the cap, and the walk's lines are expanded."""
+    compiled, bounds, lines = _lines(module, cap, budget)
+    if not bounds:  # rank 0: the zero vector, key 0, is the only lattice vector
+        return compiled, [(0, ())]
+    # all vectors share one int per last coordinate (ints below -5 are not cached)
+    b = bounds[-1]
+    pool, pairs = tuple(range(-b, b + 1)), []
+    for head, lo, hi, keys in lines:
+        pairs += zip(keys(), [head + (t,) for t in pool[lo + b:hi + b + 1]])
+    pairs.sort()
+    return compiled, pairs
 
-    The budget is charged on the box of the cap.  The list is sorted by
-    (key, vector) so downstream consumers are deterministic regardless of
-    enumeration order.
-    """
-    compiled = compile_norm(module.norm)
-    bounds = compiled.box(cap)
-    _check_budget(bounds, budget)
-    walk = _ellipsoid_walk if compiled.squared else _polymax_walk
-    # rank 0: the zero vector, key 0, is the only lattice vector
-    return compiled, sorted(walk(compiled, cap, bounds)) if bounds else [(0, ())]
+
+def _unit_cap(module: NormedModule, strict: bool, budget: int) -> int:
+    """cap(1), or the strict cap; the budget is charged on the enclosing box
+    first, so a huge twist never bisects its window's gap."""
+    _check_budget(enclosing_box(module.norm), budget)
+    return compile_norm(module.norm).cap(ONE, strict)
 
 
 def unit_ball(module: NormedModule,
               budget: int = DEFAULT_BUDGET) -> Tuple[CompiledNorm, list]:
-    """The key-sorted closed unit ball; the budget is charged on the
-    enclosing box first, so a huge twist never bisects its window's gap."""
-    _check_budget(enclosing_box(module.norm), budget)
-    compiled = compile_norm(module.norm)
-    return vectors_with_keys(module, compiled.cap(ONE), budget)
+    """The key-sorted closed unit ball."""
+    return vectors_with_keys(module, _unit_cap(module, False, budget), budget)
 
 
-def _strict_end(compiled: CompiledNorm, pairs: list) -> int:
-    """Length of the prefix of the closed unit ball with ||v|| < 1."""
-    return bisect_right(pairs, compiled.cap(ONE, True), key=operator.itemgetter(0))
+# run_suite reads the counts of one module up to five times
+@lru_cache(maxsize=2048)
+def _unit_count(module: NormedModule, strict: bool, budget: int) -> int:
+    """# {v : ||v|| <= 1} (< 1 if strict): the walk at the cap adds up the
+    lengths of its lines and lists no vector, in O(r) memory."""
+    _, bounds, lines = _lines(module, _unit_cap(module, strict, budget), budget)
+    return sum(hi - lo + 1 for _, lo, hi, _ in lines) if bounds else 1
 
 
 @dataclass(frozen=True)
 class SectionSet:
-    vectors: tuple
+    """The count of a unit ball; its vectors are listed on first access."""
+    module: NormedModule
+    budget: int
     threshold_kind: str  # "closed" or "open"
     count: int
-    log_count: float
 
+    @property
+    def log_count(self) -> float:
+        return math.log(self.count)
 
-def _section_set(pairs: list, kind: str) -> SectionSet:
-    return SectionSet(tuple(v for _, v in pairs), kind, len(pairs),
-                      math.log(len(pairs)))
+    @cached_property
+    def vectors(self) -> tuple:
+        """The vectors in key order: the prefix of the closed unit ball that
+        the count spans (all of it, or the strict ball)."""
+        return tuple(v for _, v in unit_ball(self.module, self.budget)[1][:self.count])
 
 
 def effective_sections(module: NormedModule, budget: int = DEFAULT_BUDGET) -> SectionSet:
     """{v in Z^r : ||v|| <= 1}, exactly."""
-    _, pairs = unit_ball(module, budget)
-    return _section_set(pairs, "closed")
+    return SectionSet(module, budget, "closed", _unit_count(module, False, budget))
 
 
 def strictly_effective_sections(module: NormedModule,
                                 budget: int = DEFAULT_BUDGET) -> SectionSet:
-    """{v in Z^r : ||v|| < 1}, exactly: a prefix of the closed-ball list."""
-    compiled, pairs = unit_ball(module, budget)
-    return _section_set(pairs[:_strict_end(compiled, pairs)], "open")
+    """{v in Z^r : ||v|| < 1}, exactly."""
+    return SectionSet(module, budget, "open", _unit_count(module, True, budget))
 
 
 def h0_hat(module: NormedModule, budget: int = DEFAULT_BUDGET) -> float:
     """log # {v : ||v|| <= 1}."""
-    return math.log(len(unit_ball(module, budget)[1]))
+    return math.log(_unit_count(module, False, budget))
 
 
 def h0_hat_sef(module: NormedModule, budget: int = DEFAULT_BUDGET) -> float:
     """log # {v : ||v|| < 1}."""
-    return math.log(_strict_end(*unit_ball(module, budget)))
+    return math.log(_unit_count(module, True, budget))
 
 
 __all__ = [

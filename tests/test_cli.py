@@ -270,6 +270,15 @@ def test_negative_budget_exits_2(capsys, tmp_path):
     assert doc["error"]["type"] == "ConfigError"
 
 
+@pytest.mark.parametrize("threads", ["0", "-5"])
+def test_threads_below_one_exits_2(capsys, tmp_path, threads):
+    for argv in (["count", "--module", write_disk2(tmp_path)],
+                 ["ledger", "sweep", "--g-max", "2", "--kappa-max", "1"]):
+        code, doc = run_main(capsys, ["--threads", threads] + argv)
+        assert code == 2
+        assert doc["error"]["type"] == "ConfigError"
+
+
 def _scaled(alpha, inner):
     return {"rank": 2, "norm": {"type": "scaled", "alpha": alpha, "inner": inner}}
 

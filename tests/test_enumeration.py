@@ -13,16 +13,19 @@ import json
 import math
 import operator
 import random
+from bisect import bisect_right
 from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
 
 from latmin.cli import main
 from latmin.enumeration import (effective_sections, enclosing_box, h0_hat,
                                 h0_hat_sef, strictly_effective_sections,
-                                vectors_with_keys)
-from latmin.errors import EnumerationBudgetExceeded
+                                unit_ball, vectors_with_keys)
+from latmin.errors import EnumerationBudgetExceeded, UnboundedBall
 from latmin.norms import (Ellipsoid, Scaled, compile_norm, make_ellipsoid,
                           make_normed_module, make_polymax, norm_eval, twist)
 
@@ -386,3 +389,92 @@ def test_ellipsoid_box_is_the_floor_of_the_real_one():
         floors = [math.isqrt(inv[k][k].numerator // inv[k][k].denominator)
                   for k in range(spec.dim)]
         assert enclosing_box(spec) == floors
+
+
+# --- counts by lines ---------------------------------------------------------
+
+def assert_counts_match_the_list(module):
+    """The line counts are the length of the closed-ball list at cap(1) and
+    of its prefix up to the strict cap."""
+    compiled = compile_norm(module.norm)
+    _, pairs = vectors_with_keys(module, compiled.cap(Fraction(1)))
+    strict = bisect_right(pairs, compiled.cap(Fraction(1), strict=True),
+                          key=operator.itemgetter(0))
+    assert effective_sections(module).count == len(pairs)
+    assert strictly_effective_sections(module).count == strict
+    assert h0_hat(module) == math.log(len(pairs))
+    assert h0_hat_sef(module) == math.log(strict)
+    return len(pairs), strict
+
+
+@st.composite
+def drawn_modules(draw):
+    """A small random ellipsoid or polymax module, twisted or not."""
+    rank = draw(st.integers(1, 4))
+    small = st.integers(-2, 2)
+    scale = Fraction(1, draw(st.integers(1, 6)))  # a larger ball as it shrinks
+    if draw(st.sampled_from(("ellipsoid", "polymax"))) == "ellipsoid":
+        a = [[2 * (i == j) + draw(small) for j in range(rank)] for i in range(rank)]
+        spec = make_ellipsoid([[scale * (sum(a[k][i] * a[k][j] for k in range(rank))
+                                         + (i == j)) for j in range(rank)]
+                               for i in range(rank)])
+    else:
+        rows = rank + draw(st.integers(0, 2))
+        spec = make_polymax([[scale * draw(small) / draw(st.integers(1, 3))
+                              for _ in range(rank)] for _ in range(rows)])
+    try:
+        module = make_normed_module(rank, spec)
+    except UnboundedBall:  # functionals that do not span
+        reject()
+    alpha = draw(st.sampled_from((0, 0, Fraction(-1, 2), Fraction(-1, 7),
+                                  Fraction(1, 5), Fraction(2, 3))))
+    return twist(module, alpha)
+
+
+@settings(deadline=None, max_examples=150, derandomize=True)
+@given(drawn_modules())
+def test_line_counts_match_the_list(module):
+    assert_counts_match_the_list(module)
+
+
+def test_rank_zero_line_counts():
+    for spec in (make_ellipsoid([]), make_polymax([[]])):
+        assert assert_counts_match_the_list(make_normed_module(0, spec)) == (1, 1)
+
+
+def test_line_counts_at_ties():
+    """The cases of test_cap_is_exact_at_ties, at radius t as the unit ball
+    of the norm divided by t: the strict count drops only on an untwisted
+    sphere through a lattice point."""
+    disk = [[1, 0], [0, 1]]
+    quarter = make_normed_module(2, make_polymax([["1/4", 0], [0, 1]]))
+    cases = [
+        (euclid(2), (5, 1)),
+        (make_normed_module(2, make_ellipsoid([[x * Fraction(4, 9) for x in row]
+                                               for row in disk])), (9, 9)),
+        (quarter, (27, 7)),
+        (twist(euclid(2), Fraction(1, 3)), (5, 5)),
+        # ||v||^2 <= 4 e^(2/3) = 7.79...: the 21 points with |v|^2 <= 7
+        (twist(make_normed_module(2, make_ellipsoid(
+            [[x * Fraction(1, 4) for x in row] for row in disk])), Fraction(1, 3)), (21, 21)),
+    ]
+    for module, counts in cases:
+        assert assert_counts_match_the_list(module) == counts
+
+
+def test_counts_build_no_list():
+    """A count walks lines and looks up no list; the vectors of a section
+    set are listed when read, and are the key-sorted ball or its prefix."""
+    sheared = make_normed_module(2, make_polymax([["1/5", "1/10"], [0, "1/2"]]))
+    for m in (sheared, twist(hand_built_modules()[3], Fraction(1, 7))):
+        before = vectors_with_keys.cache_info()
+        closed, strict = effective_sections(m), strictly_effective_sections(m)
+        counts = (closed.count, strict.count, h0_hat(m), h0_hat_sef(m))
+        after = vectors_with_keys.cache_info()
+        assert (after.hits, after.misses) == (before.hits, before.misses)
+        assert counts[2:] == (math.log(counts[0]), math.log(counts[1]))
+        listed = tuple(v for _, v in unit_ball(m)[1])
+        assert closed.vectors == listed and len(listed) == closed.count
+        assert strict.vectors == listed[:strict.count]
+        assert sorted(listed) == oracle_sections(m)
+        assert sorted(strict.vectors) == oracle_sections(m, strict=True)
