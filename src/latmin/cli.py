@@ -256,8 +256,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except LatminError as exc:
         return _emit_error(name, exc, exc.exit_code)
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
-        # an input file that cannot be read or parsed is bad input
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+        # an input file that cannot be read or parsed, or is nested too deep
+        # to decode, is bad input
         return _emit_error(name, exc, 2)
 
 

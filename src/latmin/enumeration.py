@@ -14,7 +14,8 @@ clips every level and is what the budget is charged on.
 A count adds hi - lo + 1 per line at the closed or the strict cap and
 lists nothing, in O(r) memory.  ``vectors_with_keys`` expands the same
 lines into a key-sorted list, for the vectors of a ``SectionSet`` (read
-on first access), the minima and the filtration ranks.
+on first access) and the rungs of the minima; no list is shared, so none
+is cached.
 """
 
 from __future__ import annotations
@@ -128,9 +129,6 @@ def _lines(module: NormedModule, cap: int, budget: int):
     return compiled, bounds, walk(compiled, cap, bounds)
 
 
-# Over the corpus (verify --max-rank 5 --trials 6, seeds 0-17) at most 3
-# other lists are used between two uses of one list; 32 leaves a wide margin.
-@lru_cache(maxsize=32)
 def vectors_with_keys(module: NormedModule, cap: int,
                       budget: int = DEFAULT_BUDGET) -> Tuple[CompiledNorm, list]:
     """All lattice vectors with key <= cap, as (key, vector) pairs sorted so

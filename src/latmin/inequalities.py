@@ -16,12 +16,11 @@ from dataclasses import dataclass, asdict
 from fractions import Fraction
 from typing import List, Sequence, Tuple
 
-from .enumeration import DEFAULT_BUDGET, h0_hat, h0_hat_sef, unit_ball
+from .enumeration import DEFAULT_BUDGET, ONE, h0_hat, h0_hat_sef
 from .errors import ConfigError, EnumerationBudgetExceeded
-from .linalg import span_rank
 from .minima import euler_characteristic, successive_minima
-from .norms import (NormedModule, make_ellipsoid, make_normed_module,
-                    make_polymax, twist)
+from .norms import (NormedModule, compile_norm, make_ellipsoid,
+                    make_normed_module, make_polymax, twist)
 from .rng import DetRNG, derive
 
 EXACT_TOL = 1e-9
@@ -90,17 +89,19 @@ def check_sef_gap(module: NormedModule,
 
 def check_filtration(module: NormedModule, alphas: Sequence,
                      budget: int = DEFAULT_BUDGET) -> List[InequalityReport]:
-    """Filtration bounds over 0 = a_0 <= a_1 <= ... <= a_n."""
+    """Filtration bounds over 0 = a_0 <= a_1 <= ... <= a_n.  The rank at a_i
+    is # {j : lambda_j <= e^(-a_i)}: the minima keys at most the unit cap of
+    the twist by -a_i, which has the module's keys."""
     alphas = [Fraction(a) for a in alphas]
     if not alphas or alphas[0] != 0:
         raise ConfigError("filtration must start at alpha_0 = 0")
     if any(b < a for a, b in zip(alphas, alphas[1:])):
         raise ConfigError("filtration alphas must be nondecreasing")
     digest = module.digest()
-    ranks = []
-    for a in alphas:
-        _, pairs = unit_ball(twist(module, -a), budget)
-        ranks.append(span_rank(v for _, v in pairs))
+    keys = ([k for _, k, _, _ in successive_minima(module, budget).mu_parts]
+            if module.rank else [])
+    caps = [compile_norm(twist(module, -a).norm).cap(ONE) for a in alphas]
+    ranks = [sum(k <= cap for k in keys) for cap in caps]
     r0 = ranks[0]
     h0 = h0_hat(module, budget)
     h0n = h0_hat(twist(module, -alphas[-1]), budget)

@@ -1,15 +1,14 @@
 """Successive minima, unit-ball volumes, and the Euler characteristic.
 
 Minima are found by exhaustive enumeration over a ladder of integer key
-caps (``norms.CompiledNorm``): from the cap of radius 1, whose list the
-counts share, or from the ceiling, the largest key of a unit vector, when
-the unit ball already reaches it; the ceiling's ball spans, so no rung
-passes it, and the minima of a twist do not depend on the size of e^alpha.
-One span pass over the canonical nonzero vectors of each key-sorted list
-picks the rank-increasing vectors as witnesses; the exact parts of each
-minimum are read off the compiled norm.  Volumes are exact: a closed form
-for ellipsoids, and Lasserre's facet recursion in rational arithmetic for
-every PolyMax ball (Lasserre, J. Optim. Theory Appl. 39, 1983).
+caps (``norms.CompiledNorm``), from the smallest key of a unit vector to
+the ceiling, the largest one, whose ball spans.  The ladder reads no
+e^alpha: a twist has its base's keys, rungs and witnesses.  One span pass
+over the canonical nonzero vectors of each key-sorted list, a prefix of the
+next, picks the rank-increasing vectors as witnesses; the exact parts of
+each minimum are read off the compiled norm.  Volumes are exact: a closed
+form for ellipsoids, and Lasserre's facet recursion in rational arithmetic
+for every PolyMax ball (Lasserre, J. Optim. Theory Appl. 39, 1983).
 """
 
 from __future__ import annotations
@@ -19,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .enumeration import DEFAULT_BUDGET, ONE, vectors_with_keys
+from .enumeration import DEFAULT_BUDGET, vectors_with_keys
 from .errors import PreconditionViolated
 from .intervals import exp_float
 from .linalg import IncrementalSpan
@@ -49,8 +48,8 @@ def successive_minima(module: NormedModule, budget: int = DEFAULT_BUDGET) -> Min
     if r < 1:
         raise PreconditionViolated("successive minima need rank >= 1")
     compiled, span = compile_norm(module.norm), IncrementalSpan()
-    ceiling = max(compiled.key([int(i == k) for i in range(r)]) for k in range(r))
-    cap = ceiling if compiled.window(ONE)[0] >= ceiling else compiled.cap(ONE)
+    units = [compiled.key([int(i == k) for i in range(r)]) for k in range(r)]
+    cap, ceiling = min(units), max(units)
     while span.rank < r:
         _, pairs = vectors_with_keys(module, cap, budget)
         span, found = IncrementalSpan(), []
@@ -60,7 +59,7 @@ def successive_minima(module: NormedModule, budget: int = DEFAULT_BUDGET) -> Min
                 if span.rank == r:
                     break
         # radius doubling, in keys: a key scales as t^2 (Ellipsoid) or t
-        cap = min(ceiling, max(1, (4 if compiled.squared else 2) * cap))
+        cap = min(ceiling, (4 if compiled.squared else 2) * cap)
 
     keys = [k for k, _ in found]
     witnesses = tuple(v for _, v in found)
@@ -171,7 +170,9 @@ def ball_volume(module: NormedModule) -> VolumeReport:
     r = module.rank
     shift = r * float(alpha)  # scaling by e^{-alpha} multiplies volume by e^{r alpha}
     if compiled.squared:
-        log_v = log_unit_ball_volume(r) - 0.5 * math.log(compiled.det) + shift
+        det = compiled.det  # its log, as det may lie outside the double range
+        log_det = math.log(det.numerator) - math.log(det.denominator)
+        log_v = log_unit_ball_volume(r) - 0.5 * log_det + shift
         return VolumeReport(exp_float(log_v), "exact-ellipsoid", log_v)
     # with y = A0 x for the compiled basis rows A0, the ball is the cube
     # [-1, 1]^r cut by the slabs |c_j . y| <= 1, c_j = a_j A0^{-1}

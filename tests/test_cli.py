@@ -176,7 +176,13 @@ def test_missing_module_file_exits_2(capsys):
     (["count", "--module"], None, "IsADirectoryError"),
     (["ledger", "eval", "--config"], None, "IsADirectoryError"),
     (["count", "--module"], b'{"rank": 1, "\xff": 0}', "UnicodeDecodeError"),
-], ids=["module-directory", "ledger-directory", "module-not-utf8"])
+    # nested past the recursion limit
+    (["count", "--module"], b"[" * 100000, "RecursionError"),
+    (["chi", "--module"], b'{"rank": 1, "norm": ' + b"[" * 100000 + b"]" * 100000 + b"}",
+     "RecursionError"),
+    (["ledger", "eval", "--config"], b'{"g": 2, "steps": ' + b"[" * 100000, "RecursionError"),
+], ids=["module-directory", "ledger-directory", "module-not-utf8", "module-nested",
+        "module-nested-closed", "ledger-nested"])
 def test_unreadable_input_exits_2(capsys, tmp_path, argv, content, error):
     path = tmp_path / "input"
     if content is None:
@@ -344,6 +350,18 @@ def test_large_twist_chi_is_finite(capsys, tmp_path):
     assert code == 0
     assert doc["report"] == {"chi": fmt_real(math.log(3) + 4000.0),
                              "method": "exact-polytope"}
+
+
+@pytest.mark.parametrize("entry, sign", [("1e400", -1), ("1e-400", 1)])
+def test_chi_of_an_ellipsoid_past_the_double_range(capsys, tmp_path, entry, sign):
+    """det G = 10^(+-400) is no double, but its log is: chi = log 2 -+ 200 log 10."""
+    path = tmp_path / "rod.json"
+    path.write_text(json.dumps({"rank": 1, "norm": {"type": "ellipsoid",
+                                                    "gram": [[entry]]}}))
+    code, doc = run_main(capsys, ["chi", "--module", str(path)])
+    assert code == 0
+    assert doc["report"] == {"chi": fmt_real(math.log(2) + sign * 200 * math.log(10)),
+                             "method": "exact-ellipsoid"}
 
 
 def test_budget_message_names_the_count(capsys, tmp_path):

@@ -2,16 +2,22 @@
 
 import math
 from fractions import Fraction
+from itertools import accumulate
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from latmin.enumeration import h0_hat, h0_hat_sef, unit_ball
 from latmin.errors import ConfigError
-from latmin.inequalities import (SuiteConfig, check_filtration,
+from latmin.inequalities import (LOG3, SuiteConfig, _xlogx, check_filtration,
                                  check_gs_count, check_minkowski_count,
                                  check_norm_scaling, check_second_minima,
                                  check_sef_gap, random_module, run_suite,
                                  witness_modules)
-from latmin.norms import make_ellipsoid, make_normed_module
+from latmin.linalg import span_rank
+from latmin.norms import make_ellipsoid, make_normed_module, make_polymax, twist
+from test_enumeration import drawn_modules
 
 
 def euclid(rank):
@@ -48,6 +54,51 @@ def test_filtration_bounds_hold():
     alphas = [Fraction(0), Fraction(1, 4), Fraction(1, 2), Fraction(1)]
     for rep in check_filtration(euclid(2), alphas):
         assert rep.holds, rep
+
+
+def _listed_filtration(module, alphas):
+    """The filtration reports as (name, lhs, rhs), with the rank at a read
+    as the span rank of the listed unit ball of the twist by -a."""
+    ranks = [span_rank(v for _, v in unit_ball(twist(module, -a))[1]) for a in alphas]
+    steps = [float(b - a) for a, b in zip(alphas, alphas[1:])]
+    upper = sum(ranks[i] * steps[i] for i in range(len(steps)))
+    lower = sum(ranks[i + 1] * steps[i] for i in range(len(steps)))
+    r0, last = ranks[0], twist(module, -alphas[-1])
+    up_err = 4.0 * _xlogx(r0) + 2.0 * r0 * LOG3
+    low_err = 2.0 * _xlogx(r0) + r0 * LOG3
+    h0, sef = h0_hat(module), h0_hat_sef(module)
+    return [("filtration-upper", h0, h0_hat(last) + upper + up_err),
+            ("filtration-lower", lower - low_err, h0),
+            ("filtration-upper-sef", sef, h0_hat_sef(last) + upper + up_err),
+            ("filtration-lower-sef", lower - low_err, sef)]
+
+
+RANK_ZERO = [make_normed_module(0, spec) for spec in (make_ellipsoid([]), make_polymax([[]]))]
+CORPUS = SuiteConfig(rank_min=1, rank_max=4)
+# corpus modules up to rank 4, drawn shapes up to rank 3 (a drawn rank-4
+# polymax can take seconds to list), and rank 0, twisted or not
+MODULES = st.builds(twist, st.one_of(
+    st.integers(0, 2 ** 32).map(lambda seed: random_module(seed, CORPUS)),
+    drawn_modules().filter(lambda m: m.rank <= 3), st.sampled_from(RANK_ZERO)),
+    st.sampled_from((Fraction(1, 2), 0, Fraction(-1, 2), 1)))
+FILTRATIONS = st.lists(st.sampled_from((Fraction(1, 3), Fraction(3, 4), 2, 0, Fraction(1, 8))),
+                       min_size=1, max_size=4).map(lambda steps: list(accumulate([0] + steps)))
+
+
+@settings(deadline=None, max_examples=200, derandomize=True)
+@given(MODULES, FILTRATIONS)
+# minima exactly on the unit sphere at a = 0: lambda = 1 for Z and the
+# disk, lambda_2 = 1 for the box
+@example(witness_modules()[0], [0])
+@example(witness_modules()[0], [0, 1])
+@example(witness_modules()[1], [0, 1, 2])
+@example(euclid(2), [0])
+@example(euclid(2), [0, 0, Fraction(1, 8)])
+def test_filtration_ranks_match_the_listed_balls(module, alphas):
+    """The ranks read off the minima keys give the reports that the span
+    ranks of the listed twisted unit balls give."""
+    assert [(rep.name, rep.lhs, rep.rhs) for rep in check_filtration(module, alphas)] \
+        == _listed_filtration(module, alphas)
 
 
 def test_minima_window_tight_witnesses():

@@ -99,14 +99,15 @@ def _minima_modules():
 
 @pytest.mark.parametrize("index", range(26))
 def test_minima_match_the_oracle(monkeypatch, index):
-    """Same witnesses and values as the oracle, from lists whose caps never
-    pass the ceiling, the largest key of a unit vector."""
+    """Same witnesses and values as the oracle, from lists whose caps start
+    at the smallest key of a unit vector and never pass the ceiling, the
+    largest one."""
     module = _minima_modules()[index]
     caps = _record_caps(monkeypatch)
     rep = successive_minima.__wrapped__(module)
     compiled, r = compile_norm(module.norm), module.rank
-    assert max(caps) <= max(compiled.key([int(i == k) for i in range(r)])
-                            for k in range(r))
+    units = [compiled.key([int(i == k) for i in range(r)]) for k in range(r)]
+    assert caps[0] == min(units) and max(caps) <= max(units)
     witnesses, values = _oracle_minima(module)
     assert list(rep.witnesses) == witnesses
     assert [Fraction(k, den) for _, k, den, _ in rep.mu_parts] == values
@@ -114,11 +115,12 @@ def test_minima_match_the_oracle(monkeypatch, index):
 
 @pytest.mark.parametrize("alpha, most", [(-2000, 3), (10, 1), (5000, 1)])
 def test_twisted_minima_take_few_rungs(monkeypatch, alpha, most):
-    """The ladder climbs from the unit ball's cap (0 for alpha = -2000) and
-    never past the ceiling, the key 1 of e_k here, whatever e^alpha is."""
+    """The ladder starts at the smallest key of a unit vector and never
+    passes the largest, both the key 1 of e_k here: one rung at key 1,
+    whatever e^alpha is."""
     caps = _record_caps(monkeypatch)
     rep = successive_minima.__wrapped__(twist(euclid(2), alpha))
-    assert len(caps) <= most and caps[-1] == 1
+    assert len(caps) <= most and caps == [1]
     assert rep.witnesses == ((0, 1), (1, 0))
     assert rep.mus == (float(alpha), float(alpha))
 
