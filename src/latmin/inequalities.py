@@ -16,11 +16,11 @@ from dataclasses import dataclass, asdict
 from fractions import Fraction
 from typing import List, Sequence, Tuple
 
-from .enumeration import DEFAULT_BUDGET, ONE, h0_hat, h0_hat_sef
+from .enumeration import DEFAULT_BUDGET, _unit_cap, h0_hat, h0_hat_sef
 from .errors import ConfigError, EnumerationBudgetExceeded
 from .minima import euler_characteristic, successive_minima
-from .norms import (NormedModule, compile_norm, make_ellipsoid,
-                    make_normed_module, make_polymax, twist)
+from .norms import (NormedModule, make_ellipsoid, make_normed_module,
+                    make_polymax, twist)
 from .rng import DetRNG, derive
 
 EXACT_TOL = 1e-9
@@ -98,9 +98,9 @@ def check_filtration(module: NormedModule, alphas: Sequence,
     if any(b < a for a, b in zip(alphas, alphas[1:])):
         raise ConfigError("filtration alphas must be nondecreasing")
     digest = module.digest()
+    caps = [_unit_cap(twist(module, -a), False, budget) for a in alphas]
     keys = ([k for _, k, _, _ in successive_minima(module, budget).mu_parts]
             if module.rank else [])
-    caps = [compile_norm(twist(module, -a).norm).cap(ONE) for a in alphas]
     ranks = [sum(k <= cap for k in keys) for cap in caps]
     r0 = ranks[0]
     h0 = h0_hat(module, budget)

@@ -1,10 +1,10 @@
 """Successive minima, unit-ball volumes, and the Euler characteristic.
 
 Minima are found by exhaustive enumeration over a ladder of integer key
-caps (``norms.CompiledNorm``), from the smallest key of a unit vector to
-the ceiling, the largest one, whose ball spans.  The ladder reads no
-e^alpha: a twist has its base's keys, rungs and witnesses.  One span pass
-over the canonical nonzero vectors of each key-sorted list, a prefix of the
+caps (``norms.CompiledNorm``) from key 1, the least nonzero key, to the
+ceiling, the largest key of a unit vector, whose ball spans; neither reads
+e^alpha, so a twist has its base's rungs and witnesses.  One span pass over
+the canonical nonzero vectors of each key-sorted list, a prefix of the
 next, picks the rank-increasing vectors as witnesses; the exact parts of
 each minimum are read off the compiled norm.  Volumes are exact: a closed
 form for ellipsoids, and Lasserre's facet recursion in rational arithmetic
@@ -48,8 +48,8 @@ def successive_minima(module: NormedModule, budget: int = DEFAULT_BUDGET) -> Min
     if r < 1:
         raise PreconditionViolated("successive minima need rank >= 1")
     compiled, span = compile_norm(module.norm), IncrementalSpan()
-    units = [compiled.key([int(i == k) for i in range(r)]) for k in range(r)]
-    cap, ceiling = min(units), max(units)
+    ceiling = max(compiled.key([int(i == k) for i in range(r)]) for k in range(r))
+    cap = 1  # not a basis key: an unreduced basis has long ones
     while span.rank < r:
         _, pairs = vectors_with_keys(module, cap, budget)
         span, found = IncrementalSpan(), []

@@ -342,6 +342,19 @@ def test_large_twist_minima_start_at_the_ceiling(capsys, tmp_path, alpha, inner,
     assert doc["report"]["witnesses"] == witnesses
 
 
+@pytest.mark.parametrize("alpha", ["0", "-2000"])
+def test_minima_of_an_unreduced_basis(capsys, tmp_path, alpha):
+    """Minima 1 on a basis whose unit vectors have keys near 7000: the
+    ladder starts below them, within the budget."""
+    path = tmp_path / "unreduced.json"
+    path.write_text(json.dumps(_scaled(alpha, {
+        "type": "ellipsoid", "gram": [[7321, 7200], [7200, 7081]]})))
+    code, doc = run_main(capsys, ["minima", "--module", str(path)])
+    assert code == 0
+    assert doc["report"]["mus"] == [alpha, alpha]
+    assert doc["report"]["witnesses"] == [[59, -60], [60, -61]]
+
+
 def test_large_twist_chi_is_finite(capsys, tmp_path):
     path = tmp_path / "twist.json"
     # vol = 3 e^4000 is past the double range; its log is not

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from latmin.enumeration import h0_hat, h0_hat_sef, unit_ball
-from latmin.errors import ConfigError
+from latmin.errors import ConfigError, EnumerationBudgetExceeded
 from latmin.inequalities import (LOG3, SuiteConfig, _xlogx, check_filtration,
                                  check_gs_count, check_minkowski_count,
                                  check_norm_scaling, check_second_minima,
@@ -54,6 +54,13 @@ def test_filtration_bounds_hold():
     alphas = [Fraction(0), Fraction(1, 4), Fraction(1, 2), Fraction(1)]
     for rep in check_filtration(euclid(2), alphas):
         assert rep.holds, rep
+
+
+def test_filtration_of_a_huge_twist_exits_on_the_budget():
+    """The unit ball of e^-5000 Z^2 has about 2^14428 points: the budget is
+    charged on its box before any cap is bisected over that gap."""
+    with pytest.raises(EnumerationBudgetExceeded):
+        check_filtration(twist(euclid(2), 5000), [0, 1, 2])
 
 
 def _listed_filtration(module, alphas):

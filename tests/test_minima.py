@@ -100,14 +100,13 @@ def _minima_modules():
 @pytest.mark.parametrize("index", range(26))
 def test_minima_match_the_oracle(monkeypatch, index):
     """Same witnesses and values as the oracle, from lists whose caps start
-    at the smallest key of a unit vector and never pass the ceiling, the
-    largest one."""
+    at key 1 and never pass the ceiling, the largest key of a unit vector."""
     module = _minima_modules()[index]
     caps = _record_caps(monkeypatch)
     rep = successive_minima.__wrapped__(module)
     compiled, r = compile_norm(module.norm), module.rank
     units = [compiled.key([int(i == k) for i in range(r)]) for k in range(r)]
-    assert caps[0] == min(units) and max(caps) <= max(units)
+    assert caps[0] == 1 and max(caps) <= max(units)
     witnesses, values = _oracle_minima(module)
     assert list(rep.witnesses) == witnesses
     assert [Fraction(k, den) for _, k, den, _ in rep.mu_parts] == values
@@ -115,13 +114,26 @@ def test_minima_match_the_oracle(monkeypatch, index):
 
 @pytest.mark.parametrize("alpha, most", [(-2000, 3), (10, 1), (5000, 1)])
 def test_twisted_minima_take_few_rungs(monkeypatch, alpha, most):
-    """The ladder starts at the smallest key of a unit vector and never
-    passes the largest, both the key 1 of e_k here: one rung at key 1,
-    whatever e^alpha is."""
+    """The ladder starts at key 1 and never passes the largest key of a
+    unit vector, the key 1 of e_k here: one rung at key 1, whatever e^alpha
+    is."""
     caps = _record_caps(monkeypatch)
     rep = successive_minima.__wrapped__(twist(euclid(2), alpha))
     assert len(caps) <= most and caps == [1]
     assert rep.witnesses == ((0, 1), (1, 0))
+    assert rep.mus == (float(alpha), float(alpha))
+
+
+@pytest.mark.parametrize("alpha", [0, -2000])
+def test_minima_of_an_unreduced_basis_start_small(monkeypatch, alpha):
+    """G = U^T U with U = [[60, 59], [61, 60]] of det 1: both minima are 1,
+    while the unit vectors have keys 7321 and 7081, whose box has about
+    2 * 10^8 points.  The first rung, key 1, already spans."""
+    caps = _record_caps(monkeypatch)
+    module = make_normed_module(2, make_ellipsoid([[7321, 7200], [7200, 7081]]))
+    rep = successive_minima.__wrapped__(twist(module, alpha))
+    assert caps == [1]
+    assert rep.witnesses == ((59, -60), (60, -61))
     assert rep.mus == (float(alpha), float(alpha))
 
 
