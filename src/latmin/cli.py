@@ -2,7 +2,7 @@
 
 Subcommands: count, minima, chi, verify, ledger (eval | sweep | simulate).
 One JSON document per run on stdout; exit codes: 0 success, 1 inequality
-violation, 2 usage/config error, 3 budget or undecidability error.
+violation, 2 usage/config error, 3 enumeration budget exceeded.
 
 Reals are serialized as decimal strings with 12 significant digits (plus an
 exact "p/q" field where one exists) so output is byte-identical across runs

@@ -29,6 +29,7 @@ from itertools import repeat
 from typing import List, Tuple
 
 from .errors import EnumerationBudgetExceeded
+from .intervals import exp_upper
 from .norms import CompiledNorm, NormedModule, NormSpec, compile_norm
 
 DEFAULT_BUDGET = 10 ** 8
@@ -37,10 +38,11 @@ ONE = Fraction(1)
 
 def enclosing_box(norm: NormSpec) -> List[int]:
     """Per-coordinate integer bounds B_k with ||x|| <= 1 => |x_k| <= B_k: the
-    box of the window's upper key, at least the cap, found with no ``cmp``."""
+    box of the key floor(den hi), at least the unit cap, with hi the upper
+    end of the 128-bit enclosure of e^scale; it refines nothing."""
     compiled = compile_norm(norm)
-    k_in, k_out = compiled.window(ONE)
-    return compiled.box(max(k_in, k_out - 1))
+    bound = compiled.den * exp_upper(compiled.scale, 128)
+    return compiled.box(bound.numerator // bound.denominator)
 
 
 def _check_budget(bounds: List[int], budget: int) -> None:
@@ -148,7 +150,7 @@ def vectors_with_keys(module: NormedModule, cap: int,
 
 def _unit_cap(module: NormedModule, strict: bool, budget: int) -> int:
     """cap(1), or the strict cap; the budget is charged on the enclosing box
-    first, so a huge twist never bisects its window's gap."""
+    first, so a huge twist never refines e^alpha past its 128-bit enclosure."""
     _check_budget(enclosing_box(module.norm), budget)
     return compile_norm(module.norm).cap(ONE, strict)
 

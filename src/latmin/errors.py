@@ -34,12 +34,6 @@ class EnumerationBudgetExceeded(LatminError):
         self.budget = budget
 
 
-class Undecidable(LatminError):
-    """Interval refinement hit the hard precision floor without a decision."""
-
-    exit_code = 3
-
-
 class InfeasibleLedger(LatminError):
     """A derived self-intersection number went negative."""
 

@@ -1,23 +1,19 @@
-"""Certified rational enclosures for e^x and adaptive comparisons.
+"""Certified rational enclosures for e^x and the exact decisions read off them.
 
-Scale factors in norms are exact rationals alpha, but deciding membership
-``norm <= 1`` for a twisted norm requires comparing a rational against
-e^alpha.  We enclose e^alpha in a rational interval computed with mpmath at
-growing precision and refine until the comparison is decided.  With rational
-norm data and alpha != 0 exact ties are impossible (e^alpha is irrational),
-so refinement terminates; a hard floor of 2^-200 relative width guards
-against misuse and raises Undecidable.
+Scale factors in norms are exact rationals x, and every decision against
+e^x is one of two: the sign of a - e^x (``compare_exp``) or the integer
+floor(b e^x) (``floor_exp``), the key cap of a twisted norm.  We enclose e^x
+in a rational interval computed with mpmath and double its precision until
+the decision is made.  For rational x != 0, e^x is irrational (Lindemann),
+so a != e^x for every rational a and b e^x is no integer for b > 0: every
+refinement ends, and no precision floor is needed.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-
-from .errors import Undecidable
-
-# relative interval width floor before giving up
-_FLOOR = Fraction(1, 1 << 200)
+from functools import lru_cache
 
 
 def _mpf_to_fraction(x) -> Fraction:
@@ -28,6 +24,8 @@ def _mpf_to_fraction(x) -> Fraction:
     return -value if sign else value
 
 
+# the 128-bit enclosure of a twist is read by its budget box and then by its cap
+@lru_cache(maxsize=1024)
 def exp_interval(x: Fraction, prec: int = 80) -> tuple[Fraction, Fraction]:
     """Return rational (lo, hi) with lo <= e^x <= hi at ~prec bits.
 
@@ -44,7 +42,7 @@ def exp_interval(x: Fraction, prec: int = 80) -> tuple[Fraction, Fraction]:
 
 
 def compare_exp(a: Fraction, x: Fraction) -> int:
-    """Sign of a - e^x for rational a and nonzero rational x.
+    """Sign of a - e^x for rational a and x.
 
     Returns -1 if a < e^x and +1 if a > e^x.  Equality cannot occur for
     x != 0; x == 0 is compared exactly.
@@ -60,8 +58,20 @@ def compare_exp(a: Fraction, x: Fraction) -> int:
             return -1
         if a > hi:
             return 1
-        if hi - lo < _FLOOR * hi:
-            raise Undecidable(f"comparing {a} against e^{x}")
+        prec *= 2
+
+
+def floor_exp(b: Fraction, x: Fraction) -> int:
+    """floor(b e^x) for rational b >= 0 and x: the precision doubles until
+    floor(b lo) + 1 > b hi, so the whole enclosure has one floor."""
+    if b == 0 or x == 0:
+        return math.floor(b)
+    prec = 128
+    while True:
+        lo, hi = exp_interval(x, prec)
+        k = math.floor(b * lo)
+        if b * hi < k + 1:
+            return k
         prec *= 2
 
 
@@ -78,4 +88,3 @@ def exp_float(x: float) -> float:
         return math.exp(x)
     except OverflowError:
         return math.inf
-

@@ -31,10 +31,10 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import List, Sequence, Tuple, Union
+from typing import List, Sequence, Union
 
 from .errors import ConfigError, DimensionMismatch, InvalidNorm, UnboundedBall
-from .intervals import compare_exp, exp_float, exp_interval
+from .intervals import compare_exp, exp_float, floor_exp
 from .linalg import determinant, independent_rows, invert, ldl_chain
 
 
@@ -181,11 +181,9 @@ class CompiledNorm:
         self._scale(Fraction(0))
 
     def _scale(self, alpha: Fraction) -> None:
-        """Set the twist alpha and the certified window on e^scale."""
+        """Set the twist alpha and the exponent scale of its caps."""
         self.alpha = alpha
         self.scale = 2 * alpha if self.squared else alpha
-        # certified enclosure of e^scale; exact for an untwisted norm
-        self.exp_window = exp_interval(self.scale, 128) if self.scale else (1, 1)
 
     def key(self, v):
         """Key of an int, Fraction or float vector (exact for the first two)."""
@@ -209,33 +207,17 @@ class CompiledNorm:
             return (t < 0) - (t > 0)
         if t <= 0:
             return 1
-        ratio = Fraction(key, self.den) / (t * t if self.squared else t)
-        lo, hi = self.exp_window
-        if ratio < lo:
-            return -1
-        if ratio > hi:
-            return 1
-        return compare_exp(ratio, self.scale)
-
-    def window(self, t: Fraction) -> Tuple[int, int]:
-        """Integer keys (k_in, k_out) for radius t: a key <= k_in is inside,
-        a key >= k_out outside, and one in between needs ``cmp``."""
-        bound = (t * t if self.squared else t) * self.den
-        lo, hi = self.exp_window
-        blo, bhi = bound * lo, bound * hi
-        return blo.numerator // blo.denominator, -(-bhi.numerator // bhi.denominator)
+        return compare_exp(Fraction(key, self.den) / (t * t if self.squared else t),
+                           self.scale)
 
     def cap(self, t: Fraction, strict: bool = False) -> int:
         """The largest key K with norm(v) <= t (< t if strict) iff key(v) <= K,
-        for t > 0.  Only an untwisted sphere meets an integer key, k_in = k_out;
-        else k_in is inside, k_out outside, and ``cmp`` is bisected between."""
-        lo, hi = self.window(t)
-        if lo == hi:
-            return lo - strict
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            lo, hi = (mid, hi) if self.cmp(mid, t) < 0 else (lo, mid)
-        return lo
+        for t > 0: floor(t^2 den e^scale) for an Ellipsoid, floor(t den e^scale)
+        for a PolyMax.  Only an untwisted sphere meets an integer key, and
+        there the strict cap is one lower."""
+        bound = (t * t if self.squared else t) * self.den
+        k = floor_exp(bound, self.scale)
+        return k - (strict and not self.scale and k == bound)
 
     def log(self, key) -> float:
         """Natural log of the norm of a vector with this key (-inf at 0)."""

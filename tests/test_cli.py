@@ -426,13 +426,21 @@ def test_non_integer_env_budget_exits_2(tmp_path):
 
 
 def test_cli_import_does_not_load_mpmath():
+    """Neither the CLI import nor a twist's compile, minima and volume need
+    e^alpha: only its caps do."""
     src = os.path.dirname(os.path.dirname(latmin.__file__))
     env = dict(os.environ, PYTHONPATH=src)
-    out = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, latmin.cli; sys.exit('mpmath' in sys.modules)"],
-        capture_output=True, env=env)
-    assert out.returncode == 0, out.stderr
+    twisted = (
+        "from latmin import *\n"
+        "for inner in (make_ellipsoid([[2, 1], [1, 3]]),\n"
+        "              make_polymax([[1, 0], [0, 1], [1, 1]])):\n"
+        "    m = twist(make_normed_module(2, inner), '7/3')\n"
+        "    successive_minima(m), ball_volume(m)\n")
+    for code in ("import latmin.cli\n", twisted):
+        out = subprocess.run(
+            [sys.executable, "-c", f"import sys\n{code}sys.exit('mpmath' in sys.modules)"],
+            capture_output=True, env=env)
+        assert out.returncode == 0, (code, out.stderr)
 
 
 def _asdict_jsonable(obj):

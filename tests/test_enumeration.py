@@ -27,6 +27,7 @@ from latmin.enumeration import (effective_sections, enclosing_box, h0_hat,
                                 h0_hat_sef, strictly_effective_sections,
                                 unit_ball, vectors_with_keys)
 from latmin.errors import EnumerationBudgetExceeded, UnboundedBall
+from latmin.intervals import exp_interval
 from latmin.norms import (Ellipsoid, Scaled, compile_norm, make_ellipsoid,
                           make_normed_module, make_polymax, norm_eval, twist)
 
@@ -325,8 +326,9 @@ def _e_convergent(bits, below):
 @pytest.mark.parametrize("below", [True, False], ids=["below", "above"])
 @pytest.mark.parametrize("family", ["ellipsoid", "polymax"])
 def test_keys_inside_the_exp_window_are_decided_exactly(family, below):
-    """||(1,)|| is within 2^-160 of 1, so its key lies strictly between
-    k_in and k_out: the walk must reach it and the comparator decide it."""
+    """||(1,)|| is within 2^-160 of 1, so its key lies strictly inside the
+    128-bit enclosure of den e^scale: the walk must reach it and the exact
+    floor of the cap decide it."""
     c = _e_convergent(80, below)
     with mpmath.workdps(200):
         assert (mpmath.mpf(c.numerator) / c.denominator < mpmath.e) == below
@@ -335,8 +337,8 @@ def test_keys_inside_the_exp_window_are_decided_exactly(family, below):
     else:  # ||x|| = e^-1/2 sqrt(c) |x|
         m = twist(make_normed_module(1, make_ellipsoid([[c]])), Fraction(1, 2))
     compiled = compile_norm(m.norm)
-    k_in, k_out = compiled.window(Fraction(1))
-    assert k_in < compiled.key((1,)) < k_out
+    lo, hi = exp_interval(compiled.scale, 128)
+    assert compiled.den * lo < compiled.key((1,)) < compiled.den * hi
     expected = [(0,), (-1,), (1,)] if below else [(0,)]
     assert compiled.cap(Fraction(1)) == compiled.key((1,)) - (not below)
     assert [v for _, v in vectors_with_keys(m, compiled.cap(Fraction(1)))[1]] == expected
@@ -355,6 +357,20 @@ def test_cap_is_exact_at_ties():
     twisted = compile_norm(twist(euclid(2), Fraction(1, 3)).norm)
     for t, cap in ((Fraction(1), 1), (Fraction(2), 7)):
         assert twisted.cap(t) == twisted.cap(t, strict=True) == cap
+
+
+def large_denominator_twists():
+    """Two twists by 1/3 whose caps need e^(2/3) to over 250 bits and e^(1/3)
+    to over 1,580 bits, past any fixed precision floor."""
+    gram = make_ellipsoid([[Fraction(2 ** 250 + 3, 2 ** 250 + 1)]])
+    polymax = make_polymax([[Fraction(3 ** 1000 + 1, 3 ** 1000), 0], [0, 1]])
+    return [twist(make_normed_module(n.dim, n), Fraction(1, 3)) for n in (gram, polymax)]
+
+
+def test_twists_with_large_denominators_count_exactly():
+    counts = [(effective_sections(m).count, strictly_effective_sections(m).count)
+              for m in large_denominator_twists()]
+    assert counts == [(3, 3), (9, 9)]
 
 
 def _box_size(module):

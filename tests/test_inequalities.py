@@ -17,7 +17,7 @@ from latmin.inequalities import (LOG3, SuiteConfig, _xlogx, check_filtration,
                                  witness_modules)
 from latmin.linalg import span_rank
 from latmin.norms import make_ellipsoid, make_normed_module, make_polymax, twist
-from test_enumeration import drawn_modules
+from test_enumeration import drawn_modules, large_denominator_twists
 
 
 def euclid(rank):
@@ -58,9 +58,17 @@ def test_filtration_bounds_hold():
 
 def test_filtration_of_a_huge_twist_exits_on_the_budget():
     """The unit ball of e^-5000 Z^2 has about 2^14428 points: the budget is
-    charged on its box before any cap is bisected over that gap."""
+    charged on its box, read off a 128-bit enclosure of e^alpha, before any
+    cap refines that enclosure."""
     with pytest.raises(EnumerationBudgetExceeded):
         check_filtration(twist(euclid(2), 5000), [0, 1, 2])
+
+
+def test_inequalities_hold_on_a_twist_with_a_large_denominator():
+    polymax = large_denominator_twists()[1]
+    reports = (check_sef_gap(polymax) + check_norm_scaling(polymax, 1)
+               + check_filtration(polymax, [0, 1]))
+    assert reports and all(rep.holds for rep in reports), reports
 
 
 def _listed_filtration(module, alphas):

@@ -1,10 +1,17 @@
-"""Certified rational enclosures of e^x."""
+"""Certified rational enclosures of e^x, and the exact decisions on them
+against an mpmath oracle at 4096 bits below the units digit."""
 
 from fractions import Fraction
 
 import mpmath
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from latmin.intervals import compare_exp, exp_interval, exp_upper
+from latmin.intervals import compare_exp, exp_interval, exp_upper, floor_exp
+from latmin.norms import (compile_norm, make_ellipsoid, make_normed_module,
+                          make_polymax, twist)
+from test_enumeration import _e_convergent
 
 
 def _mpf(f: Fraction):
@@ -56,3 +63,62 @@ def test_exp_upper_dominates():
     assert exp_upper(Fraction(0)) == 1
     assert exp_upper(Fraction(1)) > Fraction(271, 100)
 
+
+
+def _oracle_floor(b: Fraction, x: Fraction) -> int:
+    """floor(b e^x) for b > 0 from mpmath alone, with about 4096 bits below
+    the units digit; b e^x must sit farther than 2^-3000 from an integer."""
+    int_bits = b.numerator.bit_length() - b.denominator.bit_length() + 2 * abs(x) + 2
+    with mpmath.workprec(4096 + max(0, int(int_bits))):
+        v = mpmath.mpf(b.numerator) * mpmath.exp(_mpf(x)) / b.denominator
+        k = int(mpmath.floor(v))
+        assert min(v - k, k + 1 - v) > mpmath.mpf(2) ** -3000
+    return k
+
+
+@settings(deadline=None, max_examples=150, derandomize=True)
+@given(num=st.integers(1, 1 << 1000), den=st.integers(1, 1 << 1000),
+       x=st.fractions(-60, 60, max_denominator=1 << 40).filter(bool))
+def test_floor_exp_and_compare_exp_match_the_oracle(num, den, x):
+    b = Fraction(num, den)
+    k = _oracle_floor(b, x)
+    assert floor_exp(b, x) == k
+    assert floor_exp(Fraction(0), x) == 0
+    # k / b <= e^x < (k + 1) / b: a tie within 1 / b for compare_exp
+    assert compare_exp(k / b, x) == -1
+    assert compare_exp((k + 1) / b, x) == 1
+    # b < e^x exactly when floor(e^x / b) >= 1
+    assert compare_exp(b, x) == (-1 if _oracle_floor(1 / b, x) >= 1 else 1)
+
+
+@pytest.mark.parametrize("below", [True, False], ids=["below", "above"])
+@pytest.mark.parametrize("bits", [64, 250, 1000])
+def test_floor_exp_and_compare_exp_near_e_convergents(bits, below):
+    """|e - p/q| < 1/q^2 with q > 2^bits: q e and p / e lie within 1/q of
+    the integers p and q, which no fixed precision separates."""
+    c = _e_convergent(bits, below)
+    p, q = c.numerator, c.denominator
+    assert compare_exp(c, Fraction(1)) == (-1 if below else 1)
+    assert floor_exp(Fraction(q), Fraction(1)) == _oracle_floor(Fraction(q), Fraction(1)) \
+        == p - (not below)
+    assert floor_exp(Fraction(p), Fraction(-1)) == _oracle_floor(Fraction(p), Fraction(-1)) \
+        == q - below
+
+
+@settings(deadline=None, max_examples=100, derandomize=True)
+@given(family=st.sampled_from(["ellipsoid", "polymax"]),
+       num=st.integers(1, 1 << 300), den=st.integers(1, 1 << 300),
+       alpha=st.fractions(-30, 30, max_denominator=1 << 40).filter(bool),
+       t=st.fractions(Fraction(1, 1000), 1000, max_denominator=1 << 40))
+def test_twisted_cap_matches_the_oracle(family, num, den, alpha, t):
+    """The cap of a twist is floor(t^2 den e^(2 alpha)) for an ellipsoid and
+    floor(t den e^alpha) for a polymax, den the lcm of the denominators;
+    closed and strict caps agree, as no twisted sphere meets a key."""
+    c = Fraction(num, den)
+    if family == "ellipsoid":
+        base, bound, scale = make_ellipsoid([[c, 0], [0, 1]]), t * t, 2 * alpha
+    else:
+        base, bound, scale = make_polymax([[c, 0], [0, 1]]), t, alpha
+    compiled = compile_norm(twist(make_normed_module(2, base), alpha).norm)
+    cap = _oracle_floor(bound * c.denominator, scale)
+    assert compiled.cap(t) == compiled.cap(t, strict=True) == cap

@@ -7,10 +7,9 @@ from fractions import Fraction
 
 import pytest
 
-from latmin import linalg, norms
+from latmin import intervals, linalg, norms
 from latmin.errors import DimensionMismatch, InvalidNorm, UnboundedBall
 from latmin.inequalities import SuiteConfig, random_module
-from latmin.intervals import exp_interval
 from latmin.norms import (Ellipsoid, Scaled, compile_norm,
                           format_rational, make_ellipsoid, make_normed_module,
                           make_polymax, module_from_json, norm_eval,
@@ -225,6 +224,8 @@ def test_twist_reuses_its_base_compile(monkeypatch):
     original = linalg.IncrementalSpan.add
     monkeypatch.setattr(linalg.IncrementalSpan, "add",
                         lambda span, v: adds.append(v) or original(span, v))
+    exps = []
+    monkeypatch.setattr(intervals, "exp_interval", lambda *args: exps.append(args))
     for module in (polymax, ellipsoid):
         base = compile_norm(module.norm)
         for a in (Fraction(5, 11), Fraction(-7, 13)):
@@ -241,9 +242,10 @@ def test_twist_reuses_its_base_compile(monkeypatch):
             assert twisted.box_ratios is base.box_ratios
             for cap in (0, 1, 7, 10 ** 6, 10 ** 90):
                 assert twisted.box(cap) == base.box(cap)
-            assert twisted.exp_window == exp_interval(twisted.scale, 128)
-        assert base.alpha == 0 and base.exp_window == (1, 1)  # the base is untouched
+            assert twisted.den == base.den  # and so are the integer keys
+        assert base.alpha == base.scale == 0  # the base is untouched
     assert adds == []  # a twisted compile runs no elimination
+    assert exps == []  # nor does it enclose e^alpha: only its caps do
 
 
 def test_box_root_is_exact_below_2_256_and_never_below_isqrt_past_it():
