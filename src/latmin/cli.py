@@ -10,6 +10,11 @@ and platforms.  Wall-clock timing is only emitted when LATMIN_TIMING is set,
 to keep default output reproducible.  The report is encoded once, compact
 with sorted keys; that string is hashed for manifest.result_digest (16 hex
 digits of sha256) and spliced into the printed {"manifest", "report"} line.
+
+Importing this module loads only ``errors``: each ``cmd_*`` imports the
+layers its subcommand runs, so a ``count`` loads no minima, inequality or
+ledger code and a ``ledger`` run no lattice code.  No subcommand loads
+mpmath (e^x is enclosed in integers, see ``intervals``).
 """
 
 from __future__ import annotations
@@ -24,14 +29,7 @@ import time
 from fractions import Fraction
 
 from . import __version__
-from .enumeration import (DEFAULT_BUDGET, effective_sections,
-                          strictly_effective_sections)
 from .errors import ConfigError, LatminError
-from .inequalities import SuiteConfig, run_suite
-from .ledger import (eval_theorem, ledger_from_json, simulate_reduction,
-                     sum_ci_bound, theorem_chain_check, verify_constant_chain)
-from .minima import euler_characteristic, successive_minima
-from .norms import format_rational, load_module
 
 _dumps = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
@@ -51,7 +49,7 @@ def jsonable(obj):
     if isinstance(obj, (list, tuple)):
         return [jsonable(v) for v in obj]
     if isinstance(obj, Fraction):  # an ABC, so a slow test: after the builtins
-        return format_rational(obj)
+        return f"{obj.numerator}/{obj.denominator}"  # as norms.format_rational
     if dataclasses.is_dataclass(obj):  # field by field, with no deep copy
         return {f.name: jsonable(getattr(obj, f.name))
                 for f in dataclasses.fields(obj)}
@@ -87,6 +85,8 @@ def _emit_error(subcommand: str, exc: Exception, exit_code: int) -> int:
 
 def _budget(args) -> int:
     """The enumeration budget: --budget, else LATMIN_BUDGET, else the default."""
+    from .enumeration import DEFAULT_BUDGET
+
     budget = args.budget
     if budget is None:
         env = os.environ.get("LATMIN_BUDGET")
@@ -100,6 +100,9 @@ def _budget(args) -> int:
 
 
 def cmd_count(args) -> int:
+    from .enumeration import effective_sections, strictly_effective_sections
+    from .norms import load_module
+
     started = time.monotonic()
     budget = _budget(args)
     module = load_module(args.module)
@@ -114,6 +117,9 @@ def cmd_count(args) -> int:
 
 
 def cmd_minima(args) -> int:
+    from .minima import successive_minima
+    from .norms import load_module
+
     started = time.monotonic()
     budget = _budget(args)
     module = load_module(args.module)
@@ -130,6 +136,9 @@ def cmd_minima(args) -> int:
 
 
 def cmd_chi(args) -> int:
+    from .minima import euler_characteristic
+    from .norms import load_module
+
     started = time.monotonic()
     module = load_module(args.module)
     chi = euler_characteristic(module)
@@ -138,6 +147,8 @@ def cmd_chi(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .inequalities import SuiteConfig, run_suite
+
     started = time.monotonic()
     if args.suite != "counting":
         raise ConfigError(f"unknown suite {args.suite!r}")
@@ -152,6 +163,10 @@ def cmd_verify(args) -> int:
 
 
 def cmd_ledger(args) -> int:
+    from .ledger import (eval_theorem, ledger_from_json, simulate_reduction,
+                         sum_ci_bound, theorem_chain_check,
+                         verify_constant_chain)
+
     started = time.monotonic()
     if args.ledger_cmd == "eval":
         with open(args.config) as fh:

@@ -3,10 +3,8 @@
 Every check returns structured InequalityReport values.  These inequalities
 are proved theorems, so a "violated" verdict on any instance means an
 implementation bug; the batch runner treats violations as data and dumps the
-offending instance for replay.
-
-Tolerance policy: every count and volume is exact, so every quantity is
-compared with tol 1e-9, the rounding of its evaluation in IEEE doubles.
+offending instance for replay.  Verdicts follow the tolerance policy of
+``reports``.
 """
 
 from __future__ import annotations
@@ -21,27 +19,8 @@ from .errors import ConfigError, EnumerationBudgetExceeded
 from .minima import euler_characteristic, successive_minima
 from .norms import (NormedModule, make_ellipsoid, make_normed_module,
                     make_polymax, twist)
+from .reports import InequalityReport, _report
 from .rng import DetRNG, derive
-
-EXACT_TOL = 1e-9
-
-
-@dataclass(frozen=True)
-class InequalityReport:
-    name: str
-    lhs: float
-    rhs: float
-    slack: float
-    holds: bool
-    instance_digest: str
-    verdict: str            # "holds" | "violated"
-
-
-def _report(name: str, lhs: float, rhs: float, digest: str) -> InequalityReport:
-    slack = rhs - lhs
-    holds = slack >= -EXACT_TOL
-    return InequalityReport(name, lhs, rhs, slack, holds, digest,
-                            "holds" if holds else "violated")
 
 
 def _xlogx(n: int) -> float:

@@ -3,10 +3,17 @@
 Scale factors in norms are exact rationals x, and every decision against
 e^x is one of two: the sign of a - e^x (``compare_exp``) or the integer
 floor(b e^x) (``floor_exp``), the key cap of a twisted norm.  We enclose e^x
-in a rational interval computed with mpmath and double its precision until
-the decision is made.  For rational x != 0, e^x is irrational (Lindemann),
-so a != e^x for every rational a and b e^x is no integer for b > 0: every
-refinement ends, and no precision floor is needed.
+in a rational interval computed in integer arithmetic and double its
+precision until the decision is made.  For rational x != 0, e^x is
+irrational (Lindemann), so a != e^x for every rational a and b e^x is no
+integer for b > 0: every refinement ends, and no precision floor is needed.
+
+The enclosure splits |x| = n + f with n = floor(|x|) and 0 <= f < 1: e^f is
+a fixed-point Taylor sum with a proved bound on its floors and its tail, and
+e^n is a binary power of the enclosure of e on (mantissa, exponent) pairs,
+rounded down for the lower end and up for the upper one (Brent &
+Zimmermann, Modern Computer Arithmetic, 2010, sec. 4.4).  For x < 0 the
+ends are 1/hi and 1/lo.  No floating point and no library is involved.
 """
 
 from __future__ import annotations
@@ -16,29 +23,64 @@ from fractions import Fraction
 from functools import lru_cache
 
 
-def _mpf_to_fraction(x) -> Fraction:
-    sign, man, exp, _ = x._mpf_
-    if man == 0:
-        return Fraction(0)
-    value = Fraction(man) * (Fraction(2) ** exp)
-    return -value if sign else value
+def _exp_fixed(p: int, q: int, w: int) -> tuple[int, int]:
+    """Integers lo <= 2^w e^(p/q) <= hi for 0 <= p <= q.
+
+    The terms t_0 = 2^w, t_k = floor(t_(k-1) p / (q k)) are floors of the
+    exact terms u_k = 2^w (p/q)^k / k!, and u_k - t_k < 1 + (u_(k-1) -
+    t_(k-1)) / k stays below 2.  At the first zero term t_K (K >= 1) the
+    exact tail is at most u_K (1 + 1/2 + 1/4 + ...) < 4, so 2^w e^(p/q)
+    lies in [S, S + 2K + 4] for S = t_0 + ... + t_(K-1).
+    """
+    total, term, k = 0, 1 << w, 0
+    while term:
+        total += term
+        k += 1
+        term = term * p // (q * k)
+    return total, total + 2 * k + 4
+
+
+def _round(m: int, e: int, w: int, up: bool) -> tuple[int, int]:
+    """m 2^e cut to a w-bit mantissa, rounded down or up."""
+    shift = m.bit_length() - w
+    if shift <= 0:
+        return m, e
+    return (-(-m >> shift) if up else m >> shift), e + shift
+
+
+def _times_power(m: int, b: int, n: int, w: int, up: bool) -> tuple[int, int]:
+    """(m 2^-w) (b 2^-w)^n as a mantissa and an exponent, by binary
+    powering with every product cut to w bits, rounded down or up."""
+    e = be = -w
+    while n:
+        if n & 1:
+            m, e = _round(m * b, e + be, w, up)
+        n >>= 1
+        if n:
+            b, be = _round(b * b, 2 * be, w, up)
+    return m, e
+
+
+def _to_fraction(m: int, e: int) -> Fraction:
+    return Fraction(m << e) if e >= 0 else Fraction(m, 1 << -e)
 
 
 # the 128-bit enclosure of a twist is read by its budget box and then by its cap
 @lru_cache(maxsize=1024)
 def exp_interval(x: Fraction, prec: int = 80) -> tuple[Fraction, Fraction]:
-    """Return rational (lo, hi) with lo <= e^x <= hi at ~prec bits.
+    """Return rational (lo, hi) with lo <= e^x <= hi and hi - lo at most
+    lo 2^-(prec - 8).
 
-    Rounding x to w bits moves e^x by a relative error of about |x| * 2^-w,
-    so the working precision grows with the bit length of |x|.
+    e^|x| = e^f e^n; e^n takes up to 2 log2(n) roundings and multiplies the
+    relative error of e by n, so the working precision w grows with the bit
+    length of n.
     """
-    import mpmath  # loaded on first use: only twisted norms need e^x
-
-    work = prec + (abs(x.numerator) // x.denominator).bit_length() + 16
-    with mpmath.workprec(work):
-        v = _mpf_to_fraction(mpmath.exp(mpmath.mpf(x.numerator) / x.denominator))
-    slack = Fraction(1, 1 << (prec - 8))
-    return v * (1 - slack), v * (1 + slack)
+    n, f = divmod(abs(x), 1)
+    w = prec + 2 * n.bit_length() + prec.bit_length() + 16
+    e_ends = _exp_fixed(1, 1, w) if n else (1, 1)  # no power of e when n = 0
+    lo, hi = (_to_fraction(*_times_power(m, b, n, w, up)) for m, b, up in
+              zip(_exp_fixed(f.numerator, f.denominator, w), e_ends, (False, True)))
+    return (1 / hi, 1 / lo) if x < 0 else (lo, hi)
 
 
 def compare_exp(a: Fraction, x: Fraction) -> int:
@@ -88,3 +130,16 @@ def exp_float(x: float) -> float:
         return math.exp(x)
     except OverflowError:
         return math.inf
+
+
+def saturated_float(x: Fraction) -> float:
+    """x as a double; +-inf past the double range."""
+    try:
+        return float(x)
+    except OverflowError:
+        return math.inf if x > 0 else -math.inf
+
+
+def log_unit_ball_volume(r: int) -> float:
+    """log of the volume of the Euclidean unit ball in R^r."""
+    return (r / 2) * math.log(math.pi) - math.lgamma(r / 2 + 1)

@@ -22,8 +22,8 @@ from functools import cached_property
 from typing import List, Tuple
 
 from .errors import ConfigError, InfeasibleLedger, PreconditionViolated
-from .inequalities import EXACT_TOL, InequalityReport, _report
-from .minima import log_unit_ball_volume
+from .intervals import log_unit_ball_volume
+from .reports import EXACT_TOL, InequalityReport, _report
 from .rng import DetRNG
 
 MODES = ("positive-genus", "genus-zero", "clifford-hyperelliptic",

@@ -20,7 +20,7 @@ from functools import lru_cache
 
 from .enumeration import DEFAULT_BUDGET, vectors_with_keys
 from .errors import PreconditionViolated
-from .intervals import exp_float
+from .intervals import exp_float, log_unit_ball_volume, saturated_float
 from .linalg import IncrementalSpan
 from .norms import NormedModule, compile_norm
 
@@ -75,11 +75,6 @@ class VolumeReport:
     method: str             # exact-ellipsoid | exact-polytope
     log_value: float
     exact: Fraction | None = None  # rational volume of an untwisted polymax ball
-
-
-def log_unit_ball_volume(r: int) -> float:
-    """log of the volume of the Euclidean unit ball in R^r."""
-    return (r / 2) * math.log(math.pi) - math.lgamma(r / 2 + 1)
 
 
 def _node(lower, upper, slabs):
@@ -168,7 +163,9 @@ def ball_volume(module: NormedModule) -> VolumeReport:
     compiled = compile_norm(module.norm)
     alpha = compiled.alpha
     r = module.rank
-    shift = r * float(alpha)  # scaling by e^{-alpha} multiplies volume by e^{r alpha}
+    # scaling by e^{-alpha} multiplies the volume by e^{r alpha}; +-inf when
+    # alpha itself is past the double range
+    shift = r * saturated_float(alpha)
     if compiled.squared:
         det = compiled.det  # its log, as det may lie outside the double range
         log_det = math.log(det.numerator) - math.log(det.denominator)

@@ -34,7 +34,7 @@ from functools import lru_cache
 from typing import List, Sequence, Union
 
 from .errors import ConfigError, DimensionMismatch, InvalidNorm, UnboundedBall
-from .intervals import compare_exp, exp_float, floor_exp
+from .intervals import compare_exp, exp_float, floor_exp, saturated_float
 from .linalg import determinant, independent_rows, invert, ldl_chain
 
 
@@ -226,7 +226,7 @@ class CompiledNorm:
         base = math.log(key) - math.log(self.den)
         if self.squared:
             base /= 2
-        return base - float(self.alpha)
+        return base - saturated_float(self.alpha)
 
     def box(self, cap: int) -> List[int]:
         """Integer bounds B_k with key(x) <= cap => |x_k| <= B_k."""

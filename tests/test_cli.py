@@ -17,7 +17,8 @@ from latmin.cli import fmt_real, jsonable, main
 from latmin.inequalities import SuiteConfig, run_suite
 from latmin.ledger import (ArithmeticContext, corollary_e, simulate_reduction,
                            sum_ci_bound, theorem_chain_check)
-from latmin.norms import format_rational
+from latmin.minima import ball_volume
+from latmin.norms import format_rational, load_module
 
 
 LEDGER = {"g": 2, "kappa": 1, "mode": "positive-genus", "L2_0": 20.0,
@@ -365,6 +366,27 @@ def test_large_twist_chi_is_finite(capsys, tmp_path):
                              "method": "exact-polytope"}
 
 
+@pytest.mark.parametrize("inner", [DISK_NORM, HEXAGON_INNER], ids=["disk", "hexagon"])
+@pytest.mark.parametrize("alpha, lam, mu, vol, chi", [
+    ("1e400", "0", "inf", "inf", "inf"), ("-1e400", "inf", "-inf", "0", "-inf")])
+def test_twist_past_the_double_range_saturates(capsys, tmp_path, inner, alpha,
+                                               lam, mu, vol, chi):
+    """alpha = +-10^400 is no double: lambda = e^-alpha, the volume e^(2 alpha)
+    vol and chi print as 0, inf or -inf, as at alpha = +-2000, with no
+    OverflowError."""
+    path = tmp_path / "twist.json"
+    path.write_text(json.dumps(_scaled(alpha, inner)))
+    code, doc = run_main(capsys, ["minima", "--module", str(path)])
+    assert code == 0
+    assert doc["report"]["lambdas"] == [lam, lam]
+    assert doc["report"]["mus"] == [mu, mu]
+    code, doc = run_main(capsys, ["chi", "--module", str(path)])
+    assert code == 0
+    assert doc["report"]["chi"] == chi
+    module = load_module(str(path))
+    assert jsonable(ball_volume(module).value) == vol
+
+
 @pytest.mark.parametrize("entry, sign", [("1e400", -1), ("1e-400", 1)])
 def test_chi_of_an_ellipsoid_past_the_double_range(capsys, tmp_path, entry, sign):
     """det G = 10^(+-400) is no double, but its log is: chi = log 2 -+ 200 log 10."""
@@ -425,22 +447,46 @@ def test_non_integer_env_budget_exits_2(tmp_path):
     assert out.stderr == b""
 
 
-def test_cli_import_does_not_load_mpmath():
-    """Neither the CLI import nor a twist's compile, minima and volume need
-    e^alpha: only its caps do."""
+def test_cli_import_does_not_load_mpmath(tmp_path):
+    """No op loads mpmath, and each loads only the layers its subcommand
+    runs: the CLI import no lattice layer, a twisted count (which reads
+    e^alpha) no minima, inequality or ledger code, and a ledger run no
+    lattice code.  A twist's compile, minima and volume read no e^alpha."""
     src = os.path.dirname(os.path.dirname(latmin.__file__))
     env = dict(os.environ, PYTHONPATH=src)
+    path = tmp_path / "twist.json"
+    path.write_text(json.dumps(_scaled("7/3", DISK_NORM)))
     twisted = (
         "from latmin import *\n"
         "for inner in (make_ellipsoid([[2, 1], [1, 3]]),\n"
         "              make_polymax([[1, 0], [0, 1], [1, 1]])):\n"
         "    m = twist(make_normed_module(2, inner), '7/3')\n"
         "    successive_minima(m), ball_volume(m)\n")
-    for code in ("import latmin.cli\n", twisted):
+
+    def cli(*argv):
+        return f"from latmin import cli\nassert cli.main({list(argv)!r}) == 0\n"
+
+    lattice = {"latmin.norms", "latmin.enumeration", "latmin.minima",
+               "latmin.inequalities", "latmin.linalg"}
+    cases = [
+        ("import latmin.cli\n", {"latmin.enumeration", "latmin.norms",
+                                 "latmin.minima", "latmin.inequalities",
+                                 "latmin.ledger"}),
+        (twisted, set()),
+        (cli("count", "--module", str(path)),
+         {"latmin.ledger", "latmin.inequalities", "latmin.minima"}),
+        (cli("ledger", "simulate", "--mode", "genus-zero", "--trials", "3"),
+         lattice),
+    ]
+    for code, banned in cases:
         out = subprocess.run(
-            [sys.executable, "-c", f"import sys\n{code}sys.exit('mpmath' in sys.modules)"],
+            [sys.executable, "-c",
+             f"import sys\n{code}print(*sorted(sys.modules))"],
             capture_output=True, env=env)
         assert out.returncode == 0, (code, out.stderr)
+        loaded = set(out.stdout.decode().splitlines()[-1].split())
+        assert "latmin" in loaded
+        assert not loaded & (banned | {"mpmath"}), (code, loaded & banned)
 
 
 def _asdict_jsonable(obj):

@@ -1,5 +1,6 @@
-"""Certified rational enclosures of e^x, and the exact decisions on them
-against an mpmath oracle at 4096 bits below the units digit."""
+"""Certified rational enclosures of e^x, computed in integers, and the exact
+decisions on them against an mpmath oracle (mpmath is a test dependency
+only)."""
 
 from fractions import Fraction
 
@@ -8,7 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from latmin.intervals import compare_exp, exp_interval, exp_upper, floor_exp
+from latmin.intervals import (_round, compare_exp, exp_interval, exp_upper,
+                              floor_exp)
 from latmin.norms import (compile_norm, make_ellipsoid, make_normed_module,
                           make_polymax, twist)
 from test_enumeration import _e_convergent
@@ -23,17 +25,42 @@ def _fraction(x) -> Fraction:
     return Fraction(int(man)) * Fraction(2) ** int(exp)
 
 
+def _check_enclosure(x: Fraction, prec: int) -> None:
+    """lo <= e^x <= hi against mpmath at 2 prec + 64 bits, and
+    hi - lo <= lo 2^-(prec - 8), the slack of the former mpmath enclosure."""
+    lo, hi = exp_interval(x, prec)
+    with mpmath.workprec(2 * prec + 64):
+        truth = _fraction(mpmath.exp(_mpf(x)))
+    assert lo <= truth <= hi, (x, prec)
+    assert hi - lo <= lo / 2 ** (prec - 8), (x, prec)
+
+
 def test_exp_interval_encloses_truth():
-    # large |x|: rounding x to the working precision must not leak past the
-    # interval's slack
-    xs = [Fraction(1), Fraction(-3, 2), Fraction(7, 3), Fraction(5),
-          Fraction(3001, 3), Fraction(-3001, 3), Fraction(10 ** 6, 7)]
+    # large |x|: e^n is a power of up to 2 log2(n) rounded products; a
+    # denominator far past the working precision makes the Taylor terms of
+    # e^f vanish early
+    xs = [Fraction(1), Fraction(-1), Fraction(1, 3), Fraction(-3, 2),
+          Fraction(7, 3), Fraction(5), Fraction(3001, 3), Fraction(-3001, 3),
+          Fraction(10 ** 6, 7), Fraction(-(10 ** 6), 7), Fraction(1, 3 ** 1000),
+          Fraction(-(3 ** 1000 + 1), 3 ** 1000)]
     for x in xs:
-        for prec in (64, 80, 128, 256):
-            lo, hi = exp_interval(x, prec)
-            with mpmath.workprec(2 * prec + 64):
-                truth = mpmath.exp(_mpf(x))
-                assert _mpf(lo) <= truth <= _mpf(hi), (x, prec)
+        for prec in (64, 128, 1024, 4096):
+            _check_enclosure(x, prec)
+
+
+@settings(deadline=None, max_examples=200, derandomize=True)
+@given(x=st.fractions(-60, 60, max_denominator=1 << 40),
+       prec=st.sampled_from([64, 128, 1024, 4096]))
+def test_exp_interval_matches_the_oracle(x, prec):
+    _check_enclosure(x, prec)
+
+
+def test_round_cuts_the_mantissa_in_its_direction():
+    # 11 * 2^-3 cut to 2 bits: 2 * 2^-2 below it, 3 * 2^-2 above it
+    assert _round(0b1011, -3, 2, False) == (0b10, -1)
+    assert _round(0b1011, -3, 2, True) == (0b11, -1)
+    assert _round(0b1000, -3, 2, True) == (0b10, -1)  # exact: no step up
+    assert _round(0b11, 5, 4, True) == (0b11, 5)      # short: unchanged
 
 
 def test_compare_exp_sign_near_large_exponent():

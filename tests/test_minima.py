@@ -9,9 +9,9 @@ import pytest
 from latmin import minima
 from latmin.errors import PreconditionViolated
 from latmin.inequalities import SuiteConfig, random_module
+from latmin.intervals import log_unit_ball_volume
 from latmin.linalg import span_rank
-from latmin.minima import (ball_volume, euler_characteristic,
-                           log_unit_ball_volume, successive_minima)
+from latmin.minima import ball_volume, euler_characteristic, successive_minima
 from latmin.norms import (Ellipsoid, Scaled, compile_norm, make_ellipsoid,
                           make_normed_module, make_polymax, norm_eval, twist)
 from test_enumeration import (_oracle_invert, hand_built_modules, oracle_sections,
