@@ -16,8 +16,8 @@ __version__ = "0.1.0"
 
 # home module -> the public names it exports here
 _EXPORTS = {
-    "enumeration": ("effective_sections", "enclosing_box", "h0_hat",
-                    "h0_hat_sef", "strictly_effective_sections"),
+    "enumeration": ("effective_sections", "h0_hat", "h0_hat_sef",
+                    "strictly_effective_sections"),
     "linalg": ("span_rank",),
     "minima": ("ball_volume", "euler_characteristic", "successive_minima"),
     "norms": ("NormedModule", "make_ellipsoid", "make_normed_module",

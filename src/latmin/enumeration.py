@@ -8,8 +8,10 @@ are walked depth first, x_0 outermost, over the module's compiled norm
 still finish with a key at most K, exact ranges from the integer LDL^T
 chain for ellipsoids (Fincke & Pohst, Math. Comp. 44, 1985), and per-row
 intervals for PolyMax norms.  At the innermost level that range is a
-line: every t in [lo, hi] ends in the ball.  The enclosing box of the cap
-clips every level and is what the budget is charged on.
+line: every t in [lo, hi] ends in the ball.  Level i ranges over at most
+2 B_i + 1 integers (``CompiledNorm.box``), and the budget is charged on
+prod (2 B_i + 1) before any walk; the unit ball is charged at doubling keys
+before its cap is resolved, so a huge twist never computes its cap.
 
 A count adds hi - lo + 1 per line at the closed or the strict cap and
 lists nothing, in O(r) memory.  ``vectors_with_keys`` expands the same
@@ -29,20 +31,10 @@ from itertools import repeat
 from typing import List, Tuple
 
 from .errors import EnumerationBudgetExceeded
-from .intervals import exp_upper
-from .norms import CompiledNorm, NormedModule, NormSpec, compile_norm
+from .norms import CompiledNorm, NormedModule, compile_norm
 
 DEFAULT_BUDGET = 10 ** 8
 ONE = Fraction(1)
-
-
-def enclosing_box(norm: NormSpec) -> List[int]:
-    """Per-coordinate integer bounds B_k with ||x|| <= 1 => |x_k| <= B_k: the
-    box of the key floor(den hi), at least the unit cap, with hi the upper
-    end of the 128-bit enclosure of e^scale; it refines nothing."""
-    compiled = compile_norm(norm)
-    bound = compiled.den * exp_upper(compiled.scale, 128)
-    return compiled.box(bound.numerator // bound.denominator)
 
 
 def _check_budget(bounds: List[int], budget: int) -> None:
@@ -52,14 +44,14 @@ def _check_budget(bounds: List[int], budget: int) -> None:
 
 
 def _ellipsoid_walk(compiled: CompiledNorm, cap: int, bounds: List[int]):
-    """Lines (head, lo, hi, keys) of the v in the box with v^T G' v <= cap:
+    """Lines (head, lo, hi, keys) of the lattice v with v^T G' v <= cap:
     the v = head + (t,) for lo <= t <= hi, keys() their keys, depth first.
 
     x_0 is the outermost coordinate.  At level i, with P the value at
     x_{<i} of the chain (``linalg.ldl_chain``), x_i = t is admissible iff
     S_i <= cap, i.e. (a t + b)^2 <= d (a cap - P), so with s = isqrt of the
-    right side t runs over [-((b + s) // a), (s - b) // a], clipped to the
-    box.  At the innermost level d = 1 and the chain value is the key.
+    right side t runs over [-((b + s) // a), (s - b) // a], exactly.  At the
+    innermost level d = 1 and the chain value is the key.
     """
     chain, last, x = compiled.chain, len(bounds) - 1, [0] * len(bounds)
 
@@ -70,7 +62,7 @@ def _ellipsoid_walk(compiled: CompiledNorm, cap: int, bounds: List[int]):
             return
         b = sum(map(operator.mul, row, x))
         s = math.isqrt(room)
-        lo, hi = max(-((b + s) // a), -bounds[i]), min((s - b) // a, bounds[i])
+        lo, hi = -((b + s) // a), (s - b) // a
         if i == last:
             if lo <= hi:
                 yield tuple(x[:i]), lo, hi, lambda: [
@@ -123,7 +115,7 @@ def _polymax_walk(compiled: CompiledNorm, cap: int, bounds: List[int]):
 
 
 def _lines(module: NormedModule, cap: int, budget: int):
-    """The compiled norm, the box of the cap (charged) and the walk's lines."""
+    """The compiled norm, the widths of the cap (charged) and the walk's lines."""
     compiled = compile_norm(module.norm)
     bounds = compiled.box(cap)
     _check_budget(bounds, budget)
@@ -134,25 +126,27 @@ def _lines(module: NormedModule, cap: int, budget: int):
 def vectors_with_keys(module: NormedModule, cap: int,
                       budget: int = DEFAULT_BUDGET) -> Tuple[CompiledNorm, list]:
     """All lattice vectors with key <= cap, as (key, vector) pairs sorted so
-    that consumers are deterministic; the budget is charged on the box of
-    the cap, and the walk's lines are expanded."""
+    that consumers are deterministic; the budget is charged on the widths
+    of the cap, and the walk's lines are expanded."""
     compiled, bounds, lines = _lines(module, cap, budget)
     if not bounds:  # rank 0: the zero vector, key 0, is the only lattice vector
         return compiled, [(0, ())]
-    # all vectors share one int per last coordinate (ints below -5 are not cached)
-    b = bounds[-1]
-    pool, pairs = tuple(range(-b, b + 1)), []
+    pairs = []
     for head, lo, hi, keys in lines:
-        pairs += zip(keys(), [head + (t,) for t in pool[lo + b:hi + b + 1]])
+        pairs += zip(keys(), [head + (t,) for t in range(lo, hi + 1)])
     pairs.sort()
     return compiled, pairs
 
 
 def _unit_cap(module: NormedModule, strict: bool, budget: int) -> int:
-    """cap(1), or the strict cap; the budget is charged on the enclosing box
-    first, so a huge twist never refines e^alpha past its 128-bit enclosure."""
-    _check_budget(enclosing_box(module.norm), budget)
-    return compile_norm(module.norm).cap(ONE, strict)
+    """cap(1), or the strict cap: the box grows with the cap, so it is
+    charged at each key t = 1, 2, 4, ... in the ball (norm <= 1, < 1 if
+    strict) first, and the cap, below the last t, is resolved after."""
+    compiled, t = compile_norm(module.norm), 1
+    while compiled.cmp(t, ONE) < (not strict):
+        _check_budget(compiled.box(t), budget)
+        t *= 2
+    return compiled.cap(ONE, strict)
 
 
 def unit_ball(module: NormedModule,
@@ -215,7 +209,6 @@ __all__ = [
     "SectionSet",
     "effective_sections",
     "strictly_effective_sections",
-    "enclosing_box",
     "h0_hat",
     "h0_hat_sef",
     "unit_ball",

@@ -20,16 +20,13 @@ class DimensionMismatch(LatminError):
 
 
 class EnumerationBudgetExceeded(LatminError):
-    """Predicted candidate count exceeds the enumeration budget."""
+    """The walk's size bound, prod (2 B_i + 1) over its level widths,
+    exceeds the enumeration budget."""
 
     exit_code = 3
 
     def __init__(self, predicted, budget):
-        try:  # past the interpreter's int-to-str digit limit: a power of two
-            shown = str(predicted)
-        except ValueError:
-            shown = f"at least 2^{predicted.bit_length() - 1}"
-        super().__init__(f"predicted {shown} candidates exceeds budget {budget}")
+        super().__init__(f"predicted {predicted} candidates exceeds budget {budget}")
         self.predicted = predicted
         self.budget = budget
 

@@ -2,11 +2,12 @@
 
 Scale factors in norms are exact rationals x, and every decision against
 e^x is one of two: the sign of a - e^x (``compare_exp``) or the integer
-floor(b e^x) (``floor_exp``), the key cap of a twisted norm.  We enclose e^x
-in a rational interval computed in integer arithmetic and double its
-precision until the decision is made.  For rational x != 0, e^x is
-irrational (Lindemann), so a != e^x for every rational a and b e^x is no
-integer for b > 0: every refinement ends, and no precision floor is needed.
+floor(b e^x) (``floor_exp``), the key cap of a twisted norm.  Unless bit
+lengths decide it (so a huge |x| builds nothing), we enclose e^x in a
+rational interval computed in integers and double its precision until the
+decision is made.  For rational x != 0, e^x is irrational (Lindemann), so
+a != e^x for every rational a and b e^x is no integer for b > 0: every
+refinement ends, and no precision floor is needed.
 
 The enclosure splits |x| = n + f with n = floor(|x|) and 0 <= f < 1: e^f is
 a fixed-point Taylor sum with a proved bound on its floors and its tail, and
@@ -21,6 +22,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
+
+LOG2E_LO, LOG2E_HI = Fraction(14426, 10000), Fraction(14427, 10000)  # 1.44269...
 
 
 def _exp_fixed(p: int, q: int, w: int) -> tuple[int, int]:
@@ -65,7 +68,7 @@ def _to_fraction(m: int, e: int) -> Fraction:
     return Fraction(m << e) if e >= 0 else Fraction(m, 1 << -e)
 
 
-# the 128-bit enclosure of a twist is read by its budget box and then by its cap
+# the closed and strict caps of a twist, and its later list, share enclosures
 @lru_cache(maxsize=1024)
 def exp_interval(x: Fraction, prec: int = 80) -> tuple[Fraction, Fraction]:
     """Return rational (lo, hi) with lo <= e^x <= hi and hi - lo at most
@@ -83,6 +86,14 @@ def exp_interval(x: Fraction, prec: int = 80) -> tuple[Fraction, Fraction]:
     return (1 / hi, 1 / lo) if x < 0 else (lo, hi)
 
 
+def _by_bits(a: Fraction, x: Fraction) -> int:
+    """Sign of a - e^x for a > 0 if bit lengths decide it, else 0: 2^(k-1) <
+    a < 2^(k+1) for k = bitlen(num) - bitlen(den), and 2^lo < e^x < 2^hi."""
+    k = a.numerator.bit_length() - a.denominator.bit_length()
+    lo, hi = sorted((x * LOG2E_LO, x * LOG2E_HI))
+    return (k - 1 >= math.ceil(hi)) - (k + 1 <= math.floor(lo))
+
+
 def compare_exp(a: Fraction, x: Fraction) -> int:
     """Sign of a - e^x for rational a and x.
 
@@ -93,6 +104,8 @@ def compare_exp(a: Fraction, x: Fraction) -> int:
         return (a > 1) - (a < 1)
     if a <= 0:
         return -1
+    if sign := _by_bits(a, x):
+        return sign
     prec = 64
     while True:
         lo, hi = exp_interval(x, prec)
@@ -108,6 +121,8 @@ def floor_exp(b: Fraction, x: Fraction) -> int:
     floor(b lo) + 1 > b hi, so the whole enclosure has one floor."""
     if b == 0 or x == 0:
         return math.floor(b)
+    if _by_bits(b, -x) < 0:  # b e^x < 1
+        return 0
     prec = 128
     while True:
         lo, hi = exp_interval(x, prec)

@@ -3,9 +3,10 @@
 Minima are found by exhaustive enumeration over a ladder of integer key
 caps (``norms.CompiledNorm``) from key 1, the least nonzero key, to the
 ceiling, the largest key of a unit vector, whose ball spans; neither reads
-e^alpha, so a twist has its base's rungs and witnesses.  One span pass over
-the canonical nonzero vectors of each key-sorted list, a prefix of the
-next, picks the rank-increasing vectors as witnesses; the exact parts of
+e^alpha, so a twist has its base's rungs and witnesses.  The radius doubles
+until a rung finds a vector, then grows by about e^(1/r) per rung.  One span
+pass over the canonical nonzero vectors of each key-sorted list, a prefix of
+the next, picks the rank-increasing vectors as witnesses; the exact parts of
 each minimum are read off the compiled norm.  Volumes are exact: a closed
 form for ellipsoids, and Lasserre's facet recursion in rational arithmetic
 for every PolyMax ball (Lasserre, J. Optim. Theory Appl. 39, 1983).
@@ -58,8 +59,9 @@ def successive_minima(module: NormedModule, budget: int = DEFAULT_BUDGET) -> Min
                 found.append((key, vec))
                 if span.rank == r:
                     break
-        # radius doubling, in keys: a key scales as t^2 (Ellipsoid) or t
-        cap = min(ceiling, (4 if compiled.squared else 2) * cap)
+        # radius x2 (key x4 or x2) until a vector is found, then about e^(1/r)
+        mul, div = (r + 1 + compiled.squared, r) if found else (2 + 2 * compiled.squared, 1)
+        cap = min(ceiling, max(cap + 1, cap * mul // div))
 
     keys = [k for k, _ in found]
     witnesses = tuple(v for _, v in found)

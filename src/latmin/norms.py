@@ -14,10 +14,10 @@ twists accumulate additively in alpha and nested Scaled specs are flattened.
 This is the only module that knows how a norm is represented.  Everything
 else evaluates norms through ``compile_norm(spec)``, a cached
 ``CompiledNorm``: integer keys, one exact comparator, the integer key cap of
-a radius and the box of a cap, log norms, the integer LDL^T chain of an
-Ellipsoid that enumeration prunes with, a PolyMax basis with its inverse,
-and the determinant of the gram or of the basis.
-``linalg`` computes the chain, the box and the basis in integer arithmetic.
+a radius and the widths of the walk at a cap, log norms, the integer LDL^T
+chain of an Ellipsoid that enumeration prunes with, a PolyMax basis with its
+inverse, and the determinant of the gram or of the basis.
+``linalg`` computes the chain and the basis in integer arithmetic.
 The compile is the only check of norm data (``make_normed_module`` compiles),
 and a twist reuses its base's compile, recomputing only the scale.
 """
@@ -122,13 +122,6 @@ def make_scaled(inner: NormSpec, alpha) -> NormSpec:
     return Scaled(inner, alpha)
 
 
-def _root(n: int) -> int:
-    """isqrt(n), or past 2^256 an upper bound from the top 256 bits (isqrt
-    is quadratic in the bit length, and a larger box is still sound)."""
-    shift = max(0, n.bit_length() - 256) // 2
-    return (math.isqrt(n >> 2 * shift) + (shift > 0)) << shift
-
-
 class CompiledNorm:
     """A norm spec compiled to integer data, built once per spec.
 
@@ -152,7 +145,6 @@ class CompiledNorm:
                               else "functionals have inconsistent lengths")
         self.den = math.lcm(*(x.denominator for row in self.data for x in row))
         self.int_rows = [[int(x * self.den) for x in row] for row in self.data]
-        # box_ratios f_k: key(x) <= cap bounds |x_k| by sqrt(cap f_k) or cap f_k
         if self.squared:
             if any(self.data[i][j] != self.data[j][i]
                    for i in range(n) for j in range(i)):
@@ -163,13 +155,9 @@ class CompiledNorm:
             if len(self.chain) < n or any(a <= 0 for a, _, _ in self.chain):
                 raise InvalidNorm("gram matrix is not positive definite")
             self.det = Fraction(self.chain[0][0] if n else 1, self.den ** n)
-            # (G'^-1)_kk = det G'[~k, ~k] / det G': only the diagonal is needed
-            minors = ([r[:k] + r[k + 1:] for i, r in enumerate(self.int_rows) if i != k]
-                      for k in range(n))
-            self.box_ratios = [determinant(m) / self.chain[0][0] for m in minors]
         else:
-            # r independent functionals A0 with y = A0 x: |y_i| <= cap/den on
-            # the ball, so |x_k| is at most that times the row sums of |A0^{-1}|
+            # r independent functionals A0 with y = A0 x: |y_i| <= cap/den on the
+            # ball, so |x_k| <= cap f_k, f_k the row sum of |A0^{-1}| over den
             self.basis = independent_rows(self.data, n)
             if len(self.basis) < n:
                 raise UnboundedBall("functionals do not span R^r; unit ball unbounded")
@@ -229,9 +217,13 @@ class CompiledNorm:
         return base - saturated_float(self.alpha)
 
     def box(self, cap: int) -> List[int]:
-        """Integer bounds B_k with key(x) <= cap => |x_k| <= B_k."""
-        bounds = [cap * f.numerator // f.denominator for f in self.box_ratios]
-        return list(map(_root, bounds)) if self.squared else bounds
+        """B_i with level i of the walk at a cap over at most 2 B_i + 1
+        integers.  Ellipsoid: (a t + b)^2 <= d (a cap - p), p >= 0, holds at
+        most floor(2 s / a) + 1, s = isqrt(d a cap): B_i rounds s / a, and by
+        Hadamard prod 2 s / a <= the G'^-1 box.  PolyMax: B_i >= |x_i|."""
+        if self.squared:
+            return [(2 * math.isqrt(d * a * cap) + a) // (2 * a) for a, d, _ in self.chain]
+        return [cap * f.numerator // f.denominator for f in self.box_ratios]
 
 
 @lru_cache(maxsize=2048)

@@ -293,15 +293,23 @@ def _scaled(alpha, inner):
 HEXAGON_INNER = {"type": "polymax", "functionals": [[1, 0], [0, 1], [1, 1]]}
 
 
+def _assert_refused_near_the_budget(doc, budget):
+    """The refusal names the widths' product at the first doubled key past
+    the budget: at rank 2 at most 4 times the budget, not the ball's size."""
+    assert doc["error"]["type"] == "EnumerationBudgetExceeded"
+    words = doc["error"]["message"].split()
+    assert words[0] == "predicted" and words[-1] == str(budget)
+    assert budget < int(words[1]) <= 4 * budget
+
+
 def test_large_twist_count_exits_3(capsys, tmp_path):
     path = tmp_path / "twist.json"
-    # the box has about 4 e^10000 points: more digits than str(int) prints
+    # the ball has about pi e^10000 points: refused before its cap is resolved
     path.write_text(json.dumps(_scaled("5000", DISK_NORM)))
-    for extra in ([], ["--budget", "100"]):
+    for extra, budget in (([], 10 ** 8), (["--budget", "100"], 100)):
         code, doc = run_main(capsys, ["count", "--module", str(path)] + extra)
         assert code == 3
-        assert doc["error"]["type"] == "EnumerationBudgetExceeded"
-        assert doc["error"]["message"].startswith("predicted at least 2^")
+        _assert_refused_near_the_budget(doc, budget)
 
 
 def test_large_twist_minima_print_inf(capsys, tmp_path):
@@ -316,14 +324,32 @@ def test_large_twist_minima_print_inf(capsys, tmp_path):
         {"alpha": "-2000/1", "key": 1, "den": 1, "squared": True}] * 2
 
 
-def test_huge_twist_count_exits_3(capsys, tmp_path):
+def test_huge_twist_count_exits_3(capsys, tmp_path, monkeypatch):
+    """The cap would have about 2.9 * 10^7 bits; bit lengths alone put the
+    gate's key below it, so no enclosure of e^alpha is built."""
+    from latmin import intervals
+    monkeypatch.setattr(intervals, "exp_interval", None)  # any call fails
     path = tmp_path / "twist.json"
-    # the cap has about 2.9 * 10^7 bits: the box is rooted from its top 256
-    # bits, where an exact isqrt would take seconds per coordinate
     path.write_text(json.dumps(_scaled("10000000", DISK_NORM)))
     code, doc = run_main(capsys, ["count", "--module", str(path)])
     assert code == 3
-    assert doc["error"]["message"].startswith("predicted at least 2^")
+    _assert_refused_near_the_budget(doc, 10 ** 8)
+
+
+@pytest.mark.parametrize("alpha, code, count", [("1e400", 3, None),
+                                                ("-1e400", 0, 1)])
+def test_twist_past_the_double_range_counts(capsys, tmp_path, alpha, code, count):
+    """alpha = +-10^400: the ball is huge (refused) or {0}; both are decided
+    by bit lengths, with no traceback."""
+    path = tmp_path / "twist.json"
+    path.write_text(json.dumps(_scaled(alpha, DISK_NORM)))
+    for strict in ([], ["--strict"]):
+        got, doc = run_main(capsys, ["count", "--module", str(path)] + strict)
+        assert got == code
+        if count is None:
+            _assert_refused_near_the_budget(doc, 10 ** 8)
+        else:
+            assert doc["report"]["count"] == count
 
 
 @pytest.mark.parametrize("alpha, inner, witnesses", [

@@ -23,9 +23,9 @@ from hypothesis import strategies as st
 
 from latmin import enumeration
 from latmin.cli import main
-from latmin.enumeration import (effective_sections, enclosing_box, h0_hat,
-                                h0_hat_sef, strictly_effective_sections,
-                                unit_ball, vectors_with_keys)
+from latmin.enumeration import (effective_sections, h0_hat, h0_hat_sef,
+                                strictly_effective_sections, unit_ball,
+                                vectors_with_keys)
 from latmin.errors import EnumerationBudgetExceeded, UnboundedBall
 from latmin.intervals import exp_interval
 from latmin.norms import (Ellipsoid, Scaled, compile_norm, make_ellipsoid,
@@ -176,14 +176,6 @@ def test_h0_relations():
     box = make_normed_module(2, make_polymax([["1/4", "0/1"], ["0/1", "1/1"]]))
     assert h0_hat(box) == pytest.approx(math.log(27))
     assert h0_hat_sef(box) == pytest.approx(math.log(7))
-
-
-def test_enclosing_box_is_sound():
-    m = twist(make_normed_module(2, make_polymax(
-        [["1/3", "1/7"], ["0/1", "1/2"], ["1/5", "1/5"]])), Fraction(-1, 3))
-    box = enclosing_box(m.norm)
-    for v in effective_sections(m).vectors:
-        assert all(abs(x) <= b for x, b in zip(v, box))
 
 
 def test_budget_exceeded():
@@ -373,16 +365,24 @@ def test_twists_with_large_denominators_count_exactly():
     assert counts == [(3, 3), (9, 9)]
 
 
-def _box_size(module):
-    return math.prod(2 * b + 1 for b in enclosing_box(module.norm))
+def _box_size(module, strict=False):
+    """prod (2 B_i + 1) over the walk's widths at the unit cap."""
+    compiled = compile_norm(module.norm)
+    return math.prod(2 * b + 1 for b in compiled.box(compiled.cap(Fraction(1), strict)))
 
 
 def test_budget_is_charged_on_the_box():
-    m = shaped_module(3, "polymax", True)
-    size = _box_size(m)
-    assert effective_sections(m, budget=size).count < size
-    with pytest.raises(EnumerationBudgetExceeded):
-        effective_sections(m, budget=size - 1)
+    """At the widths' product of the unit cap the count runs; one below, it
+    is refused, whether the doubling gate or the cap's own check refuses."""
+    modules = [shaped_module(3, family, twisted) for family in ("ellipsoid", "polymax")
+               for twisted in (False, True)]
+    for m in modules + [euclid(2)]:
+        for strict, count in ((False, effective_sections),
+                              (True, strictly_effective_sections)):
+            size = _box_size(m, strict)
+            assert count(m, budget=size).count <= size
+            with pytest.raises(EnumerationBudgetExceeded):
+                count(m, budget=size - 1)
 
 
 def test_cli_budget_below_the_box_exits_3(capsys, tmp_path):
@@ -397,15 +397,79 @@ def test_cli_budget_below_the_box_exits_3(capsys, tmp_path):
     assert doc["error"]["type"] == "EnumerationBudgetExceeded"
 
 
-def test_ellipsoid_box_is_the_floor_of_the_real_one():
-    # on the real unit ball of x^T G x, max |x_k| = sqrt((G^-1)_kk) exactly
+def found_module():
+    """G = A^T A / 256 for a badly reduced A: 17,077 points in a ball whose
+    bounding box, from the diagonal of G^-1, holds 5,656,365."""
+    a = [[1, 5, 3], [0, 1, 6], [0, 0, 1]]
+    return make_normed_module(3, make_ellipsoid(
+        [[Fraction(sum(a[k][i] * a[k][j] for k in range(3)), 256) for j in range(3)]
+         for i in range(3)]))
+
+
+def test_ellipsoid_box_is_within_the_real_one():
+    """The chain widths' product, before rounding, is 2^r sqrt(cap^r /
+    det G'), at most the real bounding box of the ball key <= cap, whose
+    half-widths are sqrt(cap (G'^-1)_kk) (Hadamard)."""
     specs = [shaped_module(rank, "ellipsoid", False).norm for rank in range(1, 6)]
     specs += [m.norm for m in hand_built_modules()[2:4]]  # the needle, the skewed gram
+    specs.append(found_module().norm)
     for spec in specs:
-        inv = _oracle_invert(spec.gram)
-        floors = [math.isqrt(inv[k][k].numerator // inv[k][k].denominator)
-                  for k in range(spec.dim)]
-        assert enclosing_box(spec) == floors
+        compiled = compile_norm(spec)
+        inv = _oracle_invert(compiled.int_rows)
+        for cap in (1, compiled.cap(Fraction(1)), 10 ** 12):
+            box = compiled.box(cap)
+            # 2 B + 1 is the least odd count at least floor(2 s / a) + 1
+            counts = [2 * math.isqrt(d * a * cap) // a + 1 for a, d, _ in compiled.chain]
+            assert all(n <= 2 * b + 1 <= n + 1 for b, n in zip(box, counts))
+            chain = math.prod(Fraction(math.isqrt(d * a * cap), a) ** 2
+                              for a, d, _ in compiled.chain)
+            assert chain <= math.prod(cap * inv[k][k] for k in range(spec.dim))
+    # half-widths 439, 4 and 2, the nearest integers to 439, 3.95 and 2.35
+    assert _box_size(found_module()) == 879 * 9 * 5
+
+
+def test_found_module_counts_under_a_budget_of_a_million(capsys, tmp_path):
+    path = tmp_path / "module.json"
+    path.write_text(json.dumps(found_module().to_json()))
+    assert main(["count", "--module", str(path), "--budget", "1000000"]) == 0
+    assert json.loads(capsys.readouterr().out)["report"]["count"] == 17077
+    assert main(["count", "--module", str(path), "--budget", "39554"]) == 3
+    assert main(["count", "--module", str(path), "--budget", "39555"]) == 0
+
+
+def _level_spreads(lines, r):
+    """Per level i and prefix x_{<i}: the spread max - min + 1 of the x_i
+    that the lines reach, a lower bound on the number of integers the walk's
+    range at that level holds."""
+    spread = [{} for _ in range(r)]
+    for head, lo, hi, _ in lines:
+        for i in range(r - 1):
+            low, high = spread[i].get(head[:i], (head[i], head[i]))
+            spread[i][head[:i]] = (min(low, head[i]), max(high, head[i]))
+        spread[r - 1][head] = (lo, hi)
+    return [max((high - low + 1 for low, high in level.values()), default=0)
+            for level in spread]
+
+
+def test_box_bounds_every_walk_range():
+    """Level i of the walk ranges over at most 2 B_i + 1 integers, on every
+    module the oracle checks at every radius; for a PolyMax, B_i also bounds
+    |x_i|."""
+    modules = [shaped_module(rank, family, twisted) for rank in range(1, 6)
+               for family in ("ellipsoid", "polymax") for twisted in (False, True)]
+    for module, radius in itertools.product(modules + hand_built_modules(), RADII):
+        compiled = compile_norm(module.norm)
+        cap = compiled.cap(radius)
+        box = compiled.box(cap)
+        _, _, lines = enumeration._lines(module, cap, enumeration.DEFAULT_BUDGET)
+        lines = list(lines)
+        spreads = _level_spreads(lines, module.rank)
+        assert all(s <= 2 * b + 1 for s, b in zip(spreads, box)), (spreads, box)
+        assert sum(hi - lo + 1 for _, lo, hi, _ in lines) <= math.prod(
+            2 * b + 1 for b in box)
+        if not compiled.squared:
+            assert all(abs(x) <= b for _, v in vectors_with_keys(module, cap)[1]
+                       for x, b in zip(v, box))
 
 
 # --- counts by lines ---------------------------------------------------------

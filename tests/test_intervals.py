@@ -9,10 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from latmin.intervals import (_round, compare_exp, exp_interval, exp_upper,
-                              floor_exp)
+from latmin import intervals
+from latmin.intervals import (LOG2E_HI, LOG2E_LO, _by_bits, _round, compare_exp,
+                              exp_interval, exp_upper, floor_exp)
 from latmin.norms import (compile_norm, make_ellipsoid, make_normed_module,
-                          make_polymax, twist)
+                          make_polymax, norm_eval, twist)
 from test_enumeration import _e_convergent
 
 
@@ -149,3 +150,37 @@ def test_twisted_cap_matches_the_oracle(family, num, den, alpha, t):
     compiled = compile_norm(twist(make_normed_module(2, base), alpha).norm)
     cap = _oracle_floor(bound * c.denominator, scale)
     assert compiled.cap(t) == compiled.cap(t, strict=True) == cap
+
+
+def test_log2e_window_is_certified():
+    with mpmath.workdps(50):
+        assert _mpf(LOG2E_LO) < 1 / mpmath.log(2) < _mpf(LOG2E_HI)
+
+
+@settings(deadline=None, max_examples=400, derandomize=True)
+@given(st.fractions(min_value=-400, max_value=400, max_denominator=9),
+       st.integers(-4, 4), st.floats(0.5, 2), st.integers(0, 2 ** 64))
+def test_bit_lengths_decide_only_soundly(x, shift, factor, den):
+    """Where bit lengths decide the sign of a - e^x, it is the oracle's; a
+    is drawn within a few powers of two of e^x, where the decision is
+    tight, with a denominator of up to 64 bits."""
+    with mpmath.workdps(300):
+        a = _fraction(mpmath.exp(_mpf(x)) * mpmath.ldexp(factor, shift) * (den + 1))
+        a /= den + 1
+        sign = _by_bits(a, x)
+        if sign and x:
+            assert sign == (1 if _mpf(a) > mpmath.exp(_mpf(x)) else -1)
+
+
+def test_huge_exponents_decide_without_an_enclosure(monkeypatch):
+    monkeypatch.setattr(intervals, "exp_interval", None)  # any call fails
+    huge = Fraction(10) ** 400
+    assert compare_exp(Fraction(1), huge) == -1
+    assert compare_exp(Fraction(1), -huge) == 1
+    assert compare_exp(Fraction(2) ** 10 ** 6, Fraction(10 ** 5)) == 1
+    assert floor_exp(Fraction(7, 3), -huge) == 0
+    assert floor_exp(Fraction(2) ** 1000, Fraction(-10 ** 6)) == 0
+    disk = make_normed_module(2, make_ellipsoid([[1, 0], [0, 1]]))
+    # ||(1, 0)|| = e^-alpha: far below 1 at alpha = 10^400, far above at -10^400
+    assert norm_eval(twist(disk, huge), (1, 0)).le(1)
+    assert not norm_eval(twist(disk, -huge), (1, 0)).le(1)

@@ -137,6 +137,24 @@ def test_minima_of_an_unreduced_basis_start_small(monkeypatch, alpha):
     assert rep.mus == (float(alpha), float(alpha))
 
 
+def test_minima_ladder_lists_few_vectors_at_ranks_6_to_8(monkeypatch):
+    """The ranks 6-8 corpus of seed 3 lists 126,684 vectors in its minima
+    rungs: radius doubling until a rung finds a vector, then about e^(1/r)
+    per rung.  Doubling all the way listed 4,105,947; the bound is 1.25
+    times the count."""
+    from latmin.inequalities import run_suite
+    listed, walk = [0], minima.vectors_with_keys
+
+    def counted(module, cap, budget):
+        compiled, pairs = walk(module, cap, budget)
+        listed[0] += len(pairs)
+        return compiled, pairs
+    monkeypatch.setattr(minima, "vectors_with_keys", counted)
+    successive_minima.cache_clear()  # every module's rungs are listed here
+    run_suite(SuiteConfig(seed=3, trials=10, rank_min=6, rank_max=8))
+    assert 0 < listed[0] <= 158355
+
+
 def test_minima_need_positive_rank():
     with pytest.raises(PreconditionViolated):
         successive_minima(make_normed_module(0, make_ellipsoid([])))
