@@ -10,8 +10,9 @@ chain for ellipsoids (Fincke & Pohst, Math. Comp. 44, 1985), and per-row
 intervals for PolyMax norms.  At the innermost level that range is a
 line: every t in [lo, hi] ends in the ball.  Level i ranges over at most
 2 B_i + 1 integers (``CompiledNorm.box``), and the budget is charged on
-prod (2 B_i + 1) before any walk; the unit ball is charged at doubling keys
-before its cap is resolved, so a huge twist never computes its cap.
+prod (2 B_i + 1) before any walk.  The unit ball doubles a key t until its
+widths pass the budget and resolves its cap no higher than t, so a huge
+twist never computes its cap.
 
 A count adds hi - lo + 1 per line at the closed or the strict cap and
 lists nothing, in O(r) memory.  ``vectors_with_keys`` expands the same
@@ -50,18 +51,17 @@ def _ellipsoid_walk(compiled: CompiledNorm, cap: int, bounds: List[int]):
     x_0 is the outermost coordinate.  At level i, with P the value at
     x_{<i} of the chain (``linalg.ldl_chain``), x_i = t is admissible iff
     S_i <= cap, i.e. (a t + b)^2 <= d (a cap - P), so with s = isqrt of the
-    right side t runs over [-((b + s) // a), (s - b) // a], exactly.  At the
-    innermost level d = 1 and the chain value is the key.
+    right side t runs over [-((b + s) // a), (s - b) // a], exactly.  The
+    right side is never negative: the child's P, ((a t + b)^2 + d P) / a, is
+    at most d cap, and d is the next level's a.  At the innermost level d = 1
+    and the chain value is the key.
     """
     chain, last, x = compiled.chain, len(bounds) - 1, [0] * len(bounds)
 
     def level(i: int, p: int):
         a, d, row = chain[i]
-        room = d * (a * cap - p)
-        if room < 0:
-            return
         b = sum(map(operator.mul, row, x))
-        s = math.isqrt(room)
+        s = math.isqrt(d * (a * cap - p))
         lo, hi = -((b + s) // a), (s - b) // a
         if i == last:
             if lo <= hi:
@@ -81,10 +81,12 @@ def _polymax_walk(compiled: CompiledNorm, cap: int, bounds: List[int]):
     """Lines, as in ``_ellipsoid_walk``, of the v with max_j |A'_j . v| <= cap.
 
     With p_j the partial sum over x_{<i} and tail_j = sum_{l>i} |a'_jl| B_l,
-    row j admits x_i = t only if |p_j + a'_ji t| <= cap + tail_j; a row with
-    a'_ji = 0 prunes the branch when |p_j| exceeds that limit.  The tails
-    vanish at the innermost level, so every vector of a line is in the ball,
-    and along a line row j runs through p_j + a'_ji t, a progression in t.
+    row j admits x_i = t only if |p_j + a'_ji t| <= cap + tail_j.  A row with
+    a'_ji = 0 needs no test: p_j is 0 or met the same limit at the row's last
+    nonzero coefficient, as the zero ones since took no term off the tail.
+    The tails vanish at the innermost level, so every vector of a line is in
+    the ball, and along a line row j runs through p_j + a'_ji t, a
+    progression in t.
     """
     rows, r, x = compiled.int_rows, len(bounds), [0] * len(bounds)
     columns = [[row[i] for row in rows] for i in range(r)]
@@ -98,8 +100,6 @@ def _polymax_walk(compiled: CompiledNorm, cap: int, bounds: List[int]):
                 lo, hi = max(lo, -((lim + p) // a)), min(hi, (lim - p) // a)
             elif a < 0:
                 lo, hi = max(lo, -((lim - p) // -a)), min(hi, (lim + p) // -a)
-            elif abs(p) > lim:
-                return
         if i == r - 1:
             if lo <= hi:
                 yield tuple(x[:i]), lo, hi, lambda: list(map(max, zip(*(
@@ -139,14 +139,15 @@ def vectors_with_keys(module: NormedModule, cap: int,
 
 
 def _unit_cap(module: NormedModule, strict: bool, budget: int) -> int:
-    """cap(1), or the strict cap: the box grows with the cap, so it is
-    charged at each key t = 1, 2, 4, ... in the ball (norm <= 1, < 1 if
-    strict) first, and the cap, below the last t, is resolved after."""
+    """cap(1), or the strict cap, no higher than the first key t = 1, 2, 4,
+    ... whose widths prod (2 B_i(t) + 1) pass the budget: the box grows with
+    the cap, so the charge every walk makes at its cap refuses a cap that
+    reaches t, at the widths of t.  Rank 0, whose ball is {0} at any cap,
+    has no widths to double."""
     compiled, t = compile_norm(module.norm), 1
-    while compiled.cmp(t, ONE) < (not strict):
-        _check_budget(compiled.box(t), budget)
+    while compiled.rank and math.prod(2 * b + 1 for b in compiled.box(t)) <= budget:
         t *= 2
-    return compiled.cap(ONE, strict)
+    return compiled.cap(ONE, strict, limit=t)
 
 
 def unit_ball(module: NormedModule,

@@ -14,11 +14,11 @@ from dataclasses import dataclass, asdict
 from fractions import Fraction
 from typing import List, Sequence, Tuple
 
-from .enumeration import DEFAULT_BUDGET, _unit_cap, h0_hat, h0_hat_sef
+from .enumeration import DEFAULT_BUDGET, h0_hat, h0_hat_sef
 from .errors import ConfigError, EnumerationBudgetExceeded
 from .minima import euler_characteristic, successive_minima
-from .norms import (NormedModule, make_ellipsoid, make_normed_module,
-                    make_polymax, twist)
+from .norms import (NormedModule, compile_norm, make_ellipsoid,
+                    make_normed_module, make_polymax, twist)
 from .reports import InequalityReport, _report
 from .rng import DetRNG, derive
 
@@ -70,16 +70,19 @@ def check_filtration(module: NormedModule, alphas: Sequence,
                      budget: int = DEFAULT_BUDGET) -> List[InequalityReport]:
     """Filtration bounds over 0 = a_0 <= a_1 <= ... <= a_n.  The rank at a_i
     is # {j : lambda_j <= e^(-a_i)}: the minima keys at most the unit cap of
-    the twist by -a_i, which has the module's keys."""
+    the twist by -a_i, which has the module's keys.  Each cap is resolved no
+    higher than the largest minimum key, so no twist's ball is charged; the
+    module's own is, by its count."""
     alphas = [Fraction(a) for a in alphas]
     if not alphas or alphas[0] != 0:
         raise ConfigError("filtration must start at alpha_0 = 0")
     if any(b < a for a, b in zip(alphas, alphas[1:])):
         raise ConfigError("filtration alphas must be nondecreasing")
     digest = module.digest()
-    caps = [_unit_cap(twist(module, -a), False, budget) for a in alphas]
     keys = ([k for _, k, _, _ in successive_minima(module, budget).mu_parts]
             if module.rank else [])
+    top = max(keys, default=0)
+    caps = [compile_norm(twist(module, -a).norm).cap(1, limit=top) for a in alphas]
     ranks = [sum(k <= cap for k in keys) for cap in caps]
     r0 = ranks[0]
     h0 = h0_hat(module, budget)
@@ -146,7 +149,6 @@ class SuiteConfig:
     trials: int = 100
     rank_min: int = 1
     rank_max: int = 3
-    norm_families: tuple = ("ellipsoid", "polymax")
     budget: int = DEFAULT_BUDGET
 
     def validate(self) -> None:
@@ -156,18 +158,13 @@ class SuiteConfig:
             raise ConfigError("seed must be >= 0")
         if not (1 <= self.rank_min <= self.rank_max <= 8):
             raise ConfigError("ranks must satisfy 1 <= rank_min <= rank_max <= 8")
-        if not self.norm_families:
-            raise ConfigError("at least one norm family required")
-        for fam in self.norm_families:
-            if fam not in ("ellipsoid", "polymax"):
-                raise ConfigError(f"unknown norm family {fam!r}")
 
 
 def random_module(seed: int, config: SuiteConfig) -> NormedModule:
     """Deterministic random instance: family, rank and norm data from seed."""
     rng = DetRNG(seed, 0xA11CE)
     rank = rng.randint(config.rank_min, config.rank_max)
-    family = rng.choice(sorted(config.norm_families))
+    family = rng.choice(("ellipsoid", "polymax"))
     if family == "ellipsoid":
         a = [[rng.randint(-3, 3) for _ in range(rank)] for _ in range(rank)]
         gram = [[sum(a[k][i] * a[k][j] for k in range(rank)) + (i == j)

@@ -1,20 +1,21 @@
 """Certified rational enclosures for e^x and the exact decisions read off them.
 
 Scale factors in norms are exact rationals x, and every decision against
-e^x is one of two: the sign of a - e^x (``compare_exp``) or the integer
-floor(b e^x) (``floor_exp``), the key cap of a twisted norm.  Unless bit
-lengths decide it (so a huge |x| builds nothing), we enclose e^x in a
-rational interval computed in integers and double its precision until the
-decision is made.  For rational x != 0, e^x is irrational (Lindemann), so
-a != e^x for every rational a and b e^x is no integer for b > 0: every
-refinement ends, and no precision floor is needed.
+e^x is one limited floor, min(floor(b e^x), limit) (``floor_exp``): the key
+cap of a twisted norm, a key tested against a threshold (the limit is the
+key), and the sign of a - e^x (``compare_exp``).  Unless bit lengths decide
+it (so a huge |x| builds nothing), we enclose e^x in a rational interval
+computed in integers and double its precision until the floor is known or
+reaches the limit.  For rational x != 0, e^x is irrational (Lindemann), so
+b e^x is no integer for b > 0: every refinement ends, and no precision floor
+is needed.
 
-The enclosure splits |x| = n + f with n = floor(|x|) and 0 <= f < 1: e^f is
-a fixed-point Taylor sum with a proved bound on its floors and its tail, and
-e^n is a binary power of the enclosure of e on (mantissa, exponent) pairs,
-rounded down for the lower end and up for the upper one (Brent &
-Zimmermann, Modern Computer Arithmetic, 2010, sec. 4.4).  For x < 0 the
-ends are 1/hi and 1/lo.  No floating point and no library is involved.
+The enclosure reduces the argument, e^|x| = (e^y)^(2^k) with y = |x| / 2^k <
+1 and k the bit length of floor(|x|): e^y is a fixed-point Taylor sum with a
+proved bound on its floors and its tail, squared k times on (mantissa,
+exponent) pairs, rounded down for the lower end and up for the upper one
+(Brent & Zimmermann, Modern Computer Arithmetic, 2010, sec. 4.3).  For x < 0
+the ends are 1/hi and 1/lo.  No floating point and no library is involved.
 """
 
 from __future__ import annotations
@@ -51,19 +52,6 @@ def _round(m: int, e: int, w: int, up: bool) -> tuple[int, int]:
     return (-(-m >> shift) if up else m >> shift), e + shift
 
 
-def _times_power(m: int, b: int, n: int, w: int, up: bool) -> tuple[int, int]:
-    """(m 2^-w) (b 2^-w)^n as a mantissa and an exponent, by binary
-    powering with every product cut to w bits, rounded down or up."""
-    e = be = -w
-    while n:
-        if n & 1:
-            m, e = _round(m * b, e + be, w, up)
-        n >>= 1
-        if n:
-            b, be = _round(b * b, 2 * be, w, up)
-    return m, e
-
-
 def _to_fraction(m: int, e: int) -> Fraction:
     return Fraction(m << e) if e >= 0 else Fraction(m, 1 << -e)
 
@@ -74,15 +62,19 @@ def exp_interval(x: Fraction, prec: int = 80) -> tuple[Fraction, Fraction]:
     """Return rational (lo, hi) with lo <= e^x <= hi and hi - lo at most
     lo 2^-(prec - 8).
 
-    e^|x| = e^f e^n; e^n takes up to 2 log2(n) roundings and multiplies the
-    relative error of e by n, so the working precision w grows with the bit
-    length of n.
+    Each of the k squarings doubles the relative error of the enclosure of
+    e^y and adds one rounding, so the working precision w grows with k.
     """
-    n, f = divmod(abs(x), 1)
-    w = prec + 2 * n.bit_length() + prec.bit_length() + 16
-    e_ends = _exp_fixed(1, 1, w) if n else (1, 1)  # no power of e when n = 0
-    lo, hi = (_to_fraction(*_times_power(m, b, n, w, up)) for m, b, up in
-              zip(_exp_fixed(f.numerator, f.denominator, w), e_ends, (False, True)))
+    k = math.floor(abs(x)).bit_length()
+    y = Fraction(abs(x), 1 << k)
+    w = prec + 2 * k + prec.bit_length() + 16
+    ends = []
+    for m, up in zip(_exp_fixed(y.numerator, y.denominator, w), (False, True)):
+        e = -w
+        for _ in range(k):
+            m, e = _round(m * m, 2 * e, w, up)
+        ends.append(_to_fraction(m, e))
+    lo, hi = ends
     return (1 / hi, 1 / lo) if x < 0 else (lo, hi)
 
 
@@ -98,7 +90,8 @@ def compare_exp(a: Fraction, x: Fraction) -> int:
     """Sign of a - e^x for rational a and x.
 
     Returns -1 if a < e^x and +1 if a > e^x.  Equality cannot occur for
-    x != 0; x == 0 is compared exactly.
+    x != 0; x == 0 is compared exactly.  For a = p/q, p < q e^x exactly when
+    floor(q e^x) >= p, which the floor limited to p decides.
     """
     if x == 0:
         return (a > 1) - (a < 1)
@@ -106,30 +99,31 @@ def compare_exp(a: Fraction, x: Fraction) -> int:
         return -1
     if sign := _by_bits(a, x):
         return sign
-    prec = 64
-    while True:
-        lo, hi = exp_interval(x, prec)
-        if a < lo:
-            return -1
-        if a > hi:
-            return 1
-        prec *= 2
+    p, q = a.numerator, a.denominator
+    return -1 if floor_exp(Fraction(q), x, p) >= p else 1
 
 
-def floor_exp(b: Fraction, x: Fraction) -> int:
-    """floor(b e^x) for rational b >= 0 and x: the precision doubles until
-    floor(b lo) + 1 > b hi, so the whole enclosure has one floor."""
+def floor_exp(b: Fraction, x: Fraction, limit: int | None = None) -> int:
+    """min(floor(b e^x), limit) for rational b >= 0 and x (no limit if None).
+
+    Bit lengths settle b e^x < 1 and b e^x > limit first; else the precision
+    doubles until floor(b lo) reaches the limit or floor(b lo) + 1 > b hi, so
+    the whole enclosure has one floor."""
     if b == 0 or x == 0:
-        return math.floor(b)
-    if _by_bits(b, -x) < 0:  # b e^x < 1
-        return 0
-    prec = 128
-    while True:
-        lo, hi = exp_interval(x, prec)
-        k = math.floor(b * lo)
-        if b * hi < k + 1:
-            return k
-        prec *= 2
+        k = math.floor(b)
+    elif _by_bits(b, -x) < 0:  # b e^x < 1
+        k = 0
+    elif limit is not None and (limit <= 0 or _by_bits(Fraction(limit) / b, x) < 0):
+        k = limit  # b e^x > limit
+    else:
+        prec = 128
+        while True:
+            lo, hi = exp_interval(x, prec)
+            k = math.floor(b * lo)
+            if b * hi < k + 1 or (limit is not None and k >= limit):
+                break
+            prec *= 2
+    return k if limit is None else min(k, limit)
 
 
 def exp_upper(x: Fraction, prec: int = 80) -> Fraction:

@@ -18,7 +18,8 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
+from operator import add
 from typing import List, Tuple
 
 from .errors import ConfigError, InfeasibleLedger, PreconditionViolated
@@ -141,11 +142,17 @@ def derived_intersections(ledger: Ledger) -> Tuple[List[float], List[float]]:
     return list(ledger._l2), list(ledger._l2p)
 
 
+def _left_sum(terms):
+    """The terms added left to right: from Python 3.12 on, sum() of floats
+    is compensated, and that moves the last bits of the ledger's output."""
+    return reduce(add, terms, 0)
+
+
 def _chain_value(steps) -> float:
     """sum r_i c_i + 4 r_0 log r_0 + 2 r_0 log 3 over the given steps: the
     chained count bound with the terminal section count taken as 0."""
     r0 = steps[0].r
-    return (sum(s.r * s.c for s in steps)
+    return (_left_sum(s.r * s.c for s in steps)
             + 4.0 * r0 * math.log(r0) + 2.0 * r0 * LOG3)
 
 
@@ -159,7 +166,7 @@ def onestep_chain(ledger: Ledger, j: int) -> Tuple[InequalityReport, InequalityR
     if not (0 <= j < len(ledger.steps)):
         raise ConfigError(f"step index {j} out of range")
     digest = ledger.digest()
-    lhs = ledger._l2p[j] + 2.0 * sum(s.d * s.c for s in ledger.steps[: j + 1])
+    lhs = ledger._l2p[j] + 2.0 * _left_sum(s.d * s.c for s in ledger.steps[: j + 1])
     first = _report("chain-intersection", lhs, ledger.L2_0, digest)
     second = _report("chain-count-bound", _chain_value(ledger.steps[: j + 1]),
                      theorem_chain_check(ledger).rhs, digest)
@@ -168,7 +175,7 @@ def onestep_chain(ledger: Ledger, j: int) -> Tuple[InequalityReport, InequalityR
 
 def sum_ci_bound(ledger: Ledger) -> InequalityReport:
     """c_0 + sum c_i <= L^2 / d_0 (must hold for every feasible ledger)."""
-    lhs = ledger.steps[0].c + sum(s.c for s in ledger.steps)
+    lhs = ledger.steps[0].c + _left_sum(s.c for s in ledger.steps)
     rhs = ledger.L2_0 / ledger.steps[0].d
     return _report("sum-ci", lhs, rhs, ledger.digest())
 
@@ -428,8 +435,9 @@ def simulate_reduction(seed: int, mode: str) -> Ledger:
         slack = round(rng.u01() * 2.0, 6)
         steps.append(LedgerStep(d, r, c, slack))
 
-    need_chain = 2.0 * sum(s.d * s.c for s in steps) + sum(s.slack for s in steps)
-    need_sumci = steps[0].d * (steps[0].c + sum(s.c for s in steps))
+    need_chain = (2.0 * _left_sum(s.d * s.c for s in steps)
+                  + _left_sum(s.slack for s in steps))
+    need_sumci = steps[0].d * (steps[0].c + _left_sum(s.c for s in steps))
     l2 = max(need_chain, need_sumci) + round(rng.u01() * 5.0, 6)
     return Ledger(g, 1, tuple(steps), l2, mode)
 

@@ -93,9 +93,7 @@ def _node(lower, upper, slabs):
     merged = {}
     for c, lo, hi in slabs:
         nonzero = [k for k, x in enumerate(c) if x]
-        if not nonzero:
-            if lo > 0 or hi < 0:
-                return None
+        if not nonzero:  # a face's own facet: its range holds 0
             continue
         f = c[nonzero[0]]
         lo, hi = (lo / f, hi / f) if f > 0 else (hi / f, lo / f)

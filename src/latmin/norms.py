@@ -13,10 +13,11 @@ twists accumulate additively in alpha and nested Scaled specs are flattened.
 
 This is the only module that knows how a norm is represented.  Everything
 else evaluates norms through ``compile_norm(spec)``, a cached
-``CompiledNorm``: integer keys, one exact comparator, the integer key cap of
-a radius and the widths of the walk at a cap, log norms, the integer LDL^T
-chain of an Ellipsoid that enumeration prunes with, a PolyMax basis with its
-inverse, and the determinant of the gram or of the basis.
+``CompiledNorm``: integer keys, the integer key cap of a radius (limited
+to a key, it also decides that key against the radius), the widths of the
+walk at a cap, log norms, the integer LDL^T chain of an Ellipsoid that
+enumeration prunes with, a PolyMax basis with its inverse, and the
+determinant of the gram or of the basis.
 ``linalg`` computes the chain and the basis in integer arithmetic.
 The compile is the only check of norm data (``make_normed_module`` compiles),
 and a twist reuses its base's compile, recomputing only the scale.
@@ -34,7 +35,7 @@ from functools import lru_cache
 from typing import List, Sequence, Union
 
 from .errors import ConfigError, DimensionMismatch, InvalidNorm, UnboundedBall
-from .intervals import compare_exp, exp_float, floor_exp, saturated_float
+from .intervals import exp_float, floor_exp, saturated_float
 from .linalg import determinant, independent_rows, invert, ldl_chain
 
 
@@ -189,22 +190,13 @@ class CompiledNorm:
                 best = s
         return best
 
-    def cmp(self, key, t: Fraction) -> int:
-        """Sign of norm(v) - t for a vector v with this key."""
-        if key == 0:  # norm 0: the sign of -t
-            return (t < 0) - (t > 0)
-        if t <= 0:
-            return 1
-        return compare_exp(Fraction(key, self.den) / (t * t if self.squared else t),
-                           self.scale)
-
-    def cap(self, t: Fraction, strict: bool = False) -> int:
+    def cap(self, t: Fraction, strict: bool = False, limit: int | None = None) -> int:
         """The largest key K with norm(v) <= t (< t if strict) iff key(v) <= K,
         for t > 0: floor(t^2 den e^scale) for an Ellipsoid, floor(t den e^scale)
-        for a PolyMax.  Only an untwisted sphere meets an integer key, and
-        there the strict cap is one lower."""
+        for a PolyMax, or the limit if that is lower.  Only an untwisted sphere
+        meets an integer key, and there the strict cap is one lower."""
         bound = (t * t if self.squared else t) * self.den
-        k = floor_exp(bound, self.scale)
+        k = floor_exp(bound, self.scale, limit)
         return k - (strict and not self.scale and k == bound)
 
     def log(self, key) -> float:
@@ -247,10 +239,19 @@ class NormValue:
 
     def le(self, threshold) -> bool:
         """Decide norm <= threshold exactly."""
-        return self.norm.cmp(self.key, parse_rational(threshold)) <= 0
+        return self._within(parse_rational(threshold), False)
 
     def lt(self, threshold) -> bool:
-        return self.norm.cmp(self.key, parse_rational(threshold)) < 0
+        return self._within(parse_rational(threshold), True)
+
+    def _within(self, t: Fraction, strict: bool) -> bool:
+        """key <= the cap of t > 0, resolved no higher than the key; a
+        rational vector v is decided as m v, m the denominator of its key."""
+        if t <= 0:  # only the zero vector has norm 0, and it is not < 0
+            return not (strict or self.key or t)
+        m = self.key.denominator
+        key = int(self.key * m ** (1 + self.norm.squared))
+        return key <= self.norm.cap(m * t, strict, limit=key)
 
     def log(self) -> float:
         """Natural log of the norm value (-inf at 0)."""

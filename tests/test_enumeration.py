@@ -385,6 +385,48 @@ def test_budget_is_charged_on_the_box():
                 count(m, budget=size - 1)
 
 
+def _per_key_refusal(compiled, strict, budget):
+    """The predicted size at which a count charging the keys t = 1, 2, 4, ...
+    of the unit ball in turn, then its cap, refuses it, or None if it runs."""
+    cap, t = compiled.cap(Fraction(1), strict), 1
+    while t <= cap:
+        predicted = math.prod(2 * b + 1 for b in compiled.box(t))
+        if predicted > budget:
+            return predicted
+        t *= 2
+    predicted = math.prod(2 * b + 1 for b in compiled.box(cap))
+    return predicted if predicted > budget else None
+
+
+def test_unit_cap_is_one_limited_floor(monkeypatch):
+    """The unit cap doubles its key in integers alone and is one floor_exp
+    call, limited to the first key past the budget: a count refuses where
+    a gate charging each key in turn does, with the same predicted size."""
+    from latmin import norms
+    calls, floor_exp = [], norms.floor_exp
+    monkeypatch.setattr(norms, "floor_exp",
+                        lambda *args: calls.append(args) or floor_exp(*args))
+    modules = [shaped_module(rank, family, True) for rank in (2, 3)
+               for family in ("ellipsoid", "polymax")]
+    modules += large_denominator_twists() + [twist(euclid(2), 5000)]
+    for m in modules:
+        compiled = compile_norm(m.norm)
+        for strict in (False, True):
+            for budget in (0, 1, 10, 1000, 10 ** 8):
+                refused = _per_key_refusal(compiled, strict, budget)
+                calls.clear()
+                try:  # the count uncached
+                    enumeration._unit_count.__wrapped__(m, strict, budget)
+                except EnumerationBudgetExceeded as exc:
+                    assert exc.predicted == refused, (m, strict, budget)
+                else:
+                    assert refused is None
+                assert len(calls) == 1
+                if refused is None:
+                    cap = enumeration._unit_cap(m, strict, budget)
+                    assert cap == compiled.cap(Fraction(1), strict)
+
+
 def test_cli_budget_below_the_box_exits_3(capsys, tmp_path):
     m = shaped_module(3, "ellipsoid", False)
     path = tmp_path / "module.json"

@@ -37,9 +37,9 @@ def _check_enclosure(x: Fraction, prec: int) -> None:
 
 
 def test_exp_interval_encloses_truth():
-    # large |x|: e^n is a power of up to 2 log2(n) rounded products; a
-    # denominator far past the working precision makes the Taylor terms of
-    # e^f vanish early
+    # large |x|: e^(|x| / 2^k) is squared k times, k the bit length of
+    # floor(|x|), each square rounded outward; a denominator far past the
+    # working precision makes the Taylor terms vanish early
     xs = [Fraction(1), Fraction(-1), Fraction(1, 3), Fraction(-3, 2),
           Fraction(7, 3), Fraction(5), Fraction(3001, 3), Fraction(-3001, 3),
           Fraction(10 ** 6, 7), Fraction(-(10 ** 6), 7), Fraction(1, 3 ** 1000),
@@ -112,6 +112,9 @@ def test_floor_exp_and_compare_exp_match_the_oracle(num, den, x):
     k = _oracle_floor(b, x)
     assert floor_exp(b, x) == k
     assert floor_exp(Fraction(0), x) == 0
+    # the floor limited to L stops refining once it reaches L
+    for limit in (k - 1, k, k + 1, 0, -1):
+        assert floor_exp(b, x, limit) == min(k, limit), limit
     # k / b <= e^x < (k + 1) / b: a tie within 1 / b for compare_exp
     assert compare_exp(k / b, x) == -1
     assert compare_exp((k + 1) / b, x) == 1

@@ -72,11 +72,18 @@ def test_norm_eval_exact_values():
     zero = norm_eval(m, (0, 0))
     assert zero.le(0) and not zero.lt(0)
     assert not zero.le(-1) and zero.lt(1)
+    # a nonzero vector has a positive norm
+    assert not (v.le(0) or v.lt(0) or v.le(-1))
+    # a rational vector is decided exactly too, on the sphere and off it
+    unit = norm_eval(m, ("3/5", "4/5"))
+    assert unit.le(1) and not unit.lt(1) and not unit.le("99/100")
 
     box = make_normed_module(2, make_polymax([["1/4", "0/1"], ["0/1", "1/1"]]))
     w = norm_eval(box, (4, 0))
     assert (w.key, w.norm.den) == (4, 4)  # ||(4, 0)|| = 4/4
     assert w.le(1) and not w.lt(1)
+    half = norm_eval(box, ("1/2", 0))  # ||(1/2, 0)|| = 1/8
+    assert half.le("1/8") and not half.lt("1/8") and half.lt("1/7")
 
 
 def test_norm_eval_twisted_comparison():
@@ -86,6 +93,9 @@ def test_norm_eval_twisted_comparison():
     assert v.lt(1)
     # e^{-1} * 3 > 1 since 3 > e
     assert not norm_eval(m, (3,)).le(1)
+    # e^{-1} / 2 = 0.18393...: between 9/50 and 1/5
+    v = norm_eval(m, ("1/2",))
+    assert v.lt("1/5") and not v.le("9/50")
 
 
 def test_json_round_trip_and_digest_stability():
