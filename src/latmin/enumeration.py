@@ -17,8 +17,8 @@ twist never computes its cap.
 A count adds hi - lo + 1 per line at the closed or the strict cap and
 lists nothing, in O(r) memory.  ``vectors_with_keys`` expands the same
 lines into a key-sorted list, for the vectors of a ``SectionSet`` (read
-on first access) and the rungs of the minima; no list is shared, so none
-is cached.
+on first access), or only the shell of keys above a given key, for the
+rungs of the minima; no list is shared, so none is cached.
 """
 
 from __future__ import annotations
@@ -123,17 +123,17 @@ def _lines(module: NormedModule, cap: int, budget: int):
     return compiled, bounds, walk(compiled, cap, bounds)
 
 
-def vectors_with_keys(module: NormedModule, cap: int,
-                      budget: int = DEFAULT_BUDGET) -> Tuple[CompiledNorm, list]:
-    """All lattice vectors with key <= cap, as (key, vector) pairs sorted so
-    that consumers are deterministic; the budget is charged on the widths
-    of the cap, and the walk's lines are expanded."""
+def vectors_with_keys(module: NormedModule, cap: int, budget: int = DEFAULT_BUDGET,
+                      above: int = -1) -> Tuple[CompiledNorm, list]:
+    """The lattice vectors with above < key <= cap (all up to cap by default),
+    as (key, vector) pairs sorted so that consumers are deterministic; the
+    budget is charged on the widths of the cap, and only that shell is listed."""
     compiled, bounds, lines = _lines(module, cap, budget)
     if not bounds:  # rank 0: the zero vector, key 0, is the only lattice vector
-        return compiled, [(0, ())]
+        return compiled, [(0, ())] if above < 0 else []
     pairs = []
     for head, lo, hi, keys in lines:
-        pairs += zip(keys(), [head + (t,) for t in range(lo, hi + 1)])
+        pairs += [(k, head + (t,)) for t, k in enumerate(keys(), lo) if k > above]
     pairs.sort()
     return compiled, pairs
 

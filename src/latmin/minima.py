@@ -4,12 +4,12 @@ Minima are found by exhaustive enumeration over a ladder of integer key
 caps (``norms.CompiledNorm``) from key 1, the least nonzero key, to the
 ceiling, the largest key of a unit vector, whose ball spans; neither reads
 e^alpha, so a twist has its base's rungs and witnesses.  The radius doubles
-until a rung finds a vector, then grows by about e^(1/r) per rung.  One span
-pass over the canonical nonzero vectors of each key-sorted list, a prefix of
-the next, picks the rank-increasing vectors as witnesses; the exact parts of
-each minimum are read off the compiled norm.  Volumes are exact: a closed
-form for ellipsoids, and Lasserre's facet recursion in rational arithmetic
-for every PolyMax ball (Lasserre, J. Optim. Theory Appl. 39, 1983).
+until a rung finds a vector, then grows by about e^(1/r) per rung.  A rung
+lists only its shell of keys above the last cap, and one greedy span pass
+over the ladder picks the canonical rank-increasing vectors as witnesses,
+the exact parts of whose minima are read off the compiled norm.  Volumes are
+exact: a closed form for ellipsoids, and Lasserre's facet recursion on
+integer normals for PolyMax balls (J. Optim. Theory Appl. 39, 1983).
 """
 
 from __future__ import annotations
@@ -48,23 +48,21 @@ def successive_minima(module: NormedModule, budget: int = DEFAULT_BUDGET) -> Min
     r = module.rank
     if r < 1:
         raise PreconditionViolated("successive minima need rank >= 1")
-    compiled, span = compile_norm(module.norm), IncrementalSpan()
+    compiled, span, found = compile_norm(module.norm), IncrementalSpan(), []
     ceiling = max(compiled.key([int(i == k) for i in range(r)]) for k in range(r))
-    cap = 1  # not a basis key: an unreduced basis has long ones
+    last, cap = 0, 1  # not a basis key: an unreduced basis has long ones
     while span.rank < r:
-        _, pairs = vectors_with_keys(module, cap, budget)
-        span, found = IncrementalSpan(), []
-        for key, vec in pairs:
+        for key, vec in vectors_with_keys(module, cap, budget, above=last)[1]:
             if _canonical(vec) and span.add(vec):
                 found.append((key, vec))
                 if span.rank == r:
                     break
-        # radius x2 (key x4 or x2) until a vector is found, then about e^(1/r)
+        # radius x2 (key x4 or x2) until a vector is found, then about e^(1/r);
+        # the sorted shell (last, cap] is the next run of the whole sorted list
         mul, div = (r + 1 + compiled.squared, r) if found else (2 + 2 * compiled.squared, 1)
-        cap = min(ceiling, max(cap + 1, cap * mul // div))
+        last, cap = cap, min(ceiling, max(cap + 1, cap * mul // div))
 
-    keys = [k for k, _ in found]
-    witnesses = tuple(v for _, v in found)
+    keys, witnesses = zip(*found)
     lambdas = tuple(exp_float(compiled.log(k)) for k in keys)
     mus = tuple(-compiled.log(k) + 0.0 for k in keys)
     parts = tuple((compiled.alpha, k, compiled.den, compiled.squared) for k in keys)
@@ -80,11 +78,13 @@ class VolumeReport:
 
 
 def _node(lower, upper, slabs):
-    """Normal form of {y : lower <= y <= upper, lo <= c.y <= hi per slab}.
+    """Normal form of {y : lower <= y <= upper, c.y between the ends of
+    each slab}, for integer normals c and Fraction ends.
 
-    Slabs with one nonzero coefficient are folded into the box, parallel
-    slabs (scaled by their first nonzero coefficient) are merged, the box is
-    translated to [0, w] and slabs the box already satisfies are dropped.
+    Each normal is divided by its signed gcd, so that it is primitive with a
+    positive first nonzero entry; parallel slabs then share it and are
+    merged, unit normals are folded into the box, the box is translated to
+    [0, w] and slabs the box already satisfies are dropped.
     Returns (w, slabs), or None when a width or a slab's range in the box is
     empty or flat (the recursion gives any other such set volume 0).
     Lasserre's formula counts a repeated facet twice: nodes must be normal.
@@ -92,16 +92,16 @@ def _node(lower, upper, slabs):
     lower, upper = list(lower), list(upper)
     merged = {}
     for c, lo, hi in slabs:
-        nonzero = [k for k, x in enumerate(c) if x]
-        if not nonzero:  # a face's own facet: its range holds 0
+        g = math.gcd(*c)
+        if not g:  # a face's own facet: its range holds 0
             continue
-        f = c[nonzero[0]]
-        lo, hi = (lo / f, hi / f) if f > 0 else (hi / f, lo / f)
-        if len(nonzero) == 1:
-            k = nonzero[0]
+        g = g if _canonical(c) else -g
+        c = tuple(x // g for x in c)
+        lo, hi = sorted((lo / g, hi / g))
+        if sum(map(abs, c)) == 1:
+            k = c.index(1)
             lower[k], upper[k] = max(lower[k], lo), min(upper[k], hi)
         else:
-            c = tuple(x / f for x in c)
             if c in merged:
                 lo, hi = max(lo, merged[c][0]), min(hi, merged[c][1])
             merged[c] = (lo, hi)
@@ -135,7 +135,7 @@ def _node_volume(node, memo: dict) -> Fraction:
     # (c, level, b) per facet c.y = level: the upper box facets y_k = w_k
     # (the lower ones have b = 0) and both sides of each slab; _node finds
     # the face of a side that the box already satisfies flat
-    facets = [(tuple(Fraction(i == k) for i in range(n)), w, w)
+    facets = [(tuple(int(i == k) for i in range(n)), w, w)
               for k, w in enumerate(widths)]
     for c, lo, hi in slabs:
         facets += [(c, hi, hi), (c, lo, -lo)]
@@ -144,15 +144,14 @@ def _node_volume(node, memo: dict) -> Fraction:
         if not b:
             continue
         p = max(range(n), key=lambda k: abs(c[k]))
-        d = tuple(x / c[p] for x in c[:p] + c[p + 1:])
-        t = level / c[p]  # y_p = t - d.y on the face
+        q, d = c[p], c[:p] + c[p + 1:]  # q y_p = level - d.y on the face
         face = _node([0] * (n - 1), widths[:p] + widths[p + 1:],
-                     [(d, t - widths[p], t)]
-                     + [(tuple(e - f[p] * x for e, x in zip(f[:p] + f[p + 1:], d)),
-                         lo - f[p] * t, hi - f[p] * t)
+                     [(d, level - q * widths[p], level)]
+                     + [(tuple(q * e - f[p] * x for e, x in zip(f[:p] + f[p + 1:], d)),
+                         q * lo - f[p] * level, q * hi - f[p] * level)
                         for f, lo, hi in slabs])
         if face is not None:
-            total += b * _node_volume(face, memo) / abs(c[p])
+            total += Fraction(b * _node_volume(face, memo), abs(q))
     memo[node] = total / n
     return memo[node]
 
@@ -171,11 +170,11 @@ def ball_volume(module: NormedModule) -> VolumeReport:
         log_det = math.log(det.numerator) - math.log(det.denominator)
         log_v = log_unit_ball_volume(r) - 0.5 * log_det + shift
         return VolumeReport(exp_float(log_v), "exact-ellipsoid", log_v)
-    # with y = A0 x for the compiled basis rows A0, the ball is the cube
-    # [-1, 1]^r cut by the slabs |c_j . y| <= 1, c_j = a_j A0^{-1}
-    inv = compiled.basis_inverse
-    slabs = [(tuple(sum(a * inv[i][k] for i, a in enumerate(row))
-                    for k in range(r)), -1, 1)
+    # with y = A0 x for the compiled basis rows A0, the ball is the cube [-1, 1]^r
+    # cut by |c_j . y| <= D, c_j = D a_j A0^{-1} = (den a_j) adj(den A0) integral
+    inv, D = compiled.basis_inverse, compiled.det * compiled.den ** r  # det(den A0)
+    slabs = [(tuple(int(D * sum(a * inv[i][k] for i, a in enumerate(row)))
+                    for k in range(r)), -D, D)
              for j, row in enumerate(compiled.data) if j not in compiled.basis]
     vol = _node_volume(_node([-1] * r, [1] * r, slabs), {}) / abs(compiled.det)
     log_v = math.log(vol.numerator) - math.log(vol.denominator) + shift

@@ -196,44 +196,76 @@ def test_unreadable_input_exits_2(capsys, tmp_path, argv, content, error):
 
 
 DISK_NORM = {"type": "ellipsoid", "gram": [["1/1", "0/1"], ["0/1", "1/1"]]}
+THEOREM_B = {"g": 2, "d_circ": 2, "kappa": 1, "L2": 10.0}
+THEOREM_C = {"d_circ": 2, "kappa": 1, "eps": 1, "L2": 10.0}
+C, P = "ConfigError", "PreconditionViolated"
 
 
-@pytest.mark.parametrize("argv, doc", [
-    (["count"], {"rank": 1, "norm": {"type": "ellipsoid", "gram": [["x"]]}}),
-    (["count"], {"rank": 1, "norm": {"type": "polymax", "functionals": [["1/0"]]}}),
-    (["count"], {"rank": "two", "norm": DISK_NORM}),
-    (["count"], {"rank": 2.5, "norm": DISK_NORM}),
-    (["count"], {"rank": "2.5", "norm": DISK_NORM}),
-    (["count"], {"rank": True, "norm": {"type": "ellipsoid", "gram": [["1/1"]]}}),
-    (["count"], [1, 2]),
-    (["count"], {"rank": 1, "norm": {"type": "ellipsoid", "gram": [[True]]}}),
-    (["count"], {"rank": 1, "norm": {"type": "polymax", "functionals": [[True]]}}),
+@pytest.mark.parametrize("argv, doc, kind", [
+    (["count"], {"rank": 1, "norm": {"type": "ellipsoid", "gram": [["x"]]}}, C),
+    (["count"], {"rank": 1, "norm": {"type": "polymax", "functionals": [["1/0"]]}}, C),
+    (["count"], {"rank": "two", "norm": DISK_NORM}, C),
+    (["count"], {"rank": 2.5, "norm": DISK_NORM}, C),
+    (["count"], {"rank": "2.5", "norm": DISK_NORM}, C),
+    (["count"], {"rank": True, "norm": {"type": "ellipsoid", "gram": [["1/1"]]}}, C),
+    (["count"], [1, 2], C),
+    (["count"], {"rank": 1, "norm": {"type": "ellipsoid", "gram": [[True]]}}, C),
+    (["count"], {"rank": 1, "norm": {"type": "polymax", "functionals": [[True]]}}, C),
     (["count"], {"rank": 1, "norm": {"type": "scaled", "alpha": True,
-                                     "inner": {"type": "ellipsoid", "gram": [["1/1"]]}}}),
+                                     "inner": {"type": "ellipsoid", "gram": [["1/1"]]}}}, C),
     (["ledger", "eval", "--theorem", "B"],
-     {"g": "x", "d_circ": 2, "kappa": 1, "L2": 10.0}),
-    (["ledger", "eval"], dict(LEDGER, L2_0="nan")),
+     {"g": "x", "d_circ": 2, "kappa": 1, "L2": 10.0}, C),
+    (["ledger", "eval"], dict(LEDGER, L2_0="nan"), C),
     (["ledger", "eval"], dict(LEDGER, L2_0="inf", steps=[
-        {"d": 4, "r": 3, "c": "nan", "slack": 2.0}])),
+        {"d": 4, "r": 3, "c": "nan", "slack": 2.0}]), C),
     (["ledger", "eval"], dict(LEDGER, steps=[
-        {"d": 4.7, "r": 3, "c": 1.0, "slack": 2.0}])),
-    (["ledger", "eval"], dict(LEDGER, kappa=True)),
-    (["ledger", "eval", "--theorem", "E"], dict(THEOREM_E, absD="nan")),
+        {"d": 4.7, "r": 3, "c": 1.0, "slack": 2.0}]), C),
+    (["ledger", "eval"], dict(LEDGER, kappa=True), C),
+    (["ledger", "eval", "--theorem", "E"], dict(THEOREM_E, absD="nan"), C),
     (["ledger", "eval", "--theorem", "B"],
-     {"g": 2, "d_circ": 2.5, "kappa": 1, "L2": 10.0}),
+     {"g": 2, "d_circ": 2.5, "kappa": 1, "L2": 10.0}, C),
+    (["ledger", "eval"], dict(LEDGER, g=-1), C),
+    (["ledger", "eval"], dict(LEDGER, kappa=0), C),
+    (["ledger", "eval"], dict(LEDGER, steps=[]), C),
+    (["ledger", "eval"], dict(LEDGER, L2_0=-1.0), C),
+    (["ledger", "eval"], dict(LEDGER, steps=[{"d": 0, "r": 3, "c": 1.0, "slack": 2.0}]), C),
+    (["ledger", "eval"], dict(LEDGER, steps=[{"d": 4, "r": 3, "c": -1.0, "slack": 2.0}]), C),
+    (["ledger", "eval", "--theorem", "B"], dict(THEOREM_B, kappa=0), P),
+    (["ledger", "eval", "--theorem", "B"], dict(THEOREM_B, g=0, d_circ=0), P),
+    (["ledger", "eval", "--theorem", "C"], dict(THEOREM_C, d_circ=1), P),
+    (["ledger", "eval", "--theorem", "C"], dict(THEOREM_C, L2=-1.0), P),
+    (["ledger", "eval", "--theorem", "D"], {"g": 1, "kappa": 1, "eps": 1, "omega2": 12.0}, P),
+    (["ledger", "eval", "--theorem", "deg1"], {"g": -1, "kappa": 2, "L2": 3.0}, P),
+    (["ledger", "eval", "--theorem", "E"], dict(THEOREM_E, g=1), P),
+    (["ledger", "eval", "--theorem", "E"], dict(THEOREM_E, r1=0, r2=1), C),
+    (["ledger", "eval", "--theorem", "E"], dict(THEOREM_E, eps=3), C),
+    (["ledger", "eval", "--theorem", "E"], dict(THEOREM_E, absD=0.5), C),
+    (["ledger", "eval", "--theorem", "E"], dict(THEOREM_E, omega2=-1.0), C),
+    (["ledger", "eval", "--theorem", "E"], dict(THEOREM_E, kappa=0), C),
+    (["ledger", "sweep", "--g-max", "1"], None, P),
+    (["ledger", "simulate", "--mode", "nope"], None, C),
 ], ids=["bad-literal", "zero-denominator", "bad-rank", "fractional-rank",
         "fractional-rank-string", "boolean-rank", "not-an-object",
         "boolean-gram-entry", "boolean-functional-entry", "boolean-alpha",
         "bad-theorem-field", "nan-ledger-real", "nan-and-inf-ledger-reals",
         "fractional-ledger-degree", "boolean-ledger-kappa",
-        "nan-theorem-real", "fractional-theorem-integer"])
-def test_malformed_input_exits_2(capsys, tmp_path, argv, doc):
-    path = tmp_path / "input.json"
-    path.write_text(json.dumps(doc))
-    flag = "--config" if argv[0] == "ledger" else "--module"
-    code, out = run_main(capsys, argv + [flag, str(path)])
+        "nan-theorem-real", "fractional-theorem-integer",
+        "ledger-negative-genus", "ledger-zero-kappa", "ledger-no-steps",
+        "ledger-negative-L2", "ledger-zero-degree", "ledger-negative-c",
+        "B-zero-kappa", "B-genus-0-degree-0", "C-degree-1", "C-negative-L2",
+        "D-genus-1", "deg1-negative-genus", "E-genus-1", "E-bad-split",
+        "E-eps-3", "E-absD-below-1", "E-negative-omega2", "E-zero-kappa",
+        "sweep-g-max-1", "simulate-unknown-mode"])
+def test_malformed_input_exits_2(capsys, tmp_path, argv, doc, kind):
+    """Bad input exits 2 with the JSON error of its kind, never a traceback;
+    a doc of None is a command with no input file."""
+    if doc is not None:
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(doc))
+        argv = argv + ["--config" if argv[0] == "ledger" else "--module", str(path)]
+    code, out = run_main(capsys, argv)
     assert code == 2
-    assert out["error"]["type"] == "ConfigError"
+    assert out["error"]["type"] == kind
 
 
 @pytest.mark.parametrize("argv", [
@@ -657,17 +689,18 @@ def test_ledger_eval_is_pinned(capsys, monkeypatch, tmp_path, theorem, cfg,
     assert hashlib.sha256(out.encode()).hexdigest()[:16] == want
 
 
-# sha256 prefixes of the stdout of three corpus commands, pinned from the
-# release before the compiled norm became the validator; the rank-8 run is
-# pinned in CI only, since it takes about 15 s
-PINNED_VERIFY = {seed: (["verify", "--max-rank", "5", "--trials", "6", "--seed",
-                         str(seed)], want)
+# sha256 prefixes of the stdout of corpus commands: three rank-5 runs pinned
+# from the release before the compiled norm became the validator, and CI's
+# rank-8 run (a few seconds), whose minima and volumes do the most work
+PINNED_VERIFY = {f"seed-{seed}": (["verify", "--max-rank", "5", "--trials", "6",
+                                   "--seed", str(seed)], want)
                  for seed, want in ((0, "01d4b95842f82c69"), (1, "b7885099572b8171"),
                                     (2, "0f05bc8bdc57f4ad"))}
+PINNED_VERIFY["rank-8-seed-3"] = (["verify", "--max-rank", "8", "--trials", "40",
+                                   "--seed", "3"], "2e9be8d5653eb879")
 
 
-@pytest.mark.parametrize("argv, want", PINNED_VERIFY.values(),
-                         ids=[f"seed-{s}" for s in PINNED_VERIFY])
+@pytest.mark.parametrize("argv, want", PINNED_VERIFY.values(), ids=PINNED_VERIFY.keys())
 def test_verify_stdout_is_pinned(capsys, monkeypatch, argv, want):
     monkeypatch.delenv("LATMIN_TIMING", raising=False)
     assert main(argv) == 0

@@ -267,9 +267,14 @@ def hand_built_modules():
 
 def assert_walk_matches_oracle(module, radius):
     """The walk at the cap of a radius lists the oracle's closed ball, and
-    the strict cap cuts the oracle's open ball out of it."""
-    compiled, pairs = vectors_with_keys(module, compile_norm(module.norm).cap(radius))
+    the strict cap cuts the oracle's open ball out of it; a list above a key
+    is the full list's entries with larger keys."""
+    cap = compile_norm(module.norm).cap(radius)
+    compiled, pairs = vectors_with_keys(module, cap)
     assert pairs == sorted(pairs)
+    for above in (-1, 0, pairs[len(pairs) // 2][0], cap):
+        assert vectors_with_keys(module, cap, above=above)[1] == [
+            (key, v) for key, v in pairs if key > above]
     closed = oracle_sections(module, radius=radius)
     assert sorted(v for _, v in pairs) == closed
     assert all(key == compiled.key(v) for key, v in pairs)
@@ -297,7 +302,9 @@ def test_walk_matches_oracle_on_hand_built_modules(index, radius):
 def test_rank_zero_walk(radius):
     for spec in (make_ellipsoid([]), make_polymax([[]])):
         m = make_normed_module(0, spec)
-        assert vectors_with_keys(m, compile_norm(m.norm).cap(radius))[1] == [(0, ())]
+        cap = compile_norm(m.norm).cap(radius)
+        assert vectors_with_keys(m, cap)[1] == [(0, ())]
+        assert vectors_with_keys(m, cap, above=0)[1] == []
 
 
 def _e_convergent(bits, below):

@@ -84,10 +84,10 @@ def _oracle_minima(module):
 
 
 def _record_caps(monkeypatch):
-    """The cap of every list successive_minima asks for, in order."""
+    """The (cap, above) of every list successive_minima asks for, in order."""
     caps, listed = [], minima.vectors_with_keys
-    monkeypatch.setattr(minima, "vectors_with_keys", lambda module, cap, budget: (
-        caps.append(cap) or listed(module, cap, budget)))
+    monkeypatch.setattr(minima, "vectors_with_keys", lambda module, cap, budget, above: (
+        caps.append((cap, above)) or listed(module, cap, budget, above=above)))
     return caps
 
 
@@ -100,13 +100,15 @@ def _minima_modules():
 @pytest.mark.parametrize("index", range(26))
 def test_minima_match_the_oracle(monkeypatch, index):
     """Same witnesses and values as the oracle, from lists whose caps start
-    at key 1 and never pass the ceiling, the largest key of a unit vector."""
+    at key 1 and never pass the ceiling, the largest key of a unit vector;
+    each rung lists only the keys above the previous cap (0 at the first)."""
     module = _minima_modules()[index]
     caps = _record_caps(monkeypatch)
     rep = successive_minima.__wrapped__(module)
     compiled, r = compile_norm(module.norm), module.rank
     units = [compiled.key([int(i == k) for i in range(r)]) for k in range(r)]
-    assert caps[0] == 1 and max(caps) <= max(units)
+    assert caps[0][0] == 1 and max(cap for cap, _ in caps) <= max(units)
+    assert [above for _, above in caps] == [0] + [cap for cap, _ in caps[:-1]]
     witnesses, values = _oracle_minima(module)
     assert list(rep.witnesses) == witnesses
     assert [Fraction(k, den) for _, k, den, _ in rep.mu_parts] == values
@@ -119,7 +121,7 @@ def test_twisted_minima_take_few_rungs(monkeypatch, alpha, most):
     is."""
     caps = _record_caps(monkeypatch)
     rep = successive_minima.__wrapped__(twist(euclid(2), alpha))
-    assert len(caps) <= most and caps == [1]
+    assert len(caps) <= most and caps == [(1, 0)]
     assert rep.witnesses == ((0, 1), (1, 0))
     assert rep.mus == (float(alpha), float(alpha))
 
@@ -132,27 +134,44 @@ def test_minima_of_an_unreduced_basis_start_small(monkeypatch, alpha):
     caps = _record_caps(monkeypatch)
     module = make_normed_module(2, make_ellipsoid([[7321, 7200], [7200, 7081]]))
     rep = successive_minima.__wrapped__(twist(module, alpha))
-    assert caps == [1]
+    assert caps == [(1, 0)]
     assert rep.witnesses == ((59, -60), (60, -61))
     assert rep.mus == (float(alpha), float(alpha))
 
 
 def test_minima_ladder_lists_few_vectors_at_ranks_6_to_8(monkeypatch):
-    """The ranks 6-8 corpus of seed 3 lists 126,684 vectors in its minima
-    rungs: radius doubling until a rung finds a vector, then about e^(1/r)
-    per rung.  Doubling all the way listed 4,105,947; the bound is 1.25
-    times the count."""
+    """Work gates at 1.25 times the counts: the ranks 6-8 corpus of seed 3
+    lists 69,112 vectors in its minima rungs, and CI's corpus (seed 3, 40
+    trials, ranks <= 8) lists 21,440 and makes 6,587 Lasserre calls.  The
+    radius doubles until a rung finds a vector, then grows by about e^(1/r)
+    per rung, and each rung lists only the keys above the last cap.  At
+    ranks 6-8, doubling all the way listed 4,105,947 vectors and re-listing
+    every rung's prefix 126,684."""
     from latmin.inequalities import run_suite
-    listed, walk = [0], minima.vectors_with_keys
+    work, walk, node_volume = {}, minima.vectors_with_keys, minima._node_volume
 
-    def counted(module, cap, budget):
-        compiled, pairs = walk(module, cap, budget)
-        listed[0] += len(pairs)
+    def counted(module, cap, budget, above):
+        compiled, pairs = walk(module, cap, budget, above=above)
+        work["listed"] += len(pairs)
         return compiled, pairs
+
+    def counted_volume(node, memo):
+        work["nodes"] += 1
+        return node_volume(node, memo)
     monkeypatch.setattr(minima, "vectors_with_keys", counted)
-    successive_minima.cache_clear()  # every module's rungs are listed here
-    run_suite(SuiteConfig(seed=3, trials=10, rank_min=6, rank_max=8))
-    assert 0 < listed[0] <= 158355
+    monkeypatch.setattr(minima, "_node_volume", counted_volume)
+    found = {}
+    for name, config in (("6-8", SuiteConfig(seed=3, trials=10, rank_min=6, rank_max=8)),
+                         ("ci", SuiteConfig(seed=3, trials=40, rank_max=8))):
+        # every module's rungs and volume are computed here
+        successive_minima.cache_clear()
+        ball_volume.cache_clear()
+        work.update(listed=0, nodes=0)
+        run_suite(config)
+        found[name] = dict(work)
+    assert 0 < found["6-8"]["listed"] <= 86390
+    assert 0 < found["ci"]["listed"] <= 26800
+    assert 0 < found["ci"]["nodes"] <= 8233
 
 
 def test_minima_need_positive_rank():
