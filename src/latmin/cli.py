@@ -10,6 +10,8 @@ and platforms.  Wall-clock timing is only emitted when LATMIN_TIMING is set,
 to keep default output reproducible.  The report is encoded once, compact
 with sorted keys; that string is hashed for manifest.result_digest (16 hex
 digits of sha256) and spliced into the printed {"manifest", "report"} line.
+``ledger simulate`` encodes its trials in up to ``--threads`` forked shards
+and splices their texts in trial order, so stdout does not depend on it.
 
 Importing this module loads only ``errors``: each ``cmd_*`` imports the
 layers its subcommand runs, so a ``count`` loads no minima, inequality or
@@ -32,6 +34,7 @@ from . import __version__
 from .errors import ConfigError, LatminError
 
 _dumps = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+_FIELD_NAMES: dict = {}  # dataclass type -> its field names, for jsonable
 
 
 def fmt_real(x: float) -> str:
@@ -40,25 +43,33 @@ def fmt_real(x: float) -> str:
 
 def jsonable(obj):
     """Deterministic JSON form: floats as 12-sig strings, Fractions as p/q."""
-    if isinstance(obj, float):
+    t = type(obj)  # exact types first: an `is` test is cheaper than isinstance
+    if t is float:
         return fmt_real(obj)
-    if obj is None or isinstance(obj, (str, int)):  # bool is an int
+    if t is str or t is int or t is bool or obj is None:
         return obj
+    names = _FIELD_NAMES.get(t)
+    if names is not None:  # a dataclass, field by field, with no deep copy
+        return {name: jsonable(getattr(obj, name)) for name in names}
     if isinstance(obj, dict):
         return {str(k): jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [jsonable(v) for v in obj]
     if isinstance(obj, Fraction):  # an ABC, so a slow test: after the builtins
         return f"{obj.numerator}/{obj.denominator}"  # as norms.format_rational
-    if dataclasses.is_dataclass(obj):  # field by field, with no deep copy
-        return {f.name: jsonable(getattr(obj, f.name))
-                for f in dataclasses.fields(obj)}
+    if dataclasses.is_dataclass(t):
+        _FIELD_NAMES[t] = tuple(f.name for f in dataclasses.fields(t))
+        return jsonable(obj)
     return str(obj)
 
 
-def _emit(subcommand: str, config: dict, report, seed, started: float,
+def encode(report) -> str:
+    """The report's JSON text: compact, sorted keys, reals as in jsonable."""
+    return _dumps(jsonable(report))
+
+
+def _emit(subcommand: str, config: dict, body: str, seed, started: float,
           exit_code: int = 0) -> int:
-    body = _dumps(jsonable(report))
     manifest = {
         "tool": "latmin",
         "version": __version__,
@@ -81,6 +92,74 @@ def _emit_error(subcommand: str, exc: Exception, exit_code: int) -> int:
     }
     print(_dumps(doc))
     return exit_code
+
+
+def shard_count(threads: int, trials: int, cpus: int) -> int:
+    """Processes for `trials` simulated ledgers: at most `threads`, one per
+    CPU and one per 100 trials (a fork costs about 25 trials' time), and at
+    least 1."""
+    return max(1, min(threads, cpus, trials // 100))
+
+
+def _run_forked(fn, shards: list) -> list:
+    """[fn(s) for s in shards]: shards[0] here, each other one in an os.fork
+    child that pipes back pickle.dumps((ok, result or exception)), leaves by
+    os._exit (no atexit, no inherited flush), and stops within 0.1 s once its
+    parent is gone.  A child's exception is raised here; a shard whose child
+    did not start or left no whole result runs here.  Every child is reaped
+    before return (the CLI starts no thread, so it forks safely)."""
+    if len(shards) == 1 or not hasattr(os, "fork"):
+        return [fn(s) for s in shards]
+    import pickle
+    import signal
+
+    def stop_if_orphaned(*_):
+        if os.getppid() != parent:
+            os._exit(1)
+
+    parent, children = os.getpid(), []  # (pid, the read end of its pipe)
+    try:
+        try:
+            for s in shards[1:]:
+                r, w = os.pipe()
+                try:
+                    pid = os.fork()
+                except OSError:
+                    os.close(r)
+                    os.close(w)
+                    raise
+                if pid == 0:
+                    try:
+                        signal.signal(signal.SIGALRM, stop_if_orphaned)
+                        signal.setitimer(signal.ITIMER_REAL, 0.1, 0.1)
+                        try:
+                            payload = (True, fn(s))
+                        except BaseException as exc:  # raised in the parent
+                            payload = (False, exc)
+                        with os.fdopen(w, "wb") as fh:
+                            fh.write(pickle.dumps(payload))
+                    finally:
+                        os._exit(0)
+                os.close(w)
+                children.append((pid, os.fdopen(r, "rb")))
+        except OSError:  # out of processes or pipes: the other shards run here
+            pass
+        results = [fn(shards[0])]
+        for i, s in enumerate(shards[1:]):
+            data = children[i][1].read() if i < len(children) else b""
+            try:
+                ok, value = pickle.loads(data)  # written by our own child
+            except Exception:  # no child, or it was killed or did not pickle
+                ok, value = True, fn(s)
+            if not ok:
+                raise value
+            results.append(value)
+        return results
+    finally:  # a child whose pipe is at its end has only os._exit left to do
+        for pid, fh in children:
+            fh.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
 
 
 def _budget(args) -> int:
@@ -113,7 +192,7 @@ def cmd_count(args) -> int:
     if args.emit_vectors:
         report["vectors"] = [list(v) for v in sections.vectors]
     cfg = {"module": args.module, "strict": args.strict, "budget": budget}
-    return _emit("count", cfg, report, None, started)
+    return _emit("count", cfg, encode(report), None, started)
 
 
 def cmd_minima(args) -> int:
@@ -132,7 +211,7 @@ def cmd_minima(args) -> int:
                    "squared": sq} for a, k, d, sq in rep.mu_parts],
     }
     cfg = {"module": args.module, "budget": budget}
-    return _emit("minima", cfg, report, None, started)
+    return _emit("minima", cfg, encode(report), None, started)
 
 
 def cmd_chi(args) -> int:
@@ -143,7 +222,7 @@ def cmd_chi(args) -> int:
     module = load_module(args.module)
     chi = euler_characteristic(module)
     report = {"chi": chi.value, "method": chi.method}
-    return _emit("chi", {"module": args.module}, report, None, started)
+    return _emit("chi", {"module": args.module}, encode(report), None, started)
 
 
 def cmd_verify(args) -> int:
@@ -159,7 +238,7 @@ def cmd_verify(args) -> int:
     cfg = {"suite": args.suite, "trials": args.trials, "seed": args.seed,
            "max_rank": args.max_rank, "budget": budget}
     code = 1 if summary["total_violations"] else 0
-    return _emit("verify", cfg, summary, args.seed, started, code)
+    return _emit("verify", cfg, encode(summary), args.seed, started, code)
 
 
 def cmd_ledger(args) -> int:
@@ -182,30 +261,39 @@ def cmd_ledger(args) -> int:
                       "sum_ci": sum_ci_bound(ledger)}
             code = 0 if all(r.holds for r in report.values()) else 1
         conf = {"config": args.config, "theorem": args.theorem}
-        return _emit("ledger-eval", conf, report, None, started, code)
+        return _emit("ledger-eval", conf, encode(report), None, started, code)
     if args.ledger_cmd == "sweep":
         reports = verify_constant_chain(args.g_max, args.kappa_max)
         code = 1 if any(not r.holds for r in reports) else 0
         conf = {"g_max": args.g_max, "kappa_max": args.kappa_max}
-        return _emit("ledger-sweep", conf, reports, None, started, code)
+        return _emit("ledger-sweep", conf, encode(reports), None, started, code)
     if args.ledger_cmd == "simulate":
         if args.trials < 1:
             raise ConfigError("trials must be >= 1")
         if args.seed < 0:
             raise ConfigError("seed must be >= 0")
-        out = []
-        violations = 0
-        for t in range(args.trials):
-            ledger = simulate_reduction(args.seed + t, args.mode)
-            chain, sumci = theorem_chain_check(ledger), sum_ci_bound(ledger)
-            if not (chain.holds and sumci.holds):
-                violations += 1
-            out.append({"ledger": ledger.to_json(), "theorem_chain": chain,
-                        "sum_ci": sumci})
-        report = {"trials": args.trials, "violations": violations,
-                  "results": out}
+
+        def shard(seeds):
+            out, violations = [], 0
+            for seed in seeds:
+                ledger = simulate_reduction(seed, args.mode)
+                chain, sumci = theorem_chain_check(ledger), sum_ci_bound(ledger)
+                violations += not (chain.holds and sumci.holds)
+                out.append({"ledger": ledger.to_json(), "theorem_chain": chain,
+                            "sum_ci": sumci})
+            return violations, encode(out)[1:-1]
+
+        cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                else os.cpu_count() or 1)
+        n = shard_count(args.threads, args.trials, cpus)
+        cut = [args.seed + args.trials * i // n for i in range(n + 1)]
+        parts = _run_forked(shard, [range(a, b) for a, b in zip(cut, cut[1:])])
+        violations = sum(v for v, _ in parts)
+        # encode(report) of {"results", "trials", "violations"}, keys sorted
+        body = ('{"results":[' + ",".join(text for _, text in parts)
+                + f'],"trials":{args.trials},"violations":{violations}}}')
         conf = {"seed": args.seed, "mode": args.mode, "trials": args.trials}
-        return _emit("ledger-simulate", conf, report, args.seed, started,
+        return _emit("ledger-simulate", conf, body, args.seed, started,
                      1 if violations else 0)
     raise ConfigError("unknown ledger subcommand")
 
@@ -214,7 +302,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="latmin",
                                      description="normed lattice toolkit")
     parser.add_argument("--threads", type=int, default=1,
-                        help="at least 1; has no effect yet")
+                        help="at least 1; processes for ledger simulate "
+                             "(other subcommands run in one)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("count", help="count effective sections")

@@ -217,7 +217,7 @@ def _cli(argv):
 
 
 @criterion(9, "CLI output byte-identical across repeat runs and "
-              "--threads in {1, 4}")
+              "--threads in {1, 2, 4}")
 def test_criterion_9_cli_determinism(tmp_path):
     module = tmp_path / "disk2.json"
     module.write_text(json.dumps({
@@ -238,8 +238,12 @@ def test_criterion_9_cli_determinism(tmp_path):
         ["ledger", "sweep", "--g-max", "20", "--kappa-max", "3"],
         ["ledger", "simulate", "--mode", "positive-genus", "--trials", "5",
          "--seed", "1"],
+        # enough trials to run in one process per CPU, up to four
+        ["ledger", "simulate", "--mode", "clifford-hyperelliptic", "--trials",
+         "400", "--seed", "11"],
     ]
     for argv in commands:
         baseline = _cli(["--threads", "1"] + argv)
         assert _cli(["--threads", "1"] + argv) == baseline, argv
+        assert _cli(["--threads", "2"] + argv) == baseline, argv
         assert _cli(["--threads", "4"] + argv) == baseline, argv

@@ -1,19 +1,25 @@
 """CLI behaviour: JSON output, exit codes, determinism."""
 
 import dataclasses
+import errno
 import hashlib
 import json
 import math
 import os
+import signal
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from typing import Any
 
 import pytest
 
 import latmin
-from latmin.cli import fmt_real, jsonable, main
+from latmin import ledger as ledger_mod
+from latmin.cli import (_run_forked, encode, fmt_real, jsonable, main,
+                        shard_count)
+from latmin.errors import ConfigError, EnumerationBudgetExceeded
 from latmin.inequalities import SuiteConfig, run_suite
 from latmin.ledger import (ArithmeticContext, corollary_e, simulate_reduction,
                            sum_ci_bound, theorem_chain_check)
@@ -529,7 +535,8 @@ def test_cli_import_does_not_load_mpmath(tmp_path):
     cases = [
         ("import latmin.cli\n", {"latmin.enumeration", "latmin.norms",
                                  "latmin.minima", "latmin.inequalities",
-                                 "latmin.ledger"}),
+                                 "latmin.ledger", "pickle", "multiprocessing",
+                                 "concurrent.futures"}),
         (twisted, set()),
         (cli("count", "--module", str(path)),
          {"latmin.ledger", "latmin.inequalities", "latmin.minima"}),
@@ -632,9 +639,189 @@ PINNED_STDOUT = {
                          ids=PINNED_STDOUT.keys())
 def test_ledger_stdout_is_pinned(capsys, monkeypatch, argv, want):
     monkeypatch.delenv("LATMIN_TIMING", raising=False)
+    # at --threads 2 and 4, simulate forks one process per CPU beyond the first
+    for threads in ("1", "2", "4"):
+        _assert_pinned(capsys, ["--threads", threads] + argv, want)
+    _assert_no_child_left()
+
+
+def _assert_pinned(capsys, argv, want):
     assert main(argv) == 0
     out = capsys.readouterr().out
-    assert hashlib.sha256(out.encode()).hexdigest()[:16] == want
+    assert hashlib.sha256(out.encode()).hexdigest()[:16] == want, argv
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_shard_count_is_bounded():
+    # a pure rule: no process is started here, whatever the numbers
+    for threads, trials, cpus in [(10 ** 6, 10 ** 7, 64), (10 ** 6, 10 ** 7, 1),
+                                  (4, 99, 8), (4, 1, 8), (1, 10 ** 7, 8),
+                                  (3, 250, 8), (8, 10 ** 4, 2)]:
+        n = shard_count(threads, trials, cpus)
+        assert 1 <= n <= threads and n <= cpus, (threads, trials, cpus)
+        assert n == 1 or n <= trials // 100, (threads, trials, cpus)
+    assert shard_count(10 ** 6, 10 ** 7, 64) == 64
+    assert shard_count(10 ** 6, 10 ** 7, 1) == 1
+    assert shard_count(4, 99, 8) == 1
+    assert shard_count(3, 250, 8) == 2
+
+
+def _many_cpus(monkeypatch):
+    """Lets the shard count reach 4 on any machine."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3},
+                        raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+
+
+def test_simulate_splices_shards_into_the_encoded_report(capsys, monkeypatch):
+    """The sharded body is encode(report) of the serial report, with the
+    violations summed over the shards and exit code 1."""
+    _many_cpus(monkeypatch)
+    sum_ci = ledger_mod.sum_ci_bound
+
+    def fails_on_degree_3k(ledger):  # some violations in every shard
+        rep = sum_ci(ledger)
+        return dataclasses.replace(rep, holds=ledger.steps[0].d % 3 != 0)
+
+    monkeypatch.setattr(ledger_mod, "sum_ci_bound", fails_on_degree_3k)
+    results, violations = [], 0
+    for seed in range(5, 405):
+        ledger = simulate_reduction(seed, "positive-genus")
+        chain, sumci = theorem_chain_check(ledger), fails_on_degree_3k(ledger)
+        violations += not (chain.holds and sumci.holds)
+        results.append({"ledger": ledger.to_json(), "theorem_chain": chain,
+                        "sum_ci": sumci})
+    report = {"trials": 400, "violations": violations, "results": results}
+    assert 0 < violations < 400
+    for threads in ("1", "3", "4"):
+        assert main(["--threads", threads, "ledger", "simulate", "--mode",
+                     "positive-genus", "--trials", "400", "--seed", "5"]) == 1
+        out = capsys.readouterr().out
+        assert out.endswith(',"report":' + encode(report) + "}\n"), threads
+    _assert_no_child_left()
+
+
+@pytest.mark.parametrize("error", [
+    ConfigError("seed refused"),
+    # does not survive pickle (its __init__ takes two arguments), so the
+    # parent runs the child's shard again and raises it itself
+    EnumerationBudgetExceeded(5, 3)], ids=["config", "unpicklable"])
+@pytest.mark.parametrize("failing", ["child", "parent"])
+def test_simulate_shard_error_is_reported_once(capsys, monkeypatch, failing,
+                                               error):
+    """An error in any shard gives the serial run's error document and exit
+    code, and leaves no child process behind."""
+    _many_cpus(monkeypatch)
+    simulate = ledger_mod.simulate_reduction
+    bad_seed = 350 if failing == "child" else 50  # in the last or first shard
+
+    def refuses(seed, mode):
+        if seed == bad_seed:
+            raise error
+        return simulate(seed, mode)
+
+    monkeypatch.setattr(ledger_mod, "simulate_reduction", refuses)
+    argv = ["ledger", "simulate", "--mode", "genus-zero", "--trials", "400"]
+    code, serial = run_main(capsys, ["--threads", "1"] + argv)
+    assert code == error.exit_code
+    assert serial["error"] == {"type": type(error).__name__,
+                               "message": str(error)}
+    for threads in ("2", "4"):
+        assert run_main(capsys, ["--threads", threads] + argv) == (code, serial)
+        _assert_no_child_left()
+
+
+@pytest.mark.parametrize("call, starts", [("fork", 0), ("fork", 1),
+                                          ("pipe", 0)])
+def test_simulate_runs_the_shards_it_cannot_fork(capsys, monkeypatch, call,
+                                                 starts):
+    """When os.fork or os.pipe fails (say, at the process or file limit)
+    after `starts` children, the other shards run in this process: the same
+    stdout as --threads 1, and no child left."""
+    _many_cpus(monkeypatch)
+    real, started = getattr(os, call), []
+
+    def until_the_limit():
+        if len(started) == starts:
+            raise OSError(errno.EAGAIN, f"{call} refused")
+        started.append(call)
+        return real()
+
+    monkeypatch.setattr(os, call, until_the_limit)
+    monkeypatch.delenv("LATMIN_TIMING", raising=False)
+    argv, want = PINNED_STDOUT["positive-genus"]
+    _assert_pinned(capsys, ["--threads", "4"] + argv, want)
+    assert len(started) == starts
+    _assert_no_child_left()
+
+
+def test_simulate_reruns_the_shard_of_a_lost_child(capsys, monkeypatch):
+    """A child that dies with no result (say, killed for memory) has its
+    shard run again in the parent, with the same stdout."""
+    _many_cpus(monkeypatch)
+    simulate, parent = ledger_mod.simulate_reduction, os.getpid()
+
+    def dies_in_a_child(seed, mode):
+        if os.getpid() != parent:
+            os._exit(1)
+        return simulate(seed, mode)
+
+    monkeypatch.setattr(ledger_mod, "simulate_reduction", dies_in_a_child)
+    monkeypatch.delenv("LATMIN_TIMING", raising=False)
+    argv, want = PINNED_STDOUT["genus-zero"]
+    _assert_pinned(capsys, ["--threads", "4"] + argv, want)
+    _assert_no_child_left()
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="reads /proc")
+def test_shard_child_stops_once_its_parent_is_gone(tmp_path):
+    """A shard's child whose parent is killed (so no `finally` reaps it)
+    stops by itself, within 0.1 s of its timer."""
+    pid_file = tmp_path / "child.pid"
+
+    def shard(index):  # the child records its pid; both sides run forever
+        if index:
+            (tmp_path / "tmp").write_text(str(os.getpid()))
+            os.replace(tmp_path / "tmp", pid_file)
+        while True:
+            time.sleep(0.01)
+
+    parent = os.fork()
+    if parent == 0:
+        try:
+            _run_forked(shard, [0, 1])
+        finally:
+            os._exit(1)
+    child = None
+    try:
+        deadline = time.monotonic() + 30
+        while not pid_file.exists():
+            assert time.monotonic() < deadline, "the child never started"
+            time.sleep(0.01)
+        child = int(pid_file.read_text())
+        os.kill(parent, signal.SIGKILL)
+        os.waitpid(parent, 0)
+        deadline = time.monotonic() + 5
+        while _is_running(child):
+            assert time.monotonic() < deadline, "the orphaned child still runs"
+            time.sleep(0.01)
+    finally:
+        for pid in (parent, child):
+            if pid is not None and _is_running(pid):
+                os.kill(pid, signal.SIGKILL)
+
+
+def _is_running(pid):
+    """Not gone and not a zombie (an orphan is reaped by whoever adopts it)."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] not in "ZX"
+    except (FileNotFoundError, ProcessLookupError):
+        return False
 
 
 README_LEDGER = {"g": 2, "kappa": 1, "mode": "positive-genus", "L2_0": 20.0,
