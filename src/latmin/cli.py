@@ -10,8 +10,11 @@ and platforms.  Wall-clock timing is only emitted when LATMIN_TIMING is set,
 to keep default output reproducible.  The report is encoded once, compact
 with sorted keys; that string is hashed for manifest.result_digest (16 hex
 digits of sha256) and spliced into the printed {"manifest", "report"} line.
-``ledger simulate`` encodes its trials in up to ``--threads`` forked shards
-and splices their texts in trial order, so stdout does not depend on it.
+``ledger simulate`` runs its trials in up to ``--threads`` forked shards and
+splices their texts in trial order, so stdout does not depend on it.  Each
+trial's text is written in one pass by ``_trial_text``: the bytes ``encode``
+gives its dict form, with no dict built (the ledger is validated, so its
+reals are finite and no string needs an escape).
 
 Importing this module loads only ``errors``: each ``cmd_*`` imports the
 layers its subcommand runs, so a ``count`` loads no minima, inequality or
@@ -68,6 +71,32 @@ def encode(report) -> str:
     return _dumps(jsonable(report))
 
 
+def _real(x) -> str:
+    """The JSON text of jsonable(x) for an int or a float."""
+    return '"' + fmt_real(x) + '"' if type(x) is float else "%d" % x
+
+
+def _report_text(r) -> str:
+    """encode(r) for an InequalityReport, its strings needing no escape."""
+    return ('{"holds":%s,"instance_digest":"%s","lhs":%s,"name":"%s","rhs":%s,'
+            '"slack":%s,"verdict":"%s"}'
+            % ("true" if r.holds else "false", r.instance_digest, _real(r.lhs),
+               r.name, _real(r.rhs), _real(r.slack), r.verdict))
+
+
+def _trial_text(ledger, chain, sum_ci) -> str:
+    """encode({"ledger": ledger.to_json(), "sum_ci": sum_ci, "theorem_chain":
+    chain}) in one pass, for a validated ledger: ints, finite reals and a
+    known mode, so no string needs an escape."""
+    steps = ",".join('{"c":%s,"d":%d,"r":%d,"slack":%s}'
+                     % (_real(s.c), s.d, s.r, _real(s.slack))
+                     for s in ledger.steps)
+    return ('{"ledger":{"L2_0":%s,"g":%d,"kappa":%d,"mode":"%s","steps":[%s]},'
+            '"sum_ci":%s,"theorem_chain":%s}'
+            % (_real(ledger.L2_0), ledger.g, ledger.kappa, ledger.mode, steps,
+               _report_text(sum_ci), _report_text(chain)))
+
+
 def _emit(subcommand: str, config: dict, body: str, seed, started: float,
           exit_code: int = 0) -> int:
     manifest = {
@@ -96,8 +125,9 @@ def _emit_error(subcommand: str, exc: Exception, exit_code: int) -> int:
 
 def shard_count(threads: int, trials: int, cpus: int) -> int:
     """Processes for `trials` simulated ledgers: at most `threads`, one per
-    CPU and one per 100 trials (a fork costs about 25 trials' time), and at
-    least 1."""
+    CPU and one per 100 trials (a fork's round trip costs about 30 trials'
+    time: 2.6 ms against 76-98 us a trial on a 2-vCPU Xeon), and at least
+    1."""
     return max(1, min(threads, cpus, trials // 100))
 
 
@@ -279,9 +309,8 @@ def cmd_ledger(args) -> int:
                 ledger = simulate_reduction(seed, args.mode)
                 chain, sumci = theorem_chain_check(ledger), sum_ci_bound(ledger)
                 violations += not (chain.holds and sumci.holds)
-                out.append({"ledger": ledger.to_json(), "theorem_chain": chain,
-                            "sum_ci": sumci})
-            return violations, encode(out)[1:-1]
+                out.append(_trial_text(ledger, chain, sumci))
+            return violations, ",".join(out)
 
         cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
                 else os.cpu_count() or 1)

@@ -15,8 +15,8 @@ ledger.  All evaluation is double precision; verdicts use EXACT_TOL.
 from __future__ import annotations
 
 import hashlib
-import json
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property, reduce
 from operator import add
@@ -37,6 +37,12 @@ LOG2PI = math.log(2.0 * math.pi)
 _FEAS_TOL = 1e-12
 _STEP_FIELDS = {"d": int, "r": int, "c": float, "slack": float}
 _LEDGER_FIELDS = {"g": int, "kappa": int, "L2_0": float}
+_MAX_REAL = sys.float_info.max
+
+
+def _is_real(x) -> bool:
+    """x is an int or a float (no bool) that a double holds: no NaN or inf."""
+    return (type(x) is float or type(x) is int) and -_MAX_REAL <= x <= _MAX_REAL
 
 
 @dataclass(frozen=True)
@@ -59,9 +65,14 @@ class Ledger:
         self.validate()  # once per ledger: every ledger in use is admissible
 
     def validate(self) -> None:
-        """The mode's rules; then L_i^2 and L_i'^2 = L_i^2 - 2 d_i c_i, which
-        must be >= 0 (to _FEAS_TOL) and are kept outside the fields; then
-        the preconditions of theorem_chain_check's closed-form bound."""
+        """The field types (ints, and finite ints or floats for c, slack
+        and L2_0); the mode's rules; then L_i^2 and L_i'^2 = L_i^2 - 2 d_i c_i,
+        which must be >= 0 (to _FEAS_TOL) and are kept outside the fields;
+        then the preconditions of theorem_chain_check's closed-form bound."""
+        if type(self.g) is not int or type(self.kappa) is not int:
+            raise ConfigError("g and kappa must be ints")
+        if not _is_real(self.L2_0):
+            raise ConfigError(f"L2_0 = {self.L2_0!r} is not a finite real")
         if self.mode not in MODES:
             raise ConfigError(f"unknown ledger mode {self.mode!r}")
         if self.g < 0 or self.kappa < 1:
@@ -71,6 +82,11 @@ class Ledger:
         if self.L2_0 < 0:
             raise ConfigError("L2_0 must be nonnegative")
         for i, s in enumerate(self.steps):
+            if type(s.d) is not int or type(s.r) is not int:
+                raise ConfigError(f"step {i}: d and r must be ints")
+            if not (_is_real(s.c) and _is_real(s.slack)):
+                raise ConfigError(f"step {i}: c = {s.c!r} and slack = "
+                                  f"{s.slack!r} must be finite reals")
             if s.d <= 0 or s.r <= 0:
                 raise ConfigError(f"step {i}: d and r must be positive")
             if s.c < 0 or s.slack < 0:
@@ -112,7 +128,13 @@ class Ledger:
 
     @cached_property  # once per ledger; == and hash read only the fields
     def _digest(self) -> str:
-        blob = json.dumps(self.to_json(), sort_keys=True, separators=(",", ":"))
+        """sha256 of json.dumps(to_json(), sort_keys=True, separators=(",",
+        ":")), written directly: the fields are validated ints, finite reals
+        (whose repr is their JSON text) and a mode that needs no escaping."""
+        steps = ",".join('{"c":%r,"d":%d,"r":%d,"slack":%r}'
+                         % (s.c, s.d, s.r, s.slack) for s in self.steps)
+        blob = ('{"L2_0":%r,"g":%d,"kappa":%d,"mode":"%s","steps":[%s]}'
+                % (self.L2_0, self.g, self.kappa, self.mode, steps))
         return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 

@@ -31,7 +31,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import List, Sequence, Union
 
 from .errors import ConfigError, DimensionMismatch, InvalidNorm, UnboundedBall
@@ -58,6 +58,13 @@ def format_rational(f: Fraction) -> str:
 class Ellipsoid:
     gram: tuple  # tuple of tuples of Fraction
 
+    def __hash__(self) -> int:
+        return self._hash
+
+    @cached_property  # once per spec: each lru-cache lookup hashes it
+    def _hash(self) -> int:
+        return hash((self.gram,))  # the dataclass's own hash, kept
+
     @property
     def dim(self) -> int:
         return len(self.gram)
@@ -72,6 +79,13 @@ class Ellipsoid:
 @dataclass(frozen=True)
 class PolyMax:
     functionals: tuple  # tuple of tuples of Fraction, m rows
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    @cached_property  # once per spec: each lru-cache lookup hashes it
+    def _hash(self) -> int:
+        return hash((self.functionals,))  # the dataclass's own hash, kept
 
     @property
     def dim(self) -> int:

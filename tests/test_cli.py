@@ -17,12 +17,13 @@ import pytest
 
 import latmin
 from latmin import ledger as ledger_mod
-from latmin.cli import (_run_forked, encode, fmt_real, jsonable, main,
-                        shard_count)
-from latmin.errors import ConfigError, EnumerationBudgetExceeded
+from latmin.cli import (_run_forked, _trial_text, encode, fmt_real, jsonable,
+                        main, shard_count)
+from latmin.errors import ConfigError, LatminError
 from latmin.inequalities import SuiteConfig, run_suite
-from latmin.ledger import (ArithmeticContext, corollary_e, simulate_reduction,
-                           sum_ci_bound, theorem_chain_check)
+from latmin.ledger import (MODES, ArithmeticContext, Ledger, LedgerStep,
+                           corollary_e, simulate_reduction, sum_ci_bound,
+                           theorem_chain_check)
 from latmin.minima import ball_volume
 from latmin.norms import format_rational, load_module
 
@@ -677,6 +678,21 @@ def _many_cpus(monkeypatch):
     monkeypatch.setattr(os, "cpu_count", lambda: 4)
 
 
+def _old_report(seeds, mode) -> dict:
+    """The simulate report as the dict that encode() serialized before the
+    per-trial writer: the oracle for its text.  It reads the checks off the
+    ledger module at call time, as the CLI does, so a patched check shows."""
+    results, violations = [], 0
+    for seed in seeds:
+        ledger = ledger_mod.simulate_reduction(seed, mode)
+        chain = ledger_mod.theorem_chain_check(ledger)
+        sumci = ledger_mod.sum_ci_bound(ledger)
+        violations += not (chain.holds and sumci.holds)
+        results.append({"ledger": ledger.to_json(), "theorem_chain": chain,
+                        "sum_ci": sumci})
+    return {"trials": len(seeds), "violations": violations, "results": results}
+
+
 def test_simulate_splices_shards_into_the_encoded_report(capsys, monkeypatch):
     """The sharded body is encode(report) of the serial report, with the
     violations summed over the shards and exit code 1."""
@@ -688,15 +704,8 @@ def test_simulate_splices_shards_into_the_encoded_report(capsys, monkeypatch):
         return dataclasses.replace(rep, holds=ledger.steps[0].d % 3 != 0)
 
     monkeypatch.setattr(ledger_mod, "sum_ci_bound", fails_on_degree_3k)
-    results, violations = [], 0
-    for seed in range(5, 405):
-        ledger = simulate_reduction(seed, "positive-genus")
-        chain, sumci = theorem_chain_check(ledger), fails_on_degree_3k(ledger)
-        violations += not (chain.holds and sumci.holds)
-        results.append({"ledger": ledger.to_json(), "theorem_chain": chain,
-                        "sum_ci": sumci})
-    report = {"trials": 400, "violations": violations, "results": results}
-    assert 0 < violations < 400
+    report = _old_report(range(5, 405), "positive-genus")
+    assert 0 < report["violations"] < 400
     for threads in ("1", "3", "4"):
         assert main(["--threads", threads, "ledger", "simulate", "--mode",
                      "positive-genus", "--trials", "400", "--seed", "5"]) == 1
@@ -705,11 +714,28 @@ def test_simulate_splices_shards_into_the_encoded_report(capsys, monkeypatch):
     _assert_no_child_left()
 
 
+class _Unpicklable(LatminError):
+    """Pickles only its message (Exception keeps args), but its __init__
+    takes two arguments, so pickle.loads raises TypeError."""
+
+    exit_code = 3
+
+    def __init__(self, first, second):
+        super().__init__(f"refused {first} of {second}")
+
+
+def test_unpicklable_example_does_not_unpickle():
+    import pickle
+
+    with pytest.raises(TypeError):
+        pickle.loads(pickle.dumps(_Unpicklable(5, 3)))
+
+
 @pytest.mark.parametrize("error", [
     ConfigError("seed refused"),
-    # does not survive pickle (its __init__ takes two arguments), so the
-    # parent runs the child's shard again and raises it itself
-    EnumerationBudgetExceeded(5, 3)], ids=["config", "unpicklable"])
+    # does not survive pickle, so the parent runs the child's shard again
+    # and raises it itself
+    _Unpicklable(5, 3)], ids=["config", "unpicklable"])
 @pytest.mark.parametrize("failing", ["child", "parent"])
 def test_simulate_shard_error_is_reported_once(capsys, monkeypatch, failing,
                                                error):
@@ -733,6 +759,46 @@ def test_simulate_shard_error_is_reported_once(capsys, monkeypatch, failing,
     for threads in ("2", "4"):
         assert run_main(capsys, ["--threads", threads] + argv) == (code, serial)
         _assert_no_child_left()
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_simulate_body_is_encode_of_the_report(capsys, monkeypatch, mode):
+    """Each trial's text, written directly, is encode() of its dict form,
+    at every shard count (400 trials give 4 shards at --threads 4)."""
+    _many_cpus(monkeypatch)
+    body = encode(_old_report(range(11, 411), mode))
+    for threads in ("1", "2", "4"):
+        assert main(["--threads", threads, "ledger", "simulate", "--mode", mode,
+                     "--trials", "400", "--seed", "11"]) == 0
+        out = capsys.readouterr().out
+        assert out.endswith(',"report":' + body + "}\n"), threads
+    _assert_no_child_left()
+
+
+def _hand_made_ledgers():
+    """Ledgers whose reals print in every form: zero, minus zero, an
+    exponent, a large float, a float with 13 digits and plain ints."""
+    for v in (0.0, -0.0, 1e-7, 1e16, 123456789012.5, 0, 7):
+        yield Ledger(2, 1, (LedgerStep(4, 3, v, v), LedgerStep(2, 1, v, 0.0)),
+                     14 * v, "positive-genus")
+        yield Ledger(0, 2, (LedgerStep(4, 6, 0.0, v),), v + 123456789012.5,
+                     "genus-zero")
+        yield Ledger(3, 1, (LedgerStep(6, 2, v, 0),), 13 * v,
+                     "clifford-hyperelliptic")
+        yield Ledger(3, 1, (LedgerStep(5, 3, 0, v),), v,
+                     "clifford-nonhyperelliptic")
+
+
+def test_trial_text_and_digest_match_their_oracles():
+    for ledger in _hand_made_ledgers():
+        chain, sumci = theorem_chain_check(ledger), sum_ci_bound(ledger)
+        violated = dataclasses.replace(sumci, holds=False, verdict="violated")
+        for reports in ((chain, sumci), (chain, violated)):
+            want = encode({"ledger": ledger.to_json(), "theorem_chain":
+                           reports[0], "sum_ci": reports[1]})
+            assert _trial_text(ledger, *reports) == want, ledger
+        blob = json.dumps(ledger.to_json(), sort_keys=True, separators=(",", ":"))
+        assert ledger.digest() == hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
 @pytest.mark.parametrize("call, starts", [("fork", 0), ("fork", 1),

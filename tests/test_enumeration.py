@@ -184,6 +184,19 @@ def test_budget_exceeded():
         effective_sections(tiny, budget=100)
 
 
+def test_budget_exceeded_survives_pickle():
+    """A forked shard can send it back: both numbers, the message and the
+    exit code survive the round trip."""
+    import pickle
+
+    exc = EnumerationBudgetExceeded(5, 3)
+    again = pickle.loads(pickle.dumps(exc))
+    assert type(again) is EnumerationBudgetExceeded
+    assert (again.predicted, again.budget) == (5, 3)
+    assert str(again) == str(exc) == "predicted 5 candidates exceeds budget 3"
+    assert again.exit_code == 3
+
+
 @pytest.mark.parametrize("seed", range(12))
 def test_matches_oracle_on_random_modules(seed):
     from latmin.inequalities import SuiteConfig, random_module

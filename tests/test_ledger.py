@@ -71,6 +71,31 @@ def test_digest_is_cached_sha256_of_to_json():
     assert bumped != led and bumped.digest() != led.digest()
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, True,
+                                 10 ** 400, "1.0"],
+                         ids=["nan", "inf", "-inf", "bool", "huge-int", "str"])
+@pytest.mark.parametrize("field", ["c", "slack", "L2_0"])
+def test_ledger_admits_only_finite_reals(field, bad):
+    """c, slack and L2_0 are finite ints or floats: anything else is bad
+    input, as it is for ledger_from_json."""
+    step = {"d": 4, "r": 2, "c": 0.5, "slack": 0.5}
+    top = {"L2_0": 20.0}
+    (top if field == "L2_0" else step)[field] = bad
+    with pytest.raises(ConfigError, match="finite real"):
+        Ledger(2, 1, (LedgerStep(**step),), top["L2_0"], "positive-genus")
+
+
+def test_ledger_admits_only_int_counts():
+    with pytest.raises(ConfigError, match="must be ints"):
+        Ledger(2.0, 1, (LedgerStep(4, 2, 0.5, 0.5),), 20.0, "positive-genus")
+    with pytest.raises(ConfigError, match="must be ints"):
+        Ledger(2, True, (LedgerStep(4, 2, 0.5, 0.5),), 20.0, "positive-genus")
+    for step in (LedgerStep(4.0, 2, 0.5, 0.5), LedgerStep(4, 2.5, 0.5, 0.5),
+                 LedgerStep(4, True, 0.5, 0.5)):
+        with pytest.raises(ConfigError, match="must be ints"):
+            Ledger(2, 1, (step,), 20.0, "positive-genus")
+
+
 def test_derived_intersections_frozen_example():
     l2, l2p = derived_intersections(sample_ledger())
     assert l2 == [20.0, 10.0]      # L_1^2 = 12 - slack 2
