@@ -11,10 +11,10 @@ to keep default output reproducible.  The report is encoded once, compact
 with sorted keys; that string is hashed for manifest.result_digest (16 hex
 digits of sha256) and spliced into the printed {"manifest", "report"} line.
 ``ledger simulate`` runs its trials in up to ``--threads`` forked shards and
-splices their texts in trial order, so stdout does not depend on it.  Each
-trial's text is written in one pass by ``_trial_text``: the bytes ``encode``
-gives its dict form, with no dict built (the ledger is validated, so its
-reals are finite and no string needs an escape).
+splices their texts in trial order, so stdout does not depend on it: a shard
+with no whole result, whatever the cause, runs again in the first process.
+Each trial's text is the ledger's and its reports' ``json_text``, the bytes
+``encode`` gives their dict form, with no dict built.
 
 Importing this module loads only ``errors``: each ``cmd_*`` imports the
 layers its subcommand runs, so a ``count`` loads no minima, inequality or
@@ -71,30 +71,11 @@ def encode(report) -> str:
     return _dumps(jsonable(report))
 
 
-def _real(x) -> str:
-    """The JSON text of jsonable(x) for an int or a float."""
-    return '"' + fmt_real(x) + '"' if type(x) is float else "%d" % x
-
-
-def _report_text(r) -> str:
-    """encode(r) for an InequalityReport, its strings needing no escape."""
-    return ('{"holds":%s,"instance_digest":"%s","lhs":%s,"name":"%s","rhs":%s,'
-            '"slack":%s,"verdict":"%s"}'
-            % ("true" if r.holds else "false", r.instance_digest, _real(r.lhs),
-               r.name, _real(r.rhs), _real(r.slack), r.verdict))
-
-
 def _trial_text(ledger, chain, sum_ci) -> str:
     """encode({"ledger": ledger.to_json(), "sum_ci": sum_ci, "theorem_chain":
-    chain}) in one pass, for a validated ledger: ints, finite reals and a
-    known mode, so no string needs an escape."""
-    steps = ",".join('{"c":%s,"d":%d,"r":%d,"slack":%s}'
-                     % (_real(s.c), s.d, s.r, _real(s.slack))
-                     for s in ledger.steps)
-    return ('{"ledger":{"L2_0":%s,"g":%d,"kappa":%d,"mode":"%s","steps":[%s]},'
-            '"sum_ci":%s,"theorem_chain":%s}'
-            % (_real(ledger.L2_0), ledger.g, ledger.kappa, ledger.mode, steps,
-               _report_text(sum_ci), _report_text(chain)))
+    chain}) in one pass, from the ledger's and the reports' own layouts."""
+    return ('{"ledger":%s,"sum_ci":%s,"theorem_chain":%s}'
+            % (ledger.json_text(), sum_ci.json_text(), chain.json_text()))
 
 
 def _emit(subcommand: str, config: dict, body: str, seed, started: float,
@@ -133,11 +114,11 @@ def shard_count(threads: int, trials: int, cpus: int) -> int:
 
 def _run_forked(fn, shards: list) -> list:
     """[fn(s) for s in shards]: shards[0] here, each other one in an os.fork
-    child that pipes back pickle.dumps((ok, result or exception)), leaves by
-    os._exit (no atexit, no inherited flush), and stops within 0.1 s once its
-    parent is gone.  A child's exception is raised here; a shard whose child
-    did not start or left no whole result runs here.  Every child is reaped
-    before return (the CLI starts no thread, so it forks safely)."""
+    child that pipes back pickle.dumps(fn(s)), leaves by os._exit (no atexit,
+    no inherited flush) and stops within 0.1 s once its parent is gone.  A
+    shard with no whole result (no child, or it raised or was killed) runs
+    again here, so a real error is raised as a serial run raises it.  Every
+    child is reaped before return (the CLI starts no thread: it forks safely)."""
     if len(shards) == 1 or not hasattr(os, "fork"):
         return [fn(s) for s in shards]
     import pickle
@@ -148,6 +129,7 @@ def _run_forked(fn, shards: list) -> list:
             os._exit(1)
 
     parent, children = os.getpid(), []  # (pid, the read end of its pipe)
+    lost = object()  # the value of a shard with no whole result from its child
     try:
         try:
             for s in shards[1:]:
@@ -162,12 +144,8 @@ def _run_forked(fn, shards: list) -> list:
                     try:
                         signal.signal(signal.SIGALRM, stop_if_orphaned)
                         signal.setitimer(signal.ITIMER_REAL, 0.1, 0.1)
-                        try:
-                            payload = (True, fn(s))
-                        except BaseException as exc:  # raised in the parent
-                            payload = (False, exc)
-                        with os.fdopen(w, "wb") as fh:
-                            fh.write(pickle.dumps(payload))
+                        with os.fdopen(w, "wb") as fh:  # empty if fn raises
+                            fh.write(pickle.dumps(fn(s)))
                     finally:
                         os._exit(0)
                 os.close(w)
@@ -177,13 +155,11 @@ def _run_forked(fn, shards: list) -> list:
         results = [fn(shards[0])]
         for i, s in enumerate(shards[1:]):
             data = children[i][1].read() if i < len(children) else b""
-            try:
-                ok, value = pickle.loads(data)  # written by our own child
-            except Exception:  # no child, or it was killed or did not pickle
-                ok, value = True, fn(s)
-            if not ok:
-                raise value
-            results.append(value)
+            try:  # what our own child wrote, if whole (b"" loads nothing)
+                value = pickle.loads(data)
+            except Exception:
+                value = lost
+            results.append(fn(s) if value is lost else value)
         return results
     finally:  # a child whose pipe is at its end has only os._exit left to do
         for pid, fh in children:

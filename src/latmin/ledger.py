@@ -35,14 +35,21 @@ LOG3 = math.log(3.0)
 LOG2PI = math.log(2.0 * math.pi)
 
 _FEAS_TOL = 1e-12
-_STEP_FIELDS = {"d": int, "r": int, "c": float, "slack": float}
-_LEDGER_FIELDS = {"g": int, "kappa": int, "L2_0": float}
 _MAX_REAL = sys.float_info.max
 
 
 def _is_real(x) -> bool:
     """x is an int or a float (no bool) that a double holds: no NaN or inf."""
     return (type(x) is float or type(x) is int) and -_MAX_REAL <= x <= _MAX_REAL
+
+
+# The ledger's JSON layout, written once: the templates of a ledger and of a
+# step as json.dumps(to_json(), sort_keys=True, separators=(",", ":")) lays
+# out a validated ledger (its mode needs no escape), with its reals at REAL.
+_LAYOUT = ('{"L2_0":REAL,"g":%d,"kappa":%d,"mode":"%s","steps":[%s]}',
+           '{"c":REAL,"d":%d,"r":%d,"slack":REAL}')
+_DIGEST_LAYOUT = tuple(t.replace("REAL", "%r") for t in _LAYOUT)  # as json.dumps
+_TEXT_LAYOUT = tuple(t.replace("REAL", '"%.12g"') for t in _LAYOUT)  # as cli.fmt_real
 
 
 @dataclass(frozen=True)
@@ -65,14 +72,17 @@ class Ledger:
         self.validate()  # once per ledger: every ledger in use is admissible
 
     def validate(self) -> None:
-        """The field types (ints, and finite ints or floats for c, slack
-        and L2_0); the mode's rules; then L_i^2 and L_i'^2 = L_i^2 - 2 d_i c_i,
-        which must be >= 0 (to _FEAS_TOL) and are kept outside the fields;
-        then the preconditions of theorem_chain_check's closed-form bound."""
+        """The field types (ints; c, slack and L2_0 finite reals, an int
+        made a float so 20 and 20.0 give one digest); the mode's rules; then
+        L_i^2 and L_i'^2 = L_i^2 - 2 d_i c_i, which must be >= 0 (to
+        _FEAS_TOL) and are kept outside the fields; then the preconditions
+        of theorem_chain_check's closed-form bound."""
         if type(self.g) is not int or type(self.kappa) is not int:
             raise ConfigError("g and kappa must be ints")
         if not _is_real(self.L2_0):
             raise ConfigError(f"L2_0 = {self.L2_0!r} is not a finite real")
+        if type(self.L2_0) is int:
+            object.__setattr__(self, "L2_0", float(self.L2_0))
         if self.mode not in MODES:
             raise ConfigError(f"unknown ledger mode {self.mode!r}")
         if self.g < 0 or self.kappa < 1:
@@ -87,6 +97,10 @@ class Ledger:
             if not (_is_real(s.c) and _is_real(s.slack)):
                 raise ConfigError(f"step {i}: c = {s.c!r} and slack = "
                                   f"{s.slack!r} must be finite reals")
+            if type(s.c) is int:  # an equal value and hash: the step stays equal
+                object.__setattr__(s, "c", float(s.c))
+            if type(s.slack) is int:
+                object.__setattr__(s, "slack", float(s.slack))
             if s.d <= 0 or s.r <= 0:
                 raise ConfigError(f"step {i}: d and r must be positive")
             if s.c < 0 or s.slack < 0:
@@ -123,38 +137,37 @@ class Ledger:
                 "L2_0": self.L2_0,
                 "steps": [dict(vars(s)) for s in self.steps]}
 
+    def json_text(self, layout=_TEXT_LAYOUT) -> str:
+        """The ledger's JSON text in `layout`: _TEXT_LAYOUT or _DIGEST_LAYOUT."""
+        head, step = layout
+        return head % (self.L2_0, self.g, self.kappa, self.mode, ",".join(
+            [step % (s.c, s.d, s.r, s.slack) for s in self.steps]))
+
     def digest(self) -> str:
         return self._digest
 
     @cached_property  # once per ledger; == and hash read only the fields
     def _digest(self) -> str:
         """sha256 of json.dumps(to_json(), sort_keys=True, separators=(",",
-        ":")), written directly: the fields are validated ints, finite reals
-        (whose repr is their JSON text) and a mode that needs no escaping."""
-        steps = ",".join('{"c":%r,"d":%d,"r":%d,"slack":%r}'
-                         % (s.c, s.d, s.r, s.slack) for s in self.steps)
-        blob = ('{"L2_0":%r,"g":%d,"kappa":%d,"mode":"%s","steps":[%s]}'
-                % (self.L2_0, self.g, self.kappa, self.mode, steps))
-        return hashlib.sha256(blob.encode()).hexdigest()[:16]
+        ":")), written by the ledger's one layout."""
+        return hashlib.sha256(self.json_text(_DIGEST_LAYOUT).encode()).hexdigest()[:16]
 
 
 def _checked_fields(kinds: dict, data: dict) -> dict:
-    """`kinds` fields of `data`: ints as JSON integers (no bool), reals finite."""
-    out = {key: data[key] if kind is int else float(data[key])
-           for key, kind in kinds.items()}
-    for key, value in out.items():
-        if type(value) is not kinds[key] or not math.isfinite(value):
-            raise ValueError(f"{key} = {value!r} is not a finite "
-                             f"{kinds[key].__name__}")
-    return out
+    """`kinds` fields of `data`: JSON numbers that a double holds, ints as
+    JSON integers (no bool), reals made floats."""
+    for key, kind in kinds.items():
+        if not (_is_real(data[key]) and (kind is float or type(data[key]) is int)):
+            raise ValueError(f"{key} = {data[key]!r} is not a finite {kind.__name__}")
+    return {key: kind(data[key]) for key, kind in kinds.items()}
 
 
 def ledger_from_json(data: dict) -> Ledger:
+    """The ledger of a JSON object as read: Ledger.validate is its one check."""
     try:
-        steps = tuple(LedgerStep(**_checked_fields(_STEP_FIELDS, s))
-                      for s in data["steps"])
-        return Ledger(steps=steps, mode=str(data["mode"]),
-                      **_checked_fields(_LEDGER_FIELDS, data))
+        steps = tuple(LedgerStep(**s) for s in data["steps"])
+        return Ledger(data["g"], data["kappa"], steps, data["L2_0"],
+                      data["mode"])
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"bad ledger JSON: {exc}") from exc
 

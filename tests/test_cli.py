@@ -228,6 +228,15 @@ C, P = "ConfigError", "PreconditionViolated"
     (["ledger", "eval"], dict(LEDGER, steps=[
         {"d": 4.7, "r": 3, "c": 1.0, "slack": 2.0}]), C),
     (["ledger", "eval"], dict(LEDGER, kappa=True), C),
+    (["ledger", "eval"], dict(LEDGER, steps=[
+        {"d": 4, "r": 3, "c": True, "slack": 2.0}]), C),
+    (["ledger", "eval"], dict(LEDGER, steps=[
+        {"d": 4, "r": 3, "c": "1.5", "slack": 2.0}]), C),
+    (["ledger", "eval", "--theorem", "B"], dict(THEOREM_B, L2=True), C),
+    (["ledger", "eval", "--theorem", "B"], dict(THEOREM_B, L2="7"), C),
+    (["ledger", "eval", "--theorem", "B"], dict(THEOREM_B, d_circ=10 ** 400), C),
+    (["ledger", "eval"], dict(LEDGER, steps=[
+        {"d": 10 ** 400, "r": 3, "c": 1.0, "slack": 2.0}]), C),
     (["ledger", "eval", "--theorem", "E"], dict(THEOREM_E, absD="nan"), C),
     (["ledger", "eval", "--theorem", "B"],
      {"g": 2, "d_circ": 2.5, "kappa": 1, "L2": 10.0}, C),
@@ -256,6 +265,8 @@ C, P = "ConfigError", "PreconditionViolated"
         "boolean-gram-entry", "boolean-functional-entry", "boolean-alpha",
         "bad-theorem-field", "nan-ledger-real", "nan-and-inf-ledger-reals",
         "fractional-ledger-degree", "boolean-ledger-kappa",
+        "boolean-ledger-c", "string-ledger-c", "boolean-theorem-real",
+        "string-theorem-real", "huge-theorem-integer", "huge-ledger-degree",
         "nan-theorem-real", "fractional-theorem-integer",
         "ledger-negative-genus", "ledger-zero-kappa", "ledger-no-steps",
         "ledger-negative-L2", "ledger-zero-degree", "ledger-negative-c",
@@ -828,15 +839,29 @@ def test_simulate_runs_the_shards_it_cannot_fork(capsys, monkeypatch, call,
 def test_simulate_reruns_the_shard_of_a_lost_child(capsys, monkeypatch):
     """A child that dies with no result (say, killed for memory) has its
     shard run again in the parent, with the same stdout."""
+    _assert_child_failure_is_rerun(capsys, monkeypatch, lambda: os._exit(1))
+
+
+def test_simulate_reruns_the_shard_of_a_child_that_raised(capsys, monkeypatch):
+    """An error raised only in a child (say, MemoryError there) is no error
+    of the run: its shard runs again in the parent, so the exit code and
+    stdout are those of --threads 1."""
+    def fail():
+        raise MemoryError
+
+    _assert_child_failure_is_rerun(capsys, monkeypatch, fail)
+
+
+def _assert_child_failure_is_rerun(capsys, monkeypatch, fail):
     _many_cpus(monkeypatch)
     simulate, parent = ledger_mod.simulate_reduction, os.getpid()
 
-    def dies_in_a_child(seed, mode):
+    def fails_in_a_child(seed, mode):
         if os.getpid() != parent:
-            os._exit(1)
+            fail()
         return simulate(seed, mode)
 
-    monkeypatch.setattr(ledger_mod, "simulate_reduction", dies_in_a_child)
+    monkeypatch.setattr(ledger_mod, "simulate_reduction", fails_in_a_child)
     monkeypatch.delenv("LATMIN_TIMING", raising=False)
     argv, want = PINNED_STDOUT["genus-zero"]
     _assert_pinned(capsys, ["--threads", "4"] + argv, want)
