@@ -16,16 +16,18 @@ with no whole result, whatever the cause, runs again in the first process.
 Each trial's text is the ledger's and its reports' ``json_text``, the bytes
 ``encode`` gives their dict form, with no dict built.
 
-Importing this module loads only ``errors``: each ``cmd_*`` imports the
+Importing this module loads ``argparse``, ``json``, ``hashlib`` and
+``fractions`` and, of latmin, only ``errors``: each ``cmd_*`` imports the
 layers its subcommand runs, so a ``count`` loads no minima, inequality or
 ledger code and a ``ledger`` run no lattice code.  No subcommand loads
-mpmath (e^x is enclosed in integers, see ``intervals``).
+mpmath (e^x is enclosed in integers, see ``intervals``), nor the standard
+library's dataclass module with its ``inspect``: the value types are
+``record``s.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import hashlib
 import json
 import os
@@ -37,7 +39,6 @@ from . import __version__
 from .errors import ConfigError, LatminError
 
 _dumps = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
-_FIELD_NAMES: dict = {}  # dataclass type -> its field names, for jsonable
 
 
 def fmt_real(x: float) -> str:
@@ -51,18 +52,15 @@ def jsonable(obj):
         return fmt_real(obj)
     if t is str or t is int or t is bool or obj is None:
         return obj
-    names = _FIELD_NAMES.get(t)
-    if names is not None:  # a dataclass, field by field, with no deep copy
-        return {name: jsonable(getattr(obj, name)) for name in names}
     if isinstance(obj, dict):
         return {str(k): jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
+    if isinstance(obj, (list, tuple)):  # before _fields: a namedtuple has them
         return [jsonable(v) for v in obj]
+    names = getattr(t, "_fields", None)
+    if names is not None:  # a record, field by field
+        return {name: jsonable(getattr(obj, name)) for name in names}
     if isinstance(obj, Fraction):  # an ABC, so a slow test: after the builtins
         return f"{obj.numerator}/{obj.denominator}"  # as norms.format_rational
-    if dataclasses.is_dataclass(t):
-        _FIELD_NAMES[t] = tuple(f.name for f in dataclasses.fields(t))
-        return jsonable(obj)
     return str(obj)
 
 

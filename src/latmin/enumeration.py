@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import repeat
@@ -33,6 +32,7 @@ from typing import List, Tuple
 
 from .errors import EnumerationBudgetExceeded
 from .norms import CompiledNorm, NormedModule, compile_norm
+from .record import record
 
 DEFAULT_BUDGET = 10 ** 8
 ONE = Fraction(1)
@@ -165,7 +165,7 @@ def _unit_count(module: NormedModule, strict: bool, budget: int) -> int:
     return sum(hi - lo + 1 for _, lo, hi, _ in lines) if bounds else 1
 
 
-@dataclass(frozen=True)
+@record
 class SectionSet:
     """The count of a unit ball; its vectors are listed on first access."""
     module: NormedModule

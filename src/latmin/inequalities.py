@@ -10,7 +10,6 @@ offending instance for replay.  Verdicts follow the tolerance policy of
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, asdict
 from fractions import Fraction
 from typing import List, Sequence, Tuple
 
@@ -19,6 +18,7 @@ from .errors import ConfigError, EnumerationBudgetExceeded
 from .minima import euler_characteristic, successive_minima
 from .norms import (NormedModule, compile_norm, make_ellipsoid,
                     make_normed_module, make_polymax, twist)
+from .record import record
 from .reports import InequalityReport, _report
 from .rng import DetRNG, derive
 
@@ -143,7 +143,7 @@ def check_minkowski_count(module: NormedModule,
                    digest)
 
 
-@dataclass(frozen=True)
+@record
 class SuiteConfig:
     seed: int = 0
     trials: int = 100
@@ -215,14 +215,14 @@ def run_suite(config: SuiteConfig) -> dict:
     violations: list = []
     skipped = 0
 
-    def record(rep: InequalityReport, module: NormedModule) -> None:
+    def tally(rep: InequalityReport, module: NormedModule) -> None:
         s = stats.setdefault(rep.name, {"checked": 0, "holds": 0, "violations": 0,
                                         "min_slack": None})
         s["checked"] += 1
         if rep.verdict == "violated":
             s["violations"] += 1
-            violations.append({"report": asdict(rep),
-                               "instance": module.to_json()})
+            report = {name: getattr(rep, name) for name in rep._fields}
+            violations.append({"report": report, "instance": module.to_json()})
         else:
             s["holds"] += 1
         if s["min_slack"] is None or rep.slack < s["min_slack"]:
@@ -245,7 +245,7 @@ def run_suite(config: SuiteConfig) -> dict:
     for idx, (mod, alpha, alphas) in enumerate(jobs):
         try:
             for rep in _run_checks(mod, alpha, alphas, config):
-                record(rep, mod)
+                tally(rep, mod)
         except EnumerationBudgetExceeded:
             skipped += 1
 

@@ -17,13 +17,13 @@ from __future__ import annotations
 import hashlib
 import math
 import sys
-from dataclasses import dataclass
 from functools import cached_property, reduce
 from operator import add
 from typing import List, Tuple
 
 from .errors import ConfigError, InfeasibleLedger, PreconditionViolated
 from .intervals import log_unit_ball_volume
+from .record import record
 from .reports import EXACT_TOL, InequalityReport, _report
 from .rng import DetRNG
 
@@ -43,6 +43,12 @@ def _is_real(x) -> bool:
     return (type(x) is float or type(x) is int) and -_MAX_REAL <= x <= _MAX_REAL
 
 
+def _is_count(x) -> bool:
+    """x is an int (no bool) that a double holds: float arithmetic on it
+    raises no OverflowError."""
+    return type(x) is int and _is_real(x)
+
+
 # The ledger's JSON layout, written once: the templates of a ledger and of a
 # step as json.dumps(to_json(), sort_keys=True, separators=(",", ":")) lays
 # out a validated ledger (its mode needs no escape), with its reals at REAL.
@@ -52,7 +58,7 @@ _DIGEST_LAYOUT = tuple(t.replace("REAL", "%r") for t in _LAYOUT)  # as json.dump
 _TEXT_LAYOUT = tuple(t.replace("REAL", '"%.12g"') for t in _LAYOUT)  # as cli.fmt_real
 
 
-@dataclass(frozen=True)
+@record
 class LedgerStep:
     d: int        # deg over Q (already multiplied by kappa)
     r: int        # h^0 over Q
@@ -60,7 +66,7 @@ class LedgerStep:
     slack: float  # nonnegative intersection term
 
 
-@dataclass(frozen=True)
+@record
 class Ledger:
     g: int
     kappa: int
@@ -72,13 +78,15 @@ class Ledger:
         self.validate()  # once per ledger: every ledger in use is admissible
 
     def validate(self) -> None:
-        """The field types (ints; c, slack and L2_0 finite reals, an int
+        """The field types, before any float arithmetic (ints, kappa, d and
+        r ones that a double holds; c, slack and L2_0 finite reals, an int
         made a float so 20 and 20.0 give one digest); the mode's rules; then
         L_i^2 and L_i'^2 = L_i^2 - 2 d_i c_i, which must be >= 0 (to
         _FEAS_TOL) and are kept outside the fields; then the preconditions
         of theorem_chain_check's closed-form bound."""
-        if type(self.g) is not int or type(self.kappa) is not int:
-            raise ConfigError("g and kappa must be ints")
+        if type(self.g) is not int or not _is_count(self.kappa):
+            raise ConfigError("g and kappa must be ints, and kappa one that a "
+                              "double holds")
         if not _is_real(self.L2_0):
             raise ConfigError(f"L2_0 = {self.L2_0!r} is not a finite real")
         if type(self.L2_0) is int:
@@ -92,8 +100,9 @@ class Ledger:
         if self.L2_0 < 0:
             raise ConfigError("L2_0 must be nonnegative")
         for i, s in enumerate(self.steps):
-            if type(s.d) is not int or type(s.r) is not int:
-                raise ConfigError(f"step {i}: d and r must be ints")
+            if not (_is_count(s.d) and _is_count(s.r)):
+                raise ConfigError(f"step {i}: d and r must be ints that a "
+                                  "double holds")
             if not (_is_real(s.c) and _is_real(s.slack)):
                 raise ConfigError(f"step {i}: c = {s.c!r} and slack = "
                                   f"{s.slack!r} must be finite reals")
@@ -168,7 +177,7 @@ def ledger_from_json(data: dict) -> Ledger:
         steps = tuple(LedgerStep(**s) for s in data["steps"])
         return Ledger(data["g"], data["kappa"], steps, data["L2_0"],
                       data["mode"])
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad ledger JSON: {exc}") from exc
 
 
@@ -297,7 +306,7 @@ def noether_chi_fal(omega2: float, delta: float, g: int, kappa: int) -> float:
     return (omega2 + delta) / 12.0 - (g * kappa / 3.0) * LOG2PI
 
 
-@dataclass(frozen=True)
+@record
 class ArithmeticContext:
     g: int
     kappa: int
@@ -339,7 +348,7 @@ def c_constant(g: int, kappa: int, absD: float) -> float:
             + C_DLOGD * d * math.log(d) + C_D * d)
 
 
-@dataclass(frozen=True)
+@record
 class CorollaryEReport:
     c_value: float
     rhs_omega: float       # (2 + 3 eps/(g-1)) omega^2 + 12 gamma + 3 C

@@ -15,7 +15,6 @@ integer normals for PolyMax balls (J. Optim. Theory Appl. 39, 1983).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -24,9 +23,10 @@ from .errors import PreconditionViolated
 from .intervals import exp_float, log_unit_ball_volume, saturated_float
 from .linalg import IncrementalSpan
 from .norms import NormedModule, compile_norm
+from .record import record
 
 
-@dataclass(frozen=True)
+@record
 class MinimaReport:
     lambdas: tuple          # classical minima as floats, nondecreasing
     mus: tuple              # logarithmic minima mu_i = -log lambda_i, nonincreasing
@@ -69,7 +69,7 @@ def successive_minima(module: NormedModule, budget: int = DEFAULT_BUDGET) -> Min
     return MinimaReport(lambdas, mus, witnesses, parts)
 
 
-@dataclass(frozen=True)
+@record
 class VolumeReport:
     value: float
     method: str             # exact-ellipsoid | exact-polytope
@@ -182,7 +182,7 @@ def ball_volume(module: NormedModule) -> VolumeReport:
                         vol if alpha == 0 else None)
 
 
-@dataclass(frozen=True)
+@record
 class ChiReport:
     value: float
     method: str

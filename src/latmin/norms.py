@@ -29,7 +29,6 @@ import copy
 import hashlib
 import json
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import List, Sequence, Union
@@ -37,6 +36,7 @@ from typing import List, Sequence, Union
 from .errors import ConfigError, DimensionMismatch, InvalidNorm, UnboundedBall
 from .intervals import exp_float, floor_exp, saturated_float
 from .linalg import determinant, independent_rows, invert, ldl_chain
+from .record import record
 
 
 def parse_rational(s) -> Fraction:
@@ -54,7 +54,7 @@ def format_rational(f: Fraction) -> str:
     return f"{f.numerator}/{f.denominator}"
 
 
-@dataclass(frozen=True)
+@record
 class Ellipsoid:
     gram: tuple  # tuple of tuples of Fraction
 
@@ -63,7 +63,7 @@ class Ellipsoid:
 
     @cached_property  # once per spec: each lru-cache lookup hashes it
     def _hash(self) -> int:
-        return hash((self.gram,))  # the dataclass's own hash, kept
+        return hash((self.gram,))  # the hash a record gives, kept
 
     @property
     def dim(self) -> int:
@@ -76,7 +76,7 @@ class Ellipsoid:
         }
 
 
-@dataclass(frozen=True)
+@record
 class PolyMax:
     functionals: tuple  # tuple of tuples of Fraction, m rows
 
@@ -85,7 +85,7 @@ class PolyMax:
 
     @cached_property  # once per spec: each lru-cache lookup hashes it
     def _hash(self) -> int:
-        return hash((self.functionals,))  # the dataclass's own hash, kept
+        return hash((self.functionals,))  # the hash a record gives, kept
 
     @property
     def dim(self) -> int:
@@ -98,7 +98,7 @@ class PolyMax:
         }
 
 
-@dataclass(frozen=True)
+@record
 class Scaled:
     inner: Union[Ellipsoid, PolyMax]
     alpha: Fraction
@@ -244,7 +244,7 @@ def compile_norm(norm: NormSpec) -> CompiledNorm:
     return compiled
 
 
-@dataclass(frozen=True)
+@record
 class NormValue:
     """Exact norm value of one vector: its key under the compiled norm."""
 
@@ -275,7 +275,7 @@ class NormValue:
         return exp_float(self.log())
 
 
-@dataclass(frozen=True)
+@record
 class NormedModule:
     rank: int
     norm: NormSpec

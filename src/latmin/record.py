@@ -1,0 +1,50 @@
+"""Frozen value records: what latmin used of ``dataclass(frozen=True)``.
+
+Importing the standard library's dataclass module loads ``inspect``,
+``ast``, ``dis`` and ``tokenize`` (7-10 ms of each CLI process on a 2-vCPU
+Xeon, where a ``count`` op takes about 130 ms), so the value types are made
+by ``record`` instead, with one ``exec`` per class.
+"""
+
+from __future__ import annotations
+
+
+def _frozen(self, name, *value):
+    raise AttributeError(f"{type(self).__name__} is frozen: cannot "
+                         f"{'assign' if value else 'delete'} {name!r}")
+
+
+def _repr(self):
+    return "%s(%s)" % (type(self).__qualname__, ", ".join(
+        f"{name}={getattr(self, name)!r}" for name in self._fields))
+
+
+def record(cls):
+    """`cls` with its annotated fields, in order, as a frozen record: an
+    __init__ taking them positionally or by keyword (a class attribute is
+    the field's default) that ends by calling __post_init__, if any;
+    __eq__ against the same class only; __hash__ of the field tuple, unless
+    the class defines its own; __repr__; and the names as `_fields`.
+    Assignment and deletion raise AttributeError; the fields are kept in
+    the instance __dict__, where cached_property also writes."""
+    names = tuple(cls.__dict__.get("__annotations__", ()))
+    params = ", ".join(f"{n}=D[{n!r}]" if n in cls.__dict__ else n for n in names)
+    row = "".join(f"self.{n}," for n in names)
+    src = "\n".join([
+        f"def __init__(self, {params}):",
+        *(f" set(self, {n!r}, {n})" for n in names),
+        " self.__post_init__()" if hasattr(cls, "__post_init__") else "",
+        "def __eq__(self, other):",
+        " if other.__class__ is not self.__class__: return NotImplemented",
+        f" return ({row}) == ({row.replace('self.', 'other.')})",
+        f"def __hash__(self): return hash(({row}))"])
+    methods = {}
+    exec(src, {"D": cls.__dict__, "set": object.__setattr__}, methods)
+    if "__hash__" in cls.__dict__:  # Ellipsoid and PolyMax cache theirs
+        del methods["__hash__"]
+    for name, fn in methods.items():  # a bad call's TypeError names cls
+        fn.__qualname__ = f"{cls.__qualname__}.{name}"
+        setattr(cls, name, fn)
+    cls._fields, cls.__repr__ = names, _repr
+    cls.__setattr__ = cls.__delattr__ = _frozen
+    return cls

@@ -6,12 +6,12 @@ compared with tol 1e-9, the rounding of its evaluation in IEEE doubles.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from .record import record
 
 EXACT_TOL = 1e-9
 
 
-@dataclass(frozen=True)
+@record
 class InequalityReport:
     name: str
     lhs: float

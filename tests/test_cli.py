@@ -1,6 +1,6 @@
 """CLI behaviour: JSON output, exit codes, determinism."""
 
-import dataclasses
+import collections
 import errno
 import hashlib
 import json
@@ -26,6 +26,7 @@ from latmin.ledger import (MODES, ArithmeticContext, Ledger, LedgerStep,
                            theorem_chain_check)
 from latmin.minima import ball_volume
 from latmin.norms import format_rational, load_module
+from latmin.record import record
 
 
 LEDGER = {"g": 2, "kappa": 1, "mode": "positive-genus", "L2_0": 20.0,
@@ -524,7 +525,8 @@ def test_non_integer_env_budget_exits_2(tmp_path):
 
 
 def test_cli_import_does_not_load_mpmath(tmp_path):
-    """No op loads mpmath, and each loads only the layers its subcommand
+    """No op loads mpmath, nor dataclasses with its inspect (the value
+    types are records), and each loads only the layers its subcommand
     runs: the CLI import no lattice layer, a twisted count (which reads
     e^alpha) no minima, inequality or ledger code, and a ledger run no
     lattice code.  A twist's compile, minima and volume read no e^alpha."""
@@ -554,6 +556,7 @@ def test_cli_import_does_not_load_mpmath(tmp_path):
          {"latmin.ledger", "latmin.inequalities", "latmin.minima"}),
         (cli("ledger", "simulate", "--mode", "genus-zero", "--trials", "3"),
          lattice),
+        (cli("verify", "--trials", "1", "--max-rank", "2"), {"latmin.ledger"}),
     ]
     for code, banned in cases:
         out = subprocess.run(
@@ -563,11 +566,24 @@ def test_cli_import_does_not_load_mpmath(tmp_path):
         assert out.returncode == 0, (code, out.stderr)
         loaded = set(out.stdout.decode().splitlines()[-1].split())
         assert "latmin" in loaded
-        assert not loaded & (banned | {"mpmath"}), (code, loaded & banned)
+        banned |= {"mpmath", "dataclasses", "inspect"}
+        assert not loaded & banned, (code, loaded & banned)
+
+
+def _fields_of(rec) -> dict:
+    """A record's fields by name, as dataclasses.asdict gave them."""
+    return {name: getattr(rec, name) for name in rec._fields}
+
+
+def _replaced(rec, **changes):
+    """A copy of a record with some fields changed."""
+    return type(rec)(**{**_fields_of(rec), **changes})
 
 
 def _asdict_jsonable(obj):
-    """The former cli.jsonable, built on dataclasses.asdict: the oracle."""
+    """The former cli.jsonable, built on dataclasses.asdict, reading the
+    fields of a record (any object with `_fields` but a namedtuple): the
+    oracle."""
     if isinstance(obj, float):
         return fmt_real(obj)
     if isinstance(obj, Fraction):
@@ -576,9 +592,8 @@ def _asdict_jsonable(obj):
         return obj
     if isinstance(obj, str):
         return obj
-    if dataclasses.is_dataclass(obj):
-        return {k: _asdict_jsonable(v)
-                for k, v in dataclasses.asdict(obj).items()}
+    if hasattr(obj, "_fields") and not isinstance(obj, tuple):
+        return {k: _asdict_jsonable(v) for k, v in _fields_of(obj).items()}
     if isinstance(obj, dict):
         return {str(k): _asdict_jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -586,18 +601,21 @@ def _asdict_jsonable(obj):
     return str(obj)
 
 
-@dataclasses.dataclass(frozen=True)
+@record
 class _Leaf:
     x: Any
     y: Any = None
 
 
-@dataclasses.dataclass
+@record
 class _Node:
     leaves: list
     pair: tuple
     table: dict
     child: Any = None
+
+
+_Pair = collections.namedtuple("_Pair", "x y")  # has _fields, is a tuple
 
 
 def _jsonable_cases():
@@ -612,7 +630,7 @@ def _jsonable_cases():
     return [
         leaf, node, [node, (node,)], {"a": node, 2: (leaf, [leaf])},
         Fraction(7, 3), True, 1, None, 0.0, -1.5, float("nan"), "x",
-        complex(0, 1), {3, }, b"bytes",
+        complex(0, 1), {3, }, b"bytes", _Pair(leaf, 0.5),
         {"ledger": ledger.to_json(), "theorem_chain":
          theorem_chain_check(ledger), "sum_ci": sum_ci_bound(ledger)},
         corollary_e(context),
@@ -712,7 +730,7 @@ def test_simulate_splices_shards_into_the_encoded_report(capsys, monkeypatch):
 
     def fails_on_degree_3k(ledger):  # some violations in every shard
         rep = sum_ci(ledger)
-        return dataclasses.replace(rep, holds=ledger.steps[0].d % 3 != 0)
+        return _replaced(rep, holds=ledger.steps[0].d % 3 != 0)
 
     monkeypatch.setattr(ledger_mod, "sum_ci_bound", fails_on_degree_3k)
     report = _old_report(range(5, 405), "positive-genus")
@@ -803,7 +821,7 @@ def _hand_made_ledgers():
 def test_trial_text_and_digest_match_their_oracles():
     for ledger in _hand_made_ledgers():
         chain, sumci = theorem_chain_check(ledger), sum_ci_bound(ledger)
-        violated = dataclasses.replace(sumci, holds=False, verdict="violated")
+        violated = _replaced(sumci, holds=False, verdict="violated")
         for reports in ((chain, sumci), (chain, violated)):
             want = encode({"ledger": ledger.to_json(), "theorem_chain":
                            reports[0], "sum_ci": reports[1]})

@@ -1,6 +1,5 @@
 """Reduction ledgers, closed-form bounds, and the constant-absorption sweep."""
 
-import dataclasses
 import hashlib
 import json
 import math
@@ -70,8 +69,10 @@ def test_digest_is_cached_sha256_of_to_json():
     # fresh has not computed its digest; the cached one changes nothing
     assert led == fresh and hash(led) == hash(fresh) == before
     assert led.to_json() == fresh.to_json()
-    assert led.to_json()["steps"] == [dataclasses.asdict(s) for s in led.steps]
-    bumped = dataclasses.replace(led, L2_0=21.0)
+    assert led.to_json()["steps"] == [
+        {name: getattr(s, name) for name in s._fields} for s in led.steps]
+    bumped = Ledger(**{name: getattr(led, name) for name in led._fields
+                       if name != "L2_0"}, L2_0=21.0)
     assert bumped != led and bumped.digest() != led.digest()
 
 
@@ -87,6 +88,22 @@ def test_ledger_admits_only_finite_reals(field, bad):
     (top if field == "L2_0" else step)[field] = bad
     with pytest.raises(ConfigError, match="finite real"):
         Ledger(2, 1, (LedgerStep(**step),), top["L2_0"], "positive-genus")
+
+
+@pytest.mark.parametrize("mode, kappa, d, r", [
+    ("positive-genus", 1, 10 ** 400, 3),
+    ("clifford-hyperelliptic", 1, 10 ** 400, 3),
+    ("clifford-nonhyperelliptic", 1, 4, 10 ** 400),
+    ("genus-zero", 1, 4, 10 ** 400),
+    ("clifford-hyperelliptic", 10 ** 400, 4, 3),
+    ("genus-zero", -10 ** 400, 4, 3)],
+    ids=["d", "clifford-d", "clifford-r", "genus-zero-r", "clifford-kappa",
+         "negative-kappa"])
+def test_ledger_admits_only_counts_a_double_holds(mode, kappa, d, r):
+    """kappa, d and r past the double range are bad input, refused before
+    any float arithmetic could raise OverflowError."""
+    with pytest.raises(ConfigError, match="that a double holds"):
+        Ledger(3, kappa, (LedgerStep(d, r, 1.0, 2.0),), 20.0, mode)
 
 
 def test_ledger_admits_only_int_counts():

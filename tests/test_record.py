@@ -1,0 +1,93 @@
+"""Frozen records: the behaviour the value types keep from frozen dataclasses."""
+
+import hashlib
+import pickle
+from fractions import Fraction
+
+import pytest
+
+from latmin import inequalities
+from latmin.cli import encode
+from latmin.errors import ConfigError
+from latmin.inequalities import SuiteConfig, run_suite
+from latmin.ledger import Ledger, LedgerStep
+from latmin.minima import VolumeReport
+from latmin.norms import Ellipsoid, PolyMax, compile_norm
+from latmin.reports import InequalityReport
+
+
+def test_records_of_different_classes_never_compare_equal():
+    """Ellipsoid(t) and PolyMax(t) are compile_norm cache keys."""
+    t = ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1)))
+    ell, poly = Ellipsoid(t), PolyMax(t)
+    assert ell != poly and not ell == poly
+    assert hash(ell) == hash(poly) == hash((t,))  # their own cached hashes
+    assert compile_norm(ell) is not compile_norm(poly)
+    assert compile_norm(ell).squared and not compile_norm(poly).squared
+    assert ell == Ellipsoid(t) and compile_norm(ell) is compile_norm(Ellipsoid(t))
+
+
+def test_record_fields_are_frozen():
+    step = LedgerStep(4, 3, 1.0, 2.0)
+    with pytest.raises(AttributeError, match="'d'"):
+        step.d = 5
+    with pytest.raises(AttributeError, match="'d'"):
+        del step.d
+    with pytest.raises(AttributeError):
+        step.extra = 1
+    assert step == LedgerStep(4, 3, 1.0, 2.0)
+    assert not hasattr(step, "extra")
+
+
+def test_record_init_hash_repr_and_fields():
+    step = LedgerStep(d=4, r=3, slack=2.0, c=1.0)
+    assert LedgerStep._fields == ("d", "r", "c", "slack")
+    assert vars(step) == {"d": 4, "r": 3, "c": 1.0, "slack": 2.0}
+    assert repr(step) == "LedgerStep(d=4, r=3, c=1.0, slack=2.0)"
+    same = LedgerStep(4, 3, 1.0, 2.0)
+    assert same == step and hash(same) == hash(step) == hash((4, 3, 1.0, 2.0))
+    assert step != (4, 3, 1.0, 2.0)
+    assert SuiteConfig() == SuiteConfig(0, 100, 1, 3, 10 ** 8)  # class defaults
+    assert SuiteConfig(trials=5).trials == 5
+    assert VolumeReport(1.0, "exact-ellipsoid", 0.0).exact is None
+    # the message that `ledger eval` reports for a step with no slack
+    with pytest.raises(TypeError, match=r"^LedgerStep\.__init__\(\) missing "
+                       "1 required positional argument: 'slack'$"):
+        LedgerStep(4, 3, 1.0)
+
+
+def test_post_init_runs_and_cached_properties_do_not_change_equality():
+    with pytest.raises(ConfigError):  # Ledger.__post_init__ validates
+        Ledger(2, 1, (), 20.0, "positive-genus")
+    led = Ledger(2, 1, (LedgerStep(4, 3, 1, 2),), 20, "positive-genus")
+    assert type(led.L2_0) is float and type(led.steps[0].c) is float
+    fresh = Ledger(2, 1, (LedgerStep(4, 3, 1.0, 2.0),), 20.0, "positive-genus")
+    assert led.digest() == fresh.digest()  # cached on led only
+    assert led == fresh and hash(led) == hash(fresh)
+    assert hash(led) == hash(tuple(getattr(led, k) for k in led._fields))
+    again = pickle.loads(pickle.dumps(led))
+    assert again == led and again.digest() == led.digest()
+
+
+def test_violation_dump_text_is_unchanged(monkeypatch):
+    """A forced violation dumps its report as a plain dict of its fields:
+    the same text as the asdict-built dump (pinned from that code)."""
+    real = inequalities.check_minkowski_count
+
+    def violated(module, budget):
+        rep = real(module, budget)
+        return InequalityReport(rep.name, rep.rhs + 0.5, rep.rhs, -0.5, False,
+                                rep.instance_digest, "violated")
+
+    monkeypatch.setattr(inequalities, "check_minkowski_count", violated)
+    summary = run_suite(SuiteConfig(seed=7, trials=2, rank_max=3))
+    dumps = summary["violation_dumps"]
+    assert summary["total_violations"] == len(dumps) == 4
+    assert all(type(d["report"]) is dict for d in dumps)
+    assert encode(dumps[0]["report"]) == (
+        '{"holds":false,"instance_digest":"4e8d6469583589f4",'
+        '"lhs":"2.29175946923","name":"minkowski-count",'
+        '"rhs":"1.79175946923","slack":"-0.5","verdict":"violated"}')
+    text = encode(dumps)
+    assert len(text) == 1169
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == "5e2f89cf0fff6540"
