@@ -566,7 +566,7 @@ def test_cli_import_does_not_load_mpmath(tmp_path):
         assert out.returncode == 0, (code, out.stderr)
         loaded = set(out.stdout.decode().splitlines()[-1].split())
         assert "latmin" in loaded
-        banned |= {"mpmath", "dataclasses", "inspect"}
+        banned = banned | {"mpmath", "dataclasses", "inspect"}
         assert not loaded & banned, (code, loaded & banned)
 
 
