@@ -167,16 +167,10 @@ def _run_forked(fn, shards: list) -> list:
 
 
 def _budget(args) -> int:
-    """The enumeration budget: --budget, else LATMIN_BUDGET, else the default."""
+    """The enumeration budget: --budget, else the default."""
     from .enumeration import DEFAULT_BUDGET
 
-    budget = args.budget
-    if budget is None:
-        env = os.environ.get("LATMIN_BUDGET")
-        try:
-            budget = int(env) if env else DEFAULT_BUDGET
-        except ValueError:
-            raise ConfigError(f"LATMIN_BUDGET must be an integer, got {env!r}") from None
+    budget = DEFAULT_BUDGET if args.budget is None else args.budget
     if budget < 0:
         raise ConfigError(f"budget must be nonnegative, got {budget}")
     return budget

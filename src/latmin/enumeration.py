@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import math
 import operator
-from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import repeat
 from typing import List, Tuple
@@ -35,7 +34,6 @@ from .norms import CompiledNorm, NormedModule, compile_norm
 from .record import record
 
 DEFAULT_BUDGET = 10 ** 8
-ONE = Fraction(1)
 
 
 def _check_budget(bounds: List[int], budget: int) -> None:
@@ -147,7 +145,7 @@ def _unit_cap(module: NormedModule, strict: bool, budget: int) -> int:
     compiled, t = compile_norm(module.norm), 1
     while compiled.rank and math.prod(2 * b + 1 for b in compiled.box(t)) <= budget:
         t *= 2
-    return compiled.cap(ONE, strict, limit=t)
+    return compiled.cap(1, strict, limit=t)
 
 
 def unit_ball(module: NormedModule,

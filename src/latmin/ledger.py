@@ -387,16 +387,20 @@ _THEOREM_BOUNDS = {"trivial": trivial_bound, "B": theorem_b_bound,
 
 
 def eval_theorem(name: str, cfg: dict):
-    """Evaluate theorem `name` on the config fields it takes."""
+    """Evaluate theorem `name` on the config fields it takes.  Each field
+    fits a double, but a product of two may not: that is bad input too."""
     if name not in _THEOREM_FIELDS:
         raise ConfigError(f"unknown theorem {name!r}")
     try:
         args = _checked_fields(_THEOREM_FIELDS[name], cfg)
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad theorem {name} config: {exc!r}") from exc
-    if name == "E":
-        return corollary_e(ArithmeticContext(**args))
-    return {"bound": _THEOREM_BOUNDS[name](**args)}
+    try:
+        if name == "E":
+            return corollary_e(ArithmeticContext(**args))
+        return {"bound": _THEOREM_BOUNDS[name](**args)}
+    except OverflowError as exc:
+        raise ConfigError(f"theorem {name} config is past the double range: {exc}") from exc
 
 
 def asymptotic_margin_per_d() -> float:

@@ -1,9 +1,10 @@
-"""Exact rational linear algebra: ranks, determinants, inverses.
+"""Exact rational linear algebra: ranks, determinants, adjugates.
 
 There is one elimination, ``IncrementalSpan.add``: a fraction-free row
 echelon in the sense of Bareiss (Math. Comp. 22, 1968), in integers only.
-Ranks, determinants, inverses and the LDL^T chain of an integer gram matrix
-are read off it; ``Fraction`` appears only in the values returned.
+Ranks, determinants, the adjugate of an integer matrix and the LDL^T chain
+of an integer gram matrix are read off it; ``Fraction`` appears only in the
+value of ``determinant``.
 """
 
 from __future__ import annotations
@@ -61,16 +62,12 @@ def determinant(matrix) -> Fraction:
     return Fraction(*_det(matrix))
 
 
-def invert(matrix):
-    """Exact inverse of a square rational matrix: cofactors over the determinant."""
-    num, den = _det(matrix)
-    if not num:
-        raise ZeroDivisionError("singular matrix")
+def adjugate(matrix):
+    """Adjugate of a square integer matrix A: adj(A) A = A adj(A) = det(A) I."""
     # entry (i, j) is the (j, i) cofactor: drop row j and column i
-    minors = [[_det([r[:i] + r[i + 1:] for k, r in enumerate(matrix) if k != j])
-               for j in range(len(matrix))] for i in range(len(matrix))]
-    return [[Fraction((-1) ** (i + j) * c * den, d * num) for j, (c, d) in enumerate(row)]
-            for i, row in enumerate(minors)]
+    n = len(matrix)
+    return [[(-1) ** (i + j) * _det([r[:i] + r[i + 1:] for k, r in enumerate(matrix)
+                                     if k != j])[0] for j in range(n)] for i in range(n)]
 
 
 def ldl_chain(gram) -> list:

@@ -74,7 +74,9 @@ class VolumeReport:
     value: float
     method: str             # exact-ellipsoid | exact-polytope
     log_value: float
-    exact: Fraction | None = None  # rational volume of an untwisted polymax ball
+    # a polymax ball's rational volume before its twist, which multiplies
+    # it by e^(r alpha); None for an ellipsoid
+    exact: Fraction | None = None
 
 
 def _node(lower, upper, slabs):
@@ -160,26 +162,25 @@ def _node_volume(node, memo: dict) -> Fraction:
 def ball_volume(module: NormedModule) -> VolumeReport:
     """Volume of the unit ball B(M) = {x : ||x|| <= 1}."""
     compiled = compile_norm(module.norm)
-    alpha = compiled.alpha
     r = module.rank
     # scaling by e^{-alpha} multiplies the volume by e^{r alpha}; +-inf when
     # alpha itself is past the double range
-    shift = r * saturated_float(alpha)
+    shift = r * saturated_float(compiled.alpha)
     if compiled.squared:
         det = compiled.det  # its log, as det may lie outside the double range
         log_det = math.log(det.numerator) - math.log(det.denominator)
         log_v = log_unit_ball_volume(r) - 0.5 * log_det + shift
         return VolumeReport(exp_float(log_v), "exact-ellipsoid", log_v)
     # with y = A0 x for the compiled basis rows A0, the ball is the cube [-1, 1]^r
-    # cut by |c_j . y| <= D, c_j = D a_j A0^{-1} = (den a_j) adj(den A0) integral
-    inv, D = compiled.basis_inverse, compiled.det * compiled.den ** r  # det(den A0)
-    slabs = [(tuple(int(D * sum(a * inv[i][k] for i, a in enumerate(row)))
-                    for k in range(r)), -D, D)
-             for j, row in enumerate(compiled.data) if j not in compiled.basis]
+    # cut by |c_j . y| <= D = det A'_0 for A'_0 = den A0 and each other integer
+    # row A'_j: c_j = D A'_j A'_0^{-1} = A'_j adj(A'_0); the ends stay Fractions,
+    # for _node divides them by the gcd of the normal
+    adj, D = compiled.adjugate, Fraction(compiled.int_det)
+    slabs = [(tuple(sum(a * adj[i][k] for i, a in enumerate(row)) for k in range(r)),
+              -D, D) for j, row in enumerate(compiled.int_rows) if j not in compiled.basis]
     vol = _node_volume(_node([-1] * r, [1] * r, slabs), {}) / abs(compiled.det)
     log_v = math.log(vol.numerator) - math.log(vol.denominator) + shift
-    return VolumeReport(exp_float(log_v), "exact-polytope", log_v,
-                        vol if alpha == 0 else None)
+    return VolumeReport(exp_float(log_v), "exact-polytope", log_v, vol)
 
 
 @record

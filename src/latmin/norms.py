@@ -16,7 +16,7 @@ else evaluates norms through ``compile_norm(spec)``, a cached
 ``CompiledNorm``: integer keys, the integer key cap of a radius (limited
 to a key, it also decides that key against the radius), the widths of the
 walk at a cap, log norms, the integer LDL^T chain of an Ellipsoid that
-enumeration prunes with, a PolyMax basis with its inverse, and the
+enumeration prunes with, a PolyMax basis with its integer adjugate, and the
 determinant of the gram or of the basis.
 ``linalg`` computes the chain and the basis in integer arithmetic.
 The compile is the only check of norm data (``make_normed_module`` compiles),
@@ -35,7 +35,7 @@ from typing import List, Sequence, Union
 
 from .errors import ConfigError, DimensionMismatch, InvalidNorm, UnboundedBall
 from .intervals import exp_float, floor_exp, saturated_float
-from .linalg import determinant, independent_rows, invert, ldl_chain
+from .linalg import adjugate, determinant, independent_rows, ldl_chain
 from .record import record
 
 
@@ -146,22 +146,27 @@ class CompiledNorm:
     or e^{-alpha} * sqrt(key/den), so ``norm(v) <= t`` compares key/den with
     t (or t^2) times e^scale, scale = alpha (or 2 alpha): once per threshold,
     as ``cap(t)``, the integer K with norm(v) <= t exactly when key(v) <= K.
+
+    A PolyMax also keeps the indices ``basis`` of r independent rows, the
+    adjugate of their integer rows A'_0 = den * A_0 and det A'_0
+    (``int_det``): all of its data is integer but ``alpha`` and ``det``,
+    the determinant of the gram G or of the basis A_0.
     """
 
     def __init__(self, spec: Union[Ellipsoid, PolyMax]):
         """Compile an unscaled spec, rejecting data that is not a norm."""
         self.rank = n = spec.dim
         self.squared = isinstance(spec, Ellipsoid)
-        self.data = spec.gram if self.squared else spec.functionals
-        if not self.data and not self.squared:
+        data = spec.gram if self.squared else spec.functionals
+        if not data and not self.squared:
             raise UnboundedBall("no functionals")
-        if any(len(row) != n for row in self.data):
+        if any(len(row) != n for row in data):
             raise InvalidNorm("gram matrix is not square" if self.squared
                               else "functionals have inconsistent lengths")
-        self.den = math.lcm(*(x.denominator for row in self.data for x in row))
-        self.int_rows = [[int(x * self.den) for x in row] for row in self.data]
+        self.den = math.lcm(*(x.denominator for row in data for x in row))
+        self.int_rows = [[int(x * self.den) for x in row] for row in data]
         if self.squared:
-            if any(self.data[i][j] != self.data[j][i]
+            if any(data[i][j] != data[j][i]
                    for i in range(n) for j in range(i)):
                 raise InvalidNorm("gram matrix is not symmetric")
             # the pivots a are the trailing principal minors of G', all > 0
@@ -171,16 +176,17 @@ class CompiledNorm:
                 raise InvalidNorm("gram matrix is not positive definite")
             self.det = Fraction(self.chain[0][0] if n else 1, self.den ** n)
         else:
-            # r independent functionals A0 with y = A0 x: |y_i| <= cap/den on the
-            # ball, so |x_k| <= cap f_k, f_k the row sum of |A0^{-1}| over den
-            self.basis = independent_rows(self.data, n)
+            # r independent integer rows A'_0 with y = A'_0 x: |y_i| <= cap on
+            # the ball and x = adj(A'_0) y / det A'_0, so |x_k| <= cap s_k /
+            # |det A'_0|, s_k the row sum of |adj(A'_0)|
+            self.basis = independent_rows(self.int_rows, n)
             if len(self.basis) < n:
                 raise UnboundedBall("functionals do not span R^r; unit ball unbounded")
-            rows = [self.data[i] for i in self.basis]
-            self.det = determinant(rows)
-            self.basis_inverse = invert(rows)
-            self.box_ratios = [sum(map(abs, row)) / self.den
-                               for row in self.basis_inverse]
+            rows = [self.int_rows[i] for i in self.basis]
+            self.adjugate = adjugate(rows)
+            self.adjugate_sums = [sum(map(abs, row)) for row in self.adjugate]
+            self.int_det = determinant(rows).numerator
+            self.det = Fraction(self.int_det, self.den ** n)
         self._scale(Fraction(0))
 
     def _scale(self, alpha: Fraction) -> None:
@@ -229,7 +235,7 @@ class CompiledNorm:
         Hadamard prod 2 s / a <= the G'^-1 box.  PolyMax: B_i >= |x_i|."""
         if self.squared:
             return [(2 * math.isqrt(d * a * cap) + a) // (2 * a) for a, d, _ in self.chain]
-        return [cap * f.numerator // f.denominator for f in self.box_ratios]
+        return [cap * s // abs(self.int_det) for s in self.adjugate_sums]
 
 
 @lru_cache(maxsize=2048)

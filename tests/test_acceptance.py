@@ -209,7 +209,6 @@ def _cli(argv):
 
     env = dict(os.environ)
     env.pop("LATMIN_TIMING", None)
-    env.pop("LATMIN_BUDGET", None)
     proc = subprocess.run([sys.executable, "-m", "latmin.cli"] + argv,
                           capture_output=True, env=env)
     assert proc.returncode == 0, proc.stderr

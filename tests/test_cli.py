@@ -259,6 +259,15 @@ C, P = "ConfigError", "PreconditionViolated"
     (["ledger", "eval", "--theorem", "E"], dict(THEOREM_E, absD=0.5), C),
     (["ledger", "eval", "--theorem", "E"], dict(THEOREM_E, omega2=-1.0), C),
     (["ledger", "eval", "--theorem", "E"], dict(THEOREM_E, kappa=0), C),
+    # each count a double holds, whose product is past the double range
+    (["ledger", "eval", "--theorem", "B"],
+     dict(THEOREM_B, d_circ=10 ** 300, kappa=10 ** 300), C),
+    (["ledger", "eval", "--theorem", "C"],
+     dict(THEOREM_C, d_circ=10 ** 300, kappa=10 ** 300), C),
+    (["ledger", "eval", "--theorem", "D"],
+     {"g": 10 ** 300, "kappa": 10 ** 300, "eps": 1, "omega2": 12.0}, C),
+    (["ledger", "eval", "--theorem", "E"],
+     dict(THEOREM_E, g=10 ** 300, kappa=10 ** 300, r1=10 ** 300), C),
     (["ledger", "sweep", "--g-max", "1"], None, P),
     (["ledger", "simulate", "--mode", "nope"], None, C),
 ], ids=["bad-literal", "zero-denominator", "bad-rank", "fractional-rank",
@@ -274,6 +283,8 @@ C, P = "ConfigError", "PreconditionViolated"
         "B-zero-kappa", "B-genus-0-degree-0", "C-degree-1", "C-negative-L2",
         "D-genus-1", "deg1-negative-genus", "E-genus-1", "E-bad-split",
         "E-eps-3", "E-absD-below-1", "E-negative-omega2", "E-zero-kappa",
+        "B-product-past-double", "C-product-past-double",
+        "D-product-past-double", "E-product-past-double",
         "sweep-g-max-1", "simulate-unknown-mode"])
 def test_malformed_input_exits_2(capsys, tmp_path, argv, doc, kind):
     """Bad input exits 2 with the JSON error of its kind, never a traceback;
@@ -490,13 +501,9 @@ def test_bad_usage_exits_2(capsys):
     assert main([]) == 2
 
 
-def _run(argv, env_extra=None):
-    import os
-
+def _run(argv):
     env = dict(os.environ)
     env.pop("LATMIN_TIMING", None)
-    if env_extra:
-        env.update(env_extra)
     return subprocess.run([sys.executable, "-m", "latmin.cli"] + argv,
                           capture_output=True, env=env)
 
@@ -508,20 +515,6 @@ def test_subprocess_output_byte_identical(tmp_path):
     b = _run(argv)
     assert a.returncode == b.returncode == 0
     assert a.stdout == b.stdout
-
-
-def test_env_budget_respected(tmp_path):
-    path = write_disk2(tmp_path)
-    out = _run(["count", "--module", path], {"LATMIN_BUDGET": "3"})
-    assert out.returncode == 3
-
-
-def test_non_integer_env_budget_exits_2(tmp_path):
-    out = _run(["count", "--module", write_disk2(tmp_path)],
-               {"LATMIN_BUDGET": "x"})
-    assert out.returncode == 2
-    assert json.loads(out.stdout)["error"]["type"] == "ConfigError"
-    assert out.stderr == b""
 
 
 def test_cli_import_does_not_load_mpmath(tmp_path):

@@ -4,12 +4,11 @@ import itertools
 import math
 from fractions import Fraction
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from latmin.linalg import (IncrementalSpan, determinant, independent_rows,
-                           invert, span_rank)
+from latmin.linalg import (IncrementalSpan, adjugate, determinant,
+                           independent_rows, span_rank)
 from test_enumeration import _oracle_invert
 
 
@@ -33,18 +32,24 @@ def test_determinant_exact():
     negative_pivot = [[Fraction(-1, 2), Fraction(1, 3)],
                       [Fraction(1, 4), Fraction(2, 5)]]
     assert determinant(negative_pivot) == Fraction(-17, 60)
-    assert invert(negative_pivot) == [[Fraction(-24, 17), Fraction(20, 17)],
-                                      [Fraction(15, 17), Fraction(30, 17)]]
+    # A' = 60 A has det -1020 and inverse A^-1 / 60 = adj(A') / det A', so
+    # adj(A') = -17 A^-1 for A^-1 = [[-24, 20], [15, 30]] / 17
+    assert adjugate([[-30, 20], [15, 24]]) == [[24, -20], [-15, -30]]
+
+
+def _product(a, b):
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
 
 
 def test_invert_round_trip():
-    m = [[Fraction(2), Fraction(1)], [Fraction(1), Fraction(1)]]
-    inv = invert(m)
-    prod = [[sum(m[i][k] * inv[k][j] for k in range(2)) for j in range(2)]
-            for i in range(2)]
-    assert prod == [[1, 0], [0, 1]]
-    with pytest.raises(ZeroDivisionError):
-        invert([[1, 2], [2, 4]])
+    """A adj(A) = adj(A) A = det(A) I: the identity for det 1, and zero for
+    a singular A, which the adjugate does not refuse."""
+    m = [[2, 1], [1, 1]]
+    assert _product(m, adjugate(m)) == _product(adjugate(m), m) == [[1, 0], [0, 1]]
+    singular = [[1, 2], [2, 4]]
+    assert adjugate(singular) == [[4, -2], [-2, 1]]
+    assert _product(singular, adjugate(singular)) == [[0, 0], [0, 0]]
+    assert adjugate([[5]]) == [[1]] and adjugate([]) == []
 
 
 def test_incremental_span_matches_span_rank():
@@ -106,14 +111,20 @@ def rational_matrices(draw, square):
 @settings(deadline=None, max_examples=150, derandomize=True)
 @given(rational_matrices(square=True))
 def test_determinant_and_invert_match_oracles(matrix):
+    """The adjugate of the integer matrix A' = den A is det(A') A'^-1, and
+    A' adj(A') = adj(A') A' = det(A') I also when A' is singular."""
     det = determinant(matrix)
     assert isinstance(det, Fraction)
     assert det == _oracle_det(matrix)
+    den = math.lcm(*(x.denominator for row in matrix for x in row))
+    scaled = [[int(x * den) for x in row] for row in matrix]
+    adj, det_scaled = adjugate(scaled), det * den ** len(matrix)
+    assert all(type(x) is int for row in adj for x in row)
     if det:
-        assert invert(matrix) == _oracle_invert(matrix)
-    else:
-        with pytest.raises(ZeroDivisionError):
-            invert(matrix)
+        assert adj == [[det_scaled * x for x in row] for row in _oracle_invert(scaled)]
+    det_identity = [[det_scaled * (i == j) for j in range(len(matrix))]
+                for i in range(len(matrix))]
+    assert _product(scaled, adj) == _product(adj, scaled) == det_identity
 
 
 @settings(deadline=None, max_examples=150, derandomize=True)

@@ -1,5 +1,6 @@
 """Successive minima, unit-ball volumes, Euler characteristic."""
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -16,7 +17,7 @@ from latmin.norms import (Ellipsoid, Scaled, compile_norm, make_ellipsoid,
                           make_normed_module, make_polymax, norm_eval, twist)
 from test_enumeration import (_oracle_invert, hand_built_modules, oracle_sections,
                               shaped_module)
-from test_linalg import _oracle_independent
+from test_linalg import _oracle_det, _oracle_independent
 
 
 def euclid(rank):
@@ -211,11 +212,13 @@ def test_polygon_volume_exact():
 
 
 def test_twist_scales_volume():
-    m = euclid(2)
     a = Fraction(1, 3)
-    v0 = ball_volume(m)
-    v1 = ball_volume(twist(m, a))
-    assert v1.log_value == pytest.approx(v0.log_value + 2 * float(a))
+    for m, exact in ((euclid(2), None), (box_module(), Fraction(16))):
+        v0 = ball_volume(m)
+        v1 = ball_volume(twist(m, a))
+        assert v1.log_value == pytest.approx(v0.log_value + 2 * float(a))
+        # a polymax twist keeps the rational volume of its untwisted ball
+        assert v1.exact == v0.exact == exact
 
 
 def test_volumes_and_norms_past_the_double_range_are_inf():
@@ -302,10 +305,10 @@ def monte_carlo_volume(module, samples, seed):
     an independent oracle for the exact volume, testing points of a box
     around the real ball with the compiled norm's key.  With y = A0 x for
     r independent rows A0, |y_i| <= e^alpha on the ball, so |x_k| is at
-    most e^alpha times the row sums of |A0^-1|."""
+    most e^alpha times the row sums of |A0^-1| = den |(den A0)^-1|."""
     compiled = compile_norm(module.norm)
-    rows = [compiled.data[i] for i in compiled.basis]
-    bounds = [math.exp(float(compiled.alpha)) * float(sum(map(abs, row)))
+    rows = [compiled.int_rows[i] for i in compiled.basis]
+    bounds = [math.exp(float(compiled.alpha)) * float(compiled.den * sum(map(abs, row)))
               for row in _oracle_invert(rows)]
     limit = compiled.den * math.exp(float(compiled.scale))
     rng = random.Random(seed)
@@ -323,10 +326,105 @@ def test_polytope_volume_matches_monte_carlo_oracle():
     while len(modules) < 10:
         m = random_module(seed, cfg)
         seed += 1
-        if len(compile_norm(m.norm).data) > m.rank:  # a gram has rank rows
+        if len(compile_norm(m.norm).int_rows) > m.rank:  # a gram has rank rows
             modules.append(m)
     for i, m in enumerate(modules):
         vol = ball_volume(m)
         assert vol.method == "exact-polytope"
         estimate, stderr = monte_carlo_volume(m, 20_000, i)
         assert abs(vol.value - estimate) <= 4.0 * stderr, m.to_json()
+
+
+def _oracle_polytope_volume(rows):
+    """vol {x : |a_j . x| <= 1 for every row a_j}, with no facet recursion:
+    the vertices solve r of the facet hyperplanes a_j . x = +-1 and satisfy
+    every row; the ball is the union of the pyramids from its centre 0 over
+    its facets, and each face of dimension k the union of the pyramids from
+    its least vertex over its faces of dimension k - 1 (Cohen & Hickey,
+    JACM 26, 1979), down to simplices of volume |det| / r!."""
+    r = len(rows[0])
+
+    def dot(a, x):
+        return sum(p * q for p, q in zip(a, x))
+
+    vertices = set()
+    for subset in itertools.combinations(rows, r):
+        if _oracle_det(subset):
+            inv = _oracle_invert(subset)
+            for signs in itertools.product((1, -1), repeat=r):
+                x = tuple(dot(row, signs) for row in inv)
+                if all(abs(dot(a, x)) <= 1 for a in rows):
+                    vertices.add(x)
+    # each facet hyperplane as its set of vertices: repeated and parallel
+    # rows give the same set, and a degenerate vertex lies in more than r
+    planes = {frozenset(v for v in vertices if s * dot(a, v) == 1)
+              for a in rows for s in (1, -1)}
+
+    def spans(face, k):
+        """The face's vertices span an affine space of dimension >= k."""
+        points = sorted(face)
+        basis = []
+        for p in points[1:]:
+            if len(basis) == k:
+                break
+            d = [x - y for x, y in zip(p, points[0])]
+            if _oracle_independent(basis + [d]):
+                basis.append(d)
+        return bool(points) and len(basis) >= k
+
+    def simplices(face, k):
+        """A triangulation of a k-face, pulled from its least vertex."""
+        if k == 0:
+            return [list(face)]
+        apex = min(face)
+        return [[apex] + simplex for facet in {face & p for p in planes}
+                if apex not in facet and spans(facet, k - 1)
+                for simplex in simplices(facet, k - 1)]
+
+    total = sum(abs(_oracle_det(simplex)) for facet in planes if spans(facet, r - 1)
+                for simplex in simplices(facet, r - 1))
+    return Fraction(total, math.factorial(r))
+
+
+def _oracle_bodies():
+    """Polymax rows of rank 1..4: bodies with degenerate vertices (the
+    octahedron, and cubes cut through vertices or edges), then seeded
+    random rows with no dominant diagonal, half of them with a repeated row
+    and a parallel one."""
+    bodies = [[[1, 1, 1], [1, 1, -1], [1, -1, 1], [-1, 1, 1]],
+              [[1, 0, 0], [0, 1, 0], [0, 0, 1], ["1/3", "1/3", "1/3"]],
+              [[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 0], [0, 1, -1]],
+              [[int(i == j) for j in range(4)] for i in range(4)]
+              + [["1/2", "1/2", 0, 0], [0, 0, "1/2", "-1/2"], [1, 1, 1, 1]]]
+    bodies = [[[Fraction(x) for x in row] for row in rows] for rows in bodies]
+    rng = random.Random(11)
+    while len(bodies) < 24:
+        r = rng.randint(1, 4)
+        rows = [[Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(r)]
+                for _ in range(r + rng.randint(0, 2))]
+        if span_rank(rows) < r:
+            continue
+        if rng.randint(0, 1):
+            c = Fraction(rng.choice((-3, -1, 2)), rng.randint(1, 3))
+            rows += [rows[0], [c * x for x in rows[-1]]]
+        bodies.append(rows)
+    return bodies
+
+
+def test_polytope_volume_matches_the_vertex_oracle():
+    """The rational volume of every polymax report, twists included, is the
+    oracle's volume of the untwisted ball: on the bodies above and on the
+    polymax modules of a rank <= 4 corpus."""
+    for rows in _oracle_bodies():
+        m = make_normed_module(len(rows[0]), make_polymax(rows))
+        assert ball_volume(m).exact == _oracle_polytope_volume(rows), rows
+    cfg, checked = SuiteConfig(rank_max=4), {False: 0, True: 0}
+    for seed in range(40):
+        m = random_module(seed, cfg)
+        twisted = isinstance(m.norm, Scaled)
+        spec = m.norm.inner if twisted else m.norm
+        if isinstance(spec, Ellipsoid):
+            continue
+        assert ball_volume(m).exact == _oracle_polytope_volume(spec.functionals)
+        checked[twisted] += 1
+    assert min(checked.values()) >= 3
