@@ -126,6 +126,14 @@ def floor_exp(b: Fraction, x: Fraction, limit: int | None = None) -> int:
     return k if limit is None else min(k, limit)
 
 
+def exp_upper(x: Fraction, prec: int = 80) -> Fraction:
+    """A rational upper bound for e^x.  No library code calls it; perfbench
+    traces it."""
+    if x == 0:
+        return Fraction(1)
+    return exp_interval(x, prec)[1]
+
+
 def exp_float(x: float) -> float:
     """e^x as a double; inf past the double range."""
     try:

@@ -1,10 +1,10 @@
-"""Exact rational linear algebra: ranks, determinants, adjugates.
+"""Exact rational linear algebra: ranks, determinants, adjugates, inverses.
 
 There is one elimination, ``IncrementalSpan.add``: a fraction-free row
 echelon in the sense of Bareiss (Math. Comp. 22, 1968), in integers only.
 Ranks, determinants, the adjugate of an integer matrix and the LDL^T chain
 of an integer gram matrix are read off it; ``Fraction`` appears only in the
-value of ``determinant``.
+values of ``determinant`` and ``invert``.
 """
 
 from __future__ import annotations
@@ -68,6 +68,17 @@ def adjugate(matrix):
     n = len(matrix)
     return [[(-1) ** (i + j) * _det([r[:i] + r[i + 1:] for k, r in enumerate(matrix)
                                      if k != j])[0] for j in range(n)] for i in range(n)]
+
+
+def invert(matrix):
+    """Exact inverse of a square rational matrix A: den adj(A') / det(A') for
+    the integer A' = den A.  No library code calls it; perfbench traces it."""
+    den = math.lcm(*(Fraction(x).denominator for row in matrix for x in row))
+    scaled = [[int(x * den) for x in row] for row in matrix]
+    det = _det(scaled)[0]
+    if not det:
+        raise ZeroDivisionError("singular matrix")
+    return [[Fraction(a * den, det) for a in row] for row in adjugate(scaled)]
 
 
 def ldl_chain(gram) -> list:

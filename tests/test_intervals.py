@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from latmin import intervals
 from latmin.intervals import (LOG2E_HI, LOG2E_LO, _by_bits, _round, compare_exp,
-                              exp_interval, floor_exp)
+                              exp_interval, exp_upper, floor_exp)
 from latmin.norms import (compile_norm, make_ellipsoid, make_normed_module,
                           make_polymax, norm_eval, twist)
 from test_enumeration import _e_convergent
@@ -88,7 +88,8 @@ def test_compare_exp_tight_rational():
 
 
 def test_exp_upper_dominates():
-    assert exp_interval(Fraction(1))[1] > Fraction(271, 100)
+    assert exp_upper(Fraction(0)) == 1
+    assert exp_upper(Fraction(1)) > Fraction(271, 100)
 
 
 

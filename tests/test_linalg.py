@@ -4,11 +4,12 @@ import itertools
 import math
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from latmin.linalg import (IncrementalSpan, adjugate, determinant,
-                           independent_rows, span_rank)
+                           independent_rows, invert, span_rank)
 from test_enumeration import _oracle_invert
 
 
@@ -32,6 +33,8 @@ def test_determinant_exact():
     negative_pivot = [[Fraction(-1, 2), Fraction(1, 3)],
                       [Fraction(1, 4), Fraction(2, 5)]]
     assert determinant(negative_pivot) == Fraction(-17, 60)
+    assert invert(negative_pivot) == [[Fraction(-24, 17), Fraction(20, 17)],
+                                      [Fraction(15, 17), Fraction(30, 17)]]
     # A' = 60 A has det -1020 and inverse A^-1 / 60 = adj(A') / det A', so
     # adj(A') = -17 A^-1 for A^-1 = [[-24, 20], [15, 30]] / 17
     assert adjugate([[-30, 20], [15, 24]]) == [[24, -20], [-15, -30]]
@@ -42,6 +45,13 @@ def _product(a, b):
 
 
 def test_invert_round_trip():
+    m = [[Fraction(2), Fraction(1)], [Fraction(1), Fraction(1)]]
+    assert _product(m, invert(m)) == [[1, 0], [0, 1]]
+    with pytest.raises(ZeroDivisionError):
+        invert([[1, 2], [2, 4]])
+
+
+def test_adjugate_round_trip():
     """A adj(A) = adj(A) A = det(A) I: the identity for det 1, and zero for
     a singular A, which the adjugate does not refuse."""
     m = [[2, 1], [1, 1]]
@@ -111,11 +121,22 @@ def rational_matrices(draw, square):
 @settings(deadline=None, max_examples=150, derandomize=True)
 @given(rational_matrices(square=True))
 def test_determinant_and_invert_match_oracles(matrix):
-    """The adjugate of the integer matrix A' = den A is det(A') A'^-1, and
-    A' adj(A') = adj(A') A' = det(A') I also when A' is singular."""
     det = determinant(matrix)
     assert isinstance(det, Fraction)
     assert det == _oracle_det(matrix)
+    if det:
+        assert invert(matrix) == _oracle_invert(matrix)
+    else:
+        with pytest.raises(ZeroDivisionError):
+            invert(matrix)
+
+
+@settings(deadline=None, max_examples=150, derandomize=True)
+@given(rational_matrices(square=True))
+def test_adjugate_matches_oracles(matrix):
+    """The adjugate of the integer matrix A' = den A is det(A') A'^-1, and
+    A' adj(A') = adj(A') A' = det(A') I also when A' is singular."""
+    det = determinant(matrix)
     den = math.lcm(*(x.denominator for row in matrix for x in row))
     scaled = [[int(x * den) for x in row] for row in matrix]
     adj, det_scaled = adjugate(scaled), det * den ** len(matrix)
