@@ -16,18 +16,19 @@ with no whole result, whatever the cause, runs again in the first process.
 Each trial's text is the ledger's and its reports' ``json_text``, the bytes
 ``encode`` gives their dict form, with no dict built.
 
-Importing this module loads ``argparse``, ``json``, ``hashlib`` and
-``fractions`` and, of latmin, only ``errors``: each ``cmd_*`` imports the
-layers its subcommand runs, so a ``count`` loads no minima, inequality or
-ledger code and a ``ledger`` run no lattice code.  No subcommand loads
-mpmath (e^x is enclosed in integers, see ``intervals``), nor the standard
-library's dataclass module with its ``inspect``: the value types are
-``record``s.
+Importing this module loads ``argparse``, ``contextvars``, ``json``,
+``hashlib`` and ``fractions`` and, of latmin, only ``errors``: each
+``cmd_*`` imports the layers its subcommand runs, so a ``count`` loads no
+minima, inequality or ledger code and a ``ledger`` run no lattice code.
+No subcommand loads mpmath (e^x is enclosed in integers, see
+``intervals``), nor the standard library's dataclass module with its
+``inspect``: the value types are ``record``s.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextvars
 import hashlib
 import json
 import os
@@ -167,12 +168,14 @@ def _run_forked(fn, shards: list) -> list:
 
 
 def _budget(args) -> int:
-    """The enumeration budget: --budget, else the default."""
-    from .enumeration import DEFAULT_BUDGET
+    """The enumeration budget, --budget or else the default, set as the
+    budget of every walk of this run (``enumeration.BUDGET``)."""
+    from .enumeration import BUDGET, DEFAULT_BUDGET
 
     budget = DEFAULT_BUDGET if args.budget is None else args.budget
     if budget < 0:
         raise ConfigError(f"budget must be nonnegative, got {budget}")
+    BUDGET.set(budget)
     return budget
 
 
@@ -183,8 +186,8 @@ def cmd_count(args) -> int:
     started = time.monotonic()
     budget = _budget(args)
     module = load_module(args.module)
-    sections = (strictly_effective_sections(module, budget) if args.strict
-                else effective_sections(module, budget))
+    sections = (strictly_effective_sections(module) if args.strict
+                else effective_sections(module))
     report = {"count": sections.count, "log_count": sections.log_count,
               "threshold_kind": sections.threshold_kind}
     if args.emit_vectors:
@@ -200,7 +203,7 @@ def cmd_minima(args) -> int:
     started = time.monotonic()
     budget = _budget(args)
     module = load_module(args.module)
-    rep = successive_minima(module, budget)
+    rep = successive_minima(module)
     report = {
         "lambdas": list(rep.lambdas),
         "mus": list(rep.mus),
@@ -231,7 +234,7 @@ def cmd_verify(args) -> int:
         raise ConfigError(f"unknown suite {args.suite!r}")
     budget = _budget(args)
     config = SuiteConfig(seed=args.seed, trials=args.trials,
-                         rank_max=args.max_rank, budget=budget)
+                         rank_max=args.max_rank)
     summary = run_suite(config)
     cfg = {"suite": args.suite, "trials": args.trials, "seed": args.seed,
            "max_rank": args.max_rank, "budget": budget}
@@ -354,7 +357,8 @@ def main(argv=None) -> int:
     try:
         if args.threads < 1:
             raise ConfigError(f"threads must be >= 1, got {args.threads}")
-        return args.func(args)
+        # a fresh context per run: the budget one sets ends with it
+        return contextvars.copy_context().run(args.func, args)
     except LatminError as exc:
         return _emit_error(name, exc, exc.exit_code)
     except (OSError, UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:

@@ -12,7 +12,10 @@ line: every t in [lo, hi] ends in the ball.  Level i ranges over at most
 2 B_i + 1 integers (``CompiledNorm.box``), and the budget is charged on
 prod (2 B_i + 1) before any walk.  The unit ball doubles a key t until its
 widths pass the budget and resolves its cap no higher than t, so a huge
-twist never computes its cap.
+twist never computes its cap.  One budget governs every walk of a run: the
+context variable ``BUDGET``, which the CLI sets once per subcommand, read
+only where a walk is charged.  A count already cached did its walk, so it
+is returned again without a charge, also under a smaller budget.
 
 A count adds hi - lo + 1 per line at the closed or the strict cap and
 lists nothing, in O(r) memory.  ``vectors_with_keys`` expands the same
@@ -25,6 +28,7 @@ from __future__ import annotations
 
 import math
 import operator
+from contextvars import ContextVar
 from functools import cached_property, lru_cache
 from itertools import repeat
 from typing import List, Tuple
@@ -34,6 +38,8 @@ from .norms import CompiledNorm, NormedModule, compile_norm
 from .record import record
 
 DEFAULT_BUDGET = 10 ** 8
+# the most candidates prod (2 B_i + 1) a walk may visit
+BUDGET = ContextVar("budget", default=DEFAULT_BUDGET)
 
 
 def _check_budget(bounds: List[int], budget: int) -> None:
@@ -112,21 +118,21 @@ def _polymax_walk(compiled: CompiledNorm, cap: int, bounds: List[int]):
     yield from level(0, [0] * len(rows))
 
 
-def _lines(module: NormedModule, cap: int, budget: int):
+def _lines(module: NormedModule, cap: int):
     """The compiled norm, the widths of the cap (charged) and the walk's lines."""
     compiled = compile_norm(module.norm)
     bounds = compiled.box(cap)
-    _check_budget(bounds, budget)
+    _check_budget(bounds, BUDGET.get())
     walk = _ellipsoid_walk if compiled.squared else _polymax_walk
     return compiled, bounds, walk(compiled, cap, bounds)
 
 
-def vectors_with_keys(module: NormedModule, cap: int, budget: int = DEFAULT_BUDGET,
+def vectors_with_keys(module: NormedModule, cap: int,
                       above: int = -1) -> Tuple[CompiledNorm, list]:
     """The lattice vectors with above < key <= cap (all up to cap by default),
     as (key, vector) pairs sorted so that consumers are deterministic; the
     budget is charged on the widths of the cap, and only that shell is listed."""
-    compiled, bounds, lines = _lines(module, cap, budget)
+    compiled, bounds, lines = _lines(module, cap)
     if not bounds:  # rank 0: the zero vector, key 0, is the only lattice vector
         return compiled, [(0, ())] if above < 0 else []
     pairs = []
@@ -136,30 +142,24 @@ def vectors_with_keys(module: NormedModule, cap: int, budget: int = DEFAULT_BUDG
     return compiled, pairs
 
 
-def _unit_cap(module: NormedModule, strict: bool, budget: int) -> int:
+def _unit_cap(module: NormedModule, strict: bool) -> int:
     """cap(1), or the strict cap, no higher than the first key t = 1, 2, 4,
     ... whose widths prod (2 B_i(t) + 1) pass the budget: the box grows with
     the cap, so the charge every walk makes at its cap refuses a cap that
     reaches t, at the widths of t.  Rank 0, whose ball is {0} at any cap,
     has no widths to double."""
-    compiled, t = compile_norm(module.norm), 1
+    compiled, t, budget = compile_norm(module.norm), 1, BUDGET.get()
     while compiled.rank and math.prod(2 * b + 1 for b in compiled.box(t)) <= budget:
         t *= 2
     return compiled.cap(1, strict, limit=t)
 
 
-def unit_ball(module: NormedModule,
-              budget: int = DEFAULT_BUDGET) -> Tuple[CompiledNorm, list]:
-    """The key-sorted closed unit ball."""
-    return vectors_with_keys(module, _unit_cap(module, False, budget), budget)
-
-
 # run_suite reads the counts of one module up to five times
 @lru_cache(maxsize=2048)
-def _unit_count(module: NormedModule, strict: bool, budget: int) -> int:
+def _unit_count(module: NormedModule, strict: bool) -> int:
     """# {v : ||v|| <= 1} (< 1 if strict): the walk at the cap adds up the
     lengths of its lines and lists no vector, in O(r) memory."""
-    _, bounds, lines = _lines(module, _unit_cap(module, strict, budget), budget)
+    _, bounds, lines = _lines(module, _unit_cap(module, strict))
     return sum(hi - lo + 1 for _, lo, hi, _ in lines) if bounds else 1
 
 
@@ -167,7 +167,6 @@ def _unit_count(module: NormedModule, strict: bool, budget: int) -> int:
 class SectionSet:
     """The count of a unit ball; its vectors are listed on first access."""
     module: NormedModule
-    budget: int
     threshold_kind: str  # "closed" or "open"
     count: int
 
@@ -177,39 +176,38 @@ class SectionSet:
 
     @cached_property
     def vectors(self) -> tuple:
-        """The vectors in key order: the prefix of the closed unit ball that
-        the count spans (all of it, or the strict ball)."""
-        return tuple(v for _, v in unit_ball(self.module, self.budget)[1][:self.count])
+        """The vectors in key order, listed at the cap of the set's own kind."""
+        cap = _unit_cap(self.module, self.threshold_kind == "open")
+        return tuple(v for _, v in vectors_with_keys(self.module, cap)[1])
 
 
-def effective_sections(module: NormedModule, budget: int = DEFAULT_BUDGET) -> SectionSet:
+def effective_sections(module: NormedModule) -> SectionSet:
     """{v in Z^r : ||v|| <= 1}, exactly."""
-    return SectionSet(module, budget, "closed", _unit_count(module, False, budget))
+    return SectionSet(module, "closed", _unit_count(module, False))
 
 
-def strictly_effective_sections(module: NormedModule,
-                                budget: int = DEFAULT_BUDGET) -> SectionSet:
+def strictly_effective_sections(module: NormedModule) -> SectionSet:
     """{v in Z^r : ||v|| < 1}, exactly."""
-    return SectionSet(module, budget, "open", _unit_count(module, True, budget))
+    return SectionSet(module, "open", _unit_count(module, True))
 
 
-def h0_hat(module: NormedModule, budget: int = DEFAULT_BUDGET) -> float:
+def h0_hat(module: NormedModule) -> float:
     """log # {v : ||v|| <= 1}."""
-    return math.log(_unit_count(module, False, budget))
+    return math.log(_unit_count(module, False))
 
 
-def h0_hat_sef(module: NormedModule, budget: int = DEFAULT_BUDGET) -> float:
+def h0_hat_sef(module: NormedModule) -> float:
     """log # {v : ||v|| < 1}."""
-    return math.log(_unit_count(module, True, budget))
+    return math.log(_unit_count(module, True))
 
 
 __all__ = [
+    "BUDGET",
     "DEFAULT_BUDGET",
     "SectionSet",
     "effective_sections",
     "strictly_effective_sections",
     "h0_hat",
     "h0_hat_sef",
-    "unit_ball",
     "vectors_with_keys",
 ]

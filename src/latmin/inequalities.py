@@ -13,7 +13,7 @@ import math
 from fractions import Fraction
 from typing import List, Sequence, Tuple
 
-from .enumeration import DEFAULT_BUDGET, h0_hat, h0_hat_sef
+from .enumeration import h0_hat, h0_hat_sef
 from .errors import ConfigError, EnumerationBudgetExceeded
 from .minima import euler_characteristic, successive_minima
 from .norms import (NormedModule, compile_norm, make_ellipsoid,
@@ -32,8 +32,7 @@ LOG2 = math.log(2.0)
 LOG3 = math.log(3.0)
 
 
-def check_norm_scaling(module: NormedModule, alpha,
-                       budget: int = DEFAULT_BUDGET) -> List[InequalityReport]:
+def check_norm_scaling(module: NormedModule, alpha) -> List[InequalityReport]:
     """Scaling bounds for h0 and h0_sef under a twist by -alpha."""
     alpha = Fraction(alpha)
     if alpha < 0:
@@ -41,10 +40,10 @@ def check_norm_scaling(module: NormedModule, alpha,
     digest = module.digest()
     r = module.rank
     shrunk = twist(module, -alpha)
-    h0 = h0_hat(module, budget)
-    h0a = h0_hat(shrunk, budget)
-    sef = h0_hat_sef(module, budget)
-    sefa = h0_hat_sef(shrunk, budget)
+    h0 = h0_hat(module)
+    h0a = h0_hat(shrunk)
+    sef = h0_hat_sef(module)
+    sefa = h0_hat_sef(shrunk)
     err = r * float(alpha) + r * LOG3
     return [
         _report("scaling-closed-lower", h0a, h0, digest),
@@ -54,20 +53,18 @@ def check_norm_scaling(module: NormedModule, alpha,
     ]
 
 
-def check_sef_gap(module: NormedModule,
-                  budget: int = DEFAULT_BUDGET) -> List[InequalityReport]:
+def check_sef_gap(module: NormedModule) -> List[InequalityReport]:
     """h0_sef <= h0 <= h0_sef + r log 3."""
     digest = module.digest()
-    h0 = h0_hat(module, budget)
-    sef = h0_hat_sef(module, budget)
+    h0 = h0_hat(module)
+    sef = h0_hat_sef(module)
     return [
         _report("sef-gap-lower", sef, h0, digest),
         _report("sef-gap-upper", h0, sef + module.rank * LOG3, digest),
     ]
 
 
-def check_filtration(module: NormedModule, alphas: Sequence,
-                     budget: int = DEFAULT_BUDGET) -> List[InequalityReport]:
+def check_filtration(module: NormedModule, alphas: Sequence) -> List[InequalityReport]:
     """Filtration bounds over 0 = a_0 <= a_1 <= ... <= a_n.  The rank at a_i
     is # {j : lambda_j <= e^(-a_i)}: the minima keys at most the unit cap of
     the twist by -a_i, which has the module's keys.  Each cap is resolved no
@@ -79,16 +76,16 @@ def check_filtration(module: NormedModule, alphas: Sequence,
     if any(b < a for a, b in zip(alphas, alphas[1:])):
         raise ConfigError("filtration alphas must be nondecreasing")
     digest = module.digest()
-    keys = ([k for _, k, _, _ in successive_minima(module, budget).mu_parts]
+    keys = ([k for _, k, _, _ in successive_minima(module).mu_parts]
             if module.rank else [])
     top = max(keys, default=0)
     caps = [compile_norm(twist(module, -a).norm).cap(1, limit=top) for a in alphas]
     ranks = [sum(k <= cap for k in keys) for cap in caps]
     r0 = ranks[0]
-    h0 = h0_hat(module, budget)
-    h0n = h0_hat(twist(module, -alphas[-1]), budget)
-    sef = h0_hat_sef(module, budget)
-    sefn = h0_hat_sef(twist(module, -alphas[-1]), budget)
+    h0 = h0_hat(module)
+    h0n = h0_hat(twist(module, -alphas[-1]))
+    sef = h0_hat_sef(module)
+    sefn = h0_hat_sef(twist(module, -alphas[-1]))
     steps = [float(b - a) for a, b in zip(alphas, alphas[1:])]
     upper_sum = sum(ranks[i] * steps[i] for i in range(len(steps)))
     lower_sum = sum(ranks[i + 1] * steps[i] for i in range(len(steps)))
@@ -102,13 +99,12 @@ def check_filtration(module: NormedModule, alphas: Sequence,
     ]
 
 
-def check_second_minima(module: NormedModule,
-                        budget: int = DEFAULT_BUDGET) -> List[InequalityReport]:
+def check_second_minima(module: NormedModule) -> List[InequalityReport]:
     """Minkowski window: r log 2 - log r! <= chi - sum mu_i <= r log 2."""
     digest = module.digest()
     r = module.rank
     chi = euler_characteristic(module)
-    minima = successive_minima(module, budget)
+    minima = successive_minima(module)
     gap = chi.value - sum(minima.mus)
     return [
         _report("minima-window-lower", r * LOG2 - math.lgamma(r + 1), gap,
@@ -117,28 +113,26 @@ def check_second_minima(module: NormedModule,
     ]
 
 
-def check_gs_count(module: NormedModule,
-                   budget: int = DEFAULT_BUDGET) -> List[InequalityReport]:
+def check_gs_count(module: NormedModule) -> List[InequalityReport]:
     """|h0 - sum max(mu_i, 0)| <= r log 3 + 2 r log r, and the sef variant."""
     digest = module.digest()
     r = module.rank
-    minima = successive_minima(module, budget)
+    minima = successive_minima(module)
     summax = sum(max(m, 0.0) for m in minima.mus)
     bound = r * LOG3 + 2.0 * _xlogx(r)
-    h0 = h0_hat(module, budget)
-    sef = h0_hat_sef(module, budget)
+    h0 = h0_hat(module)
+    sef = h0_hat_sef(module)
     return [
         _report("minima-count", abs(h0 - summax), bound, digest),
         _report("minima-count-sef", abs(sef - summax), bound, digest),
     ]
 
 
-def check_minkowski_count(module: NormedModule,
-                          budget: int = DEFAULT_BUDGET) -> InequalityReport:
+def check_minkowski_count(module: NormedModule) -> InequalityReport:
     """chi <= h0 + r log 2."""
     digest = module.digest()
     chi = euler_characteristic(module)
-    h0 = h0_hat(module, budget)
+    h0 = h0_hat(module)
     return _report("minkowski-count", chi.value, h0 + module.rank * LOG2,
                    digest)
 
@@ -149,7 +143,6 @@ class SuiteConfig:
     trials: int = 100
     rank_min: int = 1
     rank_max: int = 3
-    budget: int = DEFAULT_BUDGET
 
     def validate(self) -> None:
         if self.trials < 1:
@@ -196,20 +189,23 @@ def witness_modules() -> List[NormedModule]:
     return [z1, box]
 
 
-def _run_checks(module: NormedModule, alpha: Fraction, alphas,
-                config: SuiteConfig) -> List[InequalityReport]:
+def _run_checks(module: NormedModule, alpha: Fraction,
+                alphas) -> List[InequalityReport]:
     reports = []
-    reports += check_norm_scaling(module, alpha, config.budget)
-    reports += check_sef_gap(module, config.budget)
-    reports += check_filtration(module, alphas, config.budget)
-    reports += check_second_minima(module, config.budget)
-    reports += check_gs_count(module, config.budget)
-    reports.append(check_minkowski_count(module, config.budget))
+    reports += check_norm_scaling(module, alpha)
+    reports += check_sef_gap(module)
+    reports += check_filtration(module, alphas)
+    reports += check_second_minima(module)
+    reports += check_gs_count(module)
+    reports.append(check_minkowski_count(module))
     return reports
 
 
 def run_suite(config: SuiteConfig) -> dict:
-    """Run all checks over the seeded corpus; violations are returned as data."""
+    """Run all checks over the seeded corpus; violations are returned as data.
+
+    Every walk is charged to the one budget of the run, ``enumeration.BUDGET``:
+    an instance with a walk past it counts as skipped."""
     config.validate()
     stats: dict = {}
     violations: list = []
@@ -244,7 +240,7 @@ def run_suite(config: SuiteConfig) -> dict:
 
     for idx, (mod, alpha, alphas) in enumerate(jobs):
         try:
-            for rep in _run_checks(mod, alpha, alphas, config):
+            for rep in _run_checks(mod, alpha, alphas):
                 tally(rep, mod)
         except EnumerationBudgetExceeded:
             skipped += 1

@@ -18,7 +18,7 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-from .enumeration import DEFAULT_BUDGET, vectors_with_keys
+from .enumeration import vectors_with_keys
 from .errors import PreconditionViolated
 from .intervals import exp_float, log_unit_ball_volume, saturated_float
 from .linalg import IncrementalSpan
@@ -43,7 +43,7 @@ def _canonical(v: tuple) -> bool:
 
 
 @lru_cache(maxsize=1024)
-def successive_minima(module: NormedModule, budget: int = DEFAULT_BUDGET) -> MinimaReport:
+def successive_minima(module: NormedModule) -> MinimaReport:
     """lambda_i = min { t : rank <{v : ||v|| <= t}> >= i }, with witnesses."""
     r = module.rank
     if r < 1:
@@ -52,7 +52,7 @@ def successive_minima(module: NormedModule, budget: int = DEFAULT_BUDGET) -> Min
     ceiling = max(compiled.key([int(i == k) for i in range(r)]) for k in range(r))
     last, cap = 0, 1  # not a basis key: an unreduced basis has long ones
     while span.rank < r:
-        for key, vec in vectors_with_keys(module, cap, budget, above=last)[1]:
+        for key, vec in vectors_with_keys(module, cap, above=last)[1]:
             if _canonical(vec) and span.add(vec):
                 found.append((key, vec))
                 if span.rank == r:

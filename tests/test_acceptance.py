@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import mpmath
 
-from conftest import ACCEPTANCE_RESULTS
+from conftest import ACCEPTANCE_RESULTS, with_budget
 from latmin.inequalities import (SuiteConfig, check_filtration,
                                  check_gs_count, check_minkowski_count,
                                  check_norm_scaling, check_second_minima,
@@ -50,7 +50,7 @@ def test_criterion_1_oracle_equivalence():
     budget = 10 ** 7
     for i in range(200):
         module = random_module(derive(101, i), cfg)
-        got = sorted(effective_sections(module, budget).vectors)
+        got = sorted(with_budget(budget, lambda m: effective_sections(m).vectors, module))
         assert got == oracle_sections(module, strict=False), module.to_json()
     elapsed = time.monotonic() - started
     assert elapsed < 60.0, f"took {elapsed:.1f}s"

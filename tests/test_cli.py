@@ -16,6 +16,7 @@ from typing import Any
 import pytest
 
 import latmin
+from latmin import enumeration
 from latmin import ledger as ledger_mod
 from latmin.cli import (_run_forked, _trial_text, encode, fmt_real, jsonable,
                         main, shard_count)
@@ -69,11 +70,16 @@ def test_count_euclidean_disk(capsys, tmp_path):
 
 
 def test_count_emit_vectors(capsys, tmp_path):
-    code, doc = run_main(capsys, ["count", "--module", write_disk2(tmp_path),
-                                  "--emit-vectors", "--strict"])
-    assert code == 0
-    assert doc["report"]["count"] == 1
-    assert doc["report"]["vectors"] == [[0, 0]]
+    """The strict unit disk is {0}, one candidate at the strict cap: its
+    vectors are listed at that cap, not cut from the closed ball's 9, so
+    they fit --budget 1 as its count does."""
+    for budget in ([], ["--budget", "1"]):
+        enumeration._unit_count.cache_clear()
+        code, doc = run_main(capsys, ["count", "--module", write_disk2(tmp_path),
+                                      "--emit-vectors", "--strict"] + budget)
+        assert code == 0
+        assert doc["report"]["count"] == 1
+        assert doc["report"]["vectors"] == [[0, 0]]
 
 
 def test_minima_output(capsys, tmp_path):
@@ -319,6 +325,7 @@ def test_budget_exhaustion_exits_3(capsys, tmp_path):
         "norm": {"type": "polymax",
                  "functionals": [["1/100", "0/1"], ["0/1", "1/100"]]},
     }))
+    enumeration._unit_count.cache_clear()
     code, doc = run_main(capsys, ["count", "--module", str(path),
                                   "--budget", "50"])
     assert code == 3
@@ -326,10 +333,14 @@ def test_budget_exhaustion_exits_3(capsys, tmp_path):
 
 
 def test_zero_budget_exits_3(capsys, tmp_path):
+    """On a cold cache; the budget ends with its run, so the next call in
+    the same process has the default again."""
+    enumeration._unit_count.cache_clear()
     code, doc = run_main(capsys, ["count", "--module", write_disk2(tmp_path),
                                   "--budget", "0"])
     assert code == 3
     assert doc["error"]["type"] == "EnumerationBudgetExceeded"
+    assert enumeration.BUDGET.get() == enumeration.DEFAULT_BUDGET
 
 
 def test_negative_budget_exits_2(capsys, tmp_path):
@@ -490,6 +501,7 @@ def test_chi_of_an_ellipsoid_past_the_double_range(capsys, tmp_path, entry, sign
 def test_budget_message_names_the_count(capsys, tmp_path):
     path = tmp_path / "wide.json"
     path.write_text(json.dumps(_scaled("1/2", HEXAGON_INNER)))
+    enumeration._unit_count.cache_clear()
     code, doc = run_main(capsys, ["count", "--module", str(path),
                                   "--budget", "2"])
     assert code == 3

@@ -23,9 +23,9 @@ from hypothesis import strategies as st
 
 from latmin import enumeration
 from latmin.cli import main
+from conftest import with_budget
 from latmin.enumeration import (effective_sections, h0_hat, h0_hat_sef,
-                                strictly_effective_sections, unit_ball,
-                                vectors_with_keys)
+                                strictly_effective_sections, vectors_with_keys)
 from latmin.errors import EnumerationBudgetExceeded, UnboundedBall
 from latmin.intervals import exp_interval
 from latmin.norms import (Ellipsoid, Scaled, compile_norm, make_ellipsoid,
@@ -180,8 +180,21 @@ def test_h0_relations():
 
 def test_budget_exceeded():
     tiny = make_normed_module(2, make_polymax([["1/100", "0/1"], ["0/1", "1/100"]]))
+    enumeration._unit_count.cache_clear()
     with pytest.raises(EnumerationBudgetExceeded):
-        effective_sections(tiny, budget=100)
+        with_budget(100, effective_sections, tiny)
+
+
+def test_a_cached_count_is_not_charged_again():
+    """On a cold cache a budget below the box refuses; a count cached under
+    the default budget did its walk, and is returned under budget 0."""
+    disk = euclid(2)
+    enumeration._unit_count.cache_clear()
+    with pytest.raises(EnumerationBudgetExceeded):
+        with_budget(0, effective_sections, disk)
+    assert effective_sections(disk).count == 5
+    assert with_budget(0, effective_sections, disk).count == 5
+    assert with_budget(0, h0_hat, disk) == math.log(5)
 
 
 def test_budget_exceeded_survives_pickle():
@@ -400,9 +413,10 @@ def test_budget_is_charged_on_the_box():
         for strict, count in ((False, effective_sections),
                               (True, strictly_effective_sections)):
             size = _box_size(m, strict)
-            assert count(m, budget=size).count <= size
+            enumeration._unit_count.cache_clear()
             with pytest.raises(EnumerationBudgetExceeded):
-                count(m, budget=size - 1)
+                with_budget(size - 1, count, m)
+            assert with_budget(size, count, m).count <= size
 
 
 def _per_key_refusal(compiled, strict, budget):
@@ -436,14 +450,14 @@ def test_unit_cap_is_one_limited_floor(monkeypatch):
                 refused = _per_key_refusal(compiled, strict, budget)
                 calls.clear()
                 try:  # the count uncached
-                    enumeration._unit_count.__wrapped__(m, strict, budget)
+                    with_budget(budget, enumeration._unit_count.__wrapped__, m, strict)
                 except EnumerationBudgetExceeded as exc:
                     assert exc.predicted == refused, (m, strict, budget)
                 else:
                     assert refused is None
                 assert len(calls) == 1
                 if refused is None:
-                    cap = enumeration._unit_cap(m, strict, budget)
+                    cap = with_budget(budget, enumeration._unit_cap, m, strict)
                     assert cap == compiled.cap(Fraction(1), strict)
 
 
@@ -452,11 +466,11 @@ def test_cli_budget_below_the_box_exits_3(capsys, tmp_path):
     path = tmp_path / "module.json"
     path.write_text(json.dumps(m.to_json()))
     size = _box_size(m)
-    assert main(["count", "--module", str(path), "--budget", str(size)]) == 0
-    capsys.readouterr()
+    enumeration._unit_count.cache_clear()
     assert main(["count", "--module", str(path), "--budget", str(size - 1)]) == 3
     doc = json.loads(capsys.readouterr().out)
     assert doc["error"]["type"] == "EnumerationBudgetExceeded"
+    assert main(["count", "--module", str(path), "--budget", str(size)]) == 0
 
 
 def found_module():
@@ -493,10 +507,11 @@ def test_ellipsoid_box_is_within_the_real_one():
 def test_found_module_counts_under_a_budget_of_a_million(capsys, tmp_path):
     path = tmp_path / "module.json"
     path.write_text(json.dumps(found_module().to_json()))
-    assert main(["count", "--module", str(path), "--budget", "1000000"]) == 0
-    assert json.loads(capsys.readouterr().out)["report"]["count"] == 17077
     assert main(["count", "--module", str(path), "--budget", "39554"]) == 3
     assert main(["count", "--module", str(path), "--budget", "39555"]) == 0
+    capsys.readouterr()
+    assert main(["count", "--module", str(path), "--budget", "1000000"]) == 0
+    assert json.loads(capsys.readouterr().out)["report"]["count"] == 17077
 
 
 def _level_spreads(lines, r):
@@ -523,7 +538,7 @@ def test_box_bounds_every_walk_range():
         compiled = compile_norm(module.norm)
         cap = compiled.cap(radius)
         box = compiled.box(cap)
-        _, _, lines = enumeration._lines(module, cap, enumeration.DEFAULT_BUDGET)
+        _, _, lines = enumeration._lines(module, cap)
         lines = list(lines)
         spreads = _level_spreads(lines, module.rank)
         assert all(s <= 2 * b + 1 for s, b in zip(spreads, box)), (spreads, box)
@@ -618,7 +633,7 @@ def test_counts_build_no_list(monkeypatch):
         counts = (closed.count, strict.count, h0_hat(m), h0_hat_sef(m))
         assert calls == []
         assert counts[2:] == (math.log(counts[0]), math.log(counts[1]))
-        listed = tuple(v for _, v in unit_ball(m)[1])
+        listed = effective_sections(m).vectors
         assert closed.vectors == listed and len(listed) == closed.count
         assert strict.vectors == listed[:strict.count]
         assert sorted(listed) == oracle_sections(m)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from latmin.enumeration import h0_hat, h0_hat_sef, unit_ball
+from latmin.enumeration import effective_sections, h0_hat, h0_hat_sef
 from latmin.errors import ConfigError, EnumerationBudgetExceeded
 from latmin.inequalities import (LOG3, SuiteConfig, _xlogx, check_filtration,
                                  check_gs_count, check_minkowski_count,
@@ -78,7 +78,7 @@ def test_inequalities_hold_on_a_twist_with_a_large_denominator():
 def _listed_filtration(module, alphas):
     """The filtration reports as (name, lhs, rhs), with the rank at a read
     as the span rank of the listed unit ball of the twist by -a."""
-    ranks = [span_rank(v for _, v in unit_ball(twist(module, -a))[1]) for a in alphas]
+    ranks = [span_rank(effective_sections(twist(module, -a)).vectors) for a in alphas]
     steps = [float(b - a) for a, b in zip(alphas, alphas[1:])]
     upper = sum(ranks[i] * steps[i] for i in range(len(steps)))
     lower = sum(ranks[i + 1] * steps[i] for i in range(len(steps)))

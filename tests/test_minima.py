@@ -87,8 +87,8 @@ def _oracle_minima(module):
 def _record_caps(monkeypatch):
     """The (cap, above) of every list successive_minima asks for, in order."""
     caps, listed = [], minima.vectors_with_keys
-    monkeypatch.setattr(minima, "vectors_with_keys", lambda module, cap, budget, above: (
-        caps.append((cap, above)) or listed(module, cap, budget, above=above)))
+    monkeypatch.setattr(minima, "vectors_with_keys", lambda module, cap, above: (
+        caps.append((cap, above)) or listed(module, cap, above=above)))
     return caps
 
 
@@ -151,8 +151,8 @@ def test_minima_ladder_lists_few_vectors_at_ranks_6_to_8(monkeypatch):
     from latmin.inequalities import run_suite
     work, walk, node_volume = {}, minima.vectors_with_keys, minima._node_volume
 
-    def counted(module, cap, budget, above):
-        compiled, pairs = walk(module, cap, budget, above=above)
+    def counted(module, cap, above):
+        compiled, pairs = walk(module, cap, above=above)
         work["listed"] += len(pairs)
         return compiled, pairs
 

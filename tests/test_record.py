@@ -47,7 +47,7 @@ def test_record_init_hash_repr_and_fields():
     same = LedgerStep(4, 3, 1.0, 2.0)
     assert same == step and hash(same) == hash(step) == hash((4, 3, 1.0, 2.0))
     assert step != (4, 3, 1.0, 2.0)
-    assert SuiteConfig() == SuiteConfig(0, 100, 1, 3, 10 ** 8)  # class defaults
+    assert SuiteConfig() == SuiteConfig(0, 100, 1, 3)  # class defaults
     assert SuiteConfig(trials=5).trials == 5
     assert VolumeReport(1.0, "exact-ellipsoid", 0.0).exact is None
     # the message that `ledger eval` reports for a step with no slack
@@ -74,8 +74,8 @@ def test_violation_dump_text_is_unchanged(monkeypatch):
     the same text as the asdict-built dump (pinned from that code)."""
     real = inequalities.check_minkowski_count
 
-    def violated(module, budget):
-        rep = real(module, budget)
+    def violated(module):
+        rep = real(module)
         return InequalityReport(rep.name, rep.rhs + 0.5, rep.rhs, -0.5, False,
                                 rep.instance_digest, "violated")
 
