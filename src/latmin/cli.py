@@ -1,8 +1,12 @@
 """Command line entry point with deterministic JSON output.
 
 Subcommands: count, minima, chi, verify, ledger (eval | sweep | simulate).
-One JSON document per run on stdout; exit codes: 0 success, 1 inequality
-violation, 2 usage/config error, 3 enumeration budget exceeded.
+Each ``cmd_*`` only computes: it returns (config, report text, seed, exit
+code).  ``_run``, which ``main`` calls, alone sets the budget, reads the
+clock and writes stdout: one JSON document per run, a report or an error.
+Exit codes: 0 success, 1 inequality violation, 2 usage/config error, 3
+enumeration budget exceeded, 4 stdout closed or full (said in one line on
+stderr, and no second document is tried).
 
 Reals are serialized as decimal strings with 12 significant digits (plus an
 exact "p/q" field where one exists) so output is byte-identical across runs
@@ -10,11 +14,8 @@ and platforms.  Wall-clock timing is only emitted when LATMIN_TIMING is set,
 to keep default output reproducible.  The report is encoded once, compact
 with sorted keys; that string is hashed for manifest.result_digest (16 hex
 digits of sha256) and spliced into the printed {"manifest", "report"} line.
-``ledger simulate`` runs its trials in up to ``--threads`` forked shards and
-splices their texts in trial order, so stdout does not depend on it: a shard
-with no whole result, whatever the cause, runs again in the first process.
-Each trial's text is the ledger's and its reports' ``json_text``, the bytes
-``encode`` gives their dict form, with no dict built.
+``ledger simulate`` splices the texts of its forked shards in trial order
+(see ``_run_forked``), so stdout does not depend on ``--threads``.
 
 Importing this module loads ``argparse``, ``contextvars``, ``json``,
 ``hashlib`` and ``fractions`` and, of latmin, only ``errors``: each
@@ -75,32 +76,6 @@ def _trial_text(ledger, chain, sum_ci) -> str:
     chain}) in one pass, from the ledger's and the reports' own layouts."""
     return ('{"ledger":%s,"sum_ci":%s,"theorem_chain":%s}'
             % (ledger.json_text(), sum_ci.json_text(), chain.json_text()))
-
-
-def _emit(subcommand: str, config: dict, body: str, seed, started: float,
-          exit_code: int = 0) -> int:
-    manifest = {
-        "tool": "latmin",
-        "version": __version__,
-        "subcommand": subcommand,
-        "config": jsonable(config),
-        "seed": seed,
-        "result_digest": hashlib.sha256(body.encode()).hexdigest()[:16],
-    }
-    if os.environ.get("LATMIN_TIMING"):
-        manifest["duration_s"] = fmt_real(time.monotonic() - started)
-    print('{"manifest":' + _dumps(manifest) + ',"report":' + body + "}")
-    return exit_code
-
-
-def _emit_error(subcommand: str, exc: Exception, exit_code: int) -> int:
-    doc = {
-        "error": {"type": type(exc).__name__, "message": str(exc)},
-        "manifest": {"tool": "latmin", "version": __version__,
-                     "subcommand": subcommand},
-    }
-    print(_dumps(doc))
-    return exit_code
 
 
 def shard_count(threads: int, trials: int, cpus: int) -> int:
@@ -167,135 +142,108 @@ def _run_forked(fn, shards: list) -> list:
             os.waitpid(pid, 0)
 
 
-def _budget(args) -> int:
-    """The enumeration budget, --budget or else the default, set as the
-    budget of every walk of this run (``enumeration.BUDGET``)."""
-    from .enumeration import BUDGET, DEFAULT_BUDGET
-
-    budget = DEFAULT_BUDGET if args.budget is None else args.budget
-    if budget < 0:
-        raise ConfigError(f"budget must be nonnegative, got {budget}")
-    BUDGET.set(budget)
-    return budget
-
-
-def cmd_count(args) -> int:
+def cmd_count(args):
     from .enumeration import effective_sections, strictly_effective_sections
     from .norms import load_module
 
-    started = time.monotonic()
-    budget = _budget(args)
-    module = load_module(args.module)
-    sections = (strictly_effective_sections(module) if args.strict
-                else effective_sections(module))
+    sections = (strictly_effective_sections if args.strict
+                else effective_sections)(load_module(args.module))
     report = {"count": sections.count, "log_count": sections.log_count,
               "threshold_kind": sections.threshold_kind}
     if args.emit_vectors:
-        report["vectors"] = [list(v) for v in sections.vectors]
-    cfg = {"module": args.module, "strict": args.strict, "budget": budget}
-    return _emit("count", cfg, encode(report), None, started)
+        report["vectors"] = sections.vectors
+    return {"module": args.module, "strict": args.strict}, encode(report), None, 0
 
 
-def cmd_minima(args) -> int:
+def cmd_minima(args):
     from .minima import successive_minima
     from .norms import load_module
 
-    started = time.monotonic()
-    budget = _budget(args)
-    module = load_module(args.module)
-    rep = successive_minima(module)
-    report = {
-        "lambdas": list(rep.lambdas),
-        "mus": list(rep.mus),
-        "witnesses": [list(w) for w in rep.witnesses],
-        "exact": [{"alpha": a, "key": k, "den": d,
-                   "squared": sq} for a, k, d, sq in rep.mu_parts],
-    }
-    cfg = {"module": args.module, "budget": budget}
-    return _emit("minima", cfg, encode(report), None, started)
+    rep = successive_minima(load_module(args.module))
+    report = {"lambdas": rep.lambdas, "mus": rep.mus, "witnesses": rep.witnesses,
+              "exact": [{"alpha": a, "key": k, "den": d, "squared": sq}
+                        for a, k, d, sq in rep.mu_parts]}
+    return {"module": args.module}, encode(report), None, 0
 
 
-def cmd_chi(args) -> int:
+def cmd_chi(args):
     from .minima import euler_characteristic
     from .norms import load_module
 
-    started = time.monotonic()
-    module = load_module(args.module)
-    chi = euler_characteristic(module)
+    chi = euler_characteristic(load_module(args.module))
     report = {"chi": chi.value, "method": chi.method}
-    return _emit("chi", {"module": args.module}, encode(report), None, started)
+    return {"module": args.module}, encode(report), None, 0
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args):
     from .inequalities import SuiteConfig, run_suite
 
-    started = time.monotonic()
     if args.suite != "counting":
         raise ConfigError(f"unknown suite {args.suite!r}")
-    budget = _budget(args)
-    config = SuiteConfig(seed=args.seed, trials=args.trials,
-                         rank_max=args.max_rank)
-    summary = run_suite(config)
+    summary = run_suite(SuiteConfig(seed=args.seed, trials=args.trials,
+                                    rank_max=args.max_rank))
     cfg = {"suite": args.suite, "trials": args.trials, "seed": args.seed,
-           "max_rank": args.max_rank, "budget": budget}
-    code = 1 if summary["total_violations"] else 0
-    return _emit("verify", cfg, encode(summary), args.seed, started, code)
+           "max_rank": args.max_rank}
+    return cfg, encode(summary), args.seed, 1 if summary["total_violations"] else 0
 
 
-def cmd_ledger(args) -> int:
-    from .ledger import (eval_theorem, ledger_from_json, simulate_reduction,
-                         sum_ci_bound, theorem_chain_check,
-                         verify_constant_chain)
+def cmd_ledger_eval(args):
+    from .ledger import (eval_theorem, ledger_from_json, sum_ci_bound,
+                         theorem_chain_check)
 
-    started = time.monotonic()
-    if args.ledger_cmd == "eval":
-        with open(args.config) as fh:
-            cfg = json.load(fh)
-        if args.theorem:
-            report = eval_theorem(args.theorem, cfg)
-            # only Corollary E checks a value (delta_X) against its bounds
-            code = int(args.theorem == "E"
-                       and not (report.holds_omega and report.holds_chi))
-        else:
-            ledger = ledger_from_json(cfg)
-            report = {"theorem_chain": theorem_chain_check(ledger),
-                      "sum_ci": sum_ci_bound(ledger)}
-            code = 0 if all(r.holds for r in report.values()) else 1
-        conf = {"config": args.config, "theorem": args.theorem}
-        return _emit("ledger-eval", conf, encode(report), None, started, code)
-    if args.ledger_cmd == "sweep":
-        reports = verify_constant_chain(args.g_max, args.kappa_max)
-        code = 1 if any(not r.holds for r in reports) else 0
-        conf = {"g_max": args.g_max, "kappa_max": args.kappa_max}
-        return _emit("ledger-sweep", conf, encode(reports), None, started, code)
-    if args.ledger_cmd == "simulate":
-        if args.trials < 1:
-            raise ConfigError("trials must be >= 1")
-        if args.seed < 0:
-            raise ConfigError("seed must be >= 0")
+    with open(args.config) as fh:
+        cfg = json.load(fh)
+    if args.theorem:
+        report = eval_theorem(args.theorem, cfg)
+        # only Corollary E checks a value (delta_X) against its bounds
+        code = int(args.theorem == "E"
+                   and not (report.holds_omega and report.holds_chi))
+    else:
+        ledger = ledger_from_json(cfg)
+        report = {"theorem_chain": theorem_chain_check(ledger),
+                  "sum_ci": sum_ci_bound(ledger)}
+        code = 0 if all(r.holds for r in report.values()) else 1
+    conf = {"config": args.config, "theorem": args.theorem}
+    return conf, encode(report), None, code
 
-        def shard(seeds):
-            out, violations = [], 0
-            for seed in seeds:
-                ledger = simulate_reduction(seed, args.mode)
-                chain, sumci = theorem_chain_check(ledger), sum_ci_bound(ledger)
-                violations += not (chain.holds and sumci.holds)
-                out.append(_trial_text(ledger, chain, sumci))
-            return violations, ",".join(out)
 
-        cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-                else os.cpu_count() or 1)
-        n = shard_count(args.threads, args.trials, cpus)
-        cut = [args.seed + args.trials * i // n for i in range(n + 1)]
-        parts = _run_forked(shard, [range(a, b) for a, b in zip(cut, cut[1:])])
-        violations = sum(v for v, _ in parts)
-        # encode(report) of {"results", "trials", "violations"}, keys sorted
-        body = ('{"results":[' + ",".join(text for _, text in parts)
-                + f'],"trials":{args.trials},"violations":{violations}}}')
-        conf = {"seed": args.seed, "mode": args.mode, "trials": args.trials}
-        return _emit("ledger-simulate", conf, body, args.seed, started,
-                     1 if violations else 0)
-    raise ConfigError("unknown ledger subcommand")
+def cmd_ledger_sweep(args):
+    from .ledger import verify_constant_chain
+
+    reports = verify_constant_chain(args.g_max, args.kappa_max)
+    code = 1 if any(not r.holds for r in reports) else 0
+    conf = {"g_max": args.g_max, "kappa_max": args.kappa_max}
+    return conf, encode(reports), None, code
+
+
+def cmd_ledger_simulate(args):
+    from .ledger import simulate_reduction, sum_ci_bound, theorem_chain_check
+
+    if args.trials < 1:
+        raise ConfigError("trials must be >= 1")
+    if args.seed < 0:
+        raise ConfigError("seed must be >= 0")
+
+    def shard(seeds):
+        out, violations = [], 0
+        for seed in seeds:
+            ledger = simulate_reduction(seed, args.mode)
+            chain, sumci = theorem_chain_check(ledger), sum_ci_bound(ledger)
+            violations += not (chain.holds and sumci.holds)
+            out.append(_trial_text(ledger, chain, sumci))
+        return violations, ",".join(out)
+
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    n = shard_count(args.threads, args.trials, cpus)
+    cut = [args.seed + args.trials * i // n for i in range(n + 1)]
+    parts = _run_forked(shard, [range(a, b) for a, b in zip(cut, cut[1:])])
+    violations = sum(v for v, _ in parts)
+    # encode(report) of {"results", "trials", "violations"}, keys sorted
+    body = ('{"results":[' + ",".join(text for _, text in parts)
+            + f'],"trials":{args.trials},"violations":{violations}}}')
+    conf = {"seed": args.seed, "mode": args.mode, "trials": args.trials}
+    return conf, body, args.seed, 1 if violations else 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -305,66 +253,92 @@ def build_parser() -> argparse.ArgumentParser:
                         help="at least 1; processes for ledger simulate "
                              "(other subcommands run in one)")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("count", help="count effective sections")
-    p.add_argument("--module", required=True)
+    module = argparse.ArgumentParser(add_help=False)
+    module.add_argument("--module", required=True)
+    budget = argparse.ArgumentParser(add_help=False)
+    budget.add_argument("--budget", type=int)
+    p = sub.add_parser("count", parents=[module, budget],
+                       help="count effective sections")
     p.add_argument("--strict", action="store_true")
     p.add_argument("--emit-vectors", action="store_true")
-    p.add_argument("--budget", type=int)
     p.set_defaults(func=cmd_count)
-
-    p = sub.add_parser("minima", help="successive minima")
-    p.add_argument("--module", required=True)
-    p.add_argument("--budget", type=int)
+    p = sub.add_parser("minima", parents=[module, budget], help="successive minima")
     p.set_defaults(func=cmd_minima)
-
-    p = sub.add_parser("chi", help="Euler characteristic")
-    p.add_argument("--module", required=True)
+    p = sub.add_parser("chi", parents=[module], help="Euler characteristic")
     p.set_defaults(func=cmd_chi)
-
-    p = sub.add_parser("verify", help="run the inequality suite")
+    p = sub.add_parser("verify", parents=[budget], help="run the inequality suite")
     p.add_argument("--suite", default="counting")
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--max-rank", type=int, default=3)
-    p.add_argument("--budget", type=int)
     p.set_defaults(func=cmd_verify)
-
     p = sub.add_parser("ledger", help="reduction-ledger tools")
     lsub = p.add_subparsers(dest="ledger_cmd", required=True)
-    pe = lsub.add_parser("eval")
-    pe.add_argument("--config", required=True)
-    pe.add_argument("--theorem", choices=["B", "C", "D", "E", "deg1", "trivial"])
-    ps = lsub.add_parser("sweep")
-    ps.add_argument("--g-max", type=int, default=1000)
-    ps.add_argument("--kappa-max", type=int, default=50)
-    pm = lsub.add_parser("simulate")
-    pm.add_argument("--seed", type=int, default=0)
-    pm.add_argument("--mode", required=True)
-    pm.add_argument("--trials", type=int, default=10)
-    p.set_defaults(func=cmd_ledger)
+    p = lsub.add_parser("eval")
+    p.add_argument("--config", required=True)
+    p.add_argument("--theorem", choices=["B", "C", "D", "E", "deg1", "trivial"])
+    p.set_defaults(func=cmd_ledger_eval)
+    p = lsub.add_parser("sweep")
+    p.add_argument("--g-max", type=int, default=1000)
+    p.add_argument("--kappa-max", type=int, default=50)
+    p.set_defaults(func=cmd_ledger_sweep)
+    p = lsub.add_parser("simulate")
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--mode", required=True)
+    p.add_argument("--trials", type=int, default=10)
+    p.set_defaults(func=cmd_ledger_simulate)
 
     return parser
 
 
-def main(argv=None) -> int:
-    parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 2 if exc.code else 0
-    name = getattr(args, "command", "?")
+def _run(args) -> int:
+    """Run the subcommand under its budget and print its report, or the error
+    that stopped it, as the run's one document.  If stdout cannot take it
+    (closed, full), say so in one line on stderr and return 4."""
+    head = {"tool": "latmin", "version": __version__, "subcommand": args.command}
+    config = {}
     try:
         if args.threads < 1:
             raise ConfigError(f"threads must be >= 1, got {args.threads}")
-        # a fresh context per run: the budget one sets ends with it
-        return contextvars.copy_context().run(args.func, args)
-    except LatminError as exc:
-        return _emit_error(name, exc, exc.exit_code)
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
-        # an input file that cannot be read or parsed, or is nested too deep
-        # to decode, is bad input
-        return _emit_error(name, exc, 2)
+        if "budget" in args:  # the budget of every walk of this run
+            from .enumeration import BUDGET, DEFAULT_BUDGET
+
+            budget = DEFAULT_BUDGET if args.budget is None else args.budget
+            if budget < 0:
+                raise ConfigError(f"budget must be nonnegative, got {budget}")
+            BUDGET.set(budget)
+            config["budget"] = budget
+        started = time.monotonic()
+        own_config, body, seed, exit_code = args.func(args)
+        name = f"ledger-{args.ledger_cmd}" if args.command == "ledger" else args.command
+        manifest = dict(head, subcommand=name, seed=seed,
+                        config=jsonable({**config, **own_config}),
+                        result_digest=hashlib.sha256(body.encode()).hexdigest()[:16])
+        if os.environ.get("LATMIN_TIMING"):
+            manifest["duration_s"] = fmt_real(time.monotonic() - started)
+        document = '{"manifest":' + _dumps(manifest) + ',"report":' + body + "}"
+    except (LatminError, OSError, UnicodeDecodeError, json.JSONDecodeError,
+            RecursionError) as exc:
+        # an input file that is unreadable, unparsable or too deep is bad input
+        error = {"type": type(exc).__name__, "message": str(exc)}
+        document = _dumps({"error": error, "manifest": head})
+        exit_code = exc.exit_code if isinstance(exc, LatminError) else 2
+    try:
+        print(document, flush=True)
+    except OSError as exc:  # then the flush at exit meets /dev/null, no error
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"latmin: cannot write to stdout: {exc}", file=sys.stderr)
+        return 4
+    return exit_code
+
+
+def main(argv=None) -> int:
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        return 2 if exc.code else 0
+    # a fresh context per run: the budget one sets ends with it
+    return contextvars.copy_context().run(_run, args)
 
 
 if __name__ == "__main__":

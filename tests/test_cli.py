@@ -513,11 +513,15 @@ def test_bad_usage_exits_2(capsys):
     assert main([]) == 2
 
 
-def _run(argv):
-    env = dict(os.environ)
+def _run(argv, cwd=None, stdout=subprocess.PIPE):
+    """`python -m latmin.cli argv` in a fresh process, stderr captured, with
+    stdout block-buffered as by default."""
+    src = os.path.dirname(os.path.dirname(latmin.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
     env.pop("LATMIN_TIMING", None)
-    return subprocess.run([sys.executable, "-m", "latmin.cli"] + argv,
-                          capture_output=True, env=env)
+    env.pop("PYTHONUNBUFFERED", None)
+    return subprocess.run([sys.executable, "-m", "latmin.cli"] + argv, cwd=cwd,
+                          stdout=stdout, stderr=subprocess.PIPE, env=env)
 
 
 def test_subprocess_output_byte_identical(tmp_path):
@@ -1007,3 +1011,109 @@ def test_verify_stdout_is_pinned(capsys, monkeypatch, argv, want):
     assert main(argv) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest()[:16] == want
+
+
+BOX = {"rank": 2, "norm": {"type": "polymax", "functionals": [[1, 0], [0, 2]]}}
+
+# exit code and sha256 prefix of the stdout of count, minima and chi on the
+# unit disk and on the box |x| <= 1, |2y| <= 1, each from a fresh process
+# (cold caches), pinned from the release whose subcommands set their own
+# budget and printed their own document; with the budget's error documents
+PINNED_MODULE = {
+    "count-disk": (["count", "--module", "disk.json"], 0, "17fa198305392ad3"),
+    "count-disk-strict": (["count", "--module", "disk.json", "--strict"], 0,
+                          "9c5e8a8de2e6d40b"),
+    "count-disk-vectors": (["count", "--module", "disk.json", "--emit-vectors"], 0,
+                           "9389764c4cac1c85"),
+    "count-disk-budget-7": (["count", "--module", "disk.json", "--budget", "7"], 3,
+                            "f6a9fce97f3a8b9b"),
+    "minima-disk": (["minima", "--module", "disk.json"], 0, "8ad8a3838988dc5c"),
+    "chi-disk": (["chi", "--module", "disk.json"], 0, "4b674b0c750139d5"),
+    "count-box": (["count", "--module", "box.json"], 0, "f77c4977a508c7d4"),
+    "count-box-strict": (["count", "--module", "box.json", "--strict"], 0,
+                         "9d28749ea8b941c6"),
+    "count-box-vectors": (["count", "--module", "box.json", "--emit-vectors"], 0,
+                          "e405e4be2001d2d4"),
+    "count-box-budget-7": (["count", "--module", "box.json", "--budget", "7"], 0,
+                           "6046a847f47e4156"),
+    "minima-box": (["minima", "--module", "box.json"], 0, "c5c090d0037751de"),
+    "minima-box-budget-15": (["minima", "--module", "box.json", "--budget", "15"],
+                             0, "599d58e369fd1bc4"),
+    "chi-box": (["chi", "--module", "box.json"], 0, "fdcd273079ae2417"),
+    "count-budget-negative": (["count", "--module", "disk.json", "--budget", "-1"],
+                              2, "71f4f1df1c61f210"),
+    "minima-budget-negative": (["minima", "--module", "disk.json", "--budget", "-1"],
+                               2, "aebe4aa991e2b2b2"),
+    "verify-budget-negative": (["verify", "--budget", "-1"], 2, "7ad71c78346ce3a7"),
+}
+
+
+@pytest.mark.parametrize("argv, code, want", PINNED_MODULE.values(),
+                         ids=PINNED_MODULE.keys())
+def test_module_stdout_is_pinned(tmp_path, argv, code, want):
+    """The config holds the budget of count and minima, also under
+    --budget, and a negative budget is a ConfigError on all three."""
+    (tmp_path / "disk.json").write_text(json.dumps({"rank": 2, "norm": DISK_NORM}))
+    (tmp_path / "box.json").write_text(json.dumps(BOX))
+    out = _run(argv, cwd=tmp_path)  # the module path is part of the output
+    assert out.returncode == code, out.stderr
+    assert hashlib.sha256(out.stdout).hexdigest()[:16] == want
+    doc = json.loads(out.stdout)
+    if code == 2:
+        assert doc["error"]["type"] == "ConfigError"
+    elif code == 0 and argv[0] != "chi":
+        budget = int(argv[-1]) if "--budget" in argv else enumeration.DEFAULT_BUDGET
+        assert doc["manifest"]["config"]["budget"] == budget
+
+
+@pytest.mark.parametrize("argv", [
+    ["count", "--module", "MODULE"],
+    ["minima", "--module", "MODULE", "--budget", "100"],
+    ["verify", "--trials", "2", "--seed", "1"],
+    ["ledger", "sweep", "--g-max", "3", "--kappa-max", "2"],
+], ids=["count", "minima", "verify", "ledger-sweep"])
+def test_timing_adds_only_the_duration(capsys, monkeypatch, tmp_path, argv):
+    """LATMIN_TIMING adds manifest.duration_s, a 12-significant-digit
+    count of seconds, and changes no other byte of the document."""
+    argv = [write_disk2(tmp_path) if a == "MODULE" else a for a in argv]
+    monkeypatch.delenv("LATMIN_TIMING", raising=False)
+    code, plain = run_main(capsys, argv)
+    monkeypatch.setenv("LATMIN_TIMING", "1")
+    assert main(argv) == code == 0
+    timed = json.loads(capsys.readouterr().out)
+    duration = timed["manifest"].pop("duration_s")
+    assert duration == fmt_real(float(duration)) and float(duration) >= 0
+    assert timed == plain
+
+
+def _closed_pipe():
+    """The write end of a pipe whose read end is already closed."""
+    r, w = os.pipe()
+    os.close(r)
+    return w
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--trials", "3"],
+    ["count", "--module", "disk.json"],
+    ["count", "--module", "missing.json"],
+    ["--threads", "2", "ledger", "simulate", "--mode", "genus-zero",
+     "--trials", "300"],
+], ids=["verify", "count", "error-document", "forked-simulate"])
+@pytest.mark.parametrize("sink", ["closed-pipe", "dev-full"])
+def test_unwritable_stdout_exits_4(tmp_path, argv, sink):
+    """A document that stdout cannot take is no bad input and no crash:
+    exit 4, one line on stderr, no traceback and no second document."""
+    if sink == "dev-full" and not os.path.exists("/dev/full"):
+        pytest.skip("no /dev/full")
+    (tmp_path / "disk.json").write_text(json.dumps({"rank": 2, "norm": DISK_NORM}))
+    fd = _closed_pipe() if sink == "closed-pipe" else os.open("/dev/full", os.O_WRONLY)
+    try:
+        out = _run(argv, cwd=tmp_path, stdout=fd)
+    finally:
+        os.close(fd)
+    err = out.stderr.decode()
+    assert out.returncode == 4, err
+    assert err.startswith("latmin: cannot write to stdout: ")
+    assert len(err.splitlines()) == 1
+    assert "Traceback" not in err and "Exception ignored" not in err
