@@ -1,24 +1,28 @@
 """Command line entry point with deterministic JSON output.
 
 Subcommands: count, minima, chi, verify, ledger (eval | sweep | simulate).
-Each ``cmd_*`` only computes: it returns (config, report text, seed, exit
-code).  ``_run``, which ``main`` calls, alone sets the budget, reads the
-clock and writes stdout: one JSON document per run, a report or an error.
-Exit codes: 0 success, 1 inequality violation, 2 usage/config error, 3
-enumeration budget exceeded, 4 stdout closed or full (said in one line on
-stderr, and no second document is tried).
+Each ``cmd_*`` only computes: it returns (config, report bytes, seed, exit
+code), the report as a list of byte strings.  ``_run``, which ``main``
+calls, alone sets the budget, reads the clock and writes stdout: one JSON
+document per run, a report or an error.  Exit codes: 0 success, 1
+inequality violation, 2 usage/config error, 3 enumeration budget exceeded,
+4 stdout closed or full (said in one line on stderr, and no second
+document is tried).
 
 Reals are serialized as decimal strings with 12 significant digits (plus an
 exact "p/q" field where one exists) so output is byte-identical across runs
 and platforms.  Wall-clock timing is only emitted when LATMIN_TIMING is set,
 to keep default output reproducible.  The report is encoded once, compact
-with sorted keys; that string is hashed for manifest.result_digest (16 hex
-digits of sha256) and spliced into the printed {"manifest", "report"} line.
-``ledger simulate`` splices the texts of its forked shards in trial order
-(see ``_run_forked``), so stdout does not depend on ``--threads``.
+with sorted keys; its pieces are hashed for manifest.result_digest
+(``record.digest16``) and written, between the manifest and the closing
+brace, as the {"manifest", "report"} line: the report is never copied
+into one document.  ``ledger simulate`` writes the buffers of its forked
+shards in trial order (see ``_run_forked``), so stdout does not depend on
+``--threads``.
 
-Importing this module loads ``argparse``, ``contextvars``, ``json``,
-``hashlib`` and ``fractions`` and, of latmin, only ``errors``: each
+Importing this module loads ``argparse``, ``contextvars``, ``json`` and
+``fractions`` and, of latmin, only ``errors`` and ``record`` (whose
+SHA-256 is the interpreter's own: no process loads OpenSSL): each
 ``cmd_*`` imports the layers its subcommand runs, so a ``count`` loads no
 minima, inequality or ledger code and a ``ledger`` run no lattice code.
 No subcommand loads mpmath (e^x is enclosed in integers, see
@@ -30,7 +34,7 @@ from __future__ import annotations
 
 import argparse
 import contextvars
-import hashlib
+import errno
 import json
 import os
 import sys
@@ -39,6 +43,7 @@ from fractions import Fraction
 
 from . import __version__
 from .errors import ConfigError, LatminError
+from .record import digest16
 
 _dumps = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
@@ -88,8 +93,9 @@ def shard_count(threads: int, trials: int, cpus: int) -> int:
 
 def _run_forked(fn, shards: list) -> list:
     """[fn(s) for s in shards]: shards[0] here, each other one in an os.fork
-    child that pipes back pickle.dumps(fn(s)), leaves by os._exit (no atexit,
-    no inherited flush) and stops within 0.1 s once its parent is gone.  A
+    child that pipes back fn(s) pickled (protocol 5: a bytearray is read
+    straight into its own buffer), leaves by os._exit (no atexit, no
+    inherited flush) and stops within 0.1 s once its parent is gone.  A
     shard with no whole result (no child, or it raised or was killed) runs
     again here, so a real error is raised as a serial run raises it.  Every
     child is reaped before return (the CLI starts no thread: it forks safely)."""
@@ -119,7 +125,7 @@ def _run_forked(fn, shards: list) -> list:
                         signal.signal(signal.SIGALRM, stop_if_orphaned)
                         signal.setitimer(signal.ITIMER_REAL, 0.1, 0.1)
                         with os.fdopen(w, "wb") as fh:  # empty if fn raises
-                            fh.write(pickle.dumps(fn(s)))
+                            pickle.dump(fn(s), fh, protocol=5)
                     finally:
                         os._exit(0)
                 os.close(w)
@@ -128,9 +134,8 @@ def _run_forked(fn, shards: list) -> list:
             pass
         results = [fn(shards[0])]
         for i, s in enumerate(shards[1:]):
-            data = children[i][1].read() if i < len(children) else b""
-            try:  # what our own child wrote, if whole (b"" loads nothing)
-                value = pickle.loads(data)
+            try:  # what our own child wrote, if whole (an empty pipe loads none)
+                value = pickle.load(children[i][1]) if i < len(children) else lost
             except Exception:
                 value = lost
             results.append(fn(s) if value is lost else value)
@@ -152,7 +157,8 @@ def cmd_count(args):
               "threshold_kind": sections.threshold_kind}
     if args.emit_vectors:
         report["vectors"] = sections.vectors
-    return {"module": args.module, "strict": args.strict}, encode(report), None, 0
+    conf = {"module": args.module, "strict": args.strict}
+    return conf, [encode(report).encode()], None, 0
 
 
 def cmd_minima(args):
@@ -163,7 +169,7 @@ def cmd_minima(args):
     report = {"lambdas": rep.lambdas, "mus": rep.mus, "witnesses": rep.witnesses,
               "exact": [{"alpha": a, "key": k, "den": d, "squared": sq}
                         for a, k, d, sq in rep.mu_parts]}
-    return {"module": args.module}, encode(report), None, 0
+    return {"module": args.module}, [encode(report).encode()], None, 0
 
 
 def cmd_chi(args):
@@ -172,7 +178,7 @@ def cmd_chi(args):
 
     chi = euler_characteristic(load_module(args.module))
     report = {"chi": chi.value, "method": chi.method}
-    return {"module": args.module}, encode(report), None, 0
+    return {"module": args.module}, [encode(report).encode()], None, 0
 
 
 def cmd_verify(args):
@@ -184,7 +190,8 @@ def cmd_verify(args):
                                     rank_max=args.max_rank))
     cfg = {"suite": args.suite, "trials": args.trials, "seed": args.seed,
            "max_rank": args.max_rank}
-    return cfg, encode(summary), args.seed, 1 if summary["total_violations"] else 0
+    code = 1 if summary["total_violations"] else 0
+    return cfg, [encode(summary).encode()], args.seed, code
 
 
 def cmd_ledger_eval(args):
@@ -204,7 +211,7 @@ def cmd_ledger_eval(args):
                   "sum_ci": sum_ci_bound(ledger)}
         code = 0 if all(r.holds for r in report.values()) else 1
     conf = {"config": args.config, "theorem": args.theorem}
-    return conf, encode(report), None, code
+    return conf, [encode(report).encode()], None, code
 
 
 def cmd_ledger_sweep(args):
@@ -213,7 +220,7 @@ def cmd_ledger_sweep(args):
     reports = verify_constant_chain(args.g_max, args.kappa_max)
     code = 1 if any(not r.holds for r in reports) else 0
     conf = {"g_max": args.g_max, "kappa_max": args.kappa_max}
-    return conf, encode(reports), None, code
+    return conf, [encode(reports).encode()], None, code
 
 
 def cmd_ledger_simulate(args):
@@ -224,14 +231,16 @@ def cmd_ledger_simulate(args):
     if args.seed < 0:
         raise ConfigError("seed must be >= 0")
 
-    def shard(seeds):
-        out, violations = [], 0
+    def shard(seeds):  # the shard's trials, comma-separated, in one buffer
+        out, violations = bytearray(), 0
         for seed in seeds:
             ledger = simulate_reduction(seed, args.mode)
             chain, sumci = theorem_chain_check(ledger), sum_ci_bound(ledger)
             violations += not (chain.holds and sumci.holds)
-            out.append(_trial_text(ledger, chain, sumci))
-        return violations, ",".join(out)
+            if out:
+                out += b","
+            out += _trial_text(ledger, chain, sumci).encode()
+        return violations, out
 
     cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
@@ -240,8 +249,10 @@ def cmd_ledger_simulate(args):
     parts = _run_forked(shard, [range(a, b) for a, b in zip(cut, cut[1:])])
     violations = sum(v for v, _ in parts)
     # encode(report) of {"results", "trials", "violations"}, keys sorted
-    body = ('{"results":[' + ",".join(text for _, text in parts)
-            + f'],"trials":{args.trials},"violations":{violations}}}')
+    body = [b'{"results":[', parts[0][1]]
+    for _, text in parts[1:]:
+        body += [b",", text]
+    body.append(b'],"trials":%d,"violations":%d}' % (args.trials, violations))
     conf = {"seed": args.seed, "mode": args.mode, "trials": args.trials}
     return conf, body, args.seed, 1 if violations else 0
 
@@ -313,20 +324,28 @@ def _run(args) -> int:
         name = f"ledger-{args.ledger_cmd}" if args.command == "ledger" else args.command
         manifest = dict(head, subcommand=name, seed=seed,
                         config=jsonable({**config, **own_config}),
-                        result_digest=hashlib.sha256(body.encode()).hexdigest()[:16])
+                        result_digest=digest16(*body))
         if os.environ.get("LATMIN_TIMING"):
             manifest["duration_s"] = fmt_real(time.monotonic() - started)
-        document = '{"manifest":' + _dumps(manifest) + ',"report":' + body + "}"
+        head_text = '{"manifest":' + _dumps(manifest) + ',"report":'
+        document = [head_text.encode(), *body, b"}\n"]
     except (LatminError, OSError, UnicodeDecodeError, json.JSONDecodeError,
             RecursionError) as exc:
         # an input file that is unreadable, unparsable or too deep is bad input
         error = {"type": type(exc).__name__, "message": str(exc)}
-        document = _dumps({"error": error, "manifest": head})
+        document = [_dumps({"error": error, "manifest": head}).encode() + b"\n"]
         exit_code = exc.exit_code if isinstance(exc, LatminError) else 2
     try:
-        print(document, flush=True)
+        if sys.stdout is None:  # file descriptor 1 was closed at start-up
+            raise OSError(errno.EBADF, os.strerror(errno.EBADF))
+        sys.stdout.flush()  # what the text layer holds goes out first
+        out = sys.stdout.buffer
+        for piece in document:
+            out.write(piece)
+        out.flush()
     except OSError as exc:  # then the flush at exit meets /dev/null, no error
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        if sys.stdout is not None:
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         print(f"latmin: cannot write to stdout: {exc}", file=sys.stderr)
         return 4
     return exit_code

@@ -14,7 +14,6 @@ ledger.  All evaluation is double precision; verdicts use EXACT_TOL.
 
 from __future__ import annotations
 
-import hashlib
 import math
 import sys
 from functools import cached_property, reduce
@@ -23,7 +22,7 @@ from typing import List, Tuple
 
 from .errors import ConfigError, InfeasibleLedger, PreconditionViolated
 from .intervals import log_unit_ball_volume
-from .record import record
+from .record import digest16, record
 from .reports import EXACT_TOL, InequalityReport, _report
 from .rng import DetRNG
 
@@ -157,9 +156,9 @@ class Ledger:
 
     @cached_property  # once per ledger; == and hash read only the fields
     def _digest(self) -> str:
-        """sha256 of json.dumps(to_json(), sort_keys=True, separators=(",",
+        """digest16 of json.dumps(to_json(), sort_keys=True, separators=(",",
         ":")), written by the ledger's one layout."""
-        return hashlib.sha256(self.json_text(_DIGEST_LAYOUT).encode()).hexdigest()[:16]
+        return digest16(self.json_text(_DIGEST_LAYOUT).encode())
 
 
 def _checked_fields(kinds: dict, data: dict) -> dict:

@@ -26,7 +26,6 @@ and a twist reuses its base's compile, recomputing only the scale.
 from __future__ import annotations
 
 import copy
-import hashlib
 import json
 import math
 from fractions import Fraction
@@ -36,7 +35,7 @@ from typing import List, Sequence, Union
 from .errors import ConfigError, DimensionMismatch, InvalidNorm, UnboundedBall
 from .intervals import exp_float, floor_exp, saturated_float
 from .linalg import adjugate, determinant, independent_rows, ldl_chain
-from .record import record
+from .record import digest16, record
 
 
 def parse_rational(s) -> Fraction:
@@ -290,8 +289,10 @@ class NormedModule:
         return {"rank": self.rank, "norm": self.norm.to_json()}
 
     def digest(self) -> str:
+        """digest16 of json.dumps(to_json(), sort_keys=True, separators=(",",
+        ":")): the module's name in reports."""
         blob = json.dumps(self.to_json(), sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(blob.encode()).hexdigest()[:16]
+        return digest16(blob.encode())
 
 
 def make_normed_module(rank: int, norm: NormSpec) -> NormedModule:

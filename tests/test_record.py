@@ -13,6 +13,7 @@ from latmin.inequalities import SuiteConfig, run_suite
 from latmin.ledger import Ledger, LedgerStep
 from latmin.minima import VolumeReport
 from latmin.norms import Ellipsoid, PolyMax, compile_norm
+from latmin.record import digest16
 from latmin.reports import InequalityReport
 
 
@@ -91,3 +92,14 @@ def test_violation_dump_text_is_unchanged(monkeypatch):
     text = encode(dumps)
     assert len(text) == 1169
     assert hashlib.sha256(text.encode()).hexdigest()[:16] == "5e2f89cf0fff6540"
+
+
+@pytest.mark.parametrize("data", [b"", b"latmin", bytes(range(256)) * 4096],
+                         ids=["empty", "short", "1MB"])
+def test_digest16_is_the_head_of_sha256(data):
+    """The interpreter's own SHA-256 gives hashlib's digest, also fed in
+    pieces, from bytes or a bytearray."""
+    want = hashlib.sha256(data).hexdigest()[:16]
+    assert digest16(data) == want
+    assert digest16(data[:100], bytearray(data[100:])) == want
+    assert digest16(*[data[i:i + 4096] for i in range(0, len(data), 4096)]) == want
