@@ -155,10 +155,11 @@ def cmd_count(args):
                 else effective_sections)(load_module(args.module))
     report = {"count": sections.count, "log_count": sections.log_count,
               "threshold_kind": sections.threshold_kind}
-    if args.emit_vectors:
-        report["vectors"] = sections.vectors
+    body = [encode(report).encode()]
+    if args.emit_vectors:  # "vectors" sorts last: spliced in from the tuples
+        body = [body[0][:-1], b',"vectors":', _dumps(sections.vectors).encode(), b"}"]
     conf = {"module": args.module, "strict": args.strict}
-    return conf, [encode(report).encode()], None, 0
+    return conf, body, None, 0
 
 
 def cmd_minima(args):
@@ -173,21 +174,20 @@ def cmd_minima(args):
 
 
 def cmd_chi(args):
-    from .minima import euler_characteristic
+    from .minima import ball_volume
     from .norms import load_module
 
-    chi = euler_characteristic(load_module(args.module))
-    report = {"chi": chi.value, "method": chi.method}
+    vol = ball_volume(load_module(args.module))
+    report = {"chi": vol.log_value, "method": vol.method}
     return {"module": args.module}, [encode(report).encode()], None, 0
 
 
 def cmd_verify(args):
-    from .inequalities import SuiteConfig, run_suite
+    from .inequalities import run_suite
 
     if args.suite != "counting":
         raise ConfigError(f"unknown suite {args.suite!r}")
-    summary = run_suite(SuiteConfig(seed=args.seed, trials=args.trials,
-                                    rank_max=args.max_rank))
+    summary = run_suite(seed=args.seed, trials=args.trials, rank_max=args.max_rank)
     cfg = {"suite": args.suite, "trials": args.trials, "seed": args.seed,
            "max_rank": args.max_rank}
     code = 1 if summary["total_violations"] else 0

@@ -30,11 +30,6 @@ class EnumerationBudgetExceeded(LatminError):
         self.predicted = predicted
         self.budget = budget
 
-    def __reduce__(self):
-        # Exception pickles only args (the message), which this __init__
-        # cannot take: rebuild from both numbers, and keep any other state
-        return type(self), (self.predicted, self.budget), self.__dict__
-
 
 class InfeasibleLedger(LatminError):
     """A derived self-intersection number went negative."""

@@ -18,7 +18,6 @@ from .errors import ConfigError, EnumerationBudgetExceeded
 from .minima import euler_characteristic, successive_minima
 from .norms import (NormedModule, compile_norm, make_ellipsoid,
                     make_normed_module, make_polymax, twist)
-from .record import record
 from .reports import InequalityReport, _report
 from .rng import DetRNG, derive
 
@@ -105,7 +104,7 @@ def check_second_minima(module: NormedModule) -> List[InequalityReport]:
     r = module.rank
     chi = euler_characteristic(module)
     minima = successive_minima(module)
-    gap = chi.value - sum(minima.mus)
+    gap = chi - sum(minima.mus)
     return [
         _report("minima-window-lower", r * LOG2 - math.lgamma(r + 1), gap,
                 digest),
@@ -133,30 +132,13 @@ def check_minkowski_count(module: NormedModule) -> InequalityReport:
     digest = module.digest()
     chi = euler_characteristic(module)
     h0 = h0_hat(module)
-    return _report("minkowski-count", chi.value, h0 + module.rank * LOG2,
-                   digest)
+    return _report("minkowski-count", chi, h0 + module.rank * LOG2, digest)
 
 
-@record
-class SuiteConfig:
-    seed: int = 0
-    trials: int = 100
-    rank_min: int = 1
-    rank_max: int = 3
-
-    def validate(self) -> None:
-        if self.trials < 1:
-            raise ConfigError("trials must be >= 1")
-        if self.seed < 0:
-            raise ConfigError("seed must be >= 0")
-        if not (1 <= self.rank_min <= self.rank_max <= 8):
-            raise ConfigError("ranks must satisfy 1 <= rank_min <= rank_max <= 8")
-
-
-def random_module(seed: int, config: SuiteConfig) -> NormedModule:
+def random_module(seed: int, rank_min: int = 1, rank_max: int = 3) -> NormedModule:
     """Deterministic random instance: family, rank and norm data from seed."""
     rng = DetRNG(seed, 0xA11CE)
-    rank = rng.randint(config.rank_min, config.rank_max)
+    rank = rng.randint(rank_min, rank_max)
     family = rng.choice(("ellipsoid", "polymax"))
     if family == "ellipsoid":
         a = [[rng.randint(-3, 3) for _ in range(rank)] for _ in range(rank)]
@@ -201,12 +183,19 @@ def _run_checks(module: NormedModule, alpha: Fraction,
     return reports
 
 
-def run_suite(config: SuiteConfig) -> dict:
-    """Run all checks over the seeded corpus; violations are returned as data.
+def run_suite(seed: int = 0, trials: int = 100, rank_min: int = 1,
+              rank_max: int = 3) -> dict:
+    """Run all checks over the witnesses and `trials` random modules of rank
+    rank_min..rank_max drawn from `seed`; violations are returned as data.
 
     Every walk is charged to the one budget of the run, ``enumeration.BUDGET``:
     an instance with a walk past it counts as skipped."""
-    config.validate()
+    if trials < 1:
+        raise ConfigError("trials must be >= 1")
+    if seed < 0:
+        raise ConfigError("seed must be >= 0")
+    if not (1 <= rank_min <= rank_max <= 8):
+        raise ConfigError("ranks must satisfy 1 <= rank_min <= rank_max <= 8")
     stats: dict = {}
     violations: list = []
     skipped = 0
@@ -227,9 +216,9 @@ def run_suite(config: SuiteConfig) -> dict:
     jobs: List[Tuple[NormedModule, Fraction, list]] = []
     for i, wit in enumerate(witness_modules()):
         jobs.append((wit, Fraction(1), [Fraction(0), Fraction(1)]))
-    for t in range(config.trials):
-        mod = random_module(derive(config.seed, t), config)
-        rng = DetRNG(config.seed, t, 0xC0FFEE)
+    for t in range(trials):
+        mod = random_module(derive(seed, t), rank_min, rank_max)
+        rng = DetRNG(seed, t, 0xC0FFEE)
         # scaling alpha in [0, 3]; a filtration of at most 4 alphas
         alpha = rng.fraction(Fraction(0), Fraction(3), 8)
         n = rng.randint(0, 3)
@@ -247,8 +236,8 @@ def run_suite(config: SuiteConfig) -> dict:
 
     summary = {
         "suite": "counting",
-        "trials": config.trials,
-        "seed": config.seed,
+        "trials": trials,
+        "seed": seed,
         "instances": len(jobs),
         "skipped": skipped,
         "total_violations": sum(s["violations"] for s in stats.values()),

@@ -183,13 +183,6 @@ def ball_volume(module: NormedModule) -> VolumeReport:
     return VolumeReport(exp_float(log_v), "exact-polytope", log_v, vol)
 
 
-@record
-class ChiReport:
-    value: float
-    method: str
-
-
-def euler_characteristic(module: NormedModule) -> ChiReport:
+def euler_characteristic(module: NormedModule) -> float:
     """chi(M) = log vol(B(M)); the covolume of Z^r is 1."""
-    vol = ball_volume(module)
-    return ChiReport(vol.log_value, vol.method)
+    return ball_volume(module).log_value

@@ -15,10 +15,10 @@ from fractions import Fraction
 import mpmath
 
 from conftest import ACCEPTANCE_RESULTS, with_budget
-from latmin.inequalities import (SuiteConfig, check_filtration,
-                                 check_gs_count, check_minkowski_count,
-                                 check_norm_scaling, check_second_minima,
-                                 check_sef_gap, random_module, witness_modules)
+from latmin.inequalities import (check_filtration, check_gs_count,
+                                 check_minkowski_count, check_norm_scaling,
+                                 check_second_minima, check_sef_gap,
+                                 random_module, witness_modules)
 from latmin.ledger import (C_D, C_DLOGD, C_LOG_ABSD_PER_G,
                            asymptotic_margin_per_d, derived_intersections,
                            onestep_chain, simulate_reduction, stirling_check,
@@ -46,10 +46,9 @@ def criterion(n, desc):
 @criterion(1, "oracle equivalence on 200 random modules (rank <= 3) in < 60 s")
 def test_criterion_1_oracle_equivalence():
     started = time.monotonic()
-    cfg = SuiteConfig(seed=101, trials=1, rank_max=3)
     budget = 10 ** 7
     for i in range(200):
-        module = random_module(derive(101, i), cfg)
+        module = random_module(derive(101, i), rank_max=3)
         got = sorted(with_budget(budget, lambda m: effective_sections(m).vectors, module))
         assert got == oracle_sections(module, strict=False), module.to_json()
     elapsed = time.monotonic() - started
@@ -59,9 +58,8 @@ def test_criterion_1_oracle_equivalence():
 @criterion(2, "scaling + sef-gap inequalities on 500 modules (rank <= 5), "
               "zero violations, tight witness slack 0")
 def test_criterion_2_scaling_suite():
-    cfg = SuiteConfig(seed=202, trials=1, rank_max=5)
     for i in range(500):
-        module = random_module(derive(202, i), cfg)
+        module = random_module(derive(202, i), rank_max=5)
         alpha = DetRNG(202, i).fraction(Fraction(0), Fraction(3), 8)
         for rep in check_norm_scaling(module, alpha):
             assert rep.verdict == "holds", (rep, module.to_json())
@@ -75,9 +73,8 @@ def test_criterion_2_scaling_suite():
 @criterion(3, "filtration bounds on 200 modules, filtration length <= 6, "
               "all variants hold")
 def test_criterion_3_filtration_suite():
-    cfg = SuiteConfig(seed=303, trials=1, rank_max=3)
     for i in range(200):
-        module = random_module(derive(303, i), cfg)
+        module = random_module(derive(303, i), rank_max=3)
         rng = DetRNG(303, i, 0xF117)
         alphas = [Fraction(0)]
         for _ in range(rng.randint(1, 5)):

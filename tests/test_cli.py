@@ -21,7 +21,7 @@ from latmin import ledger as ledger_mod
 from latmin.cli import (_run_forked, _trial_text, encode, fmt_real, jsonable,
                         main, shard_count)
 from latmin.errors import ConfigError, LatminError
-from latmin.inequalities import SuiteConfig, run_suite
+from latmin.inequalities import run_suite
 from latmin.ledger import (MODES, ArithmeticContext, Ledger, LedgerStep,
                            corollary_e, simulate_reduction, sum_ci_bound,
                            theorem_chain_check)
@@ -648,7 +648,7 @@ def _jsonable_cases():
         {"ledger": ledger.to_json(), "theorem_chain":
          theorem_chain_check(ledger), "sum_ci": sum_ci_bound(ledger)},
         corollary_e(context),
-        run_suite(SuiteConfig(seed=7, trials=2, rank_max=3)),
+        run_suite(seed=7, trials=2, rank_max=3),
     ]
 
 
@@ -840,6 +840,35 @@ def test_simulate_holds_its_report_about_once(tmp_path, monkeypatch):
     size = path.stat().st_size
     assert code == 0 and size > 2_000_000
     assert peak <= 1.25 * 1.13 * size, (peak, size)
+
+
+def test_emit_vectors_writes_them_from_the_tuples(tmp_path, monkeypatch):
+    """count --emit-vectors encodes its vector tuples as they are, with no
+    list copy of them: the traced peak of an in-process run on the
+    113,081-point rank-3 ball of G = I/900, stdout a file, is at most 17.5
+    bytes per byte written (measured 15.99-16.84 with Python 3.10-3.13;
+    copying the vectors through jsonable took 17.66-20.26)."""
+    import tracemalloc
+
+    gram = [["1/900" if i == j else "0" for j in range(3)] for i in range(3)]
+    module = tmp_path / "ball.json"
+    module.write_text(json.dumps({"rank": 3, "norm": {"type": "ellipsoid",
+                                                      "gram": gram}}))
+    path = tmp_path / "out.json"
+    with open(path, "w") as fh, monkeypatch.context() as m:
+        m.setattr(sys, "stdout", fh)
+        tracemalloc.start()
+        try:
+            code = main(["count", "--module", str(module), "--emit-vectors"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    size = path.stat().st_size
+    assert code == 0 and size > 1_000_000
+    assert peak <= 17.5 * size, (peak, size)
+    with open(path) as fh:
+        report = json.load(fh)["report"]
+    assert report["count"] == len(report["vectors"]) == 113081
 
 
 def _hand_made_ledgers():
@@ -1047,7 +1076,8 @@ BOX = {"rank": 2, "norm": {"type": "polymax", "functionals": [[1, 0], [0, 2]]}}
 # exit code and sha256 prefix of the stdout of count, minima and chi on the
 # unit disk and on the box |x| <= 1, |2y| <= 1, each from a fresh process
 # (cold caches), pinned from the release whose subcommands set their own
-# budget and printed their own document; with the budget's error documents
+# budget and printed their own document; with the error documents of a bad
+# budget and of bad verify arguments (pinned when verify took a config record)
 PINNED_MODULE = {
     "count-disk": (["count", "--module", "disk.json"], 0, "17fa198305392ad3"),
     "count-disk-strict": (["count", "--module", "disk.json", "--strict"], 0,
@@ -1074,6 +1104,9 @@ PINNED_MODULE = {
     "minima-budget-negative": (["minima", "--module", "disk.json", "--budget", "-1"],
                                2, "aebe4aa991e2b2b2"),
     "verify-budget-negative": (["verify", "--budget", "-1"], 2, "7ad71c78346ce3a7"),
+    "verify-trials-0": (["verify", "--trials", "0"], 2, "86dcdd143b36f631"),
+    "verify-seed-negative": (["verify", "--seed", "-1"], 2, "c63ff03bcc6665e3"),
+    "verify-max-rank-9": (["verify", "--max-rank", "9"], 2, "3774e7729233e65c"),
 }
 
 

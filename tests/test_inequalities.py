@@ -10,11 +10,10 @@ from hypothesis import strategies as st
 
 from latmin.enumeration import effective_sections, h0_hat, h0_hat_sef
 from latmin.errors import ConfigError, EnumerationBudgetExceeded
-from latmin.inequalities import (LOG3, SuiteConfig, _xlogx, check_filtration,
-                                 check_gs_count, check_minkowski_count,
-                                 check_norm_scaling, check_second_minima,
-                                 check_sef_gap, random_module, run_suite,
-                                 witness_modules)
+from latmin.inequalities import (LOG3, _xlogx, check_filtration, check_gs_count,
+                                 check_minkowski_count, check_norm_scaling,
+                                 check_second_minima, check_sef_gap,
+                                 random_module, run_suite, witness_modules)
 from latmin.linalg import span_rank
 from latmin.norms import make_ellipsoid, make_normed_module, make_polymax, twist
 from test_enumeration import drawn_modules, large_denominator_twists
@@ -93,11 +92,10 @@ def _listed_filtration(module, alphas):
 
 
 RANK_ZERO = [make_normed_module(0, spec) for spec in (make_ellipsoid([]), make_polymax([[]]))]
-CORPUS = SuiteConfig(rank_min=1, rank_max=4)
 # corpus modules up to rank 4, drawn shapes up to rank 3 (a drawn rank-4
 # polymax can take seconds to list), and rank 0, twisted or not
 MODULES = st.builds(twist, st.one_of(
-    st.integers(0, 2 ** 32).map(lambda seed: random_module(seed, CORPUS)),
+    st.integers(0, 2 ** 32).map(lambda seed: random_module(seed, rank_min=1, rank_max=4)),
     drawn_modules().filter(lambda m: m.rank <= 3), st.sampled_from(RANK_ZERO)),
     st.sampled_from((Fraction(1, 2), 0, Fraction(-1, 2), 1)))
 FILTRATIONS = st.lists(st.sampled_from((Fraction(1, 3), Fraction(3, 4), 2, 0, Fraction(1, 8))),
@@ -142,22 +140,30 @@ def test_minkowski_count_exact_mode():
 
 
 def test_random_module_is_deterministic_and_valid():
-    cfg = SuiteConfig(seed=0, trials=1, rank_max=4)
-    a = random_module(123, cfg)
-    b = random_module(123, cfg)
+    a = random_module(123, rank_max=4)
+    b = random_module(123, rank_max=4)
     assert a == b
     assert 1 <= a.rank <= 4
 
 
-def test_suite_config_validation():
-    with pytest.raises(ConfigError):
-        SuiteConfig(trials=0).validate()
-    with pytest.raises(ConfigError):
-        SuiteConfig(rank_min=3, rank_max=2).validate()
+def test_run_suite_validates_its_arguments():
+    """Each bad argument raises before any instance runs, with the message
+    `latmin verify` reports; trials are checked first, then the seed, then
+    the ranks."""
+    ranks = "^ranks must satisfy 1 <= rank_min <= rank_max <= 8$"
+    for kwargs, message in (({"trials": 0}, "^trials must be >= 1$"),
+                            ({"seed": -1}, "^seed must be >= 0$"),
+                            ({"rank_min": 3, "rank_max": 2}, ranks),
+                            ({"rank_max": 9}, ranks), ({"rank_min": 0}, ranks),
+                            ({"trials": 0, "seed": -1, "rank_max": 9},
+                             "^trials must be >= 1$"),
+                            ({"seed": -1, "rank_max": 9}, "^seed must be >= 0$")):
+        with pytest.raises(ConfigError, match=message):
+            run_suite(**kwargs)
 
 
 def test_run_suite_small_corpus_clean():
-    summary = run_suite(SuiteConfig(seed=11, trials=8))
+    summary = run_suite(seed=11, trials=8)
     assert summary["total_violations"] == 0
     assert summary["violation_dumps"] == []
     assert summary["instances"] == 8 + 2  # trials + tight witnesses
@@ -169,5 +175,4 @@ def test_run_suite_small_corpus_clean():
 
 
 def test_run_suite_is_reproducible():
-    cfg = SuiteConfig(seed=5, trials=4)
-    assert run_suite(cfg) == run_suite(cfg)
+    assert run_suite(seed=5, trials=4) == run_suite(seed=5, trials=4)

@@ -9,7 +9,7 @@ import pytest
 
 from latmin import minima
 from latmin.errors import PreconditionViolated
-from latmin.inequalities import SuiteConfig, random_module
+from latmin.inequalities import random_module
 from latmin.intervals import log_unit_ball_volume
 from latmin.linalg import span_rank
 from latmin.minima import ball_volume, euler_characteristic, successive_minima
@@ -162,13 +162,13 @@ def test_minima_ladder_lists_few_vectors_at_ranks_6_to_8(monkeypatch):
     monkeypatch.setattr(minima, "vectors_with_keys", counted)
     monkeypatch.setattr(minima, "_node_volume", counted_volume)
     found = {}
-    for name, config in (("6-8", SuiteConfig(seed=3, trials=10, rank_min=6, rank_max=8)),
-                         ("ci", SuiteConfig(seed=3, trials=40, rank_max=8))):
+    for name, config in (("6-8", dict(seed=3, trials=10, rank_min=6, rank_max=8)),
+                         ("ci", dict(seed=3, trials=40, rank_max=8))):
         # every module's rungs and volume are computed here
         successive_minima.cache_clear()
         ball_volume.cache_clear()
         work.update(listed=0, nodes=0)
-        run_suite(config)
+        run_suite(**config)
         found[name] = dict(work)
     assert 0 < found["6-8"]["listed"] <= 86390
     assert 0 < found["ci"]["listed"] <= 26800
@@ -243,10 +243,18 @@ def test_truncated_cube_volume_exact():
 
 def test_euler_characteristic_values():
     chi = euler_characteristic(euclid(2))
-    assert chi.value == pytest.approx(math.log(math.pi))
-    assert chi.method == "exact-ellipsoid"
-    chi4 = euler_characteristic(box_module())
-    assert chi4.value == pytest.approx(math.log(16))
+    assert type(chi) is float and chi == pytest.approx(math.log(math.pi))
+    assert euler_characteristic(box_module()) == pytest.approx(math.log(16))
+    # a twist by alpha scales the ball by e^alpha: chi = log(exact) + r alpha,
+    # with exact the rational volume of the untwisted ball
+    cut_cube = make_normed_module(3, make_polymax(
+        [[1, 0, 0], [0, 1, 0], [0, 0, 1], ["1/2", "1/3", 1]]))
+    for alpha in (Fraction(3, 7), Fraction(-5, 2)):
+        twisted = twist(cut_cube, alpha)
+        exact = ball_volume(twisted).exact
+        assert exact == ball_volume(cut_cube).exact
+        assert euler_characteristic(twisted) == pytest.approx(
+            math.log(exact) + 3 * float(alpha), rel=1e-12)
 
 
 def test_octahedron_volume_exact():
@@ -320,11 +328,10 @@ def monte_carlo_volume(module, samples, seed):
 
 
 def test_polytope_volume_matches_monte_carlo_oracle():
-    cfg = SuiteConfig(rank_min=3, rank_max=5)
     modules = []
     seed = 0
     while len(modules) < 10:
-        m = random_module(seed, cfg)
+        m = random_module(seed, rank_min=3, rank_max=5)
         seed += 1
         if len(compile_norm(m.norm).int_rows) > m.rank:  # a gram has rank rows
             modules.append(m)
@@ -418,9 +425,9 @@ def test_polytope_volume_matches_the_vertex_oracle():
     for rows in _oracle_bodies():
         m = make_normed_module(len(rows[0]), make_polymax(rows))
         assert ball_volume(m).exact == _oracle_polytope_volume(rows), rows
-    cfg, checked = SuiteConfig(rank_max=4), {False: 0, True: 0}
+    checked = {False: 0, True: 0}
     for seed in range(40):
-        m = random_module(seed, cfg)
+        m = random_module(seed, rank_max=4)
         twisted = isinstance(m.norm, Scaled)
         spec = m.norm.inner if twisted else m.norm
         if isinstance(spec, Ellipsoid):

@@ -9,7 +9,7 @@ import pytest
 
 from latmin import intervals, linalg
 from latmin.errors import DimensionMismatch, InvalidNorm, UnboundedBall
-from latmin.inequalities import SuiteConfig, random_module
+from latmin.inequalities import random_module
 from latmin.norms import (Ellipsoid, Scaled, compile_norm,
                           format_rational, make_ellipsoid, make_normed_module,
                           make_polymax, module_from_json, norm_eval,
@@ -143,8 +143,7 @@ def _schur_chain_oracle(gram):
 
 
 def test_ellipsoid_chain_matches_schur_complements():
-    config = SuiteConfig(rank_max=8)
-    norms = [random_module(seed, config).norm for seed in range(400)]
+    norms = [random_module(seed, rank_max=8).norm for seed in range(400)]
     grams = [["5/2", "-1/3", "1/4", "-1"], ["-1/3", "2", "-1/5", "-1/2"],
              ["1/4", "-1/5", "3/2", "-2/3"], ["-1", "-1/2", "-2/3", "7/3"]]
     norms.append(make_ellipsoid(grams))

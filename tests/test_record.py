@@ -9,7 +9,7 @@ import pytest
 from latmin import inequalities
 from latmin.cli import encode
 from latmin.errors import ConfigError
-from latmin.inequalities import SuiteConfig, run_suite
+from latmin.inequalities import run_suite
 from latmin.ledger import Ledger, LedgerStep
 from latmin.minima import VolumeReport
 from latmin.norms import Ellipsoid, PolyMax, compile_norm
@@ -48,9 +48,9 @@ def test_record_init_hash_repr_and_fields():
     same = LedgerStep(4, 3, 1.0, 2.0)
     assert same == step and hash(same) == hash(step) == hash((4, 3, 1.0, 2.0))
     assert step != (4, 3, 1.0, 2.0)
-    assert SuiteConfig() == SuiteConfig(0, 100, 1, 3)  # class defaults
-    assert SuiteConfig(trials=5).trials == 5
-    assert VolumeReport(1.0, "exact-ellipsoid", 0.0).exact is None
+    assert VolumeReport(1.0, "exact-ellipsoid", 0.0).exact is None  # class default
+    vol = VolumeReport(log_value=0.0, value=1.0, method="exact-polytope", exact=1)
+    assert vol == VolumeReport(1.0, "exact-polytope", 0.0, 1) and vol.exact == 1
     # the message that `ledger eval` reports for a step with no slack
     with pytest.raises(TypeError, match=r"^LedgerStep\.__init__\(\) missing "
                        "1 required positional argument: 'slack'$"):
@@ -81,7 +81,7 @@ def test_violation_dump_text_is_unchanged(monkeypatch):
                                 rep.instance_digest, "violated")
 
     monkeypatch.setattr(inequalities, "check_minkowski_count", violated)
-    summary = run_suite(SuiteConfig(seed=7, trials=2, rank_max=3))
+    summary = run_suite(seed=7, trials=2, rank_max=3)
     dumps = summary["violation_dumps"]
     assert summary["total_violations"] == len(dumps) == 4
     assert all(type(d["report"]) is dict for d in dumps)
