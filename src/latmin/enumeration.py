@@ -18,16 +18,19 @@ only where a walk is charged.  A count already cached did its walk, so it
 is returned again without a charge, also under a smaller budget.
 
 A count adds hi - lo + 1 per line at the closed or the strict cap and
-lists nothing, in O(r) memory.  ``vectors_with_keys`` expands the same
-lines into a key-sorted list, for the vectors of a ``SectionSet`` (read
-on first access), or only the shell of keys above a given key, for the
-rungs of the minima; no list is shared, so none is cached.
+lists nothing, in O(r) memory.  The same lines expand into one list of
+vectors per key: the vectors of a ``SectionSet`` (read on first access)
+join them in key order, keeping no key per vector, and
+``vectors_with_keys`` lists them as sorted (key, vector) pairs, or only
+the shell of keys above a given key, for the rungs of the minima; no list
+is shared, so none is cached.
 """
 
 from __future__ import annotations
 
 import math
 import operator
+from collections import defaultdict
 from contextvars import ContextVar
 from functools import cached_property, lru_cache
 from itertools import repeat
@@ -127,19 +130,28 @@ def _lines(module: NormedModule, cap: int):
     return compiled, bounds, walk(compiled, cap, bounds)
 
 
+def _shells(module: NormedModule, cap: int, above: int) -> Tuple[CompiledNorm, dict]:
+    """The lattice vectors with above < key <= cap as {key: [vectors]}: the
+    walk is depth first, x_0 outermost, so each key's vectors arrive in
+    increasing order.  The budget is charged on the widths of the cap."""
+    compiled, bounds, lines = _lines(module, cap)
+    if not bounds:  # rank 0: the zero vector, key 0, is the only lattice vector
+        return compiled, {0: [()]} if above < 0 else {}
+    shells = defaultdict(list)
+    for head, lo, hi, keys in lines:
+        for t, k in enumerate(keys(), lo):
+            if k > above:
+                shells[k].append(head + (t,))
+    return compiled, shells
+
+
 def vectors_with_keys(module: NormedModule, cap: int,
                       above: int = -1) -> Tuple[CompiledNorm, list]:
     """The lattice vectors with above < key <= cap (all up to cap by default),
     as (key, vector) pairs sorted so that consumers are deterministic; the
     budget is charged on the widths of the cap, and only that shell is listed."""
-    compiled, bounds, lines = _lines(module, cap)
-    if not bounds:  # rank 0: the zero vector, key 0, is the only lattice vector
-        return compiled, [(0, ())] if above < 0 else []
-    pairs = []
-    for head, lo, hi, keys in lines:
-        pairs += [(k, head + (t,)) for t, k in enumerate(keys(), lo) if k > above]
-    pairs.sort()
-    return compiled, pairs
+    compiled, shells = _shells(module, cap, above)
+    return compiled, [(k, v) for k in sorted(shells) for v in shells[k]]
 
 
 def _unit_cap(module: NormedModule, strict: bool) -> int:
@@ -178,7 +190,8 @@ class SectionSet:
     def vectors(self) -> tuple:
         """The vectors in key order, listed at the cap of the set's own kind."""
         cap = _unit_cap(self.module, self.threshold_kind == "open")
-        return tuple(v for _, v in vectors_with_keys(self.module, cap)[1])
+        shells = _shells(self.module, cap, -1)[1]
+        return tuple(v for k in sorted(shells) for v in shells[k])
 
 
 def effective_sections(module: NormedModule) -> SectionSet:

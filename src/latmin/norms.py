@@ -1,22 +1,25 @@
 """Normed free Z-modules with exact rational norm data.
 
-The central object is a pair (Z^r, ||.||) where the norm is described exactly:
+The central object is a pair (Z^r, ||.||) where the norm is described exactly
+by one record, ``NormSpec(kind, rows, alpha)``:
 
-* ``Ellipsoid(gram)``     -- ||x|| = sqrt(x^T G x), G symmetric positive definite
-                             with rational entries;
-* ``PolyMax(functionals)``-- ||x|| = max_j |<a_j, x>| over m >= r rational rows;
-* ``Scaled(inner, alpha)``-- ||x|| = e^{-alpha} * inner(x) with rational alpha.
+* kind ``"ellipsoid"``, rows the gram G -- ||x|| = e^{-alpha} sqrt(x^T G x),
+  G symmetric positive definite with rational entries;
+* kind ``"polymax"``, rows the functionals a_j -- ||x|| = e^{-alpha} max_j
+  |<a_j, x>| over m >= r rational rows.
 
 The lattice is always Z^r with covolume 1; general lattices are normalized by
-pulling the norm back through a basis change before construction.  Scale
-twists accumulate additively in alpha and nested Scaled specs are flattened.
+pulling the norm back through a basis change before construction.  A twist
+by e^{-alpha} (``make_scaled``) adds to the spec's alpha, so a nested twist
+cannot be built; in JSON a spec with alpha != 0 is a ``"scaled"`` wrapper
+around its untwisted spec.
 
 This is the only module that knows how a norm is represented.  Everything
 else evaluates norms through ``compile_norm(spec)``, a cached
 ``CompiledNorm``: integer keys, the integer key cap of a radius (limited
 to a key, it also decides that key against the radius), the widths of the
-walk at a cap, log norms, the integer LDL^T chain of an Ellipsoid that
-enumeration prunes with, a PolyMax basis with its integer adjugate, and the
+walk at a cap, log norms, the integer LDL^T chain of an ellipsoid that
+enumeration prunes with, a polymax basis with its integer adjugate, and the
 determinant of the gram or of the basis.
 ``linalg`` computes the chain and the basis in integer arithmetic.
 The compile is the only check of norm data (``make_normed_module`` compiles),
@@ -54,109 +57,73 @@ def format_rational(f: Fraction) -> str:
 
 
 @record
-class Ellipsoid:
-    gram: tuple  # tuple of tuples of Fraction
+class NormSpec:
+    """A norm on Z^r: the gram (kind "ellipsoid") or the functionals (kind
+    "polymax") as ``rows``, tuples of Fractions, twisted by e^{-alpha}."""
+    kind: str
+    rows: tuple
+    alpha: Fraction = Fraction(0)
 
     def __hash__(self) -> int:
         return self._hash
 
     @cached_property  # once per spec: each lru-cache lookup hashes it
     def _hash(self) -> int:
-        return hash((self.gram,))  # the hash a record gives, kept
+        return hash((self.kind, self.rows, self.alpha))
 
     @property
     def dim(self) -> int:
-        return len(self.gram)
+        if self.kind == "ellipsoid":  # a gram that is not square fails to compile
+            return len(self.rows)
+        return len(self.rows[0]) if self.rows else 0
 
     def to_json(self) -> dict:
-        return {
-            "type": "ellipsoid",
-            "gram": [[format_rational(x) for x in row] for row in self.gram],
-        }
+        field = "gram" if self.kind == "ellipsoid" else "functionals"
+        data = {"type": self.kind,
+                field: [[format_rational(x) for x in row] for row in self.rows]}
+        if not self.alpha:
+            return data
+        return {"type": "scaled", "alpha": format_rational(self.alpha), "inner": data}
 
 
-@record
-class PolyMax:
-    functionals: tuple  # tuple of tuples of Fraction, m rows
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    @cached_property  # once per spec: each lru-cache lookup hashes it
-    def _hash(self) -> int:
-        return hash((self.functionals,))  # the hash a record gives, kept
-
-    @property
-    def dim(self) -> int:
-        return len(self.functionals[0]) if self.functionals else 0
-
-    def to_json(self) -> dict:
-        return {
-            "type": "polymax",
-            "functionals": [[format_rational(x) for x in row] for row in self.functionals],
-        }
+def _rows(data) -> tuple:
+    return tuple(tuple(parse_rational(x) for x in row) for row in data)
 
 
-@record
-class Scaled:
-    inner: Union[Ellipsoid, PolyMax]
-    alpha: Fraction
-
-    @property
-    def dim(self) -> int:
-        return self.inner.dim
-
-    def to_json(self) -> dict:
-        return {
-            "type": "scaled",
-            "alpha": format_rational(self.alpha),
-            "inner": self.inner.to_json(),
-        }
+def make_ellipsoid(gram) -> NormSpec:
+    return NormSpec("ellipsoid", _rows(gram))
 
 
-NormSpec = Union[Ellipsoid, PolyMax, Scaled]
-
-
-def make_ellipsoid(gram) -> Ellipsoid:
-    return Ellipsoid(tuple(tuple(parse_rational(x) for x in row) for row in gram))
-
-
-def make_polymax(functionals) -> PolyMax:
-    return PolyMax(tuple(tuple(parse_rational(x) for x in row) for row in functionals))
+def make_polymax(functionals) -> NormSpec:
+    return NormSpec("polymax", _rows(functionals))
 
 
 def make_scaled(inner: NormSpec, alpha) -> NormSpec:
-    """Scale a norm by e^{-alpha}, flattening nested twists additively."""
-    alpha = parse_rational(alpha)
-    if isinstance(inner, Scaled):
-        alpha = alpha + inner.alpha
-        inner = inner.inner
-    if alpha == 0:
-        return inner
-    return Scaled(inner, alpha)
+    """Scale a norm by e^{-alpha}: twists add."""
+    return NormSpec(inner.kind, inner.rows, inner.alpha + parse_rational(alpha))
 
 
 class CompiledNorm:
     """A norm spec compiled to integer data, built once per spec.
 
-    With den the lcm of the entry denominators, A' = den * A (PolyMax rows)
-    or G' = den * G (Ellipsoid gram) is integer, and every vector v gets the
+    With den the lcm of the entry denominators, A' = den * A (polymax rows)
+    or G' = den * G (ellipsoid gram) is integer, and every vector v gets the
     key max_j |A'_j . v| or v^T G' v.  Then norm(v) = e^{-alpha} * key/den
     or e^{-alpha} * sqrt(key/den), so ``norm(v) <= t`` compares key/den with
     t (or t^2) times e^scale, scale = alpha (or 2 alpha): once per threshold,
     as ``cap(t)``, the integer K with norm(v) <= t exactly when key(v) <= K.
 
-    A PolyMax also keeps the indices ``basis`` of r independent rows, the
+    A polymax also keeps the indices ``basis`` of r independent rows, the
     adjugate of their integer rows A'_0 = den * A_0 and det A'_0
     (``int_det``): all of its data is integer but ``alpha`` and ``det``,
     the determinant of the gram G or of the basis A_0.
     """
 
-    def __init__(self, spec: Union[Ellipsoid, PolyMax]):
-        """Compile an unscaled spec, rejecting data that is not a norm."""
+    def __init__(self, spec: NormSpec):
+        """Compile an untwisted spec, rejecting data that is not a norm."""
         self.rank = n = spec.dim
-        self.squared = isinstance(spec, Ellipsoid)
-        data = spec.gram if self.squared else spec.functionals
+        self.squared = spec.kind == "ellipsoid"
+        data = spec.rows
         if not data and not self.squared:
             raise UnboundedBall("no functionals")
         if any(len(row) != n for row in data):
@@ -211,8 +178,8 @@ class CompiledNorm:
 
     def cap(self, t: Fraction, strict: bool = False, limit: int | None = None) -> int:
         """The largest key K with norm(v) <= t (< t if strict) iff key(v) <= K,
-        for t > 0: floor(t^2 den e^scale) for an Ellipsoid, floor(t den e^scale)
-        for a PolyMax, or the limit if that is lower.  Only an untwisted sphere
+        for t > 0: floor(t^2 den e^scale) for an ellipsoid, floor(t den e^scale)
+        for a polymax, or the limit if that is lower.  Only an untwisted sphere
         meets an integer key, and there the strict cap is one lower."""
         bound = (t * t if self.squared else t) * self.den
         k = floor_exp(bound, self.scale, limit)
@@ -231,7 +198,7 @@ class CompiledNorm:
         """B_i with level i of the walk at a cap over at most 2 B_i + 1
         integers.  Ellipsoid: (a t + b)^2 <= d (a cap - p), p >= 0, holds at
         most floor(2 s / a) + 1, s = isqrt(d a cap): B_i rounds s / a, and by
-        Hadamard prod 2 s / a <= the G'^-1 box.  PolyMax: B_i >= |x_i|."""
+        Hadamard prod 2 s / a <= the G'^-1 box.  Polymax: B_i >= |x_i|."""
         if self.squared:
             return [(2 * math.isqrt(d * a * cap) + a) // (2 * a) for a, d, _ in self.chain]
         return [cap * s // abs(self.int_det) for s in self.adjugate_sums]
@@ -241,10 +208,9 @@ class CompiledNorm:
 def compile_norm(norm: NormSpec) -> CompiledNorm:
     """The compiled form of a norm spec, built once per spec.  A twist is a
     shallow copy of its base's compile: only the scale is recomputed."""
-    if not isinstance(norm, Scaled):
+    if not norm.alpha:
         return CompiledNorm(norm)
-    base = compile_norm(norm.inner)
-    compiled = copy.copy(base)
+    compiled = copy.copy(compile_norm(make_scaled(norm, -norm.alpha)))
     compiled._scale(norm.alpha)
     return compiled
 
@@ -301,8 +267,6 @@ def make_normed_module(rank: int, norm: NormSpec) -> NormedModule:
         raise DimensionMismatch("rank must be nonnegative")
     if norm.dim != rank:
         raise DimensionMismatch(f"norm dimension {norm.dim} != rank {rank}")
-    if isinstance(norm, Scaled) and isinstance(norm.inner, Scaled):
-        raise InvalidNorm("Scaled specs must be flattened")
     compile_norm(norm)
     return NormedModule(rank, norm)
 

@@ -63,7 +63,7 @@ def record(cls):
         f"def __hash__(self): return hash(({row}))"])
     methods = {}
     exec(src, {"D": cls.__dict__, "set": object.__setattr__}, methods)
-    if "__hash__" in cls.__dict__:  # Ellipsoid and PolyMax cache theirs
+    if "__hash__" in cls.__dict__:  # NormSpec caches its own hash
         del methods["__hash__"]
     for name, fn in methods.items():  # a bad call's TypeError names cls
         fn.__qualname__ = f"{cls.__qualname__}.{name}"

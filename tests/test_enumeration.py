@@ -28,7 +28,7 @@ from latmin.enumeration import (effective_sections, h0_hat, h0_hat_sef,
                                 strictly_effective_sections, vectors_with_keys)
 from latmin.errors import EnumerationBudgetExceeded, UnboundedBall
 from latmin.intervals import exp_interval
-from latmin.norms import (Ellipsoid, Scaled, compile_norm, make_ellipsoid,
+from latmin.norms import (compile_norm, make_ellipsoid,
                           make_normed_module, make_polymax, norm_eval, twist)
 
 
@@ -52,15 +52,14 @@ def _oracle_invert(matrix):
 
 def _oracle_box(module, radius=1):
     """Integer box guaranteed to contain the ball (slightly generous)."""
-    spec, alpha = ((module.norm.inner, module.norm.alpha)
-                   if isinstance(module.norm, Scaled) else (module.norm, Fraction(0)))
-    grow = math.exp(float(alpha)) * (1 + 1e-9) + 1e-9
+    spec = module.norm
+    grow = math.exp(float(spec.alpha)) * (1 + 1e-9) + 1e-9
     r = module.rank
-    if isinstance(spec, Ellipsoid):
-        inv = _oracle_invert(spec.gram)
+    if spec.kind == "ellipsoid":
+        inv = _oracle_invert(spec.rows)
         reach = [math.sqrt(float(inv[k][k])) for k in range(r)]
     else:
-        rows = [list(row) for row in spec.functionals]
+        rows = [list(row) for row in spec.rows]
         # first r independent rows, then row sums of the inverse
         chosen, probe = [], []
         for row in rows:
@@ -88,18 +87,14 @@ def _oracle_box(module, radius=1):
 
 def _oracle_membership(module, strict, radius=1):
     """The test v -> ||v|| < radius (strict) or ||v|| <= radius, exactly."""
-    spec, alpha = ((module.norm.inner, module.norm.alpha)
-                   if isinstance(module.norm, Scaled) else (module.norm, Fraction(0)))
-    radius = Fraction(radius)
-    if isinstance(spec, Ellipsoid):
-        data, limit, power = spec.gram, radius ** 2, 2 * alpha
-    else:
-        data, limit, power = spec.functionals, radius, alpha
+    spec, alpha, radius = module.norm, module.norm.alpha, Fraction(radius)
+    squared = spec.kind == "ellipsoid"
+    limit, power = (radius ** 2, 2 * alpha) if squared else (radius, alpha)
     # integer data: every entry times the lcm of the denominators
-    scale = math.lcm(*(x.denominator for row in data for x in row))
-    rows = [[int(x * scale) for x in row] for row in data]
+    scale = math.lcm(*(x.denominator for row in spec.rows for x in row))
+    rows = [[int(x * scale) for x in row] for row in spec.rows]
     bound = limit * scale
-    if isinstance(spec, Ellipsoid):
+    if squared:
         def value(v):
             return sum(x * sum(map(operator.mul, row, v))
                        for x, row in zip(v, rows))
@@ -187,7 +182,9 @@ def test_budget_exceeded():
 
 def test_a_cached_count_is_not_charged_again():
     """On a cold cache a budget below the box refuses; a count cached under
-    the default budget did its walk, and is returned under budget 0."""
+    the default budget did its walk, and is returned under budget 0.  Its
+    vectors are not cached: listing them walks again, charged to the budget
+    in force."""
     disk = euclid(2)
     enumeration._unit_count.cache_clear()
     with pytest.raises(EnumerationBudgetExceeded):
@@ -195,6 +192,11 @@ def test_a_cached_count_is_not_charged_again():
     assert effective_sections(disk).count == 5
     assert with_budget(0, effective_sections, disk).count == 5
     assert with_budget(0, h0_hat, disk) == math.log(5)
+    cached = with_budget(0, effective_sections, disk)
+    with pytest.raises(EnumerationBudgetExceeded,
+                       match="predicted 9 candidates exceeds budget 0"):
+        with_budget(0, lambda: cached.vectors)
+    assert cached.vectors == ((0, 0), (-1, 0), (0, -1), (0, 1), (1, 0))
 
 
 @pytest.mark.parametrize("seed", range(12))
@@ -516,7 +518,7 @@ def _level_spreads(lines, r):
 
 def test_box_bounds_every_walk_range():
     """Level i of the walk ranges over at most 2 B_i + 1 integers, on every
-    module the oracle checks at every radius; for a PolyMax, B_i also bounds
+    module the oracle checks at every radius; for a polymax, B_i also bounds
     |x_i|."""
     modules = [shaped_module(rank, family, twisted) for rank in range(1, 6)
                for family in ("ellipsoid", "polymax") for twisted in (False, True)]

@@ -13,8 +13,8 @@ from latmin.inequalities import random_module
 from latmin.intervals import log_unit_ball_volume
 from latmin.linalg import span_rank
 from latmin.minima import ball_volume, euler_characteristic, successive_minima
-from latmin.norms import (Ellipsoid, Scaled, compile_norm, make_ellipsoid,
-                          make_normed_module, make_polymax, norm_eval, twist)
+from latmin.norms import (compile_norm, make_ellipsoid, make_normed_module,
+                          make_polymax, norm_eval, twist)
 from test_enumeration import (_oracle_invert, hand_built_modules, oracle_sections,
                               shaped_module)
 from test_linalg import _oracle_det, _oracle_independent
@@ -65,16 +65,15 @@ def _oracle_minima(module):
     """Witnesses and untwisted key values key/den of the successive minima:
     the greedy choice, by (value, vector), of canonical rank-increasing
     vectors in the oracle's ball of a radius that holds every e_k."""
-    spec = module.norm.inner if isinstance(module.norm, Scaled) else module.norm
-    alpha, r = getattr(module.norm, "alpha", Fraction(0)), module.rank
-    if isinstance(spec, Ellipsoid):
+    rows, alpha, r = module.norm.rows, module.norm.alpha, module.rank
+    if module.norm.kind == "ellipsoid":
         def value(v):
-            return sum(x * g * y for x, row in zip(v, spec.gram) for g, y in zip(row, v))
-        reach = max(math.sqrt(spec.gram[k][k]) for k in range(r))
+            return sum(x * g * y for x, row in zip(v, rows) for g, y in zip(row, v))
+        reach = max(math.sqrt(rows[k][k]) for k in range(r))
     else:
         def value(v):
-            return max(abs(sum(a * x for a, x in zip(row, v))) for row in spec.functionals)
-        reach = max(abs(row[k]) for row in spec.functionals for k in range(r))
+            return max(abs(sum(a * x for a, x in zip(row, v))) for row in rows)
+        reach = max(abs(row[k]) for row in rows for k in range(r))
     radius = Fraction(math.ceil(math.exp(-float(alpha)) * reach * 64) + 1, 64)
     chosen = []
     for v in sorted(oracle_sections(module, radius=radius), key=lambda v: (value(v), v)):
@@ -428,10 +427,8 @@ def test_polytope_volume_matches_the_vertex_oracle():
     checked = {False: 0, True: 0}
     for seed in range(40):
         m = random_module(seed, rank_max=4)
-        twisted = isinstance(m.norm, Scaled)
-        spec = m.norm.inner if twisted else m.norm
-        if isinstance(spec, Ellipsoid):
+        if m.norm.kind == "ellipsoid":
             continue
-        assert ball_volume(m).exact == _oracle_polytope_volume(spec.functionals)
-        checked[twisted] += 1
+        assert ball_volume(m).exact == _oracle_polytope_volume(m.norm.rows)
+        checked[m.norm.alpha != 0] += 1
     assert min(checked.values()) >= 3

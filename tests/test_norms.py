@@ -10,10 +10,9 @@ import pytest
 from latmin import intervals, linalg
 from latmin.errors import DimensionMismatch, InvalidNorm, UnboundedBall
 from latmin.inequalities import random_module
-from latmin.norms import (Ellipsoid, Scaled, compile_norm,
-                          format_rational, make_ellipsoid, make_normed_module,
-                          make_polymax, module_from_json, norm_eval,
-                          parse_rational, twist)
+from latmin.norms import (compile_norm, format_rational, make_ellipsoid,
+                          make_normed_module, make_polymax, make_scaled,
+                          module_from_json, norm_eval, parse_rational, twist)
 from test_linalg import _oracle_det
 
 
@@ -56,10 +55,10 @@ def test_twist_flattens_and_accumulates():
     m = euclid(2)
     t1 = twist(m, Fraction(1, 2))
     t2 = twist(t1, Fraction(1, 3))
-    assert isinstance(t2.norm, Scaled)
+    assert (t2.norm.kind, t2.norm.rows) == (m.norm.kind, m.norm.rows)
     assert t2.norm.alpha == Fraction(5, 6)
     back = twist(t2, Fraction(-5, 6))
-    assert back.norm == m.norm  # alpha = 0 drops the wrapper
+    assert back.norm == m.norm  # alpha = 0 gives back the base spec
 
 
 def test_norm_eval_exact_values():
@@ -111,7 +110,7 @@ def test_json_round_trip_and_digest_stability():
 def test_round_trip_canonicalizes_rationals():
     raw = {"rank": 1, "norm": {"type": "polymax", "functionals": [["2/4"]]}}
     m = module_from_json(raw)
-    assert m.norm.functionals[0][0] == Fraction(1, 2)
+    assert m.norm.rows[0][0] == Fraction(1, 2)
     assert m.to_json()["norm"]["functionals"] == [["1/2"]]
 
 
@@ -120,6 +119,32 @@ def test_scaled_spec_json_keeps_alpha():
     data = m.to_json()
     assert data["norm"]["type"] == "scaled"
     assert data["norm"]["alpha"] == "3/2"
+
+
+def test_equal_specs_are_equal_however_built():
+    """A corpus module, its twists by +-1/3 and twists of those equal their
+    JSON round trips, with the same hash and digest; twists add, a twist
+    back to alpha = 0 is the base spec, and a twice-nested scaled JSON loads
+    to the flattened spec."""
+    third = Fraction(1, 3)
+    for seed in range(200):
+        m = random_module(seed)
+        built = [m, twist(m, third), twist(m, -third), twist(twist(m, third), third),
+                 twist(twist(m, -third), -third), twist(twist(m, third), -third)]
+        for module in built:
+            again = module_from_json(json.loads(json.dumps(module.to_json())))
+            assert again == module and hash(again) == hash(module)
+            assert again.digest() == module.digest()
+        assert built[-1] == m and hash(built[-1].norm) == hash(m.norm)
+        nested = make_scaled(make_scaled(m.norm, third), -2 * third)
+        assert nested == make_scaled(m.norm, -third)
+        assert hash(nested) == hash(make_scaled(m.norm, -third))
+    disk = {"type": "ellipsoid", "gram": [["1/1", "0/1"], ["0/1", "1/1"]]}
+    twice = {"rank": 2, "norm": {"type": "scaled", "alpha": "1/2", "inner": {
+        "type": "scaled", "alpha": "1/3", "inner": disk}}}
+    flat = module_from_json(twice)
+    assert flat.norm == make_scaled(make_ellipsoid([[1, 0], [0, 1]]), Fraction(5, 6))
+    assert flat.to_json()["norm"] == {"type": "scaled", "alpha": "5/6", "inner": disk}
 
 
 def _schur_chain_oracle(gram):
@@ -150,9 +175,8 @@ def test_ellipsoid_chain_matches_schur_complements():
     norms.append(twist(make_normed_module(4, make_ellipsoid(grams)), "-3/7").norm)
     checked = 0
     for norm in norms:
-        spec = norm.inner if isinstance(norm, Scaled) else norm
-        if isinstance(spec, Ellipsoid):
-            assert compile_norm(norm).chain == _schur_chain_oracle(spec.gram)
+        if norm.kind == "ellipsoid":
+            assert compile_norm(norm).chain == _schur_chain_oracle(norm.rows)
             checked += 1
     assert checked == 183  # 181 corpus ellipsoids and the two above
 
@@ -217,9 +241,6 @@ def test_compile_rejects_malformed_norm_data():
         make_normed_module(2, make_polymax([[1, 0], [1]]))
     with pytest.raises(UnboundedBall, match="no functionals"):
         make_normed_module(0, make_polymax([]))
-    with pytest.raises(InvalidNorm, match="flattened"):
-        make_normed_module(1, Scaled(Scaled(make_ellipsoid([[1]]), Fraction(1)),
-                                     Fraction(1)))
     with pytest.raises(TypeError):  # a JSON boolean is not a rational
         make_ellipsoid([[True]])
 

@@ -12,20 +12,34 @@ from latmin.errors import ConfigError
 from latmin.inequalities import run_suite
 from latmin.ledger import Ledger, LedgerStep
 from latmin.minima import VolumeReport
-from latmin.norms import Ellipsoid, PolyMax, compile_norm
-from latmin.record import digest16
+from latmin.norms import NormSpec, compile_norm
+from latmin.record import digest16, record
 from latmin.reports import InequalityReport
 
 
 def test_records_of_different_classes_never_compare_equal():
-    """Ellipsoid(t) and PolyMax(t) are compile_norm cache keys."""
+    """Records of two classes with equal field tuples differ, though their
+    hashes agree; an ellipsoid and a polymax spec with the same rows are
+    distinct compile_norm cache keys."""
+    @record
+    class Left:
+        x: int
+
+    @record
+    class Right:
+        x: int
+
+    left, right = Left(1), Right(1)
+    assert left != right and not left == right
+    assert hash(left) == hash(right) == hash((1,))
     t = ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1)))
-    ell, poly = Ellipsoid(t), PolyMax(t)
+    ell, poly = NormSpec("ellipsoid", t), NormSpec("polymax", t)
     assert ell != poly and not ell == poly
-    assert hash(ell) == hash(poly) == hash((t,))  # their own cached hashes
+    assert hash(ell) == hash(("ellipsoid", t, 0))  # its own cached hash
     assert compile_norm(ell) is not compile_norm(poly)
     assert compile_norm(ell).squared and not compile_norm(poly).squared
-    assert ell == Ellipsoid(t) and compile_norm(ell) is compile_norm(Ellipsoid(t))
+    assert ell == NormSpec("ellipsoid", t)
+    assert compile_norm(ell) is compile_norm(NormSpec("ellipsoid", t))
 
 
 def test_record_fields_are_frozen():
