@@ -416,6 +416,17 @@ def verify_constant_chain(g_max: int, kappa_max: int) -> List[InequalityReport]:
       (ii)   4 C' + 4r log 2pi <= 18 d log d + 25 d
       (iii)  4d log(3d) + r log 2 + (r/2) log(r/(2 pi)) <= (9/2) d log d + 4 d log 3
     with C' = (9/2) d log d + 4 d log 3 (absD = 1), d = (2g-2) kappa, r = g kappa.
+
+    They hold for every g >= 2 and kappa >= 1, not only on the grid: the
+    d log d terms cancel, r/d = g/(2g-2) lies in (1/2, 1], and the slacks are
+      (i)   61d - 48 d log 3 - 4r log 2pi >= d (61 - 48 log 3 - 4 log 2pi) = 0.9151 d
+      (ii)  25d - 16 d log 3 - 4r log 2pi >= d (25 - 16 log 3 - 4 log 2pi) = 0.0707 d
+      (iii) (1/2) d log d - (1/2) r log r + r ((1/2) log 2pi - log 2)
+                >= r ((1/2) log 2pi - log 2) = 0.2258 r, as d >= r >= 1,
+    each bound attained at g = 2, where r = d.  Three exact decisions make
+    them positive: with pi < 355/113, e^25 > 3^16 (710/113)^4 for (ii) and
+    e^61 > 3^48 (710/113)^4 for (i) (``intervals.compare_exp``), and with
+    pi > 333/106, 2pi > 4 for (iii).
     """
     if g_max < 2 or kappa_max < 1:
         raise PreconditionViolated("need g_max >= 2 and kappa_max >= 1")

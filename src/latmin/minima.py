@@ -8,13 +8,17 @@ until a rung finds a vector, then grows by about e^(1/r) per rung.  A rung
 lists only its shell of keys above the last cap, and one greedy span pass
 over the ladder picks the canonical rank-increasing vectors as witnesses,
 the exact parts of whose minima are read off the compiled norm.  Volumes are
-exact: a closed form for ellipsoids, and Lasserre's facet recursion on
-integer normals for PolyMax balls (J. Optim. Theory Appl. 39, 1983).
+exact: a closed form for ellipsoids, and Lasserre's facet recursion for
+PolyMax balls (J. Optim. Theory Appl. 39, 1983).  Each face of the recursion
+is s times an integral node, a box [0, w] cut by slabs with integer normals,
+widths and ends, so only volumes and the scales s are Fractions; a node and
+its central reflection share one memo entry.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from functools import lru_cache
 
@@ -80,26 +84,34 @@ class VolumeReport:
 
 
 def _node(lower, upper, slabs):
-    """Normal form of {y : lower <= y <= upper, c.y between the ends of
-    each slab}, for integer normals c and Fraction ends.
+    """Normal form (s, node) of {y : lower <= y <= upper, c.y between the
+    ends of each slab}, for integer bounds, normals and ends: the set is
+    s * node, and node is (w, slabs) with integer widths w and integer ends.
 
     Each normal is divided by its signed gcd, so that it is primitive with a
     positive first nonzero entry; parallel slabs then share it and are
     merged, unit normals are folded into the box, the box is translated to
-    [0, w] and slabs the box already satisfies are dropped.
-    Returns (w, slabs), or None when a width or a slab's range in the box is
-    empty or flat (the recursion gives any other such set volume 0).
+    [0, w] and slabs the box already satisfies are dropped.  Scaling by L,
+    the lcm of the slab gcds, keeps the ends integers, and dividing by G, the
+    gcd of the widths and the ends, makes them coprime: s = G/L.
+    Returns None when a width or a slab's range in the box is empty or flat
+    (the recursion gives any other such set volume 0).
     Lasserre's formula counts a repeated facet twice: nodes must be normal.
     """
-    lower, upper = list(lower), list(upper)
-    merged = {}
+    primitive, scale, zero = [], 1, (0,) * len(lower)
     for c, lo, hi in slabs:
         g = math.gcd(*c)
-        if not g:  # a face's own facet: its range holds 0
-            continue
-        g = g if _canonical(c) else -g
-        c = tuple(x // g for x in c)
-        lo, hi = sorted((lo / g, hi / g))
+        if g:  # else a face's own facet: its range holds 0
+            if c < zero:  # its first nonzero entry is negative
+                g = -g
+            if g != 1:
+                c = tuple(x // g for x in c)
+                scale = math.lcm(scale, g)
+            primitive.append((c, lo, hi, g))
+    lower, upper = [x * scale for x in lower], [x * scale for x in upper]
+    merged = {}
+    for c, lo, hi, g in primitive:
+        lo, hi = sorted((lo * (scale // g), hi * (scale // g)))
         if sum(map(abs, c)) == 1:
             k = c.index(1)
             lower[k], upper[k] = max(lower[k], lo), min(upper[k], hi)
@@ -107,12 +119,12 @@ def _node(lower, upper, slabs):
             if c in merged:
                 lo, hi = max(lo, merged[c][0]), min(hi, merged[c][1])
             merged[c] = (lo, hi)
-    widths = tuple(u - l for l, u in zip(lower, upper))
-    if any(w <= 0 for w in widths):
+    widths = tuple(map(operator.sub, upper, lower))
+    if min(widths, default=1) <= 0:
         return None
     kept = []
     for c, (lo, hi) in merged.items():
-        shift = sum(x * l for x, l in zip(c, lower))
+        shift = sum(map(operator.mul, c, lower))
         lo, hi = lo - shift, hi - shift
         cmin = sum(x * w for x, w in zip(c, widths) if x < 0)
         cmax = sum(x * w for x, w in zip(c, widths) if x > 0)
@@ -120,19 +132,31 @@ def _node(lower, upper, slabs):
             return None
         if lo > cmin or hi < cmax:
             kept.append((c, lo, hi))
-    return widths, tuple(sorted(kept))
+    g = math.gcd(*widths, *(e for _, lo, hi in kept for e in (lo, hi))) or 1
+    return Fraction(g, scale), (tuple(w // g for w in widths),
+                                tuple(sorted((c, lo // g, hi // g) for c, lo, hi in kept)))
+
+
+def _reflect(node):
+    """The node's image under y -> w - y, the central reflection of its box."""
+    widths, slabs = node
+    return widths, tuple((c, top - hi, top - lo) for c, lo, hi in slabs
+                         for top in [sum(map(operator.mul, c, widths))])
 
 
 def _node_volume(node, memo: dict) -> Fraction:
     """Lasserre's recursion vol_n(P) = (1/n) sum_i b_i vol_{n-1}(proj F_i)/|c_p|
     over the facets c.y = level of a normal node, with b_i the facet's
     distance term; each face is projected by eliminating the coordinate p
-    with the largest |c_p|."""
+    with the largest |c_p|, and its volume is s^(n-1) times that of its
+    integer node.  A node and its central reflection have one volume, so
+    the memo is keyed on the smaller of the two."""
     widths, slabs = node
     if not slabs:
         return math.prod(widths)
-    if node in memo:
-        return memo[node]
+    key = min(node, _reflect(node))
+    if key in memo:
+        return memo[key]
     n = len(widths)
     # (c, level, b) per facet c.y = level: the upper box facets y_k = w_k
     # (the lower ones have b = 0) and both sides of each slab; _node finds
@@ -145,7 +169,8 @@ def _node_volume(node, memo: dict) -> Fraction:
     for c, level, b in facets:
         if not b:
             continue
-        p = max(range(n), key=lambda k: abs(c[k]))
+        size = list(map(abs, c))
+        p = size.index(max(size))
         q, d = c[p], c[:p] + c[p + 1:]  # q y_p = level - d.y on the face
         face = _node([0] * (n - 1), widths[:p] + widths[p + 1:],
                      [(d, level - q * widths[p], level)]
@@ -153,9 +178,12 @@ def _node_volume(node, memo: dict) -> Fraction:
                          q * lo - f[p] * level, q * hi - f[p] * level)
                         for f, lo, hi in slabs])
         if face is not None:
-            total += Fraction(b * _node_volume(face, memo), abs(q))
-    memo[node] = total / n
-    return memo[node]
+            s, face = face
+            v = _node_volume(face, memo)
+            total += Fraction(b * s.numerator ** (n - 1) * v.numerator,
+                              abs(q) * s.denominator ** (n - 1) * v.denominator)
+    memo[key] = total / n
+    return memo[key]
 
 
 @lru_cache(maxsize=1024)
@@ -173,12 +201,12 @@ def ball_volume(module: NormedModule) -> VolumeReport:
         return VolumeReport(exp_float(log_v), "exact-ellipsoid", log_v)
     # with y = A0 x for the compiled basis rows A0, the ball is the cube [-1, 1]^r
     # cut by |c_j . y| <= D = det A'_0 for A'_0 = den A0 and each other integer
-    # row A'_j: c_j = D A'_j A'_0^{-1} = A'_j adj(A'_0); the ends stay Fractions,
-    # for _node divides them by the gcd of the normal
-    adj, D = compiled.adjugate, Fraction(compiled.int_det)
+    # row A'_j: c_j = D A'_j A'_0^{-1} = A'_j adj(A'_0), all integers
+    adj, D = compiled.adjugate, compiled.int_det
     slabs = [(tuple(sum(a * adj[i][k] for i, a in enumerate(row)) for k in range(r)),
               -D, D) for j, row in enumerate(compiled.int_rows) if j not in compiled.basis]
-    vol = _node_volume(_node([-1] * r, [1] * r, slabs), {}) / abs(compiled.det)
+    s, node = _node([-1] * r, [1] * r, slabs)
+    vol = s ** r * _node_volume(node, {}) / abs(compiled.det)
     log_v = math.log(vol.numerator) - math.log(vol.denominator) + shift
     return VolumeReport(exp_float(log_v), "exact-polytope", log_v, vol)
 

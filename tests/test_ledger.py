@@ -3,12 +3,14 @@
 import hashlib
 import json
 import math
+from fractions import Fraction
 
 import pytest
 
 from latmin import ledger as ledger_module
 from latmin.cli import main
 from latmin.errors import ConfigError, InfeasibleLedger, PreconditionViolated
+from latmin.intervals import compare_exp
 from latmin.ledger import (ArithmeticContext, Ledger, LedgerStep,
                            asymptotic_margin_per_d, c_constant, chi_ok,
                            corollary_e, derived_intersections, deg_one_bound,
@@ -248,6 +250,23 @@ def test_verify_constant_chain_small_grid():
     assert all(r.holds for r in reports)
     margin = reports[-1].rhs
     assert 0.0 < margin < asymptotic_margin_per_d()
+
+
+def test_constant_chain_holds_for_every_g_and_kappa():
+    """The closed-form slacks of verify_constant_chain's docstring are
+    positive by three exact decisions.  math.pi is within 2^-51 of pi, far
+    inside both bounds 333/106 < pi < 355/113, so its exact value decides
+    them; then (2 pi)^4 < (710/113)^4."""
+    assert Fraction(333, 106) < Fraction(math.pi) < Fraction(355, 113)
+    # (ii) 25 - 16 log 3 - 4 log 2pi > 0 and (i) 61 - 48 log 3 - 4 log 2pi > 0
+    assert compare_exp(3 ** 16 * Fraction(710, 113) ** 4, Fraction(25)) == -1
+    assert compare_exp(3 ** 48 * Fraction(710, 113) ** 4, Fraction(61)) == -1
+    # (iii) (1/2) log 2pi - log 2 > 0
+    assert 2 * Fraction(333, 106) > 4
+    # the grid's minima at g = 2, kappa = 1 (r = d = 2) are the bounds
+    reports = verify_constant_chain(2, 1)
+    assert [rep.slack for rep in reports[:3]] == pytest.approx(
+        [2 * 0.9151018782933527, 2 * 0.0706951156728621, 2 * 0.2257913526447274])
 
 
 def test_simulation_is_deterministic_and_feasible():

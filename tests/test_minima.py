@@ -6,8 +6,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from latmin import minima
+from latmin.enumeration import effective_sections
 from latmin.errors import PreconditionViolated
 from latmin.inequalities import random_module
 from latmin.intervals import log_unit_ball_volume
@@ -15,8 +18,8 @@ from latmin.linalg import span_rank
 from latmin.minima import ball_volume, euler_characteristic, successive_minima
 from latmin.norms import (compile_norm, make_ellipsoid, make_normed_module,
                           make_polymax, norm_eval, twist)
-from test_enumeration import (_oracle_invert, hand_built_modules, oracle_sections,
-                              shaped_module)
+from test_enumeration import (_oracle_invert, drawn_modules, hand_built_modules,
+                              oracle_sections, shaped_module)
 from test_linalg import _oracle_det, _oracle_independent
 
 
@@ -139,39 +142,54 @@ def test_minima_of_an_unreduced_basis_start_small(monkeypatch, alpha):
     assert rep.mus == (float(alpha), float(alpha))
 
 
+def _count_volume_work(monkeypatch):
+    """A reader of the calls of _node_volume and the entries of its memos,
+    the misses, since the last read."""
+    calls, memos, node_volume = [0], {}, minima._node_volume
+
+    def counted_volume(node, memo):
+        calls[0] += 1
+        memos[id(memo)] = memo
+        return node_volume(node, memo)
+
+    def read():
+        work = {"calls": calls[0], "misses": sum(map(len, memos.values()))}
+        calls[0] = 0
+        memos.clear()
+        return work
+    monkeypatch.setattr(minima, "_node_volume", counted_volume)
+    return read
+
+
 def test_minima_ladder_lists_few_vectors_at_ranks_6_to_8(monkeypatch):
     """Work gates at 1.25 times the counts: the ranks 6-8 corpus of seed 3
     lists 69,112 vectors in its minima rungs, and CI's corpus (seed 3, 40
-    trials, ranks <= 8) lists 21,440 and makes 6,587 Lasserre calls.  The
-    radius doubles until a rung finds a vector, then grows by about e^(1/r)
-    per rung, and each rung lists only the keys above the last cap.  At
-    ranks 6-8, doubling all the way listed 4,105,947 vectors and re-listing
-    every rung's prefix 126,684."""
+    trials, ranks <= 8) lists 21,440, makes 6,138 Lasserre calls and misses
+    the memo 1,450 times.  The radius doubles until a rung finds a vector,
+    then grows by about e^(1/r) per rung, and each rung lists only the keys
+    above the last cap.  At ranks 6-8, doubling all the way listed 4,105,947
+    vectors and re-listing every rung's prefix 126,684."""
     from latmin.inequalities import run_suite
-    work, walk, node_volume = {}, minima.vectors_with_keys, minima._node_volume
+    work, walk = {}, minima.vectors_with_keys
 
     def counted(module, cap, above):
         compiled, pairs = walk(module, cap, above=above)
         work["listed"] += len(pairs)
         return compiled, pairs
-
-    def counted_volume(node, memo):
-        work["nodes"] += 1
-        return node_volume(node, memo)
     monkeypatch.setattr(minima, "vectors_with_keys", counted)
-    monkeypatch.setattr(minima, "_node_volume", counted_volume)
-    found = {}
+    volume_work, found = _count_volume_work(monkeypatch), {}
     for name, config in (("6-8", dict(seed=3, trials=10, rank_min=6, rank_max=8)),
                          ("ci", dict(seed=3, trials=40, rank_max=8))):
         # every module's rungs and volume are computed here
         successive_minima.cache_clear()
         ball_volume.cache_clear()
-        work.update(listed=0, nodes=0)
+        work.update(listed=0)
         run_suite(**config)
-        found[name] = dict(work)
+        found[name] = dict(work, **volume_work())
     assert 0 < found["6-8"]["listed"] <= 86390
     assert 0 < found["ci"]["listed"] <= 26800
-    assert 0 < found["ci"]["nodes"] <= 8233
+    assert 0 < found["ci"]["calls"] <= 8233
+    assert 0 < found["ci"]["misses"] <= 1812
 
 
 def test_minima_need_positive_rank():
@@ -261,6 +279,82 @@ def test_octahedron_volume_exact():
     m = make_normed_module(3, make_polymax(
         [[1, 1, 1], [1, 1, -1], [1, -1, 1], [-1, 1, 1]]))
     assert ball_volume(m).exact == Fraction(4, 3)
+
+
+def l1_ball(n, m):
+    """The l1 ball sum |x_k| <= m: the polymax norm whose rows are
+    (1, +-1, ..., +-1)/m, 2^(n-1) rows in all."""
+    rows = [[Fraction(1, m)] + [Fraction(sign, m) for sign in signs]
+            for signs in itertools.product((1, -1), repeat=n - 1)]
+    return make_normed_module(n, make_polymax(rows))
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_l1_ball_volume_and_count_in_closed_form(n):
+    """The l1 ball of radius m has volume (2m)^n/n! and
+    sum_k 2^k C(n, k) C(m, k) lattice points: a point with k nonzero
+    coordinates picks them, their signs, and their absolute values, k
+    positive integers of sum at most m."""
+    m = 3
+    ball = l1_ball(n, m)
+    assert ball_volume(ball).exact == Fraction((2 * m) ** n, math.factorial(n))
+    assert effective_sections(ball).count == sum(
+        2 ** k * math.comb(n, k) * math.comb(m, k) for k in range(n + 1))
+
+
+def test_lasserre_misses_few_nodes_on_the_l1_ball(monkeypatch):
+    """Work gate at 1.25 times the count: the l1 ball of rank 6 and radius
+    3 (32 rows) misses the memo 70 times in 269 calls."""
+    volume_work = _count_volume_work(monkeypatch)
+    ball_volume.__wrapped__(l1_ball(6, 3))
+    assert 0 < volume_work()["misses"] <= 87
+
+
+def test_a_node_and_its_reflection_share_one_memo_entry():
+    """The cube [0, 2]^3 cut by y1 + y2 + y3 <= 5 loses a corner, and its
+    central reflection, cut by y1 + y2 + y3 >= 1, the opposite one: one
+    volume, 8 - 1/6, and one memo entry."""
+    s, node = minima._node([0] * 3, [2] * 3, [((1, 1, 1), 0, 5)])
+    reflected = minima._reflect(node)
+    assert s == 1 and reflected == ((2, 2, 2), (((1, 1, 1), 1, 6),))
+    assert minima._reflect(reflected) == node
+    memo = {}
+    assert minima._node_volume(node, memo) == Fraction(47, 6)
+    entries = dict(memo)
+    assert minima._node_volume(reflected, memo) == Fraction(47, 6)
+    assert memo == entries and min(node, reflected) in memo
+
+
+@pytest.mark.parametrize("k", [2, 3, 12])
+def test_a_scaled_node_is_the_same_integer_node(k):
+    """_node of a set scaled by an integer k is the same integer node with
+    s multiplied by k, also for normals that are not primitive, a first
+    entry that is negative, a unit normal that folds into the box and
+    ends given high before low."""
+    cases = [([0, 0, 0], [2, 2, 2], [((1, 1, 1), 0, 5)]),
+             ([-1, -1], [1, 1], [((-2, 4), 3, -3), ((0, 3), -2, 1), ((3, 3), -4, 4)]),
+             ([-6, -6, -6], [6, 6, 6], [((4, -2, 6), -10, 10), ((1, 2, 3), 7, -5)])]
+    for lower, upper, slabs in cases:
+        s, node = minima._node(lower, upper, slabs)
+        scaled = minima._node([k * x for x in lower], [k * x for x in upper],
+                              [(c, k * lo, k * hi) for c, lo, hi in slabs])
+        assert scaled == (k * s, node)
+        assert all(isinstance(x, int) for x in node[0])
+        assert all(isinstance(e, int) for _, lo, hi in node[1] for e in (lo, hi))
+
+
+@settings(deadline=None, max_examples=150, derandomize=True)
+@given(drawn_modules().filter(lambda m: m.norm.kind == "polymax"), st.data())
+def test_polymax_volume_ignores_row_order_signs_and_repeats(module, data):
+    """A polymax ball does not change when its rows are permuted, one is
+    negated or one is repeated, and neither does its exact volume."""
+    rows, alpha = [list(row) for row in module.norm.rows], module.norm.alpha
+    k = data.draw(st.integers(0, len(rows) - 1))
+    negated = rows[:k] + [[-x for x in rows[k]]] + rows[k + 1:]
+    vol = ball_volume(module).exact
+    for variant in (data.draw(st.permutations(rows)), negated, rows + [rows[k]]):
+        assert ball_volume(twist(make_normed_module(
+            module.rank, make_polymax(variant)), alpha)).exact == vol
 
 
 def random_rows(seed):
