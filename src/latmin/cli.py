@@ -20,14 +20,17 @@ into one document.  ``ledger simulate`` writes the buffers of its forked
 shards in trial order (see ``_run_forked``), so stdout does not depend on
 ``--threads``.
 
-Importing this module loads ``argparse``, ``contextvars``, ``json`` and
-``fractions`` and, of latmin, only ``errors`` and ``record`` (whose
-SHA-256 is the interpreter's own: no process loads OpenSSL): each
-``cmd_*`` imports the layers its subcommand runs, so a ``count`` loads no
-minima, inequality or ledger code and a ``ledger`` run no lattice code.
-No subcommand loads mpmath (e^x is enclosed in integers, see
-``intervals``), nor the standard library's dataclass module with its
-``inspect``: the value types are ``record``s.
+Importing this module loads ``argparse``, ``contextvars`` and ``json``
+and, of latmin, only ``errors`` and ``record`` (whose SHA-256 is the
+interpreter's own: no process loads OpenSSL); not ``fractions`` with its
+``decimal``, which only the lattice layers need.  Each ``cmd_*`` imports
+the layers its subcommand runs, so a ``count`` loads no minima,
+inequality or ledger code and a ``ledger`` run no lattice code and no
+``intervals``.  No subcommand loads mpmath (e^x is enclosed in integers,
+see ``intervals``), nor the standard library's dataclass module with its
+``inspect``: the value types are ``record``s.  A process starts at
+``entry``, which freezes the heap once ``main`` has returned, so the
+interpreter's shutdown runs no collection over what the imports built.
 """
 
 from __future__ import annotations
@@ -35,11 +38,11 @@ from __future__ import annotations
 import argparse
 import contextvars
 import errno
+import gc
 import json
 import os
 import sys
 import time
-from fractions import Fraction
 
 from . import __version__
 from .errors import ConfigError, LatminError
@@ -66,7 +69,9 @@ def jsonable(obj):
     names = getattr(t, "_fields", None)
     if names is not None:  # a record, field by field
         return {name: jsonable(getattr(obj, name)) for name in names}
-    if isinstance(obj, Fraction):  # an ABC, so a slow test: after the builtins
+    fractions = sys.modules.get("fractions")  # no Fraction exists without it
+    if fractions is not None and isinstance(obj, fractions.Fraction):
+        # an ABC, so a slow test: after the builtins
         return f"{obj.numerator}/{obj.denominator}"  # as norms.format_rational
     return str(obj)
 
@@ -360,5 +365,17 @@ def main(argv=None) -> int:
     return contextvars.copy_context().run(_run, args)
 
 
+def entry() -> int:
+    """The process entry point (``python -m latmin.cli`` and the ``latmin``
+    script): ``main()``, whose ``_run`` has flushed stdout, and then
+    ``gc.freeze()``, so that the collections at interpreter shutdown skip
+    the cycles the imports made (functions and their module dicts, classes)
+    and the OS frees them with the process.  Only here: a caller of ``main``
+    in its own process keeps its heap collectable."""
+    code = main()
+    gc.freeze()
+    return code
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(entry())

@@ -159,10 +159,15 @@ def _unit_cap(module: NormedModule, strict: bool) -> int:
     ... whose widths prod (2 B_i(t) + 1) pass the budget: the box grows with
     the cap, so the charge every walk makes at its cap refuses a cap that
     reaches t, at the widths of t.  Rank 0, whose ball is {0} at any cap,
-    has no widths to double."""
-    compiled, t, budget = compile_norm(module.norm), 1, BUDGET.get()
-    while compiled.rank and math.prod(2 * b + 1 for b in compiled.box(t)) <= budget:
-        t *= 2
+    has no widths to double.  The box has no twist, so t is found once per
+    base compile and budget (``CompiledNorm.box_limits``)."""
+    compiled, budget = compile_norm(module.norm), BUDGET.get()
+    t = compiled.box_limits.get(budget)
+    if t is None:
+        t = 1
+        while compiled.rank and math.prod(2 * b + 1 for b in compiled.box(t)) <= budget:
+            t *= 2
+        compiled.box_limits[budget] = t
     return compiled.cap(1, strict, limit=t)
 
 

@@ -21,7 +21,6 @@ from operator import add
 from typing import List, Tuple
 
 from .errors import ConfigError, InfeasibleLedger, PreconditionViolated
-from .intervals import log_unit_ball_volume
 from .record import digest16, record
 from .reports import EXACT_TOL, InequalityReport, _report
 from .rng import DetRNG
@@ -284,6 +283,8 @@ def deg_one_bound(g: int, kappa: int, L2: float) -> float:
 
 def chi_ok(g: int, r1: int, r2: int, absD: float) -> float:
     """r1 log V(g) + r2 log V(2g) - (g/2) log |D_K|."""
+    from .intervals import log_unit_ball_volume  # only here: intervals loads fractions
+
     if g < 1 or r1 < 0 or r2 < 0 or absD < 1:
         raise PreconditionViolated("need g >= 1, r1, r2 >= 0, absD >= 1")
     return (r1 * log_unit_ball_volume(g) + r2 * log_unit_ball_volume(2 * g)
@@ -292,6 +293,8 @@ def chi_ok(g: int, r1: int, r2: int, absD: float) -> float:
 
 def stirling_check(g: int, r1: int, r2: int) -> InequalityReport:
     """r1 log V(g) + r2 log V(2g) >= (r/2) log(2 pi) - (r/2) log r."""
+    from .intervals import log_unit_ball_volume
+
     if g < 1 or r1 < 0 or r2 < 0 or r1 + r2 < 1:
         raise PreconditionViolated("need g >= 1 and at least one embedding")
     r = g * (r1 + 2 * r2)

@@ -28,7 +28,6 @@ and a twist reuses its base's compile, recomputing only the scale.
 
 from __future__ import annotations
 
-import copy
 import json
 import math
 from fractions import Fraction
@@ -153,6 +152,9 @@ class CompiledNorm:
             self.adjugate_sums = [sum(map(abs, row)) for row in self.adjugate]
             self.int_det = determinant(rows).numerator
             self.det = Fraction(self.int_det, self.den ** n)
+        # budget -> the first key whose box passes it (enumeration._unit_cap):
+        # the box has no twist, so a twist's copy shares this dict
+        self.box_limits = {}
         self._scale(Fraction(0))
 
     def _scale(self, alpha: Fraction) -> None:
@@ -210,7 +212,8 @@ def compile_norm(norm: NormSpec) -> CompiledNorm:
     shallow copy of its base's compile: only the scale is recomputed."""
     if not norm.alpha:
         return CompiledNorm(norm)
-    compiled = copy.copy(compile_norm(make_scaled(norm, -norm.alpha)))
+    compiled = object.__new__(CompiledNorm)
+    compiled.__dict__.update(compile_norm(make_scaled(norm, -norm.alpha)).__dict__)
     compiled._scale(norm.alpha)
     return compiled
 

@@ -8,8 +8,6 @@ parallel schedule.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 _MASK = (1 << 64) - 1
 
 
@@ -63,6 +61,8 @@ class DetRNG:
 
     def fraction(self, lo: Fraction, hi: Fraction, denominator: int = 16) -> Fraction:
         """Uniform rational in [lo, hi] on the grid with the given denominator."""
+        from fractions import Fraction  # only here: a ledger run makes none
+
         lo_n = int(lo * denominator)
         hi_n = int(hi * denominator)
         return Fraction(self.randint(lo_n, hi_n), denominator)

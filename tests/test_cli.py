@@ -2,10 +2,12 @@
 
 import collections
 import errno
+import gc
 import hashlib
 import json
 import math
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -537,10 +539,11 @@ def test_cli_import_does_not_load_mpmath(tmp_path):
     """No op loads mpmath, nor dataclasses with its inspect (the value
     types are records), nor hashlib with OpenSSL's _hashlib (digest16 uses
     the interpreter's own SHA-256), and each loads only the layers its
-    subcommand runs: the CLI import no lattice layer, a twisted count
-    (which reads e^alpha) no minima, inequality or ledger code, and a
-    ledger run, forked or not, no lattice code.  A twist's compile, minima
-    and volume read no e^alpha."""
+    subcommand runs: the CLI import no lattice layer and no fractions or
+    decimal, a twisted count (which reads e^alpha) no minima, inequality
+    or ledger code and no copy, and a ledger run, forked or not, no lattice
+    code and no fractions, decimal or intervals (no ledger path makes a
+    Fraction).  A twist's compile, minima and volume read no e^alpha."""
     src = os.path.dirname(os.path.dirname(latmin.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     path = tmp_path / "twist.json"
@@ -557,18 +560,20 @@ def test_cli_import_does_not_load_mpmath(tmp_path):
 
     lattice = {"latmin.norms", "latmin.enumeration", "latmin.minima",
                "latmin.inequalities", "latmin.linalg"}
+    ledger = lattice | {"fractions", "decimal", "latmin.intervals"}
     cases = [
         ("import latmin.cli\n", {"latmin.enumeration", "latmin.norms",
                                  "latmin.minima", "latmin.inequalities",
                                  "latmin.ledger", "pickle", "multiprocessing",
-                                 "concurrent.futures"}),
+                                 "concurrent.futures", "fractions", "decimal"}),
         (twisted, set()),
         (cli("count", "--module", str(path)),
-         {"latmin.ledger", "latmin.inequalities", "latmin.minima"}),
+         {"latmin.ledger", "latmin.inequalities", "latmin.minima", "copy"}),
         (cli("ledger", "simulate", "--mode", "genus-zero", "--trials", "3"),
-         lattice),
+         ledger),
         (cli("--threads", "2", "ledger", "simulate", "--mode", "genus-zero",
-             "--trials", "300"), lattice),
+             "--trials", "300"), ledger),
+        (cli("ledger", "sweep", "--g-max", "20", "--kappa-max", "3"), ledger),
         (cli("verify", "--trials", "1", "--max-rank", "2"), {"latmin.ledger"}),
     ]
     for code, banned in cases:
@@ -582,6 +587,40 @@ def test_cli_import_does_not_load_mpmath(tmp_path):
         banned = banned | {"mpmath", "dataclasses", "inspect", "hashlib",
                            "_hashlib"}
         assert not loaded & banned, (code, loaded & banned)
+
+
+def test_only_the_process_entry_freezes_the_heap(tmp_path):
+    """main() leaves its caller's heap collectable: in process, a count, a
+    verify and a forked simulate freeze nothing.  The process entry freezes
+    it after main() has written the document, and returns main's code."""
+    before, disk = gc.get_freeze_count(), write_disk2(tmp_path)
+    for argv in (["count", "--module", disk],
+                 ["verify", "--trials", "1", "--max-rank", "2"],
+                 ["--threads", "2", "ledger", "simulate", "--mode", "genus-zero",
+                  "--trials", "300"]):
+        assert main(argv) == 0, argv
+        assert gc.get_freeze_count() == before, argv
+    src = os.path.dirname(os.path.dirname(latmin.__file__))
+    code = ("import gc, sys\nfrom latmin import cli\n"
+            "sys.argv[1:] = ['count', '--module', 'missing.json']\n"
+            "print(cli.entry(), gc.get_freeze_count() > 0, file=sys.stderr)\n")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         cwd=tmp_path, env=dict(os.environ, PYTHONPATH=src))
+    assert json.loads(out.stdout)["error"]["type"] == "FileNotFoundError"
+    assert out.stderr.decode().split() == ["2", "True"]
+
+
+def test_console_script_is_the_process_entry():
+    """The `latmin` script of pyproject.toml and `python -m latmin.cli` call
+    one function."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "pyproject.toml")) as fh:
+        scripts = fh.read().split("[project.scripts]", 1)[1]
+    target = re.search(r'^latmin = "latmin\.cli:(\w+)"$', scripts, re.M).group(1)
+    with open(latmin.cli.__file__) as fh:
+        tail = fh.read().rsplit('if __name__ == "__main__":', 1)[1]
+    assert tail.strip() == f"sys.exit({target}())"
+    assert callable(getattr(latmin.cli, target))
 
 
 def _fields_of(rec) -> dict:

@@ -28,7 +28,7 @@ from latmin.enumeration import (effective_sections, h0_hat, h0_hat_sef,
                                 strictly_effective_sections, vectors_with_keys)
 from latmin.errors import EnumerationBudgetExceeded, UnboundedBall
 from latmin.intervals import exp_interval
-from latmin.norms import (compile_norm, make_ellipsoid,
+from latmin.norms import (CompiledNorm, compile_norm, make_ellipsoid,
                           make_normed_module, make_polymax, norm_eval, twist)
 
 
@@ -447,6 +447,32 @@ def test_unit_cap_is_one_limited_floor(monkeypatch):
                 if refused is None:
                     cap = with_budget(budget, enumeration._unit_cap, m, strict)
                     assert cap == compiled.cap(Fraction(1), strict)
+
+
+def test_unit_cap_limit_is_found_once_per_base_and_budget(monkeypatch):
+    """The closed and strict counts of a module and of two twists, the six
+    counts of one corpus instance, double the key to the budget's limit
+    once: a twist's box is its base's, and so is the memo of the limit."""
+    base = shaped_module(3, "polymax", False)
+    modules = [base, twist(base, "1/3"), twist(base, "-1/2")]
+    compile_norm.cache_clear()
+    enumeration._unit_count.cache_clear()
+    caps, box = [], CompiledNorm.box
+    monkeypatch.setattr(CompiledNorm, "box",
+                        lambda self, cap: caps.append(cap) or box(self, cap))
+    budget = 10 ** 6
+
+    def counts():
+        return [count(m).count for m in modules
+                for count in (effective_sections, strictly_effective_sections)]
+
+    assert with_budget(budget, counts) == [
+        len(oracle_sections(m, strict)) for m in modules for strict in (False, True)]
+    limit = compile_norm(base.norm).box_limits[budget]
+    assert all(compile_norm(m.norm).box_limits is compile_norm(base.norm).box_limits
+               for m in modules)
+    doubling = limit.bit_length()  # the box at t = 1, 2, ..., limit
+    assert len(caps) == doubling + len(modules) * 2  # and one box per walk
 
 
 def test_cli_budget_below_the_box_exits_3(capsys, tmp_path):

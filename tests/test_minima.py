@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from latmin import minima
-from latmin.enumeration import effective_sections
+from latmin.enumeration import effective_sections, strictly_effective_sections
 from latmin.errors import PreconditionViolated
 from latmin.inequalities import random_module
 from latmin.intervals import log_unit_ball_volume
@@ -300,6 +300,46 @@ def test_l1_ball_volume_and_count_in_closed_form(n):
     assert ball_volume(ball).exact == Fraction((2 * m) ** n, math.factorial(n))
     assert effective_sections(ball).count == sum(
         2 ** k * math.comb(n, k) * math.comb(m, k) for k in range(n + 1))
+
+
+def cartan(n, edges, scale=1):
+    """The Cartan matrix of the simply laced Dynkin diagram on n nodes with
+    these edges, divided by scale, as an ellipsoid module."""
+    edges = {frozenset(e) for e in edges}
+    return make_normed_module(n, make_ellipsoid(
+        [[Fraction(2 if i == j else -(frozenset((i, j)) in edges), scale)
+          for j in range(n)] for i in range(n)]))
+
+
+E8_EDGES = [(0, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7), (1, 3)]
+D4_EDGES = [(0, 1), (1, 2), (1, 3)]
+
+
+@pytest.mark.parametrize("n, closed, strict", [(2, 241, 1), (4, 2401, 241),
+                                               (6, 9121, 2401)])
+def test_e8_counts_are_its_theta_partial_sums(n, closed, strict):
+    """E8 has 1, 240, 2160 and 6720 vectors of norm 0, 2, 4 and 6 (its theta
+    series, Conway & Sloane, Sphere Packings, Lattices and Groups, ch. 4):
+    at G = C/n the unit ball holds the norms up to n, and its interior
+    those below n, a sphere of ties."""
+    e8 = cartan(8, E8_EDGES, n)
+    assert effective_sections(e8).count == closed
+    assert strictly_effective_sections(e8).count == strict
+
+
+def test_e8_minima_are_eight_equal_keys():
+    """The 240 roots of E8 span it, so its minima at G = C/2 are all the
+    key 2 of a root, and each lambda is 1; the ladder stops at the tie."""
+    rep = successive_minima(cartan(8, E8_EDGES, 2))
+    assert [(key, den) for _, key, den, _ in rep.mu_parts] == [(2, 2)] * 8
+    assert rep.lambdas == (1.0,) * 8
+
+
+def test_d4_counts_at_norm_2():
+    """D4 has 24 roots of norm 2 and none shorter but 0."""
+    d4 = cartan(4, D4_EDGES, 2)
+    assert effective_sections(d4).count == 25
+    assert strictly_effective_sections(d4).count == 1
 
 
 def test_lasserre_misses_few_nodes_on_the_l1_ball(monkeypatch):
