@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import List, Sequence, Tuple
+from typing import List, Sequence
 
 from .enumeration import h0_hat, h0_hat_sef
 from .errors import ConfigError, EnumerationBudgetExceeded
@@ -171,22 +171,11 @@ def witness_modules() -> List[NormedModule]:
     return [z1, box]
 
 
-def _run_checks(module: NormedModule, alpha: Fraction,
-                alphas) -> List[InequalityReport]:
-    reports = []
-    reports += check_norm_scaling(module, alpha)
-    reports += check_sef_gap(module)
-    reports += check_filtration(module, alphas)
-    reports += check_second_minima(module)
-    reports += check_gs_count(module)
-    reports.append(check_minkowski_count(module))
-    return reports
-
-
 def run_suite(seed: int = 0, trials: int = 100, rank_min: int = 1,
               rank_max: int = 3) -> dict:
-    """Run all checks over the witnesses and `trials` random modules of rank
-    rank_min..rank_max drawn from `seed`; violations are returned as data.
+    """Run all checks over the witnesses, then over `trials` random modules of
+    rank rank_min..rank_max drawn from `seed`; violations are returned as data.
+    Each instance is drawn when it runs, so memory does not grow with `trials`.
 
     Every walk is charged to the one budget of the run, ``enumeration.BUDGET``:
     an instance with a walk past it counts as skipped."""
@@ -199,49 +188,46 @@ def run_suite(seed: int = 0, trials: int = 100, rank_min: int = 1,
     stats: dict = {}
     violations: list = []
     skipped = 0
-
-    def tally(rep: InequalityReport, module: NormedModule) -> None:
-        s = stats.setdefault(rep.name, {"checked": 0, "holds": 0, "violations": 0,
-                                        "min_slack": None})
-        s["checked"] += 1
-        if rep.verdict == "violated":
-            s["violations"] += 1
-            report = {name: getattr(rep, name) for name in rep._fields}
-            violations.append({"report": report, "instance": module.to_json()})
+    witnesses = witness_modules()
+    for t in range(-len(witnesses), trials):  # t < 0 picks a witness
+        if t < 0:
+            mod, alpha, alphas = witnesses[t], Fraction(1), [Fraction(0), Fraction(1)]
         else:
-            s["holds"] += 1
-        if s["min_slack"] is None or rep.slack < s["min_slack"]:
-            s["min_slack"] = rep.slack
-
-    jobs: List[Tuple[NormedModule, Fraction, list]] = []
-    for i, wit in enumerate(witness_modules()):
-        jobs.append((wit, Fraction(1), [Fraction(0), Fraction(1)]))
-    for t in range(trials):
-        mod = random_module(derive(seed, t), rank_min, rank_max)
-        rng = DetRNG(seed, t, 0xC0FFEE)
-        # scaling alpha in [0, 3]; a filtration of at most 4 alphas
-        alpha = rng.fraction(Fraction(0), Fraction(3), 8)
-        n = rng.randint(0, 3)
-        alphas = [Fraction(0)]
-        for _ in range(n):
-            alphas.append(alphas[-1] + rng.fraction(Fraction(0), Fraction(3, 4), 8))
-        jobs.append((mod, alpha, alphas))
-
-    for idx, (mod, alpha, alphas) in enumerate(jobs):
-        try:
-            for rep in _run_checks(mod, alpha, alphas):
-                tally(rep, mod)
+            mod = random_module(derive(seed, t), rank_min, rank_max)
+            rng = DetRNG(seed, t, 0xC0FFEE)
+            # scaling alpha in [0, 3]; a filtration of at most 4 alphas
+            alpha = rng.fraction(Fraction(0), Fraction(3), 8)
+            n = rng.randint(0, 3)
+            alphas = [Fraction(0)]
+            for _ in range(n):
+                alphas.append(alphas[-1] + rng.fraction(Fraction(0), Fraction(3, 4), 8))
+        try:  # all of an instance's reports, or none of them
+            reports = (check_norm_scaling(mod, alpha) + check_sef_gap(mod)
+                       + check_filtration(mod, alphas) + check_second_minima(mod)
+                       + check_gs_count(mod) + [check_minkowski_count(mod)])
         except EnumerationBudgetExceeded:
             skipped += 1
+            continue
+        for rep in reports:
+            s = stats.setdefault(rep.name, {"checked": 0, "holds": 0, "violations": 0,
+                                            "min_slack": None})
+            s["checked"] += 1
+            if rep.verdict == "violated":
+                s["violations"] += 1
+                report = {name: getattr(rep, name) for name in rep._fields}
+                violations.append({"report": report, "instance": mod.to_json()})
+            else:
+                s["holds"] += 1
+            if s["min_slack"] is None or rep.slack < s["min_slack"]:
+                s["min_slack"] = rep.slack
 
-    summary = {
+    return {
         "suite": "counting",
         "trials": trials,
         "seed": seed,
-        "instances": len(jobs),
+        "instances": len(witnesses) + trials,
         "skipped": skipped,
         "total_violations": sum(s["violations"] for s in stats.values()),
         "inequalities": {name: stats[name] for name in sorted(stats)},
         "violation_dumps": violations,
     }
-    return summary

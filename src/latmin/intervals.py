@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import lru_cache
 
 LOG2E_LO, LOG2E_HI = Fraction(14426, 10000), Fraction(14427, 10000)  # 1.44269...
 
@@ -56,8 +55,6 @@ def _to_fraction(m: int, e: int) -> Fraction:
     return Fraction(m << e) if e >= 0 else Fraction(m, 1 << -e)
 
 
-# the closed and strict caps of a twist, and its later list, share enclosures
-@lru_cache(maxsize=1024)
 def exp_interval(x: Fraction, prec: int = 80) -> tuple[Fraction, Fraction]:
     """Return rational (lo, hi) with lo <= e^x <= hi and hi - lo at most
     lo 2^-(prec - 8).

@@ -38,14 +38,6 @@ class MinimaReport:
     mu_parts: tuple         # exact log-representation: (alpha, key, den, squared)
 
 
-def _canonical(v: tuple) -> bool:
-    """v != 0 and its first nonzero entry is positive: one of each pair +-v."""
-    for x in v:
-        if x:
-            return x > 0
-    return False
-
-
 @lru_cache(maxsize=1024)
 def successive_minima(module: NormedModule) -> MinimaReport:
     """lambda_i = min { t : rank <{v : ||v|| <= t}> >= i }, with witnesses."""
@@ -53,11 +45,12 @@ def successive_minima(module: NormedModule) -> MinimaReport:
     if r < 1:
         raise PreconditionViolated("successive minima need rank >= 1")
     compiled, span, found = compile_norm(module.norm), IncrementalSpan(), []
+    zero = (0,) * r  # v > zero: v != 0 with a positive first nonzero entry
     ceiling = max(compiled.key([int(i == k) for i in range(r)]) for k in range(r))
     last, cap = 0, 1  # not a basis key: an unreduced basis has long ones
     while span.rank < r:
         for key, vec in vectors_with_keys(module, cap, above=last)[1]:
-            if _canonical(vec) and span.add(vec):
+            if vec > zero and span.add(vec):
                 found.append((key, vec))
                 if span.rank == r:
                     break

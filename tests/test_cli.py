@@ -1189,6 +1189,19 @@ def test_timing_adds_only_the_duration(capsys, monkeypatch, tmp_path, argv):
     assert timed == plain
 
 
+def test_timing_leaves_an_error_document_as_it_is(capsys, monkeypatch):
+    """An error document has no duration: with LATMIN_TIMING set it is the
+    same bytes, with the same exit code."""
+    argv = ["count", "--module", "/no/such/file.json"]
+    monkeypatch.delenv("LATMIN_TIMING", raising=False)
+    assert main(argv) == 2
+    plain = capsys.readouterr().out
+    assert json.loads(plain)["error"]["type"] == "FileNotFoundError"
+    monkeypatch.setenv("LATMIN_TIMING", "1")
+    assert main(argv) == 2
+    assert capsys.readouterr().out == plain
+
+
 def _closed_pipe():
     """The write end of a pipe whose read end is already closed."""
     r, w = os.pipe()

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from latmin import inequalities
 from latmin.enumeration import effective_sections, h0_hat, h0_hat_sef
 from latmin.errors import ConfigError, EnumerationBudgetExceeded
 from latmin.inequalities import (LOG3, _xlogx, check_filtration, check_gs_count,
@@ -176,3 +177,23 @@ def test_run_suite_small_corpus_clean():
 
 def test_run_suite_is_reproducible():
     assert run_suite(seed=5, trials=4) == run_suite(seed=5, trials=4)
+
+
+def test_each_instance_is_drawn_when_it_runs(monkeypatch):
+    """The corpus is never held whole: the two witnesses run first, then
+    each trial is drawn only after the one before it has run."""
+    events = []
+    draw, check = inequalities.random_module, inequalities.check_minkowski_count
+
+    def drawn(*args, **kwargs):
+        events.append("draw")
+        return draw(*args, **kwargs)
+
+    def checked(module):
+        events.append("check")
+        return check(module)
+
+    monkeypatch.setattr(inequalities, "random_module", drawn)
+    monkeypatch.setattr(inequalities, "check_minkowski_count", checked)
+    run_suite(seed=0, trials=4, rank_max=2)
+    assert events == ["check"] * 2 + ["draw", "check"] * 4

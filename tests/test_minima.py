@@ -117,6 +117,24 @@ def test_minima_match_the_oracle(monkeypatch, index):
     assert [Fraction(k, den) for _, k, den, _ in rep.mu_parts] == values
 
 
+def _positive_first(v):
+    """v != 0 and its first nonzero entry is positive."""
+    return next((x > 0 for x in v if x), False)
+
+
+def test_tuple_order_reads_the_sign_of_the_first_nonzero_entry():
+    """successive_minima keeps a vector v of rank r when v > (0,) * r.  For
+    every v of rank 0-3 with entries in -2..2 that is exactly the rule that v
+    is nonzero with a positive first nonzero entry, and every witness of the
+    ladder keeps that rule, its negation not."""
+    for r in range(4):
+        for v in itertools.product(range(-2, 3), repeat=r):
+            assert (v > (0,) * r) == _positive_first(v), v
+    for module in _minima_modules():
+        for w in successive_minima(module).witnesses:
+            assert _positive_first(w) and not _positive_first(tuple(-x for x in w)), w
+
+
 @pytest.mark.parametrize("alpha, most", [(-2000, 3), (10, 1), (5000, 1)])
 def test_twisted_minima_take_few_rungs(monkeypatch, alpha, most):
     """The ladder starts at key 1 and never passes the largest key of a
