@@ -77,8 +77,18 @@ def jsonable(obj):
 
 
 def encode(report) -> str:
-    """The report's JSON text: compact, sorted keys, reals as in jsonable."""
-    return _dumps(jsonable(report))
+    """The report's JSON text: compact, sorted keys, reals as in jsonable.
+    Its integers are written in full: the interpreter's limit on the digits
+    of an int's str (Python 3.11+), which guards parsing, is lifted only
+    while the report is encoded."""
+    limit = getattr(sys, "get_int_max_str_digits", int)()  # 0: no limit
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        return _dumps(jsonable(report))
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
 
 
 def _trial_text(ledger, chain, sum_ci) -> str:
@@ -334,9 +344,10 @@ def _run(args) -> int:
             manifest["duration_s"] = fmt_real(time.monotonic() - started)
         head_text = '{"manifest":' + _dumps(manifest) + ',"report":'
         document = [head_text.encode(), *body, b"}\n"]
-    except (LatminError, OSError, UnicodeDecodeError, json.JSONDecodeError,
-            RecursionError) as exc:
-        # an input file that is unreadable, unparsable or too deep is bad input
+    except (LatminError, OSError, ValueError, RecursionError) as exc:
+        # an input file that is unreadable, unparsable (json raises a
+        # ValueError, also for an integer past the str digit limit) or too
+        # deep is bad input
         error = {"type": type(exc).__name__, "message": str(exc)}
         document = [_dumps({"error": error, "manifest": head}).encode() + b"\n"]
         exit_code = exc.exit_code if isinstance(exc, LatminError) else 2

@@ -10,12 +10,13 @@ chain for ellipsoids (Fincke & Pohst, Math. Comp. 44, 1985), and per-row
 intervals for PolyMax norms.  At the innermost level that range is a
 line: every t in [lo, hi] ends in the ball.  Level i ranges over at most
 2 B_i + 1 integers (``CompiledNorm.box``), and the budget is charged on
-prod (2 B_i + 1) before any walk.  The unit ball doubles a key t until its
-widths pass the budget and resolves its cap no higher than t, so a huge
-twist never computes its cap.  One budget governs every walk of a run: the
-context variable ``BUDGET``, which the CLI sets once per subcommand, read
-only where a walk is charged.  A count already cached did its walk, so it
-is returned again without a charge, also under a smaller budget.
+prod (2 B_i + 1) before any walk.  The unit ball finds the first key
+t = 2^k whose widths pass the budget, doubling k and then bisecting, and
+resolves its cap no higher than t, so a huge twist never computes its cap.
+One budget governs every walk of a run: the context variable ``BUDGET``,
+which the CLI sets once per subcommand, read only where a walk is charged.
+A count already cached did its walk, so it is returned again without a
+charge, also under a smaller budget.
 
 A count adds hi - lo + 1 per line at the closed or the strict cap and
 lists nothing, in O(r) memory.  The same lines expand into one list of
@@ -34,7 +35,6 @@ from collections import defaultdict
 from contextvars import ContextVar
 from functools import cached_property, lru_cache
 from itertools import repeat
-from typing import List, Tuple
 
 from .errors import EnumerationBudgetExceeded
 from .norms import CompiledNorm, NormedModule, compile_norm
@@ -45,13 +45,13 @@ DEFAULT_BUDGET = 10 ** 8
 BUDGET = ContextVar("budget", default=DEFAULT_BUDGET)
 
 
-def _check_budget(bounds: List[int], budget: int) -> None:
+def _check_budget(bounds: list[int], budget: int) -> None:
     predicted = math.prod(2 * b + 1 for b in bounds)
     if predicted > budget:
         raise EnumerationBudgetExceeded(predicted, budget)
 
 
-def _ellipsoid_walk(compiled: CompiledNorm, cap: int, bounds: List[int]):
+def _ellipsoid_walk(compiled: CompiledNorm, cap: int):
     """Lines (head, lo, hi, keys) of the lattice v with v^T G' v <= cap:
     the v = head + (t,) for lo <= t <= hi, keys() their keys, depth first.
 
@@ -63,7 +63,7 @@ def _ellipsoid_walk(compiled: CompiledNorm, cap: int, bounds: List[int]):
     at most d cap, and d is the next level's a.  At the innermost level d = 1
     and the chain value is the key.
     """
-    chain, last, x = compiled.chain, len(bounds) - 1, [0] * len(bounds)
+    chain, last, x = compiled.chain, compiled.rank - 1, [0] * compiled.rank
 
     def level(i: int, p: int):
         a, d, row = chain[i]
@@ -84,7 +84,7 @@ def _ellipsoid_walk(compiled: CompiledNorm, cap: int, bounds: List[int]):
     yield from level(0, 0)
 
 
-def _polymax_walk(compiled: CompiledNorm, cap: int, bounds: List[int]):
+def _polymax_walk(compiled: CompiledNorm, cap: int, bounds: list[int]):
     """Lines, as in ``_ellipsoid_walk``, of the v with max_j |A'_j . v| <= cap.
 
     With p_j the partial sum over x_{<i} and tail_j = sum_{l>i} |a'_jl| B_l,
@@ -126,11 +126,11 @@ def _lines(module: NormedModule, cap: int):
     compiled = compile_norm(module.norm)
     bounds = compiled.box(cap)
     _check_budget(bounds, BUDGET.get())
-    walk = _ellipsoid_walk if compiled.squared else _polymax_walk
-    return compiled, bounds, walk(compiled, cap, bounds)
+    return compiled, bounds, (_ellipsoid_walk(compiled, cap) if compiled.squared
+                              else _polymax_walk(compiled, cap, bounds))
 
 
-def _shells(module: NormedModule, cap: int, above: int) -> Tuple[CompiledNorm, dict]:
+def _shells(module: NormedModule, cap: int, above: int) -> tuple[CompiledNorm, dict]:
     """The lattice vectors with above < key <= cap as {key: [vectors]}: the
     walk is depth first, x_0 outermost, so each key's vectors arrive in
     increasing order.  The budget is charged on the widths of the cap."""
@@ -146,7 +146,7 @@ def _shells(module: NormedModule, cap: int, above: int) -> Tuple[CompiledNorm, d
 
 
 def vectors_with_keys(module: NormedModule, cap: int,
-                      above: int = -1) -> Tuple[CompiledNorm, list]:
+                      above: int = -1) -> tuple[CompiledNorm, list]:
     """The lattice vectors with above < key <= cap (all up to cap by default),
     as (key, vector) pairs sorted so that consumers are deterministic; the
     budget is charged on the widths of the cap, and only that shell is listed."""
@@ -158,16 +158,25 @@ def _unit_cap(module: NormedModule, strict: bool) -> int:
     """cap(1), or the strict cap, no higher than the first key t = 1, 2, 4,
     ... whose widths prod (2 B_i(t) + 1) pass the budget: the box grows with
     the cap, so the charge every walk makes at its cap refuses a cap that
-    reaches t, at the widths of t.  Rank 0, whose ball is {0} at any cap,
-    has no widths to double.  The box has no twist, so t is found once per
-    base compile and budget (``CompiledNorm.box_limits``)."""
+    reaches t, at the widths of t.  The box is monotone in the key, so t's
+    exponent is found by doubling it (0, 1, 2, 4, ...) and then bisecting:
+    O(log bits) boxes, each an isqrt as long as the entries, not one box
+    per bit of t.  Rank 0, whose ball is {0} at any cap, has no widths to
+    grow.  The box has no twist, so t is found once per base compile and
+    budget (``CompiledNorm.box_limits``)."""
     compiled, budget = compile_norm(module.norm), BUDGET.get()
     t = compiled.box_limits.get(budget)
     if t is None:
-        t = 1
-        while compiled.rank and math.prod(2 * b + 1 for b in compiled.box(t)) <= budget:
-            t *= 2
-        compiled.box_limits[budget] = t
+        def passes(k):
+            return math.prod(2 * b + 1 for b in compiled.box(1 << k)) <= budget
+
+        lo, hi = -1, 0  # 2^lo passes (lo = -1: none yet), then 2^hi fails
+        while compiled.rank and passes(hi):
+            lo, hi = hi, 2 * hi or 1
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (mid, hi) if passes(mid) else (lo, mid)
+        t = compiled.box_limits[budget] = 1 << hi
     return compiled.cap(1, strict, limit=t)
 
 

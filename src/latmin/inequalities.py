@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import List, Sequence
 
 from .enumeration import h0_hat, h0_hat_sef
 from .errors import ConfigError, EnumerationBudgetExceeded
@@ -31,7 +30,7 @@ LOG2 = math.log(2.0)
 LOG3 = math.log(3.0)
 
 
-def check_norm_scaling(module: NormedModule, alpha) -> List[InequalityReport]:
+def check_norm_scaling(module: NormedModule, alpha) -> list[InequalityReport]:
     """Scaling bounds for h0 and h0_sef under a twist by -alpha."""
     alpha = Fraction(alpha)
     if alpha < 0:
@@ -52,7 +51,7 @@ def check_norm_scaling(module: NormedModule, alpha) -> List[InequalityReport]:
     ]
 
 
-def check_sef_gap(module: NormedModule) -> List[InequalityReport]:
+def check_sef_gap(module: NormedModule) -> list[InequalityReport]:
     """h0_sef <= h0 <= h0_sef + r log 3."""
     digest = module.digest()
     h0 = h0_hat(module)
@@ -63,7 +62,7 @@ def check_sef_gap(module: NormedModule) -> List[InequalityReport]:
     ]
 
 
-def check_filtration(module: NormedModule, alphas: Sequence) -> List[InequalityReport]:
+def check_filtration(module: NormedModule, alphas: tuple | list) -> list[InequalityReport]:
     """Filtration bounds over 0 = a_0 <= a_1 <= ... <= a_n.  The rank at a_i
     is # {j : lambda_j <= e^(-a_i)}: the minima keys at most the unit cap of
     the twist by -a_i, which has the module's keys.  Each cap is resolved no
@@ -98,7 +97,7 @@ def check_filtration(module: NormedModule, alphas: Sequence) -> List[InequalityR
     ]
 
 
-def check_second_minima(module: NormedModule) -> List[InequalityReport]:
+def check_second_minima(module: NormedModule) -> list[InequalityReport]:
     """Minkowski window: r log 2 - log r! <= chi - sum mu_i <= r log 2."""
     digest = module.digest()
     r = module.rank
@@ -112,7 +111,7 @@ def check_second_minima(module: NormedModule) -> List[InequalityReport]:
     ]
 
 
-def check_gs_count(module: NormedModule) -> List[InequalityReport]:
+def check_gs_count(module: NormedModule) -> list[InequalityReport]:
     """|h0 - sum max(mu_i, 0)| <= r log 3 + 2 r log r, and the sef variant."""
     digest = module.digest()
     r = module.rank
@@ -165,7 +164,7 @@ def random_module(seed: int, rank_min: int = 1, rank_max: int = 3) -> NormedModu
 
 
 # boundary-tight witnesses always included in the corpus
-def witness_modules() -> List[NormedModule]:
+def witness_modules() -> list[NormedModule]:
     z1 = make_normed_module(1, make_polymax([["1/1"]]))
     box = make_normed_module(2, make_polymax([["1/4", "0/1"], ["0/1", "1/1"]]))
     return [z1, box]

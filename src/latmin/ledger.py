@@ -18,7 +18,6 @@ import math
 import sys
 from functools import cached_property, reduce
 from operator import add
-from typing import List, Tuple
 
 from .errors import ConfigError, InfeasibleLedger, PreconditionViolated
 from .record import digest16, record
@@ -68,7 +67,7 @@ class LedgerStep:
 class Ledger:
     g: int
     kappa: int
-    steps: Tuple[LedgerStep, ...]
+    steps: tuple[LedgerStep, ...]
     L2_0: float
     mode: str
 
@@ -179,7 +178,7 @@ def ledger_from_json(data: dict) -> Ledger:
         raise ConfigError(f"bad ledger JSON: {exc}") from exc
 
 
-def derived_intersections(ledger: Ledger) -> Tuple[List[float], List[float]]:
+def derived_intersections(ledger: Ledger) -> tuple[list[float], list[float]]:
     """Forward sequences L_i^2 and L_i'^2 = L_i^2 - 2 d_i c_i, as new lists."""
     return list(ledger._l2), list(ledger._l2p)
 
@@ -198,7 +197,7 @@ def _chain_value(steps) -> float:
             + 4.0 * r0 * math.log(r0) + 2.0 * r0 * LOG3)
 
 
-def onestep_chain(ledger: Ledger, j: int) -> Tuple[InequalityReport, InequalityReport]:
+def onestep_chain(ledger: Ledger, j: int) -> tuple[InequalityReport, InequalityReport]:
     """Intersection chain at step j plus the count-side bound.
 
     The count bound treats the terminal section count as 0 (the reduction's
@@ -410,7 +409,7 @@ def asymptotic_margin_per_d() -> float:
     return C_D - 16.0 * LOG3 - 2.0 * LOG2PI
 
 
-def verify_constant_chain(g_max: int, kappa_max: int) -> List[InequalityReport]:
+def verify_constant_chain(g_max: int, kappa_max: int) -> list[InequalityReport]:
     """Check the constant-absorption steps on the full (g, kappa) grid.
 
     Three absorptions, all independent of |D_K| (the log|D_K| coefficients

@@ -32,7 +32,6 @@ import json
 import math
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from typing import List, Sequence, Union
 
 from .errors import ConfigError, DimensionMismatch, InvalidNorm, UnboundedBall
 from .intervals import exp_float, floor_exp, saturated_float
@@ -196,7 +195,7 @@ class CompiledNorm:
             base /= 2
         return base - saturated_float(self.alpha)
 
-    def box(self, cap: int) -> List[int]:
+    def box(self, cap: int) -> list[int]:
         """B_i with level i of the walk at a cap over at most 2 B_i + 1
         integers.  Ellipsoid: (a t + b)^2 <= d (a cap - p), p >= 0, holds at
         most floor(2 s / a) + 1, s = isqrt(d a cap): B_i rounds s / a, and by
@@ -223,7 +222,7 @@ class NormValue:
     """Exact norm value of one vector: its key under the compiled norm."""
 
     norm: CompiledNorm
-    key: Union[int, Fraction]
+    key: int | Fraction
 
     def le(self, threshold) -> bool:
         """Decide norm <= threshold exactly."""
@@ -279,7 +278,7 @@ def twist(module: NormedModule, alpha) -> NormedModule:
     return NormedModule(module.rank, make_scaled(module.norm, alpha))
 
 
-def norm_eval(module: NormedModule, v: Sequence) -> NormValue:
+def norm_eval(module: NormedModule, v: tuple | list) -> NormValue:
     """Exact norm value of an integer (or rational) vector."""
     if len(v) != module.rank:
         raise DimensionMismatch(f"vector length {len(v)} != rank {module.rank}")

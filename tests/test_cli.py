@@ -535,6 +535,49 @@ def test_subprocess_output_byte_identical(tmp_path):
     assert a.stdout == b.stdout
 
 
+@pytest.mark.parametrize("kind", ["gram", "step-degree"])
+def test_an_input_integer_past_the_str_digit_limit_is_bad_input(tmp_path, kind):
+    """A 5,000-digit integer literal in a module's gram or a ledger step's
+    degree exits 2 with an error document and no traceback where the
+    interpreter limits int parsing; an interpreter without a limit reads
+    the gram, a ball that holds only 0, and refuses the degree, past the
+    double range."""
+    path, digits = tmp_path / "input.json", "7" * 5000
+    if kind == "gram":
+        path.write_text('{"rank": 1, "norm": {"type": "ellipsoid", "gram": [[%s]]}}'
+                        % digits)
+        argv, unlimited = ["count", "--module", str(path)], 0
+    else:
+        path.write_text(json.dumps(dict(LEDGER, steps=[
+            {"d": 0, "r": 3, "c": 1.0, "slack": 2.0}])).replace('"d": 0', '"d": ' + digits))
+        argv, unlimited = ["ledger", "eval", "--config", str(path)], 2
+    out = _run(argv)
+    assert "Traceback" not in out.stderr.decode(), out.stderr
+    # the child inherits the environment, and with it this process's limit
+    want = 2 if getattr(sys, "get_int_max_str_digits", int)() else unlimited
+    assert out.returncode == want, out.stdout
+    if want == 2:
+        assert "error" in json.loads(out.stdout)
+
+
+def test_minima_writes_a_huge_exact_alpha_in_full(tmp_path):
+    """The minimum of the rank-1 disk twisted by alpha = 10^5000 is written
+    with its exact alpha in full (exit 0), and the str digit limit that
+    guards parsing is restored after the report is encoded."""
+    path = tmp_path / "twist.json"
+    path.write_text(json.dumps({"rank": 1, "norm": {
+        "type": "scaled", "alpha": "1e5000",
+        "inner": {"type": "ellipsoid", "gram": [["1"]]}}}))
+    out = _run(["minima", "--module", str(path)])
+    assert "Traceback" not in out.stderr.decode()
+    assert out.returncode == 0
+    assert b'"alpha":"1%s/1"' % (b"0" * 5000) in out.stdout
+    if hasattr(sys, "get_int_max_str_digits"):
+        limit = sys.get_int_max_str_digits()
+        assert encode([10 ** 5000]) == "[1%s]" % ("0" * 5000)
+        assert sys.get_int_max_str_digits() == limit
+
+
 def test_cli_import_does_not_load_mpmath(tmp_path):
     """No op loads mpmath, nor dataclasses with its inspect (the value
     types are records), nor hashlib with OpenSSL's _hashlib (digest16 uses
@@ -576,17 +619,20 @@ def test_cli_import_does_not_load_mpmath(tmp_path):
         (cli("ledger", "sweep", "--g-max", "20", "--kappa-max", "3"), ledger),
         (cli("verify", "--trials", "1", "--max-rank", "2"), {"latmin.ledger"}),
     ]
-    for code, banned in cases:
-        out = subprocess.run(
-            [sys.executable, "-c",
-             f"import sys\n{code}print(*sorted(sys.modules))"],
-            capture_output=True, env=env)
-        assert out.returncode == 0, (code, out.stderr)
-        loaded = set(out.stdout.decode().splitlines()[-1].split())
-        assert "latmin" in loaded
-        banned = banned | {"mpmath", "dataclasses", "inspect", "hashlib",
-                           "_hashlib"}
-        assert not loaded & banned, (code, loaded & banned)
+    # each case runs twice: as is, and under -S, where no site-packages .pth
+    # file can load typing first (the annotations are never evaluated)
+    for flags, extra in (((), set()), (("-S",), {"typing"})):
+        for code, banned in cases:
+            out = subprocess.run(
+                [sys.executable, *flags, "-c",
+                 f"import sys\n{code}print(*sorted(sys.modules))"],
+                capture_output=True, env=env)
+            assert out.returncode == 0, (flags, code, out.stderr)
+            loaded = set(out.stdout.decode().splitlines()[-1].split())
+            assert "latmin" in loaded
+            banned = banned | extra | {"mpmath", "dataclasses", "inspect",
+                                       "hashlib", "_hashlib"}
+            assert not loaded & banned, (flags, code, loaded & banned)
 
 
 def test_only_the_process_entry_freezes_the_heap(tmp_path):

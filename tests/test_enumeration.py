@@ -451,7 +451,7 @@ def test_unit_cap_is_one_limited_floor(monkeypatch):
 
 def test_unit_cap_limit_is_found_once_per_base_and_budget(monkeypatch):
     """The closed and strict counts of a module and of two twists, the six
-    counts of one corpus instance, double the key to the budget's limit
+    counts of one corpus instance, search the key to the budget's limit
     once: a twist's box is its base's, and so is the memo of the limit."""
     base = shaped_module(3, "polymax", False)
     modules = [base, twist(base, "1/3"), twist(base, "-1/2")]
@@ -471,8 +471,23 @@ def test_unit_cap_limit_is_found_once_per_base_and_budget(monkeypatch):
     limit = compile_norm(base.norm).box_limits[budget]
     assert all(compile_norm(m.norm).box_limits is compile_norm(base.norm).box_limits
                for m in modules)
-    doubling = limit.bit_length()  # the box at t = 1, 2, ..., limit
-    assert len(caps) == doubling + len(modules) * 2  # and one box per walk
+    assert limit == 2 ** 15
+    # the exponent doubles from 0 until 2^16 fails, then bisects [8, 16]
+    search = [1 << k for k in (0, 1, 2, 4, 8, 16, 12, 14, 15)]
+    assert caps[:len(search)] == search
+    assert len(caps) == len(search) + len(modules) * 2  # and one box per walk
+
+
+def test_a_ball_with_huge_entries_counts_in_a_few_boxes(monkeypatch):
+    """G = [[10^10000]] holds only 0.  Its limit t has about 33,000 bits,
+    found in O(log bits) boxes, each an isqrt as long as the entry, not
+    one box per bit of t."""
+    calls, box = [], CompiledNorm.box
+    monkeypatch.setattr(CompiledNorm, "box",
+                        lambda self, cap: calls.append(cap) or box(self, cap))
+    m = make_normed_module(1, make_ellipsoid([[10 ** 10000]]))
+    assert effective_sections(m).count == 1
+    assert len(calls) <= 40
 
 
 def test_cli_budget_below_the_box_exits_3(capsys, tmp_path):

@@ -360,6 +360,35 @@ def test_d4_counts_at_norm_2():
     assert strictly_effective_sections(d4).count == 1
 
 
+def _divisors(k):
+    return [d for d in range(1, k + 1) if k % d == 0]
+
+
+def _squares(n, k):
+    """r_n(k), the representations of k as a sum of n squares, for k >= 1:
+    Jacobi's two- and four-square theorems and the eight-square formula
+    (Grosswald, Representations of Integers as Sums of Squares, ch. 9)."""
+    if n == 2:
+        return 4 * sum((-1) ** ((d - 1) // 2) for d in _divisors(k) if d % 2)
+    if n == 4:
+        return 8 * sum(_divisors(k)) - (32 * sum(_divisors(k // 4)) if k % 4 == 0 else 0)
+    return 16 * sum((-1) ** (k + d) * d ** 3 for d in _divisors(k))
+
+
+@pytest.mark.parametrize("n, big_n, closed, strict", [
+    (2, 1000, 3149, 3133), (4, 50, 12577, 11833), (4, 300, 445865, 442889),
+    (8, 6, 6865, 3729)])
+def test_z_n_counts_are_sums_of_squares(n, big_n, closed, strict):
+    """Z^n at G = I/N holds 1 + sum_{k <= N} r_n(k) vectors in its unit ball
+    and 1 + sum_{k < N} r_n(k) in its interior."""
+    z = make_normed_module(n, make_ellipsoid(
+        [[Fraction(int(i == j), big_n) for j in range(n)] for i in range(n)]))
+    assert 1 + sum(_squares(n, k) for k in range(1, big_n + 1)) == closed
+    assert closed - _squares(n, big_n) == strict
+    assert effective_sections(z).count == closed
+    assert strictly_effective_sections(z).count == strict
+
+
 def test_lasserre_misses_few_nodes_on_the_l1_ball(monkeypatch):
     """Work gate at 1.25 times the count: the l1 ball of rank 6 and radius
     3 (32 rows) misses the memo 70 times in 269 calls."""
