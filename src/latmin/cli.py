@@ -20,22 +20,30 @@ into one document.  ``ledger simulate`` writes the buffers of its forked
 shards in trial order (see ``_run_forked``), so stdout does not depend on
 ``--threads``.
 
-Importing this module loads ``argparse``, ``contextvars`` and ``json``
-and, of latmin, only ``errors`` and ``record`` (whose SHA-256 is the
-interpreter's own: no process loads OpenSSL); not ``fractions`` with its
-``decimal``, which only the lattice layers need.  Each ``cmd_*`` imports
-the layers its subcommand runs, so a ``count`` loads no minima,
-inequality or ledger code and a ``ledger`` run no lattice code and no
-``intervals``.  No subcommand loads mpmath (e^x is enclosed in integers,
-see ``intervals``), nor the standard library's dataclass module with its
-``inspect``: the value types are ``record``s.  A process starts at
-``entry``, which freezes the heap once ``main`` has returned, so the
-interpreter's shutdown runs no collection over what the imports built.
+The command line is read from one table, ``COMMANDS`` (each subcommand's
+handler and options; ``--threads`` comes before the subcommand), by
+``parse_args`` as the standard library's parser read it before: ``--opt
+value`` or ``--opt=value``, a unique prefix for the option, the last of a
+repeated option.  A usage error exits 2 with the usage line and one error
+line on stderr, and no document.  Importing this module loads
+``contextvars`` and ``json`` and, of latmin, only ``errors`` and
+``record`` (whose SHA-256 is the interpreter's own: no process loads
+OpenSSL); not that parser with its ``gettext`` and ``locale``, whose
+import and set-up took 4 ms of every process with the full ``site`` and
+15 ms under ``python -S``, and not ``fractions`` with its ``decimal``,
+which only the lattice layers need.
+Each ``cmd_*`` imports the layers its subcommand runs, so a ``count``
+loads no minima, inequality or ledger code and a ``ledger`` run no
+lattice code and no ``intervals``.  No subcommand loads mpmath (e^x is
+enclosed in integers, see ``intervals``), nor the standard library's
+dataclass module with its ``inspect``: the value types are ``record``s.
+A process starts at ``entry``, which freezes the heap once ``main`` has
+returned, so the interpreter's shutdown runs no collection over what the
+imports built.
 """
 
 from __future__ import annotations
 
-import argparse
 import contextvars
 import errno
 import gc
@@ -272,49 +280,126 @@ def cmd_ledger_simulate(args):
     return conf, body, args.seed, 1 if violations else 0
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="latmin",
-                                     description="normed lattice toolkit")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="at least 1; processes for ledger simulate "
-                             "(other subcommands run in one)")
-    sub = parser.add_subparsers(dest="command", required=True)
-    module = argparse.ArgumentParser(add_help=False)
-    module.add_argument("--module", required=True)
-    budget = argparse.ArgumentParser(add_help=False)
-    budget.add_argument("--budget", type=int)
-    p = sub.add_parser("count", parents=[module, budget],
-                       help="count effective sections")
-    p.add_argument("--strict", action="store_true")
-    p.add_argument("--emit-vectors", action="store_true")
-    p.set_defaults(func=cmd_count)
-    p = sub.add_parser("minima", parents=[module, budget], help="successive minima")
-    p.set_defaults(func=cmd_minima)
-    p = sub.add_parser("chi", parents=[module], help="Euler characteristic")
-    p.set_defaults(func=cmd_chi)
-    p = sub.add_parser("verify", parents=[budget], help="run the inequality suite")
-    p.add_argument("--suite", default="counting")
-    p.add_argument("--trials", type=int, default=100)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-rank", type=int, default=3)
-    p.set_defaults(func=cmd_verify)
-    p = sub.add_parser("ledger", help="reduction-ledger tools")
-    lsub = p.add_subparsers(dest="ledger_cmd", required=True)
-    p = lsub.add_parser("eval")
-    p.add_argument("--config", required=True)
-    p.add_argument("--theorem", choices=["B", "C", "D", "E", "deg1", "trivial"])
-    p.set_defaults(func=cmd_ledger_eval)
-    p = lsub.add_parser("sweep")
-    p.add_argument("--g-max", type=int, default=1000)
-    p.add_argument("--kappa-max", type=int, default=50)
-    p.set_defaults(func=cmd_ledger_sweep)
-    p = lsub.add_parser("simulate")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--mode", required=True)
-    p.add_argument("--trials", type=int, default=10)
-    p.set_defaults(func=cmd_ledger_simulate)
+REQUIRED = object()  # the default of an option that must be given
+_MODULE, _BUDGET = {"--module": (str, REQUIRED)}, {"--budget": (int, None)}
+THREADS = {"--threads": (int, 1)}  # latmin's own, before the subcommand
+# subcommand -> (handler, {option: (type, default)}): the type is int or str,
+# which reads the value, bool for a flag, or the tuple of the values allowed
+COMMANDS = {
+    "count": (cmd_count, {**_MODULE, **_BUDGET, "--strict": (bool, False),
+                          "--emit-vectors": (bool, False)}),
+    "minima": (cmd_minima, {**_MODULE, **_BUDGET}),
+    "chi": (cmd_chi, _MODULE),
+    "verify": (cmd_verify, {**_BUDGET, "--suite": (str, "counting"),
+                            "--trials": (int, 100), "--seed": (int, 0),
+                            "--max-rank": (int, 3)}),
+    "ledger eval": (cmd_ledger_eval, {
+        "--config": (str, REQUIRED),
+        "--theorem": (("B", "C", "D", "E", "deg1", "trivial"), None)}),
+    "ledger sweep": (cmd_ledger_sweep, {"--g-max": (int, 1000),
+                                        "--kappa-max": (int, 50)}),
+    "ledger simulate": (cmd_ledger_simulate, {"--seed": (int, 0),
+                                              "--mode": (str, REQUIRED),
+                                              "--trials": (int, 10)}),
+}
+HELP = """
+normed lattice toolkit.  --threads N (at least 1): processes for ledger
+simulate; every other subcommand runs in one.  The subcommands:
+"""
 
-    return parser
+
+class Args:
+    """The parsed command line as attributes (--max-rank as max_rank);
+    `name in args` tells whether the subcommand has that option."""
+
+    def __init__(self, **values):
+        self.__dict__.update(values)
+
+    def __contains__(self, name) -> bool:
+        return name in self.__dict__
+
+
+def usage(name="") -> str:
+    """The usage line of a subcommand, or of latmin for any other name."""
+    if name not in COMMANDS:
+        return "usage: latmin [--threads N] COMMAND [OPTION ...]"
+    words = ["usage: latmin [--threads N]", name]
+    for option, (kind, default) in COMMANDS[name][1].items():
+        if kind is not bool:
+            option += " " + ("{%s}" % ",".join(kind) if type(kind) is tuple
+                             else "N" if kind is int else option[2:].upper())
+        words.append(option if default is REQUIRED else f"[{option}]")
+    return " ".join(words)
+
+
+def parse_args(argv=None) -> Args:
+    """argv (sys.argv[1:] by default) read against THREADS and COMMANDS as
+    the standard library's parser read them: a lone "-", a negative number
+    and a word with a space are values when they name no option.  -h or
+    --help prints the usage text on stdout, and a usage error the usage
+    line and one `latmin: error:` line on stderr; each raises SystemExit,
+    0 and 2."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    name, table, given, extra, i = "", THREADS, {}, [], 0
+
+    def fail(message):
+        print(usage(name), "latmin: error: " + message, sep="\n", file=sys.stderr)
+        raise SystemExit(2)
+
+    def names(arg):  # None for a value, else the options that arg names
+        key = "--help" if arg == "-h" else arg.partition("=")[0]
+        if key.startswith("--") and key != "--":  # no option prefixes another
+            hits = [o for o in (*table, "--help") if o.startswith(key)]
+            if hits:
+                return hits
+        # "-", the negative numbers -\d+ and -\d*.\d+, and a word
+        # with a space are values; any other word that starts with "-" is not
+        number = arg[1:].replace(".", "", 1).isdecimal() and arg[-1] != "."
+        return None if arg[:1] != "-" or arg == "-" or number or " " in arg else []
+
+    while i < len(argv):
+        arg, i = argv[i], i + 1
+        hits = names(arg)
+        if hits is None and name not in COMMANDS:  # a word of the subcommand
+            name = f"{name} {arg}".lstrip()
+            if not any(f"{c} ".startswith(f"{name} ") for c in COMMANDS):
+                fail(f"invalid subcommand {name!r} (choose from {', '.join(COMMANDS)})")
+            table = COMMANDS[name][1] if name in COMMANDS else {}
+        elif not hits or len(hits) > 1:
+            if hits:
+                fail(f"ambiguous option {arg}: {', '.join(hits)}")
+            extra.append(arg)
+        else:
+            option, (eq, value) = hits[0], arg.partition("=")[1:]
+            kind = table[option][0] if option in table else bool  # --help
+            if option == "--help" and not eq:
+                print(usage(), HELP, *(f"  {usage(n)[7:]}" for n in COMMANDS), sep="\n")
+                raise SystemExit(0)
+            if kind is bool:
+                if eq:
+                    fail(f"argument {option}: no value expected")
+                value = True
+            elif not eq:
+                if i == len(argv) or names(argv[i]) is not None:
+                    fail(f"argument {option}: one value expected")
+                value, i = argv[i], i + 1
+            try:
+                given[option] = int(value) if kind is int else value
+                if type(kind) is tuple and value not in kind:
+                    raise ValueError
+            except ValueError:
+                fail(f"argument {option}: invalid value {value!r}")
+    if name not in COMMANDS:
+        fail("a subcommand is required")
+    func, table = COMMANDS[name]
+    given = {o: d for o, (_, d) in {**THREADS, **table}.items()} | given
+    missing = [o for o, v in given.items() if v is REQUIRED]
+    if missing or extra:
+        fail("missing " + ", ".join(missing) if missing
+             else "unrecognized arguments: " + " ".join(extra))
+    command, _, sub = name.partition(" ")
+    return Args(command=command, func=func, **({"ledger_cmd": sub} if sub else {}),
+                **{o[2:].replace("-", "_"): v for o, v in given.items()})
 
 
 def _run(args) -> int:
@@ -369,7 +454,7 @@ def _run(args) -> int:
 
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code else 0
     # a fresh context per run: the budget one sets ends with it

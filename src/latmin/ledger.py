@@ -409,6 +409,19 @@ def asymptotic_margin_per_d() -> float:
     return C_D - 16.0 * LOG3 - 2.0 * LOG2PI
 
 
+def _absorption_slacks(g: int, kappa: int) -> tuple:
+    """The float slacks (rhs - lhs) of the absorptions (i), (ii) and (iii) of
+    ``verify_constant_chain`` at one cell (g, kappa)."""
+    d = (2 * g - 2) * kappa
+    r = g * kappa
+    dlogd = d * math.log(d)
+    cprime = 4.5 * dlogd + 4.0 * d * LOG3
+    return ((54.0 * dlogd + 61.0 * d) - (12.0 * cprime + 4.0 * r * LOG2PI),
+            (C_DLOGD * dlogd + C_D * d) - (4.0 * cprime + 4.0 * r * LOG2PI),
+            cprime - (4.0 * d * math.log(3.0 * d) + r * LOG2
+                      + 0.5 * r * math.log(r) - 0.5 * r * LOG2PI))
+
+
 def verify_constant_chain(g_max: int, kappa_max: int) -> list[InequalityReport]:
     """Check the constant-absorption steps on the full (g, kappa) grid.
 
@@ -420,11 +433,12 @@ def verify_constant_chain(g_max: int, kappa_max: int) -> list[InequalityReport]:
     with C' = (9/2) d log d + 4 d log 3 (absD = 1), d = (2g-2) kappa, r = g kappa.
 
     They hold for every g >= 2 and kappa >= 1, not only on the grid: the
-    d log d terms cancel, r/d = g/(2g-2) lies in (1/2, 1], and the slacks are
-      (i)   61d - 48 d log 3 - 4r log 2pi >= d (61 - 48 log 3 - 4 log 2pi) = 0.9151 d
-      (ii)  25d - 16 d log 3 - 4r log 2pi >= d (25 - 16 log 3 - 4 log 2pi) = 0.0707 d
+    d log d terms cancel, r/d = g/(2g-2) lies in (1/2, 1], and the slacks
+    (``_absorption_slacks``, one cell) are, rounded down,
+      (i)   61d - 48 d log 3 - 4r log 2pi >= d (61 - 48 log 3 - 4 log 2pi) > 0.9151 d
+      (ii)  25d - 16 d log 3 - 4r log 2pi >= d (25 - 16 log 3 - 4 log 2pi) > 0.0706 d
       (iii) (1/2) d log d - (1/2) r log r + r ((1/2) log 2pi - log 2)
-                >= r ((1/2) log 2pi - log 2) = 0.2258 r, as d >= r >= 1,
+                >= r ((1/2) log 2pi - log 2) > 0.2257 r, as d >= r >= 1,
     each bound attained at g = 2, where r = d.  Three exact decisions make
     them positive: with pi < 355/113, e^25 > 3^16 (710/113)^4 for (ii) and
     e^61 > 3^48 (710/113)^4 for (i) (``intervals.compare_exp``), and with
@@ -435,17 +449,9 @@ def verify_constant_chain(g_max: int, kappa_max: int) -> list[InequalityReport]:
     mins = dict.fromkeys(("i", "ii", "iii", "ii-per-d"), math.inf)
     for g in range(2, g_max + 1):
         for kappa in range(1, kappa_max + 1):
-            d = (2 * g - 2) * kappa
-            r = g * kappa
-            dlogd = d * math.log(d)
-            cprime = 4.5 * dlogd + 4.0 * d * LOG3
-            s_i = (54.0 * dlogd + 61.0 * d) - (12.0 * cprime + 4.0 * r * LOG2PI)
-            s_ii = (C_DLOGD * dlogd + C_D * d) - (4.0 * cprime + 4.0 * r * LOG2PI)
-            s_iii = (cprime
-                     - (4.0 * d * math.log(3.0 * d) + r * LOG2
-                        + 0.5 * r * math.log(r) - 0.5 * r * LOG2PI))
+            s_i, s_ii, s_iii = _absorption_slacks(g, kappa)
             for key, s in (("i", s_i), ("ii", s_ii), ("iii", s_iii),
-                           ("ii-per-d", s_ii / d)):
+                           ("ii-per-d", s_ii / ((2 * g - 2) * kappa))):
                 mins[key] = min(mins[key], s)
     digest = f"grid-g{g_max}-k{kappa_max}"
     return [

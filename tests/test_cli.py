@@ -620,8 +620,11 @@ def test_cli_import_does_not_load_mpmath(tmp_path):
         (cli("verify", "--trials", "1", "--max-rank", "2"), {"latmin.ledger"}),
     ]
     # each case runs twice: as is, and under -S, where no site-packages .pth
-    # file can load typing first (the annotations are never evaluated)
-    for flags, extra in (((), set()), (("-S",), {"typing"})):
+    # file can load typing first (the annotations are never evaluated); the
+    # command line is read from cli.COMMANDS, with no argparse and so no
+    # gettext or locale, which a plain run's site may load itself
+    for flags, extra in (((), {"argparse"}),
+                         (("-S",), {"typing", "argparse", "gettext", "locale"})):
         for code, banned in cases:
             out = subprocess.run(
                 [sys.executable, *flags, "-c",

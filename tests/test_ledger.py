@@ -6,6 +6,8 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from latmin import ledger as ledger_module
 from latmin.cli import main
@@ -267,6 +269,25 @@ def test_constant_chain_holds_for_every_g_and_kappa():
     reports = verify_constant_chain(2, 1)
     assert [rep.slack for rep in reports[:3]] == pytest.approx(
         [2 * 0.9151018782933527, 2 * 0.0706951156728621, 2 * 0.2257913526447274])
+
+
+@settings(deadline=None, max_examples=300, derandomize=True)
+@given(st.integers(2, 10 ** 9), st.integers(1, 10 ** 9))
+@example(2, 1)
+@example(2, 10 ** 9)
+@example(10 ** 9, 10 ** 9)
+def test_absorption_slacks_meet_their_closed_form_bounds(g, kappa):
+    """Each float slack of one cell (g, kappa) is at least its bound of
+    verify_constant_chain's docstring, d (61 - 48 log 3 - 4 log 2pi),
+    d (25 - 16 log 3 - 4 log 2pi) and r ((1/2) log 2pi - log 2), equal at
+    g = 2, less a relative 1e-9 for the rounding of terms up to 54 d log d
+    (about 2500 times the slack at d = 2 * 10^18)."""
+    d, r = (2 * g - 2) * kappa, g * kappa
+    log2pi = math.log(2 * math.pi)
+    bounds = (d * (61 - 48 * LOG3 - 4 * log2pi), d * (25 - 16 * LOG3 - 4 * log2pi),
+              r * (0.5 * log2pi - LOG2))
+    for slack, bound in zip(ledger_module._absorption_slacks(g, kappa), bounds):
+        assert slack >= bound * (1 - 1e-9), (slack, bound)
 
 
 def test_simulation_is_deterministic_and_feasible():

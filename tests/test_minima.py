@@ -16,8 +16,8 @@ from latmin.inequalities import random_module
 from latmin.intervals import log_unit_ball_volume
 from latmin.linalg import span_rank
 from latmin.minima import ball_volume, euler_characteristic, successive_minima
-from latmin.norms import (compile_norm, make_ellipsoid, make_normed_module,
-                          make_polymax, norm_eval, twist)
+from latmin.norms import (CompiledNorm, compile_norm, make_ellipsoid,
+                          make_normed_module, make_polymax, norm_eval, twist)
 from test_enumeration import (_oracle_invert, drawn_modules, hand_built_modules,
                               oracle_sections, shaped_module)
 from test_linalg import _oracle_det, _oracle_independent
@@ -100,17 +100,28 @@ def _minima_modules():
     return modules + hand_built_modules() + [box_module(), twist(euclid(2), 3)]
 
 
+def _first_rung(compiled):
+    """The last of the ladder's rungs from key 1, 4, 16, ... (1, 2, 4, ...
+    for polymax) whose box is all zeros, or key 1: climbed one by one."""
+    cap, base = 1, 4 if compiled.squared else 2
+    while not any(compiled.box(base * cap)):
+        cap *= base
+    return cap
+
+
 @pytest.mark.parametrize("index", range(26))
 def test_minima_match_the_oracle(monkeypatch, index):
     """Same witnesses and values as the oracle, from lists whose caps start
-    at key 1 and never pass the ceiling, the largest key of a unit vector;
-    each rung lists only the keys above the previous cap (0 at the first)."""
+    at the last rung from key 1 whose box holds only 0 (or key 1) and never
+    pass the ceiling, the largest key of a unit vector; each rung lists only
+    the keys above the previous cap (0 at the first)."""
     module = _minima_modules()[index]
     caps = _record_caps(monkeypatch)
     rep = successive_minima.__wrapped__(module)
     compiled, r = compile_norm(module.norm), module.rank
     units = [compiled.key([int(i == k) for i in range(r)]) for k in range(r)]
-    assert caps[0][0] == 1 and max(cap for cap, _ in caps) <= max(units)
+    assert caps[0][0] == _first_rung(compiled)
+    assert max(cap for cap, _ in caps) <= max(units)
     assert [above for _, above in caps] == [0] + [cap for cap, _ in caps[:-1]]
     witnesses, values = _oracle_minima(module)
     assert list(rep.witnesses) == witnesses
@@ -158,6 +169,29 @@ def test_minima_of_an_unreduced_basis_start_small(monkeypatch, alpha):
     assert caps == [(1, 0)]
     assert rep.witnesses == ((59, -60), (60, -61))
     assert rep.mus == (float(alpha), float(alpha))
+
+
+@pytest.mark.parametrize("norm, base", [
+    (make_ellipsoid([["1e10000"]]), 4),
+    (make_polymax([["1e3000", "0"], ["1", "1e3000"]]), 2)])
+def test_minima_ladder_skips_its_empty_rungs(monkeypatch, norm, base):
+    """A ball with huge entries holds only 0 up to a huge key: the ladder
+    starts at its last rung 4^k (2^k for polymax) whose box is all zeros,
+    k found by doubling and bisecting, so it takes at most 40 boxes and 3
+    walks, not one walk per rung (16,610 rungs for 10^10000).  Every rung
+    from there on is the one the ladder climbed to from key 1."""
+    caps, boxes, box = _record_caps(monkeypatch), [], CompiledNorm.box
+    monkeypatch.setattr(CompiledNorm, "box",
+                        lambda self, cap: boxes.append(cap) or box(self, cap))
+    module = make_normed_module(len(norm.rows), norm)
+    rep = successive_minima.__wrapped__(module)
+    assert len(boxes) <= 40 and len(caps) <= 3, (len(boxes), caps)
+    compiled, (start, above) = compile_norm(norm), caps[0]
+    assert above == 0 and start > 1 and start & (start - 1) == 0
+    assert (start.bit_length() - 1) % (base // 2) == 0  # a power of base
+    assert not any(box(compiled, start)) and any(box(compiled, base * start))
+    assert [last for _, last in caps[1:]] == [cap for cap, _ in caps[:-1]]
+    assert len(rep.witnesses) == len(norm.rows)
 
 
 def _count_volume_work(monkeypatch):
