@@ -10,9 +10,9 @@ chain for ellipsoids (Fincke & Pohst, Math. Comp. 44, 1985), and per-row
 intervals for PolyMax norms.  At the innermost level that range is a
 line: every t in [lo, hi] ends in the ball.  Level i ranges over at most
 2 B_i + 1 integers (``CompiledNorm.box``), and the budget is charged on
-prod (2 B_i + 1) before any walk.  The unit ball finds the first key
-t = 2^k whose widths pass the budget, doubling k and then bisecting, and
-resolves its cap no higher than t, so a huge twist never computes its cap.
+prod (2 B_i + 1) before any walk.  The unit ball resolves its cap no
+higher than the first key t = 2^k whose box passes the budget
+(``CompiledNorm.box_limit``), so a huge twist never computes its cap.
 One budget governs every walk of a run: the context variable ``BUDGET``,
 which the CLI sets once per subcommand, read only where a walk is charged.
 A count already cached did its walk, so it is returned again without a
@@ -155,29 +155,12 @@ def vectors_with_keys(module: NormedModule, cap: int,
 
 
 def _unit_cap(module: NormedModule, strict: bool) -> int:
-    """cap(1), or the strict cap, no higher than the first key t = 1, 2, 4,
-    ... whose widths prod (2 B_i(t) + 1) pass the budget: the box grows with
-    the cap, so the charge every walk makes at its cap refuses a cap that
-    reaches t, at the widths of t.  The box is monotone in the key, so t's
-    exponent is found by doubling it (0, 1, 2, 4, ...) and then bisecting:
-    O(log bits) boxes, each an isqrt as long as the entries, not one box
-    per bit of t.  Rank 0, whose ball is {0} at any cap, has no widths to
-    grow.  The box has no twist, so t is found once per base compile and
-    budget (``CompiledNorm.box_limits``)."""
-    compiled, budget = compile_norm(module.norm), BUDGET.get()
-    t = compiled.box_limits.get(budget)
-    if t is None:
-        def passes(k):
-            return math.prod(2 * b + 1 for b in compiled.box(1 << k)) <= budget
-
-        lo, hi = -1, 0  # 2^lo passes (lo = -1: none yet), then 2^hi fails
-        while compiled.rank and passes(hi):
-            lo, hi = hi, 2 * hi or 1
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            lo, hi = (mid, hi) if passes(mid) else (lo, mid)
-        t = compiled.box_limits[budget] = 1 << hi
-    return compiled.cap(1, strict, limit=t)
+    """cap(1), or the strict cap, no higher than the first key t whose box
+    passes the budget (``CompiledNorm.box_limit``): the box grows with the
+    cap, so the charge every walk makes at its cap refuses a cap that
+    reaches t, at the widths of t."""
+    compiled = compile_norm(module.norm)
+    return compiled.cap(1, strict, limit=compiled.box_limit(BUDGET.get()))
 
 
 # run_suite reads the counts of one module up to five times

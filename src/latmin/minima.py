@@ -5,11 +5,11 @@ caps (``norms.CompiledNorm``) from key 1, the least nonzero key, to the
 ceiling, the largest key of a unit vector, whose ball spans; neither reads
 e^alpha, so a twist has its base's rungs and witnesses.  The radius doubles
 until a rung finds a vector, then grows by about e^(1/r) per rung; the
-ladder starts at its last rung whose box holds only 0, found in O(log bits)
-boxes, so a ball with huge entries walks no empty rungs.  A rung lists only
-its shell of keys above the last cap, and one greedy span pass over the
-ladder picks the canonical rank-increasing vectors as witnesses, the exact
-parts of whose minima are read off the compiled norm.  Volumes are
+ladder starts at its last rung whose box holds only 0, read off
+``CompiledNorm.box_limit``, so huge entries walk no empty rungs.  A rung
+lists only its shell of keys above the last cap, and one greedy span pass
+over the ladder picks the canonical rank-increasing vectors as witnesses,
+the exact parts of whose minima are read off the compiled norm.  Volumes are
 exact: a closed form for ellipsoids, and Lasserre's facet recursion for
 PolyMax balls (J. Optim. Theory Appl. 39, 1983).  Each face of the recursion
 is s times an integral node, a box [0, w] cut by slabs with integer normals,
@@ -50,21 +50,11 @@ def successive_minima(module: NormedModule) -> MinimaReport:
     zero = (0,) * r  # v > zero: v != 0 with a positive first nonzero entry
     ceiling = max(compiled.key([int(i == k) for i in range(r)]) for k in range(r))
     # the rungs up to the first find are 4^k (2^k for polymax) from key 1,
-    # not a basis key (an unreduced basis has long ones); a rung whose box is
-    # all zeros holds only 0, so the ladder starts at the last such rung,
-    # its k found by doubling, then bisecting, as enumeration._unit_cap does
-    shift = 1 + compiled.squared
-
-    def empty(k):
-        return not any(compiled.box(1 << shift * k))
-
-    lo, hi = 0, 1  # rung lo is empty or key 1, rung hi is not empty
-    while empty(hi):
-        lo, hi = hi, 2 * hi
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        lo, hi = (mid, hi) if empty(mid) else (lo, mid)
-    last, cap = 0, 1 << shift * lo
+    # not a basis key (an unreduced basis has long ones); a box of one
+    # candidate is all zeros and its rung holds only 0, so the ladder starts
+    # at the last such rung, below the box's first key 2^h past one candidate
+    shift, h = 1 + compiled.squared, compiled.box_limit(1).bit_length() - 1
+    last, cap = 0, 1 << shift * max(0, (h - 1) // shift)
     while span.rank < r:
         for key, vec in vectors_with_keys(module, cap, above=last)[1]:
             if vec > zero and span.add(vec):
@@ -202,8 +192,9 @@ def ball_volume(module: NormedModule) -> VolumeReport:
     compiled = compile_norm(module.norm)
     r = module.rank
     # scaling by e^{-alpha} multiplies the volume by e^{r alpha}; +-inf when
-    # alpha itself is past the double range
-    shift = r * saturated_float(compiled.alpha)
+    # alpha itself is past the double range; at rank 0 the factor is 1 and
+    # its log 0, not 0 * inf
+    shift = r and r * saturated_float(compiled.alpha)
     if compiled.squared:
         det = compiled.det  # its log, as det may lie outside the double range
         log_det = math.log(det.numerator) - math.log(det.denominator)

@@ -18,12 +18,19 @@ This is the only module that knows how a norm is represented.  Everything
 else evaluates norms through ``compile_norm(spec)``, a cached
 ``CompiledNorm``: integer keys, the integer key cap of a radius (limited
 to a key, it also decides that key against the radius), the widths of the
-walk at a cap, log norms, the integer LDL^T chain of an ellipsoid that
-enumeration prunes with, a polymax basis with its integer adjugate, and the
-determinant of the gram or of the basis.
+walk at a cap (its box), log norms, the integer LDL^T chain of an
+ellipsoid that enumeration prunes with, a polymax basis with its integer
+adjugate, and the determinant of the gram or of the basis.
 ``linalg`` computes the chain and the basis in integer arithmetic.
 The compile is the only check of norm data (``make_normed_module`` compiles),
 and a twist reuses its base's compile, recomputing only the scale.
+
+``CompiledNorm.box_limit(N)``, the first key t = 2^k whose box holds more
+than N candidates, is the unit cap's limit at N = the budget, and at N = 1
+ends the keys whose ball holds only 0, where the minima ladder starts.  The
+box grows with the key, so k is found by doubling (0, 1, 2, 4, ...) and then
+bisecting, in O(log bits) boxes, not one per bit of t.  The box has no twist,
+so a twist shares its base's limits.
 """
 
 from __future__ import annotations
@@ -151,8 +158,8 @@ class CompiledNorm:
             self.adjugate_sums = [sum(map(abs, row)) for row in self.adjugate]
             self.int_det = determinant(rows).numerator
             self.det = Fraction(self.int_det, self.den ** n)
-        # budget -> the first key whose box passes it (enumeration._unit_cap):
-        # the box has no twist, so a twist's copy shares this dict
+        # size -> box_limit(size): the box has no twist, so a twist's copy
+        # shares this dict
         self.box_limits = {}
         self._scale(Fraction(0))
 
@@ -203,6 +210,23 @@ class CompiledNorm:
         if self.squared:
             return [(2 * math.isqrt(d * a * cap) + a) // (2 * a) for a, d, _ in self.chain]
         return [cap * s // abs(self.int_det) for s in self.adjugate_sums]
+
+    def box_limit(self, size: int) -> int:
+        """The first key t = 2^k with prod (2 B_i(t) + 1) > size, or 1 at
+        rank 0, whose box never grows; memoized in ``box_limits``."""
+        t = self.box_limits.get(size)
+        if t is None:
+            def passes(k):
+                return math.prod(2 * b + 1 for b in self.box(1 << k)) <= size
+
+            lo, hi = -1, 0  # 2^lo passes (lo = -1: none yet), then 2^hi fails
+            while self.rank and passes(hi):
+                lo, hi = hi, 2 * hi or 1
+            while hi - lo > 1:
+                mid = (lo + hi) // 2
+                lo, hi = (mid, hi) if passes(mid) else (lo, mid)
+            t = self.box_limits[size] = 1 << hi
+        return t
 
 
 @lru_cache(maxsize=2048)

@@ -107,6 +107,22 @@ def test_chi_of_rank_zero_polymax(capsys, tmp_path):
     assert doc["report"] == {"chi": "0", "method": "exact-polytope"}
 
 
+@pytest.mark.parametrize("alpha", ["1e400", "-1e400", "3"])
+@pytest.mark.parametrize("inner, method", [
+    ({"type": "ellipsoid", "gram": []}, "exact-ellipsoid"),
+    ({"type": "polymax", "functionals": [[]]}, "exact-polytope")],
+    ids=["ellipsoid", "polymax"])
+def test_chi_of_a_rank_zero_twist_is_zero(capsys, tmp_path, inner, method, alpha):
+    """The twist multiplies the volume by e^(r alpha) = 1 at rank 0, also
+    where alpha is past the double range (0 * inf would print nan)."""
+    path = tmp_path / "zero.json"
+    path.write_text(json.dumps({"rank": 0, "norm": {"type": "scaled",
+                                                    "alpha": alpha, "inner": inner}}))
+    code, doc = run_main(capsys, ["chi", "--module", str(path)])
+    assert code == 0
+    assert doc["report"] == {"chi": "0", "method": method}
+
+
 def test_verify_small_suite(capsys):
     code, doc = run_main(capsys, ["verify", "--trials", "3", "--seed", "7"])
     assert code == 0

@@ -17,7 +17,8 @@ from latmin.intervals import log_unit_ball_volume
 from latmin.linalg import span_rank
 from latmin.minima import ball_volume, euler_characteristic, successive_minima
 from latmin.norms import (CompiledNorm, compile_norm, make_ellipsoid,
-                          make_normed_module, make_polymax, norm_eval, twist)
+                          make_normed_module, make_polymax, make_scaled,
+                          norm_eval, twist)
 from test_enumeration import (_oracle_invert, drawn_modules, hand_built_modules,
                               oracle_sections, shaped_module)
 from test_linalg import _oracle_det, _oracle_independent
@@ -173,25 +174,38 @@ def test_minima_of_an_unreduced_basis_start_small(monkeypatch, alpha):
 
 @pytest.mark.parametrize("norm, base", [
     (make_ellipsoid([["1e10000"]]), 4),
-    (make_polymax([["1e3000", "0"], ["1", "1e3000"]]), 2)])
+    (make_polymax([["1e3000", "0"], ["1", "1e3000"]]), 2),
+    (make_polymax([[1, 0], [0, 1], [1, 1]]), 2),
+    (make_scaled(make_ellipsoid([["1e3000"]]), "-7/2"), 4)])
 def test_minima_ladder_skips_its_empty_rungs(monkeypatch, norm, base):
     """A ball with huge entries holds only 0 up to a huge key: the ladder
     starts at its last rung 4^k (2^k for polymax) whose box is all zeros,
-    k found by doubling and bisecting, so it takes at most 40 boxes and 3
-    walks, not one walk per rung (16,610 rungs for 10^10000).  Every rung
-    from there on is the one the ladder climbed to from key 1."""
+    read off the box's limit at one candidate, so it takes at most 40 boxes
+    and 3 walks, not one walk per rung (16,610 rungs for 10^10000).  A box
+    that is not all zeros at key 1, the hexagon's, starts the ladder at key
+    1.  A twist, run after its base, reads its base's limit: it makes one
+    box per walk and no other.  Every rung from the start on is the one the
+    ladder climbed to from key 1."""
+    if norm.alpha:
+        successive_minima.__wrapped__(make_normed_module(
+            norm.dim, make_scaled(norm, -norm.alpha)))
+    module = make_normed_module(norm.dim, norm)
     caps, boxes, box = _record_caps(monkeypatch), [], CompiledNorm.box
     monkeypatch.setattr(CompiledNorm, "box",
                         lambda self, cap: boxes.append(cap) or box(self, cap))
-    module = make_normed_module(len(norm.rows), norm)
     rep = successive_minima.__wrapped__(module)
     assert len(boxes) <= 40 and len(caps) <= 3, (len(boxes), caps)
+    assert not norm.alpha or len(boxes) == len(caps), (len(boxes), caps)
     compiled, (start, above) = compile_norm(norm), caps[0]
-    assert above == 0 and start > 1 and start & (start - 1) == 0
+    assert above == 0 and start & (start - 1) == 0
     assert (start.bit_length() - 1) % (base // 2) == 0  # a power of base
-    assert not any(box(compiled, start)) and any(box(compiled, base * start))
+    if any(box(compiled, 1)):
+        assert start == 1
+    else:
+        assert not any(box(compiled, start))
+    assert any(box(compiled, base * start))
     assert [last for _, last in caps[1:]] == [cap for cap, _ in caps[:-1]]
-    assert len(rep.witnesses) == len(norm.rows)
+    assert len(rep.witnesses) == norm.dim
 
 
 def _count_volume_work(monkeypatch):
