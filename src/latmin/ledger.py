@@ -10,6 +10,12 @@ Admissibility is decided once, when a Ledger is made: the mode's rules,
 feasible derived intersections (kept on the ledger) and the preconditions of
 its closed-form bound.  The checks below are then arithmetic on a valid
 ledger.  All evaluation is double precision; verdicts use EXACT_TOL.
+
+The paper's six closed forms (the trivial and degree-one bounds, Theorems
+B, C and D, Corollary E's bounds on delta_X) are evaluated through one
+table, _THEOREMS, and each evaluator checks its own preconditions.  A
+closed form past the double range (an OverflowError, or a float that is not
+finite) is bad input, in eval_theorem and in theorem_chain_check.
 """
 
 from __future__ import annotations
@@ -307,36 +313,6 @@ def noether_chi_fal(omega2: float, delta: float, g: int, kappa: int) -> float:
     return (omega2 + delta) / 12.0 - (g * kappa / 3.0) * LOG2PI
 
 
-@record
-class ArithmeticContext:
-    g: int
-    kappa: int
-    eps: int
-    absD: float
-    r1: int
-    r2: int
-    omega2: float
-    delta: float
-    gamma: float
-
-    def __post_init__(self):
-        self.validate()  # once per context, like a Ledger
-
-    def validate(self) -> None:
-        if self.g < 2:
-            raise PreconditionViolated("context needs g >= 2")
-        if self.kappa < 1 or self.r1 < 0 or self.r2 < 0:
-            raise ConfigError("need kappa >= 1 and r1, r2 >= 0")
-        if self.r1 + 2 * self.r2 != self.kappa:
-            raise ConfigError("embedding split must satisfy r1 + 2 r2 = kappa")
-        if self.eps not in (1, 2):
-            raise ConfigError("eps must be 1 or 2")
-        if self.absD < 1:
-            raise ConfigError("absD must be >= 1")
-        if self.omega2 < 0:
-            raise ConfigError("omega2 must be nonnegative")
-
-
 # exact integer coefficients of C(g, K) = 2g log|D_K| + 18 d log d + 25 d
 C_LOG_ABSD_PER_G = 2
 C_DLOGD = 18
@@ -359,49 +335,68 @@ class CorollaryEReport:
     holds_chi: bool
 
 
-def corollary_e(ctx: ArithmeticContext) -> CorollaryEReport:
-    """Evaluate both closed-form upper bounds on delta_X."""
-    g, eps = ctx.g, ctx.eps
-    c = c_constant(g, ctx.kappa, ctx.absD)
-    rhs_omega = (2.0 + 3.0 * eps / (g - 1)) * ctx.omega2 + 12.0 * ctx.gamma + 3.0 * c
-    chi_fal = noether_chi_fal(ctx.omega2, ctx.delta, g, ctx.kappa)
+def corollary_e(*, g: int, kappa: int, eps: int, absD: float, r1: int,
+                r2: int, omega2: float, delta: float, gamma: float) -> CorollaryEReport:
+    """Evaluate both closed-form upper bounds on delta_X, for g >= 2, kappa
+    = r1 + 2 r2 embeddings, eps in {1, 2}, |D_K| >= 1 and omega^2 >= 0."""
+    if g < 2:
+        raise PreconditionViolated("context needs g >= 2")
+    if kappa < 1 or r1 < 0 or r2 < 0:
+        raise ConfigError("need kappa >= 1 and r1, r2 >= 0")
+    if r1 + 2 * r2 != kappa:
+        raise ConfigError("embedding split must satisfy r1 + 2 r2 = kappa")
+    if eps not in (1, 2):
+        raise ConfigError("eps must be 1 or 2")
+    if absD < 1:
+        raise ConfigError("absD must be >= 1")
+    if omega2 < 0:
+        raise ConfigError("omega2 must be nonnegative")
+    c = c_constant(g, kappa, absD)
+    rhs_omega = (2.0 + 3.0 * eps / (g - 1)) * omega2 + 12.0 * gamma + 3.0 * c
+    chi_fal = noether_chi_fal(omega2, delta, g, kappa)
     rhs_chi = ((8.0 + 4.0 * eps / (g - 1 + eps)) * chi_fal
-               + (4.0 * (g - 1) / (g - 1 + eps)) * ctx.gamma + c)
-    return CorollaryEReport(c, rhs_omega, rhs_chi, ctx.delta,
-                            ctx.delta <= rhs_omega + EXACT_TOL,
-                            ctx.delta <= rhs_chi + EXACT_TOL)
+               + (4.0 * (g - 1) / (g - 1 + eps)) * gamma + c)
+    return CorollaryEReport(c, rhs_omega, rhs_chi, delta,
+                            delta <= rhs_omega + EXACT_TOL,
+                            delta <= rhs_chi + EXACT_TOL)
 
 
-# theorem -> the config fields its evaluator takes, with their types
-_THEOREM_FIELDS = {
-    "trivial": {"r_minus": int, "deg_LQ": int, "L2": float},
-    "B": {"g": int, "d_circ": int, "kappa": int, "L2": float},
-    "C": {"d_circ": int, "kappa": int, "eps": int, "L2": float},
-    "D": {"g": int, "kappa": int, "eps": int, "omega2": float},
-    "deg1": {"g": int, "kappa": int, "L2": float},
-    "E": {"g": int, "kappa": int, "eps": int, "absD": float, "r1": int,
-          "r2": int, "omega2": float, "delta": float, "gamma": float},
+# theorem -> (its evaluator, the config fields the evaluator takes with
+# their types): the five bounds and Corollary E's report on delta_X
+_THEOREMS = {
+    "trivial": (trivial_bound, {"r_minus": int, "deg_LQ": int, "L2": float}),
+    "B": (theorem_b_bound, {"g": int, "d_circ": int, "kappa": int, "L2": float}),
+    "C": (theorem_c_bound, {"d_circ": int, "kappa": int, "eps": int, "L2": float}),
+    "D": (theorem_d_bound, {"g": int, "kappa": int, "eps": int, "omega2": float}),
+    "deg1": (deg_one_bound, {"g": int, "kappa": int, "L2": float}),
+    "E": (corollary_e, {"g": int, "kappa": int, "eps": int, "absD": float,
+                        "r1": int, "r2": int, "omega2": float,
+                        "delta": float, "gamma": float}),
 }
-_THEOREM_BOUNDS = {"trivial": trivial_bound, "B": theorem_b_bound,
-                   "C": theorem_c_bound, "D": theorem_d_bound,
-                   "deg1": deg_one_bound}
 
 
-def eval_theorem(name: str, cfg: dict):
-    """Evaluate theorem `name` on the config fields it takes.  Each field
-    fits a double, but a product of two may not: that is bad input too."""
-    if name not in _THEOREM_FIELDS:
+def eval_theorem(name: str, cfg: dict) -> tuple:
+    """(report, holds) of theorem `name` on the config fields it takes: a
+    bound b as {"bound": b}, which holds, and Corollary E's report, which
+    holds when both its verdicts do."""
+    if name not in _THEOREMS:
         raise ConfigError(f"unknown theorem {name!r}")
+    evaluate, kinds = _THEOREMS[name]
     try:
-        args = _checked_fields(_THEOREM_FIELDS[name], cfg)
+        args = _checked_fields(kinds, cfg)
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad theorem {name} config: {exc!r}") from exc
     try:
-        if name == "E":
-            return corollary_e(ArithmeticContext(**args))
-        return {"bound": _THEOREM_BOUNDS[name](**args)}
+        report = evaluate(**args)
+        if type(report) is float:
+            report = {"bound": report}
+        values = report if type(report) is dict else vars(report)
+        for key, value in values.items():
+            if not math.isfinite(value):  # a bool verdict is finite
+                raise OverflowError(f"{key} = {value}")
     except OverflowError as exc:
         raise ConfigError(f"theorem {name} config is past the double range: {exc}") from exc
+    return report, all(v for v in values.values() if type(v) is bool)
 
 
 def asymptotic_margin_per_d() -> float:
@@ -524,4 +519,6 @@ def theorem_chain_check(ledger: Ledger) -> InequalityReport:
     else:
         eps = 2 if ledger.mode == "clifford-hyperelliptic" else 1
         bound = theorem_c_bound(d_circ, ledger.kappa, eps, ledger.L2_0)
+    if not math.isfinite(bound):
+        raise ConfigError(f"ledger is past the double range: bound = {bound}")
     return _report("theorem-chain", value, bound, ledger.digest())

@@ -16,16 +16,18 @@ from fractions import Fraction
 from typing import Any
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import latmin
 from latmin import enumeration
 from latmin import ledger as ledger_mod
-from latmin.cli import (_run_forked, _trial_text, encode, fmt_real, jsonable,
-                        main, shard_count)
+from latmin.cli import (COMMANDS, _run_forked, _trial_text, encode, fmt_real,
+                        jsonable, main, shard_count)
 from latmin.errors import ConfigError, LatminError
 from latmin.inequalities import run_suite
-from latmin.ledger import (MODES, ArithmeticContext, Ledger, LedgerStep,
-                           corollary_e, simulate_reduction, sum_ci_bound,
+from latmin.ledger import (MODES, Ledger, LedgerStep, corollary_e,
+                           simulate_reduction, sum_ci_bound,
                            theorem_chain_check)
 from latmin.minima import ball_volume
 from latmin.norms import format_rational, load_module
@@ -230,6 +232,7 @@ def test_unreadable_input_exits_2(capsys, tmp_path, argv, content, error):
 DISK_NORM = {"type": "ellipsoid", "gram": [["1/1", "0/1"], ["0/1", "1/1"]]}
 THEOREM_B = {"g": 2, "d_circ": 2, "kappa": 1, "L2": 10.0}
 THEOREM_C = {"d_circ": 2, "kappa": 1, "eps": 1, "L2": 10.0}
+THEOREM_D = {"g": 3, "kappa": 2, "eps": 1, "omega2": 12.0}
 C, P = "ConfigError", "PreconditionViolated"
 
 
@@ -292,6 +295,14 @@ C, P = "ConfigError", "PreconditionViolated"
      {"g": 10 ** 300, "kappa": 10 ** 300, "eps": 1, "omega2": 12.0}, C),
     (["ledger", "eval", "--theorem", "E"],
      dict(THEOREM_E, g=10 ** 300, kappa=10 ** 300, r1=10 ** 300), C),
+    # each field a double holds, whose closed form is a float past its range
+    (["ledger", "eval", "--theorem", "trivial"],
+     {"r_minus": 10, "deg_LQ": 1, "L2": 1e308}, C),
+    (["ledger", "eval", "--theorem", "B"],
+     {"g": 0, "d_circ": 1, "kappa": 1, "L2": 1.5e308}, C),
+    (["ledger", "eval", "--theorem", "E"], dict(THEOREM_E, omega2=1e308), C),
+    (["ledger", "eval"], {"g": 0, "kappa": 1, "mode": "genus-zero", "L2_0": 1.5e308,
+                          "steps": [{"d": 1, "r": 2, "c": 0.0, "slack": 0.0}]}, C),
     (["ledger", "sweep", "--g-max", "1"], None, P),
     (["ledger", "simulate", "--mode", "nope"], None, C),
 ], ids=["bad-literal", "zero-denominator", "bad-rank", "fractional-rank",
@@ -309,6 +320,8 @@ C, P = "ConfigError", "PreconditionViolated"
         "E-eps-3", "E-absD-below-1", "E-negative-omega2", "E-zero-kappa",
         "B-product-past-double", "C-product-past-double",
         "D-product-past-double", "E-product-past-double",
+        "trivial-bound-past-double", "B-bound-past-double",
+        "E-bound-past-double", "ledger-bound-past-double",
         "sweep-g-max-1", "simulate-unknown-mode"])
 def test_malformed_input_exits_2(capsys, tmp_path, argv, doc, kind):
     """Bad input exits 2 with the JSON error of its kind, never a traceback;
@@ -320,6 +333,48 @@ def test_malformed_input_exits_2(capsys, tmp_path, argv, doc, kind):
     code, out = run_main(capsys, argv)
     assert code == 2
     assert out["error"]["type"] == kind
+
+
+# a JSON number as a config field: one at or past the double range's edges,
+# an integer of up to 400 digits, or a finite double
+JSON_NUMBERS = st.one_of(
+    st.sampled_from([0, 1, 2, -1, 0.5, 1e308, 1.7e308, -1.7e308, 10 ** 308, 10 ** 400]),
+    st.integers(-10 ** 400, 10 ** 400), st.floats(-1.7e308, 1.7e308))
+# a valid config of each theorem (trivial's and B's with an L2 coefficient > 1)
+THEOREM_CONFIGS = {"trivial": {"r_minus": 3, "deg_LQ": 1, "L2": 10.0},
+                   "B": dict(THEOREM_B, g=0, d_circ=1), "C": THEOREM_C,
+                   "D": THEOREM_D, "deg1": {"g": 1, "kappa": 2, "L2": 3.0},
+                   "E": THEOREM_E}
+
+
+def test_theorem_option_lists_the_ledger_table():
+    """--theorem is checked when the command line is read, before the
+    ledger module loads: its choices are the names of ledger._THEOREMS."""
+    choices = COMMANDS["ledger eval"][1]["--theorem"][0]
+    assert sorted(choices) == sorted(ledger_mod._THEOREMS) == sorted(THEOREM_CONFIGS)
+
+
+@pytest.mark.parametrize("theorem", THEOREM_CONFIGS)
+@settings(deadline=None, max_examples=100, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_theorem_report_is_finite_or_exits_2(capsys, tmp_path, theorem, data):
+    """A valid config with one or two fields made any JSON number: a report
+    with finite reals (exit 0 or 1), or an error document (exit 2), and
+    nothing raised."""
+    cfg = THEOREM_CONFIGS[theorem]
+    keys = data.draw(st.lists(st.sampled_from(sorted(cfg)), min_size=1,
+                              max_size=2, unique=True))
+    cfg = dict(cfg, **{key: data.draw(JSON_NUMBERS, label=key) for key in keys})
+    path = tmp_path / "theorem.json"
+    path.write_text(json.dumps(cfg))
+    code, doc = run_main(capsys, ["ledger", "eval", "--config", str(path),
+                                  "--theorem", theorem])
+    if code == 2:
+        assert set(doc) == {"error", "manifest"}
+    else:
+        assert code in (0, 1)
+        assert not re.search(r'"-?(inf|nan)"', json.dumps(doc["report"])), doc
 
 
 @pytest.mark.parametrize("argv", [
@@ -743,15 +798,14 @@ def _jsonable_cases():
                  {1: leaf, "k": [False, None], (1, 2): Fraction(0)},
                  _Node([], (), {}, child=leaf))
     ledger = simulate_reduction(3, "clifford-hyperelliptic")
-    context = ArithmeticContext(g=2, kappa=1, eps=1, absD=1.0, r1=1, r2=0,
-                                omega2=12.0, delta=0.0, gamma=0.0)
     return [
         leaf, node, [node, (node,)], {"a": node, 2: (leaf, [leaf])},
         Fraction(7, 3), True, 1, None, 0.0, -1.5, float("nan"), "x",
         complex(0, 1), {3, }, b"bytes", _Pair(leaf, 0.5),
         {"ledger": ledger.to_json(), "theorem_chain":
          theorem_chain_check(ledger), "sum_ci": sum_ci_bound(ledger)},
-        corollary_e(context),
+        corollary_e(g=2, kappa=1, eps=1, absD=1.0, r1=1, r2=0, omega2=12.0,
+                    delta=0.0, gamma=0.0),
         run_suite(seed=7, trials=2, rank_max=3),
     ]
 
@@ -1110,7 +1164,6 @@ README_LEDGER = {"g": 2, "kappa": 1, "mode": "positive-genus", "L2_0": 20.0,
                  "steps": [{"d": 4, "r": 3, "c": 1.0, "slack": 2.0},
                            {"d": 2, "r": 2, "c": 0.0, "slack": 0.0}]}
 INFEASIBLE_LEDGER = dict(LEDGER, steps=[{"d": 4, "r": 3, "c": 3.0, "slack": 0.0}])
-THEOREM_D = {"g": 3, "kappa": 2, "eps": 1, "omega2": 12.0}
 
 # exit code and sha256 prefix of the stdout of `ledger eval --config
 # config.json [--theorem T]`, pinned from the release that checked a ledger's

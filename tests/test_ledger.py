@@ -13,9 +13,9 @@ from latmin import ledger as ledger_module
 from latmin.cli import main
 from latmin.errors import ConfigError, InfeasibleLedger, PreconditionViolated
 from latmin.intervals import compare_exp
-from latmin.ledger import (ArithmeticContext, Ledger, LedgerStep,
-                           asymptotic_margin_per_d, c_constant, chi_ok,
-                           corollary_e, derived_intersections, deg_one_bound,
+from latmin.ledger import (Ledger, LedgerStep, asymptotic_margin_per_d,
+                           c_constant, chi_ok, corollary_e,
+                           derived_intersections, deg_one_bound,
                            ledger_from_json, noether_chi_fal, onestep_chain,
                            simulate_reduction, stirling_check, sum_ci_bound,
                            theorem_b_bound, theorem_c_bound,
@@ -215,24 +215,23 @@ def test_stirling_equality_and_strictness():
 
 def test_c_constant_and_corollary_e():
     assert c_constant(2, 1, 1.0) == pytest.approx(36 * LOG2 + 50.0)
-    ctx = ArithmeticContext(g=2, kappa=1, eps=1, absD=1.0, r1=1, r2=0,
-                            omega2=12.0, delta=0.0, gamma=0.0)
-    rep = corollary_e(ctx)
+    rep = corollary_e(g=2, kappa=1, eps=1, absD=1.0, r1=1, r2=0,
+                      omega2=12.0, delta=0.0, gamma=0.0)
     assert rep.rhs_omega == pytest.approx(60.0 + 3 * (36 * LOG2 + 50.0))
     assert rep.holds_omega and rep.holds_chi
     with pytest.raises(ConfigError):
-        ArithmeticContext(g=2, kappa=2, eps=1, absD=1.0, r1=1, r2=1,
-                          omega2=1.0, delta=0.0, gamma=0.0).validate()
+        corollary_e(g=2, kappa=2, eps=1, absD=1.0, r1=1, r2=1,
+                    omega2=1.0, delta=0.0, gamma=0.0)
 
 
 def test_corollary_e_monotone_in_inputs():
     base = dict(g=3, kappa=1, eps=1, absD=5.0, r1=1, r2=0,
                 omega2=10.0, delta=2.0, gamma=1.0)
-    ref = corollary_e(ArithmeticContext(**base))
+    ref = corollary_e(**base)
     for key, delta in (("omega2", 1.0), ("gamma", 1.0), ("absD", 1.0)):
         bumped = dict(base)
         bumped[key] = base[key] + delta
-        rep = corollary_e(ArithmeticContext(**bumped))
+        rep = corollary_e(**bumped)
         assert rep.rhs_omega >= ref.rhs_omega - 1e-12
         assert rep.rhs_chi >= ref.rhs_chi - 1e-12
 
@@ -356,10 +355,6 @@ def test_checks_read_the_ledger_without_deriving(monkeypatch):
     monkeypatch.setattr(ledger_module, "derived_intersections", fail)
     assert (theorem_chain_check(led), sum_ci_bound(led),
             onestep_chain(led, 1)) == want
-    ctx = ArithmeticContext(g=2, kappa=1, eps=1, absD=1.0, r1=1, r2=0,
-                            omega2=12.0, delta=0.0, gamma=0.0)
-    monkeypatch.setattr(ArithmeticContext, "validate", fail)
-    assert corollary_e(ctx).holds_omega  # validated once, when made
 
 
 def test_simulate_derives_each_ledger_once(monkeypatch, capsys):
