@@ -16,9 +16,9 @@ to keep default output reproducible.  The report is encoded once, compact
 with sorted keys; its pieces are hashed for manifest.result_digest
 (``record.digest16``) and written, between the manifest and the closing
 brace, as the {"manifest", "report"} line: the report is never copied
-into one document.  ``ledger simulate`` writes the buffers of its forked
-shards in trial order (see ``_run_forked``), so stdout does not depend on
-``--threads``.
+into one document.  ``ledger simulate`` writes its shards' buffers in trial
+order, each forked one sent back as one length-prefixed byte message (see
+``_run_forked``), so stdout does not depend on ``--threads``.
 
 The command line is read from one table, ``COMMANDS`` (each subcommand's
 handler and options; ``--threads`` comes before the subcommand), by
@@ -28,10 +28,9 @@ repeated option.  A usage error exits 2 with the usage line and one error
 line on stderr, and no document.  Importing this module loads
 ``contextvars`` and ``json`` and, of latmin, only ``errors`` and
 ``record`` (whose SHA-256 is the interpreter's own: no process loads
-OpenSSL); not that parser with its ``gettext`` and ``locale``, whose
-import and set-up took 4 ms of every process with the full ``site`` and
-15 ms under ``python -S``, and not ``fractions`` with its ``decimal``,
-which only the lattice layers need.
+OpenSSL); not that parser with its ``gettext`` and ``locale`` (4 ms of
+every process), and not ``fractions`` with its ``decimal``, which only the
+lattice layers need.
 Each ``cmd_*`` imports the layers its subcommand runs, so a ``count``
 loads no minima, inequality or ledger code and a ``ledger`` run no
 lattice code and no ``intervals``.  No subcommand loads mpmath (e^x is
@@ -108,24 +107,23 @@ def _trial_text(ledger, chain, sum_ci) -> str:
 
 def shard_count(threads: int, trials: int, cpus: int) -> int:
     """Processes for `trials` simulated ledgers: at most `threads`, one per
-    CPU and one per 100 trials, and at least 1.  On a 2-vCPU Xeon (48 us a
-    trial) two processes were slower than one, 64 against 57 ms at 200
-    trials and 176 against 166 ms at 2,500 (medians of 30 pairs): the fork's
-    imports take 2 ms and two busy processes each run 1.3-2.1x as long."""
+    CPU and one per 100 trials, and at least 1.  On a 2-vCPU Xeon VM, 2,500
+    trials took 121 ms in two processes against 175 ms in one with the
+    second vCPU free, and 181-191 against 173 ms with it busy (README)."""
     return max(1, min(threads, cpus, trials // 100))
 
 
 def _run_forked(fn, shards: list) -> list:
-    """[fn(s) for s in shards]: shards[0] here, each other one in an os.fork
-    child that pipes back fn(s) pickled (protocol 5: a bytearray is read
-    straight into its own buffer), leaves by os._exit (no atexit, no
-    inherited flush) and stops within 0.1 s once its parent is gone.  A
-    shard with no whole result (no child, or it raised or was killed) runs
-    again here, so a real error is raised as a serial run raises it.  Every
-    child is reaped before return (the CLI starts no thread: it forks safely)."""
+    """[fn(s) for s in shards], each fn(s) an (int, bytes-like) pair (n, b):
+    shards[0] here, each other one in an os.fork child that pipes it back as
+    the line b"%d %d\\n" % (n, len(b)) and then b, leaves by os._exit (no
+    atexit, no inherited flush) and stops within 0.1 s once its parent is
+    gone.  A shard with no whole message (no child, or it raised, was killed
+    or stopped mid-write) runs again here, so a real error is raised as a
+    serial run raises it.  Every child is killed and reaped before return
+    (the CLI starts no thread: it forks safely)."""
     if len(shards) == 1 or not hasattr(os, "fork"):
         return [fn(s) for s in shards]
-    import pickle
     import signal
 
     def stop_if_orphaned(*_):
@@ -133,7 +131,6 @@ def _run_forked(fn, shards: list) -> list:
             os._exit(1)
 
     parent, children = os.getpid(), []  # (pid, the read end of its pipe)
-    lost = object()  # the value of a shard with no whole result from its child
     try:
         try:
             for s in shards[1:]:
@@ -149,7 +146,8 @@ def _run_forked(fn, shards: list) -> list:
                         signal.signal(signal.SIGALRM, stop_if_orphaned)
                         signal.setitimer(signal.ITIMER_REAL, 0.1, 0.1)
                         with os.fdopen(w, "wb") as fh:  # empty if fn raises
-                            pickle.dump(fn(s), fh, protocol=5)
+                            n, body = fn(s)
+                            fh.writelines((b"%d %d\n" % (n, len(body)), body))
                     finally:
                         os._exit(0)
                 os.close(w)
@@ -158,11 +156,13 @@ def _run_forked(fn, shards: list) -> list:
             pass
         results = [fn(shards[0])]
         for i, s in enumerate(shards[1:]):
-            try:  # what our own child wrote, if whole (an empty pipe loads none)
-                value = pickle.load(children[i][1]) if i < len(children) else lost
-            except Exception:
-                value = lost
-            results.append(fn(s) if value is lost else value)
+            try:  # the line b"n size\n" and then size bytes, from our child
+                head = children[i][1].readline()
+                n, size = map(int, head.split() if head.endswith(b"\n") else ())
+                body = children[i][1].read(size)
+            except (IndexError, ValueError):  # no child, or no whole line n size
+                body, size = b"", -1
+            results.append((n, body) if len(body) == size else fn(s))
         return results
     finally:  # a child whose pipe is at its end has only os._exit left to do
         for pid, fh in children:

@@ -4,6 +4,7 @@ import collections
 import errno
 import gc
 import hashlib
+import io
 import json
 import math
 import os
@@ -24,7 +25,7 @@ from latmin import enumeration
 from latmin import ledger as ledger_mod
 from latmin.cli import (COMMANDS, _run_forked, _trial_text, encode, fmt_real,
                         jsonable, main, shard_count)
-from latmin.errors import ConfigError, LatminError
+from latmin.errors import ConfigError
 from latmin.inequalities import run_suite
 from latmin.ledger import (MODES, Ledger, LedgerStep, corollary_e,
                            simulate_reduction, sum_ci_bound,
@@ -657,7 +658,9 @@ def test_cli_import_does_not_load_mpmath(tmp_path):
     decimal, a twisted count (which reads e^alpha) no minima, inequality
     or ledger code and no copy, and a ledger run, forked or not, no lattice
     code and no fractions, decimal or intervals (no ledger path makes a
-    Fraction).  A twist's compile, minima and volume read no e^alpha."""
+    Fraction).  A forked simulate (on 2 or more CPUs) loads no pickle: each
+    shard comes back as one length-prefixed byte message.  A twist's
+    compile, minima and volume read no e^alpha."""
     src = os.path.dirname(os.path.dirname(latmin.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     path = tmp_path / "twist.json"
@@ -686,7 +689,7 @@ def test_cli_import_does_not_load_mpmath(tmp_path):
         (cli("ledger", "simulate", "--mode", "genus-zero", "--trials", "3"),
          ledger),
         (cli("--threads", "2", "ledger", "simulate", "--mode", "genus-zero",
-             "--trials", "300"), ledger),
+             "--trials", "300"), ledger | {"pickle"}),
         (cli("ledger", "sweep", "--g-max", "20", "--kappa-max", "3"), ledger),
         (cli("verify", "--trials", "1", "--max-rank", "2"), {"latmin.ledger"}),
     ]
@@ -915,28 +918,7 @@ def test_simulate_splices_shards_into_the_encoded_report(capsys, monkeypatch):
     _assert_no_child_left()
 
 
-class _Unpicklable(LatminError):
-    """Pickles only its message (Exception keeps args), but its __init__
-    takes two arguments, so pickle.loads raises TypeError."""
-
-    exit_code = 3
-
-    def __init__(self, first, second):
-        super().__init__(f"refused {first} of {second}")
-
-
-def test_unpicklable_example_does_not_unpickle():
-    import pickle
-
-    with pytest.raises(TypeError):
-        pickle.loads(pickle.dumps(_Unpicklable(5, 3)))
-
-
-@pytest.mark.parametrize("error", [
-    ConfigError("seed refused"),
-    # does not survive pickle, so the parent runs the child's shard again
-    # and raises it itself
-    _Unpicklable(5, 3)], ids=["config", "unpicklable"])
+@pytest.mark.parametrize("error", [ConfigError("seed refused")], ids=["config"])
 @pytest.mark.parametrize("failing", ["child", "parent"])
 def test_simulate_shard_error_is_reported_once(capsys, monkeypatch, failing,
                                                error):
@@ -1095,6 +1077,38 @@ def test_simulate_reruns_the_shard_of_a_child_that_raised(capsys, monkeypatch):
         raise MemoryError
 
     _assert_child_failure_is_rerun(capsys, monkeypatch, fail)
+
+
+class _CutShort(io.BufferedWriter):
+    """A child's end of its pipe that writes the line of its message whole,
+    then half of the body, and leaves the process: a child killed or
+    stopped mid-write."""
+
+    def write(self, data):
+        if len(data) < 64:  # the line "violations size\n"
+            return super().write(data)
+        super().write(memoryview(data)[:len(data) // 2])
+        self.flush()
+        os._exit(0)
+
+
+def test_simulate_reruns_the_shard_of_a_cut_message(capsys, monkeypatch):
+    """A message whose body is shorter than its line says is no result: the
+    parent runs that shard again, so stdout and the exit code are those of
+    --threads 1."""
+    _many_cpus(monkeypatch)
+    fdopen = os.fdopen
+
+    def cut_writer(fd, mode="r", *args, **kwargs):  # a pipe's write end
+        if mode == "wb":
+            return _CutShort(io.FileIO(fd, "w"))
+        return fdopen(fd, mode, *args, **kwargs)
+
+    monkeypatch.setattr(os, "fdopen", cut_writer)
+    monkeypatch.delenv("LATMIN_TIMING", raising=False)
+    argv, want = PINNED_STDOUT["genus-zero"]
+    _assert_pinned(capsys, ["--threads", "4"] + argv, want)
+    _assert_no_child_left()
 
 
 def _assert_child_failure_is_rerun(capsys, monkeypatch, fail):
