@@ -1,13 +1,16 @@
 """Command line entry point with deterministic JSON output.
 
 Subcommands: count, minima, chi, verify, ledger (eval | sweep | simulate).
-Each ``cmd_*`` only computes: it returns (config, report bytes, seed, exit
-code), the report as a list of byte strings.  ``_run``, which ``main``
-calls, alone sets the budget, reads the clock and writes stdout: one JSON
-document per run, a report or an error.  Exit codes: 0 success, 1
-inequality violation, 2 usage/config error, 3 enumeration budget exceeded,
-4 stdout closed or full (said in one line on stderr, and no second
-document is tried).
+Each ``cmd_*`` only computes: it returns (report bytes, exit code), the
+report as a list of byte strings.  ``_run``, which ``main`` calls, alone
+sets the budget, reads the clock and writes stdout: one JSON document per
+run, a report or an error.  The report's manifest is read from the
+subcommand's entry in ``COMMANDS``: its ``config`` holds every option as
+parsed (``--budget`` resolved), except ``--emit-vectors``, which only
+shapes the output, and its ``seed`` is ``--seed``, or null where the
+subcommand has none.  Exit codes: 0 success, 1 inequality violation, 2
+usage/config error, 3 enumeration budget exceeded, 4 stdout closed or full
+(said in one line on stderr, and no second document is tried).
 
 Reals are serialized as decimal strings with 12 significant digits (plus an
 exact "p/q" field where one exists) so output is byte-identical across runs
@@ -182,8 +185,7 @@ def cmd_count(args):
     body = [encode(report).encode()]
     if args.emit_vectors:  # "vectors" sorts last: spliced in from the tuples
         body = [body[0][:-1], b',"vectors":', _dumps(sections.vectors).encode(), b"}"]
-    conf = {"module": args.module, "strict": args.strict}
-    return conf, body, None, 0
+    return body, 0
 
 
 def cmd_minima(args):
@@ -194,7 +196,7 @@ def cmd_minima(args):
     report = {"lambdas": rep.lambdas, "mus": rep.mus, "witnesses": rep.witnesses,
               "exact": [{"alpha": a, "key": k, "den": d, "squared": sq}
                         for a, k, d, sq in rep.mu_parts]}
-    return {"module": args.module}, [encode(report).encode()], None, 0
+    return [encode(report).encode()], 0
 
 
 def cmd_chi(args):
@@ -203,7 +205,7 @@ def cmd_chi(args):
 
     vol = ball_volume(load_module(args.module))
     report = {"chi": vol.log_value, "method": vol.method}
-    return {"module": args.module}, [encode(report).encode()], None, 0
+    return [encode(report).encode()], 0
 
 
 def cmd_verify(args):
@@ -212,10 +214,7 @@ def cmd_verify(args):
     if args.suite != "counting":
         raise ConfigError(f"unknown suite {args.suite!r}")
     summary = run_suite(seed=args.seed, trials=args.trials, rank_max=args.max_rank)
-    cfg = {"suite": args.suite, "trials": args.trials, "seed": args.seed,
-           "max_rank": args.max_rank}
-    code = 1 if summary["total_violations"] else 0
-    return cfg, [encode(summary).encode()], args.seed, code
+    return [encode(summary).encode()], 1 if summary["total_violations"] else 0
 
 
 def cmd_ledger_eval(args):
@@ -231,17 +230,14 @@ def cmd_ledger_eval(args):
         report = {"theorem_chain": theorem_chain_check(ledger),
                   "sum_ci": sum_ci_bound(ledger)}
         holds = all(r.holds for r in report.values())
-    conf = {"config": args.config, "theorem": args.theorem}
-    return conf, [encode(report).encode()], None, 0 if holds else 1
+    return [encode(report).encode()], 0 if holds else 1
 
 
 def cmd_ledger_sweep(args):
     from .ledger import verify_constant_chain
 
     reports = verify_constant_chain(args.g_max, args.kappa_max)
-    code = 1 if any(not r.holds for r in reports) else 0
-    conf = {"g_max": args.g_max, "kappa_max": args.kappa_max}
-    return conf, [encode(reports).encode()], None, code
+    return [encode(reports).encode()], 1 if any(not r.holds for r in reports) else 0
 
 
 def cmd_ledger_simulate(args):
@@ -274,8 +270,7 @@ def cmd_ledger_simulate(args):
     for _, text in parts[1:]:
         body += [b",", text]
     body.append(b'],"trials":%d,"violations":%d}' % (args.trials, violations))
-    conf = {"seed": args.seed, "mode": args.mode, "trials": args.trials}
-    return conf, body, args.seed, 1 if violations else 0
+    return body, 1 if violations else 0
 
 
 REQUIRED = object()  # the default of an option that must be given
@@ -405,10 +400,12 @@ def _run(args) -> int:
     that stopped it, as the run's one document.  If stdout cannot take it
     (closed, full), say so in one line on stderr and return 4."""
     head = {"tool": "latmin", "version": __version__, "subcommand": args.command}
-    config = {}
     try:
         if args.threads < 1:
             raise ConfigError(f"threads must be >= 1, got {args.threads}")
+        name, options = next((n, t) for n, (f, t) in COMMANDS.items() if f is args.func)
+        config = {key: getattr(args, key) for key in (
+            o[2:].replace("-", "_") for o in options if o != "--emit-vectors")}
         if "budget" in args:  # the budget of every walk of this run
             from .enumeration import BUDGET, DEFAULT_BUDGET
 
@@ -418,10 +415,9 @@ def _run(args) -> int:
             BUDGET.set(budget)
             config["budget"] = budget
         started = time.monotonic()
-        own_config, body, seed, exit_code = args.func(args)
-        name = f"ledger-{args.ledger_cmd}" if args.command == "ledger" else args.command
-        manifest = dict(head, subcommand=name, seed=seed,
-                        config=jsonable({**config, **own_config}),
+        body, exit_code = args.func(args)
+        manifest = dict(head, subcommand=name.replace(" ", "-"),
+                        seed=config.get("seed"), config=config,
                         result_digest=digest16(*body))
         if os.environ.get("LATMIN_TIMING"):
             manifest["duration_s"] = fmt_real(time.monotonic() - started)

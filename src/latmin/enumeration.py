@@ -209,15 +209,3 @@ def h0_hat(module: NormedModule) -> float:
 def h0_hat_sef(module: NormedModule) -> float:
     """log # {v : ||v|| < 1}."""
     return math.log(_unit_count(module, True))
-
-
-__all__ = [
-    "BUDGET",
-    "DEFAULT_BUDGET",
-    "SectionSet",
-    "effective_sections",
-    "strictly_effective_sections",
-    "h0_hat",
-    "h0_hat_sef",
-    "vectors_with_keys",
-]

@@ -141,6 +141,8 @@ class Ledger:
             raise ConfigError("d_0 must be a multiple of kappa")
         if self.mode == "positive-genus" and self.g < 1:
             raise PreconditionViolated("positive-genus ledger needs g >= 1")
+        if self.mode == "genus-zero" and self.g != 0:
+            raise PreconditionViolated("genus-zero ledger needs g = 0")
         object.__setattr__(self, "_l2", tuple(l2[:-1]))  # one L_i^2 per step
         object.__setattr__(self, "_l2p", tuple(l2p))
 
@@ -512,10 +514,8 @@ def theorem_chain_check(ledger: Ledger) -> InequalityReport:
     """
     d_circ = ledger.steps[0].d // ledger.kappa
     value = _chain_value(ledger.steps)
-    if ledger.mode == "positive-genus":
+    if ledger.mode in ("positive-genus", "genus-zero"):  # g >= 1, g = 0
         bound = theorem_b_bound(ledger.g, d_circ, ledger.kappa, ledger.L2_0)
-    elif ledger.mode == "genus-zero":
-        bound = theorem_b_bound(0, d_circ, ledger.kappa, ledger.L2_0)
     else:
         eps = 2 if ledger.mode == "clifford-hyperelliptic" else 1
         bound = theorem_c_bound(d_circ, ledger.kappa, eps, ledger.L2_0)

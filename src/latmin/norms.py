@@ -42,7 +42,7 @@ from functools import cached_property, lru_cache
 
 from .errors import ConfigError, DimensionMismatch, InvalidNorm, UnboundedBall
 from .intervals import exp_float, floor_exp, saturated_float
-from .linalg import adjugate, determinant, independent_rows, ldl_chain
+from .linalg import adjugate, independent_rows, ldl_chain
 from .record import digest16, record
 
 
@@ -156,7 +156,9 @@ class CompiledNorm:
             rows = [self.int_rows[i] for i in self.basis]
             self.adjugate = adjugate(rows)
             self.adjugate_sums = [sum(map(abs, row)) for row in self.adjugate]
-            self.int_det = determinant(rows).numerator
+            # det A'_0 = (A'_0 adj(A'_0))[0][0], and 1 at rank 0
+            self.int_det = (sum(a * adj[0] for a, adj in zip(rows[0], self.adjugate))
+                            if n else 1)
             self.det = Fraction(self.int_det, self.den ** n)
         # size -> box_limit(size): the box has no twist, so a twist's copy
         # shares this dict

@@ -17,6 +17,7 @@ from latmin.inequalities import (LOG3, _xlogx, check_filtration, check_gs_count,
                                  random_module, run_suite, witness_modules)
 from latmin.linalg import span_rank
 from latmin.norms import make_ellipsoid, make_normed_module, make_polymax, twist
+from conftest import with_budget
 from test_enumeration import drawn_modules, large_denominator_twists
 
 
@@ -173,6 +174,21 @@ def test_run_suite_small_corpus_clean():
             "minima-window-upper", "minima-count", "minkowski-count"} <= names
     for stat in summary["inequalities"].values():
         assert stat["checked"] == stat["holds"]
+
+
+def test_run_suite_counts_an_instance_past_the_budget_as_skipped():
+    """Under a budget of 1000 one of the eight instances has a walk past it:
+    it is skipped, and each of the others gives all of its reports.  The
+    caches are cleared first: they hold results of walks under an earlier
+    budget, which this one would refuse."""
+    from latmin import enumeration, minima
+    for cached in (enumeration._unit_count, minima.successive_minima,
+                   minima.ball_volume):
+        cached.cache_clear()
+    summary = with_budget(1000, lambda: run_suite(seed=0, trials=6, rank_max=5))
+    assert (summary["instances"], summary["skipped"]) == (8, 1)
+    assert len(summary["inequalities"]) == 15
+    assert {s["checked"] for s in summary["inequalities"].values()} == {7}
 
 
 def test_run_suite_is_reproducible():

@@ -199,6 +199,8 @@ def test_chi_ok_values():
     assert chi_ok(2, 1, 0, 1.0) == pytest.approx(math.log(math.pi))
     assert chi_ok(2, 0, 1, 1.0) == pytest.approx(math.log(math.pi ** 2 / 2))
     assert chi_ok(1, 1, 0, 4.0) == pytest.approx(0.0)  # log 2 - (1/2) log 4
+    with pytest.raises(PreconditionViolated):
+        chi_ok(0, 1, 0, 1.0)
 
 
 def test_noether_chi_fal_value():
@@ -211,6 +213,8 @@ def test_stirling_equality_and_strictness():
     assert eq.holds and abs(eq.slack) < 1e-9
     strict = stirling_check(3, 1, 0)
     assert strict.holds and strict.slack > 1e-6
+    with pytest.raises(PreconditionViolated, match="at least one embedding"):
+        stirling_check(2, 0, 0)
 
 
 def test_c_constant_and_corollary_e():
@@ -222,6 +226,8 @@ def test_c_constant_and_corollary_e():
     with pytest.raises(ConfigError):
         corollary_e(g=2, kappa=2, eps=1, absD=1.0, r1=1, r2=1,
                     omega2=1.0, delta=0.0, gamma=0.0)
+    with pytest.raises(ConfigError, match="unknown theorem 'F'"):
+        ledger_module.eval_theorem("F", {})
 
 
 def test_corollary_e_monotone_in_inputs():
@@ -327,6 +333,8 @@ def test_inadmissible_ledgers_raise_when_made():
         Ledger(2, 2, (LedgerStep(5, 3, 1.0, 2.0),), 20.0, "positive-genus")
     with pytest.raises(PreconditionViolated, match="needs g >= 1"):
         Ledger(0, 1, (LedgerStep(4, 3, 1.0, 2.0),), 20.0, "positive-genus")
+    with pytest.raises(PreconditionViolated, match="needs g = 0"):
+        Ledger(5, 1, (LedgerStep(4, 5, 1.0, 2.0),), 20.0, "genus-zero")
     # several faults: the one theorem_chain_check met first is reported
     with pytest.raises(InfeasibleLedger):
         Ledger(0, 2, (LedgerStep(5, 3, 3.0, 0.0),), 20.0, "positive-genus")

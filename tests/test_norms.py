@@ -12,7 +12,8 @@ from latmin.errors import DimensionMismatch, InvalidNorm, UnboundedBall
 from latmin.inequalities import random_module
 from latmin.norms import (compile_norm, format_rational, make_ellipsoid,
                           make_normed_module, make_polymax, make_scaled,
-                          module_from_json, norm_eval, parse_rational, twist)
+                          module_from_json, norm_eval, parse_rational,
+                          spec_from_json, twist)
 from test_linalg import _oracle_det
 
 
@@ -46,9 +47,25 @@ def test_polymax_must_span():
         make_normed_module(2, make_polymax([[1, 1], [2, 2]]))
 
 
+
+def test_polymax_det_is_the_basis_determinant():
+    """The compile reads det A'_0 off the adjugate of its basis rows A'_0."""
+    checked = 0
+    for seed in range(200):
+        compiled = compile_norm(random_module(seed, 1, 5).norm)
+        if not compiled.squared:
+            basis = [compiled.int_rows[i] for i in compiled.basis]
+            assert compiled.int_det == _oracle_det(basis)
+            assert compiled.det == Fraction(compiled.int_det,
+                                            compiled.den ** compiled.rank)
+            checked += 1
+    assert checked > 50
+    assert compile_norm(make_polymax([[]])).int_det == 1  # rank 0
 def test_rank_mismatch_rejected():
     with pytest.raises(DimensionMismatch):
         make_normed_module(3, make_ellipsoid([[1, 0], [0, 1]]))
+    with pytest.raises(DimensionMismatch, match="nonnegative"):
+        make_normed_module(-1, make_ellipsoid([[1]]))
 
 
 def test_twist_flattens_and_accumulates():
@@ -71,8 +88,11 @@ def test_norm_eval_exact_values():
     zero = norm_eval(m, (0, 0))
     assert zero.le(0) and not zero.lt(0)
     assert not zero.le(-1) and zero.lt(1)
+    assert compile_norm(m.norm).log(0) == -math.inf
     # a nonzero vector has a positive norm
     assert not (v.le(0) or v.lt(0) or v.le(-1))
+    with pytest.raises(DimensionMismatch, match="vector length 3 != rank 2"):
+        norm_eval(m, (1, 2, 3))
     # a rational vector is decided exactly too, on the sphere and off it
     unit = norm_eval(m, ("3/5", "4/5"))
     assert unit.le(1) and not unit.lt(1) and not unit.le("99/100")
@@ -112,6 +132,10 @@ def test_round_trip_canonicalizes_rationals():
     m = module_from_json(raw)
     assert m.norm.rows[0][0] == Fraction(1, 2)
     assert m.to_json()["norm"]["functionals"] == [["1/2"]]
+    with pytest.raises(InvalidNorm, match="unknown norm type 'ball'"):
+        spec_from_json({"type": "ball"})
+    with pytest.raises(InvalidNorm, match="unknown norm type 'ball'"):
+        module_from_json({"rank": 1, "norm": {"type": "ball"}})
 
 
 def test_scaled_spec_json_keeps_alpha():
