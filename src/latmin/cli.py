@@ -111,8 +111,8 @@ def _trial_text(ledger, chain, sum_ci) -> str:
 def shard_count(threads: int, trials: int, cpus: int) -> int:
     """Processes for `trials` simulated ledgers: at most `threads`, one per
     CPU and one per 100 trials, and at least 1.  On a 2-vCPU Xeon VM, 2,500
-    trials took 121 ms in two processes against 175 ms in one with the
-    second vCPU free, and 181-191 against 173 ms with it busy (README)."""
+    trials took 137 ms in two processes against 168 ms in one with the
+    second vCPU free, and 185 against 173 ms with it busy (README)."""
     return max(1, min(threads, cpus, trials // 100))
 
 

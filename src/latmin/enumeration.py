@@ -167,7 +167,10 @@ def _unit_cap(module: NormedModule, strict: bool) -> int:
 @lru_cache(maxsize=2048)
 def _unit_count(module: NormedModule, strict: bool) -> int:
     """# {v : ||v|| <= 1} (< 1 if strict): the walk at the cap adds up the
-    lengths of its lines and lists no vector, in O(r) memory."""
+    lengths of its lines and lists no vector, in O(r) memory.  A twist's
+    strict cap is its closed cap, so its strict count is its closed count."""
+    if strict and compile_norm(module.norm).scale:
+        return _unit_count(module, False)
     _, bounds, lines = _lines(module, _unit_cap(module, strict))
     return sum(hi - lo + 1 for _, lo, hi, _ in lines) if bounds else 1
 

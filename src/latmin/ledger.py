@@ -7,9 +7,9 @@ scope; its arithmetic consequences (derived self-intersections, chained
 count bounds, closed-form constants) are all mechanically checkable here.
 
 Admissibility is decided once, when a Ledger is made: the mode's rules,
-feasible derived intersections (kept on the ledger) and the preconditions of
-its closed-form bound.  The checks below are then arithmetic on a valid
-ledger.  All evaluation is double precision; verdicts use EXACT_TOL.
+feasible derived intersections and the preconditions of its closed-form
+bound; the intersections and the digest, which every check reads, are kept
+then.  All evaluation is double precision; verdicts use EXACT_TOL.
 
 The paper's six closed forms (the trivial and degree-one bounds, Theorems
 B, C and D, Corollary E's bounds on delta_X) are evaluated through one
@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 import sys
-from functools import cached_property, reduce
+from functools import reduce
 from operator import add
 
 from .errors import ConfigError, InfeasibleLedger, PreconditionViolated
@@ -86,7 +86,7 @@ class Ledger:
         made a float so 20 and 20.0 give one digest); the mode's rules; then
         L_i^2 and L_i'^2 = L_i^2 - 2 d_i c_i, which must be >= 0 (to
         _FEAS_TOL) and are kept outside the fields; then the preconditions
-        of theorem_chain_check's closed-form bound."""
+        of theorem_chain_check's closed-form bound; then the digest is kept."""
         if type(self.g) is not int or not _is_count(self.kappa):
             raise ConfigError("g and kappa must be ints, and kappa one that a "
                               "double holds")
@@ -143,8 +143,11 @@ class Ledger:
             raise PreconditionViolated("positive-genus ledger needs g >= 1")
         if self.mode == "genus-zero" and self.g != 0:
             raise PreconditionViolated("genus-zero ledger needs g = 0")
+        if self.mode.startswith("clifford") and self.g < 2:
+            raise PreconditionViolated("Clifford ledger needs g >= 2")
         object.__setattr__(self, "_l2", tuple(l2[:-1]))  # one L_i^2 per step
         object.__setattr__(self, "_l2p", tuple(l2p))
+        object.__setattr__(self, "_digest", digest16(self.json_text(_DIGEST_LAYOUT).encode()))
 
     def to_json(self) -> dict:
         return {"g": self.g, "kappa": self.kappa, "mode": self.mode,
@@ -158,13 +161,9 @@ class Ledger:
             [step % (s.c, s.d, s.r, s.slack) for s in self.steps]))
 
     def digest(self) -> str:
-        return self._digest
-
-    @cached_property  # once per ledger; == and hash read only the fields
-    def _digest(self) -> str:
         """digest16 of json.dumps(to_json(), sort_keys=True, separators=(",",
-        ":")), written by the ledger's one layout."""
-        return digest16(self.json_text(_DIGEST_LAYOUT).encode())
+        ":")), written by the ledger's one layout when it was validated."""
+        return self._digest
 
 
 def _checked_fields(kinds: dict, data: dict) -> dict:
@@ -484,7 +483,7 @@ def simulate_reduction(seed: int, mode: str) -> Ledger:
              for _ in range(n)]
     degs = sorted([deg0] + picks, reverse=True)
 
-    steps = []
+    steps, dc_sum, slack_sum, c_sum = [], 0, 0, 0  # added left to right, as _left_sum
     for d in degs:
         if mode == "positive-genus":
             r = rng.randint(1, d)
@@ -497,10 +496,10 @@ def simulate_reduction(seed: int, mode: str) -> Ledger:
         c = round(rng.u01() * 2.0, 6)
         slack = round(rng.u01() * 2.0, 6)
         steps.append(LedgerStep(d, r, c, slack))
+        dc_sum, slack_sum, c_sum = dc_sum + d * c, slack_sum + slack, c_sum + c
 
-    need_chain = (2.0 * _left_sum(s.d * s.c for s in steps)
-                  + _left_sum(s.slack for s in steps))
-    need_sumci = steps[0].d * (steps[0].c + _left_sum(s.c for s in steps))
+    need_chain = 2.0 * dc_sum + slack_sum
+    need_sumci = steps[0].d * (steps[0].c + c_sum)
     l2 = max(need_chain, need_sumci) + round(rng.u01() * 5.0, 6)
     return Ledger(g, 1, tuple(steps), l2, mode)
 

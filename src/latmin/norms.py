@@ -69,12 +69,11 @@ class NormSpec:
     rows: tuple
     alpha: Fraction = Fraction(0)
 
+    def __post_init__(self):  # once per spec: each lru-cache lookup hashes it
+        object.__setattr__(self, "_hash", hash((self.kind, self.rows, self.alpha)))
+
     def __hash__(self) -> int:
         return self._hash
-
-    @cached_property  # once per spec: each lru-cache lookup hashes it
-    def _hash(self) -> int:
-        return hash((self.kind, self.rows, self.alpha))
 
     @property
     def dim(self) -> int:
@@ -283,6 +282,10 @@ class NormedModule:
         return {"rank": self.rank, "norm": self.norm.to_json()}
 
     def digest(self) -> str:
+        return self._digest
+
+    @cached_property  # on first read: a twist is never named
+    def _digest(self) -> str:
         """digest16 of json.dumps(to_json(), sort_keys=True, separators=(",",
         ":")): the module's name in reports."""
         blob = json.dumps(self.to_json(), sort_keys=True, separators=(",", ":"))

@@ -49,7 +49,8 @@ def record(cls):
     __eq__ against the same class only; __hash__ of the field tuple, unless
     the class defines its own; __repr__; and the names as `_fields`.
     Assignment and deletion raise AttributeError; the fields are kept in
-    the instance __dict__, where cached_property also writes."""
+    the instance __dict__, as is a value that __post_init__ sets for every
+    use or that a cached_property writes on the first of some uses."""
     names = tuple(cls.__dict__.get("__annotations__", ()))
     params = ", ".join(f"{n}=D[{n!r}]" if n in cls.__dict__ else n for n in names)
     row = "".join(f"self.{n}," for n in names)

@@ -277,6 +277,7 @@ C, P = "ConfigError", "PreconditionViolated"
     (["ledger", "eval"], dict(LEDGER, steps=[{"d": 4, "r": 3, "c": -1.0, "slack": 2.0}]), C),
     (["ledger", "eval"], {"g": 5, "kappa": 1, "mode": "genus-zero", "L2_0": 20.0,
                           "steps": [{"d": 4, "r": 5, "c": 1.0, "slack": 2.0}]}, P),
+    (["ledger", "eval"], dict(LEDGER, g=0, mode="clifford-hyperelliptic"), P),
     (["ledger", "eval", "--theorem", "B"], dict(THEOREM_B, kappa=0), P),
     (["ledger", "eval", "--theorem", "B"], dict(THEOREM_B, g=0, d_circ=0), P),
     (["ledger", "eval", "--theorem", "C"], dict(THEOREM_C, d_circ=1), P),
@@ -318,7 +319,7 @@ C, P = "ConfigError", "PreconditionViolated"
         "nan-theorem-real", "fractional-theorem-integer",
         "ledger-negative-genus", "ledger-zero-kappa", "ledger-no-steps",
         "ledger-negative-L2", "ledger-zero-degree", "ledger-negative-c",
-        "ledger-genus-zero-with-g-5",
+        "ledger-genus-zero-with-g-5", "ledger-clifford-with-g-0",
         "B-zero-kappa", "B-genus-0-degree-0", "C-degree-1", "C-negative-L2",
         "D-genus-1", "deg1-negative-genus", "E-genus-1", "E-bad-split",
         "E-eps-3", "E-absD-below-1", "E-negative-omega2", "E-zero-kappa",

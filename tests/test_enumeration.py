@@ -437,6 +437,7 @@ def test_unit_cap_is_one_limited_floor(monkeypatch):
             for budget in (0, 1, 10, 1000, 10 ** 8):
                 refused = _per_key_refusal(compiled, strict, budget)
                 calls.clear()
+                enumeration._unit_count.cache_clear()  # the closed count too
                 try:  # the count uncached
                     with_budget(budget, enumeration._unit_count.__wrapped__, m, strict)
                 except EnumerationBudgetExceeded as exc:
@@ -452,7 +453,8 @@ def test_unit_cap_is_one_limited_floor(monkeypatch):
 def test_unit_cap_limit_is_found_once_per_base_and_budget(monkeypatch):
     """The closed and strict counts of a module and of two twists, the six
     counts of one corpus instance, search the key to the budget's limit
-    once: a twist's box is its base's, and so is the memo of the limit."""
+    once: a twist's box is its base's, and so is the memo of the limit.
+    They walk four times: a twist's strict count is its closed count."""
     base = shaped_module(3, "polymax", False)
     modules = [base, twist(base, "1/3"), twist(base, "-1/2")]
     compile_norm.cache_clear()
@@ -475,7 +477,29 @@ def test_unit_cap_limit_is_found_once_per_base_and_budget(monkeypatch):
     # the exponent doubles from 0 until 2^16 fails, then bisects [8, 16]
     search = [1 << k for k in (0, 1, 2, 4, 8, 16, 12, 14, 15)]
     assert caps[:len(search)] == search
-    assert len(caps) == len(search) + len(modules) * 2  # and one box per walk
+    assert len(caps) == len(search) + len(modules) + 1  # and one box per walk
+
+
+def test_a_twists_strict_count_is_its_closed_count(monkeypatch):
+    """No sphere of a twist meets an integer key, so its strict cap is its
+    closed cap: its strict count, made after its closed count, walks
+    nothing.  An untwisted module's strict count walks its own cap."""
+    walks, lines = [], enumeration._lines
+    monkeypatch.setattr(enumeration, "_lines",
+                        lambda module, cap: walks.append(cap) or lines(module, cap))
+    twists = [shaped_module(3, family, True) for family in ("ellipsoid", "polymax")]
+    for m in twists + large_denominator_twists():
+        enumeration._unit_count.cache_clear()
+        effective_sections(m)
+        walks.clear()
+        assert strictly_effective_sections(m).count == len(oracle_sections(m, True))
+        assert walks == []
+    m = euclid(2)  # untwisted: its unit circle holds the points of key 1
+    enumeration._unit_count.cache_clear()
+    effective_sections(m)
+    walks.clear()
+    assert strictly_effective_sections(m).count == len(oracle_sections(m, True)) == 1
+    assert walks == [compile_norm(m.norm).cap(Fraction(1), True)] == [0]
 
 
 def test_a_ball_with_huge_entries_counts_in_a_few_boxes(monkeypatch):

@@ -70,7 +70,7 @@ def test_digest_is_cached_sha256_of_to_json():
     blob = json.dumps(led.to_json(), sort_keys=True, separators=(",", ":"))
     assert led.digest() == hashlib.sha256(blob.encode()).hexdigest()[:16]
     assert led.digest() is led.digest()  # computed once
-    # fresh has not computed its digest; the cached one changes nothing
+    # the kept digest changes neither == nor hash
     assert led == fresh and hash(led) == hash(fresh) == before
     assert led.to_json() == fresh.to_json()
     assert led.to_json()["steps"] == [
@@ -78,6 +78,25 @@ def test_digest_is_cached_sha256_of_to_json():
     bumped = Ledger(**{name: getattr(led, name) for name in led._fields
                        if name != "L2_0"}, L2_0=21.0)
     assert bumped != led and bumped.digest() != led.digest()
+
+
+def test_a_ledger_keeps_its_digest_when_it_is_made():
+    """The digest, which every check reads, is in a ledger's dict as soon as
+    it is made and equals the hashlib oracle; a ledger that fails an early,
+    a middle or the last check gets none."""
+    led = sample_ledger()
+    blob = json.dumps(led.to_json(), sort_keys=True, separators=(",", ":"))
+    assert vars(led)["_digest"] == hashlib.sha256(blob.encode()).hexdigest()[:16]
+    for changes, error in (({"steps": ()}, ConfigError),
+                           ({"L2_0": 1.0}, InfeasibleLedger),
+                           ({"mode": "clifford-hyperelliptic", "g": 1},
+                            PreconditionViolated)):
+        bad = object.__new__(Ledger)
+        vars(bad).update({name: getattr(led, name) for name in led._fields},
+                         **changes)
+        with pytest.raises(error):
+            bad.validate()
+        assert not {"_l2", "_l2p", "_digest"} & set(vars(bad))
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, True,

@@ -12,7 +12,7 @@ from latmin.errors import ConfigError
 from latmin.inequalities import run_suite
 from latmin.ledger import Ledger, LedgerStep
 from latmin.minima import VolumeReport
-from latmin.norms import NormSpec, compile_norm
+from latmin.norms import NormedModule, NormSpec, compile_norm
 from latmin.record import digest16, record
 from latmin.reports import InequalityReport
 
@@ -77,11 +77,25 @@ def test_post_init_runs_and_cached_properties_do_not_change_equality():
     led = Ledger(2, 1, (LedgerStep(4, 3, 1, 2),), 20, "positive-genus")
     assert type(led.L2_0) is float and type(led.steps[0].c) is float
     fresh = Ledger(2, 1, (LedgerStep(4, 3, 1.0, 2.0),), 20.0, "positive-genus")
-    assert led.digest() == fresh.digest()  # cached on led only
+    assert led.digest() == fresh.digest()  # each kept when it was made
     assert led == fresh and hash(led) == hash(fresh)
     assert hash(led) == hash(tuple(getattr(led, k) for k in led._fields))
     again = pickle.loads(pickle.dumps(led))
     assert again == led and again.digest() == led.digest()
+
+
+def test_values_every_use_reads_are_set_when_a_record_is_made():
+    """A norm spec's hash, which each compile_norm lookup reads, is in its
+    dict as soon as it is made; a module's digest, which only reports read,
+    is written on its first read."""
+    t = ((Fraction(2),),)
+    spec = NormSpec("ellipsoid", t, Fraction(1, 3))
+    assert vars(spec) == {"kind": "ellipsoid", "rows": t, "alpha": Fraction(1, 3),
+                          "_hash": hash(("ellipsoid", t, Fraction(1, 3)))}
+    assert hash(spec) == vars(spec)["_hash"]
+    module = NormedModule(1, spec)
+    assert "_digest" not in vars(module)
+    assert module.digest() is vars(module)["_digest"] is module.digest()
 
 
 def test_violation_dump_text_is_unchanged(monkeypatch):
