@@ -47,10 +47,14 @@ def record(cls):
     __init__ taking them positionally or by keyword (a class attribute is
     the field's default) that ends by calling __post_init__, if any;
     __eq__ against the same class only; __hash__ of the field tuple, unless
-    the class defines its own; __repr__; and the names as `_fields`.
-    Assignment and deletion raise AttributeError; the fields are kept in
-    the instance __dict__, as is a value that __post_init__ sets for every
-    use or that a cached_property writes on the first of some uses."""
+    the class defines its own; __repr__; __reduce__; and the names as
+    `_fields`.  Assignment and deletion raise AttributeError; the fields are
+    kept in the instance __dict__, as is a value that __post_init__ sets for
+    every use or that a cached_property writes on the first of some uses.
+    Pickle and copy rebuild a record from its field values alone, through
+    __init__ and __post_init__, so no such value crosses over: a spec's
+    cached hash is the loading process's (a str's hash is seeded per
+    process), and a ledger is validated again."""
     names = tuple(cls.__dict__.get("__annotations__", ()))
     params = ", ".join(f"{n}=D[{n!r}]" if n in cls.__dict__ else n for n in names)
     row = "".join(f"self.{n}," for n in names)
@@ -61,7 +65,8 @@ def record(cls):
         "def __eq__(self, other):",
         " if other.__class__ is not self.__class__: return NotImplemented",
         f" return ({row}) == ({row.replace('self.', 'other.')})",
-        f"def __hash__(self): return hash(({row}))"])
+        f"def __hash__(self): return hash(({row}))",
+        f"def __reduce__(self): return self.__class__, ({row})"])
     methods = {}
     exec(src, {"D": cls.__dict__, "set": object.__setattr__}, methods)
     if "__hash__" in cls.__dict__:  # NormSpec caches its own hash

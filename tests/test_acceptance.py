@@ -7,14 +7,12 @@ conftest) and enforces the stated tolerances and runtime limits.
 import functools
 import json
 import math
-import subprocess
-import sys
 import time
 from fractions import Fraction
 
 import mpmath
 
-from conftest import ACCEPTANCE_RESULTS, with_budget
+from conftest import ACCEPTANCE_RESULTS, run_latmin, with_budget
 from latmin.inequalities import (check_filtration, check_gs_count,
                                  check_minkowski_count, check_norm_scaling,
                                  check_second_minima, check_sef_gap,
@@ -202,12 +200,7 @@ def test_criterion_8_stirling():
 
 
 def _cli(argv):
-    import os
-
-    env = dict(os.environ)
-    env.pop("LATMIN_TIMING", None)
-    proc = subprocess.run([sys.executable, "-m", "latmin.cli"] + argv,
-                          capture_output=True, env=env)
+    proc = run_latmin(argv)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
 

@@ -5,27 +5,28 @@ import errno
 import gc
 import hashlib
 import io
+import itertools
 import json
 import math
 import os
 import re
 import signal
-import subprocess
 import sys
 import time
 from fractions import Fraction
 from typing import Any
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, given, seed, settings
 from hypothesis import strategies as st
 
 import latmin
+from conftest import run_latmin
 from latmin import enumeration
 from latmin import ledger as ledger_mod
 from latmin.cli import (COMMANDS, _run_forked, _trial_text, encode, fmt_real,
                         jsonable, main, shard_count)
-from latmin.errors import ConfigError
+from latmin.errors import ConfigError, LatminError
 from latmin.inequalities import run_suite
 from latmin.ledger import (MODES, Ledger, LedgerStep, corollary_e,
                            simulate_reduction, sum_ci_bound,
@@ -591,22 +592,11 @@ def test_bad_usage_exits_2(capsys):
     assert main([]) == 2
 
 
-def _run(argv, cwd=None, stdout=subprocess.PIPE, **popen):
-    """`python -m latmin.cli argv` in a fresh process, stderr captured, with
-    stdout block-buffered as by default; `popen` goes to subprocess.run."""
-    src = os.path.dirname(os.path.dirname(latmin.__file__))
-    env = dict(os.environ, PYTHONPATH=src)
-    env.pop("LATMIN_TIMING", None)
-    env.pop("PYTHONUNBUFFERED", None)
-    return subprocess.run([sys.executable, "-m", "latmin.cli"] + argv, cwd=cwd,
-                          stdout=stdout, stderr=subprocess.PIPE, env=env, **popen)
-
-
 def test_subprocess_output_byte_identical(tmp_path):
     cfg = write_ledger(tmp_path, [{"d": 4, "r": 3, "c": 1.0, "slack": 2.0}])
     argv = ["ledger", "eval", "--config", cfg]
-    a = _run(argv)
-    b = _run(argv)
+    a = run_latmin(argv)
+    b = run_latmin(argv)
     assert a.returncode == b.returncode == 0
     assert a.stdout == b.stdout
 
@@ -627,7 +617,7 @@ def test_an_input_integer_past_the_str_digit_limit_is_bad_input(tmp_path, kind):
         path.write_text(json.dumps(dict(LEDGER, steps=[
             {"d": 0, "r": 3, "c": 1.0, "slack": 2.0}])).replace('"d": 0', '"d": ' + digits))
         argv, unlimited = ["ledger", "eval", "--config", str(path)], 2
-    out = _run(argv)
+    out = run_latmin(argv)
     assert "Traceback" not in out.stderr.decode(), out.stderr
     # the child inherits the environment, and with it this process's limit
     want = 2 if getattr(sys, "get_int_max_str_digits", int)() else unlimited
@@ -644,7 +634,7 @@ def test_minima_writes_a_huge_exact_alpha_in_full(tmp_path):
     path.write_text(json.dumps({"rank": 1, "norm": {
         "type": "scaled", "alpha": "1e5000",
         "inner": {"type": "ellipsoid", "gram": [["1"]]}}}))
-    out = _run(["minima", "--module", str(path)])
+    out = run_latmin(["minima", "--module", str(path)])
     assert "Traceback" not in out.stderr.decode()
     assert out.returncode == 0
     assert b'"alpha":"1%s/1"' % (b"0" * 5000) in out.stdout
@@ -665,8 +655,6 @@ def test_cli_import_does_not_load_mpmath(tmp_path):
     Fraction).  A forked simulate (on 2 or more CPUs) loads no pickle: each
     shard comes back as one length-prefixed byte message.  A twist's
     compile, minima and volume read no e^alpha."""
-    src = os.path.dirname(os.path.dirname(latmin.__file__))
-    env = dict(os.environ, PYTHONPATH=src)
     path = tmp_path / "twist.json"
     path.write_text(json.dumps(_scaled("7/3", DISK_NORM)))
     twisted = (
@@ -704,10 +692,8 @@ def test_cli_import_does_not_load_mpmath(tmp_path):
     for flags, extra in (((), {"argparse"}),
                          (("-S",), {"typing", "argparse", "gettext", "locale"})):
         for code, banned in cases:
-            out = subprocess.run(
-                [sys.executable, *flags, "-c",
-                 f"import sys\n{code}print(*sorted(sys.modules))"],
-                capture_output=True, env=env)
+            out = run_latmin([], code=f"import sys\n{code}print(*sorted(sys.modules))",
+                             flags=flags)
             assert out.returncode == 0, (flags, code, out.stderr)
             loaded = set(out.stdout.decode().splitlines()[-1].split())
             assert "latmin" in loaded
@@ -727,12 +713,9 @@ def test_only_the_process_entry_freezes_the_heap(tmp_path):
                   "--trials", "300"]):
         assert main(argv) == 0, argv
         assert gc.get_freeze_count() == before, argv
-    src = os.path.dirname(os.path.dirname(latmin.__file__))
     code = ("import gc, sys\nfrom latmin import cli\n"
-            "sys.argv[1:] = ['count', '--module', 'missing.json']\n"
             "print(cli.entry(), gc.get_freeze_count() > 0, file=sys.stderr)\n")
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                         cwd=tmp_path, env=dict(os.environ, PYTHONPATH=src))
+    out = run_latmin(["count", "--module", "missing.json"], code=code, cwd=tmp_path)
     assert json.loads(out.stdout)["error"]["type"] == "FileNotFoundError"
     assert out.stderr.decode().split() == ["2", "True"]
 
@@ -1294,7 +1277,7 @@ def test_module_stdout_is_pinned(tmp_path, argv, code, want):
     --budget, and a negative budget is a ConfigError on all three."""
     (tmp_path / "disk.json").write_text(json.dumps({"rank": 2, "norm": DISK_NORM}))
     (tmp_path / "box.json").write_text(json.dumps(BOX))
-    out = _run(argv, cwd=tmp_path)  # the module path is part of the output
+    out = run_latmin(argv, cwd=tmp_path)  # the module path is part of the output
     assert out.returncode == code, out.stderr
     assert hashlib.sha256(out.stdout).hexdigest()[:16] == want
     doc = json.loads(out.stdout)
@@ -1362,13 +1345,13 @@ def test_unwritable_stdout_exits_4(tmp_path, argv, sink):
         pytest.skip("no /dev/full")
     (tmp_path / "disk.json").write_text(json.dumps({"rank": 2, "norm": DISK_NORM}))
     if sink == "closed-fd":
-        out = _run(argv, cwd=tmp_path, stdout=None,
+        out = run_latmin(argv, cwd=tmp_path, stdout=None,
                    preexec_fn=lambda: os.close(1))
     else:
         fd = (_closed_pipe() if sink == "closed-pipe"
               else os.open("/dev/full", os.O_WRONLY))
         try:
-            out = _run(argv, cwd=tmp_path, stdout=fd)
+            out = run_latmin(argv, cwd=tmp_path, stdout=fd)
         finally:
             os.close(fd)
     err = out.stderr.decode()
@@ -1376,3 +1359,254 @@ def test_unwritable_stdout_exits_4(tmp_path, argv, sink):
     assert err.startswith("latmin: cannot write to stdout: ")
     assert len(err.splitlines()) == 1
     assert "Traceback" not in err and "Exception ignored" not in err
+
+
+def _kinds(*bases):
+    """The names of these exception classes and of all their subclasses."""
+    names, todo = set(), list(bases)
+    while todo:
+        cls = todo.pop()
+        names.add(cls.__name__)
+        todo.extend(cls.__subclasses__())
+    return names
+
+
+# valid module and ledger documents, and what a mutation may put in a value
+VALID_DOCS = [{"rank": 2, "norm": DISK_NORM}, {"rank": 2, "norm": HEXAGON_INNER},
+              _scaled("-1/3", HEXAGON_INNER), LEDGER, README_LEDGER, THEOREM_B]
+MUTANT_VALUES = st.one_of(st.text(max_size=4), st.booleans(),
+                          st.lists(st.integers(), max_size=2), st.none(),
+                          st.integers(10 ** 399, 10 ** 400 - 1),
+                          st.integers(-10 ** 400 + 1, -10 ** 399))
+_NEST = "nested here"
+
+
+def _places(doc, path=()):
+    """The path of every value in doc, its root first."""
+    yield path
+    items = (doc.items() if isinstance(doc, dict)
+             else enumerate(doc) if isinstance(doc, list) else ())
+    for key, value in items:
+        yield from _places(value, path + (key,))
+
+
+def _at(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+@st.composite
+def mutants(draw):
+    """The text of a valid document with one to three mutations: a key
+    dropped or renamed, a value replaced by a string, a bool, a list, null or
+    a 400-digit integer, the document wrapped in a list; then maybe one value
+    nested in up to 100,000 lists."""
+    doc = json.loads(json.dumps(draw(st.sampled_from(VALID_DOCS))))
+    for _ in range(draw(st.integers(1, 3))):
+        path = draw(st.sampled_from(list(_places(doc))))
+        what = draw(st.sampled_from(["drop", "rename", "replace", "wrap"]))
+        parent = _at(doc, path[:-1])
+        if what == "wrap" or not path:
+            doc = [doc]
+        elif what == "replace":
+            parent[path[-1]] = draw(MUTANT_VALUES)
+        else:  # a key, or an item of a list
+            value = parent.pop(path[-1])
+            if what == "rename" and isinstance(parent, dict):
+                parent[draw(st.text(max_size=6))] = value
+    depth = draw(st.sampled_from([0, 1, 50, 100_000]))
+    if not depth:
+        return json.dumps(doc)
+    path = draw(st.sampled_from(list(_places(doc))))
+    if not path:
+        return "[" * depth + json.dumps(doc) + "]" * depth
+    inner = json.dumps(_at(doc, path))
+    _at(doc, path[:-1])[path[-1]] = _NEST
+    return json.dumps(doc).replace(json.dumps(_NEST), "[" * depth + inner + "]" * depth, 1)
+
+
+_INPUT_ERRORS = _kinds(LatminError, ValueError, OSError, RecursionError)
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_mutated_input_never_crashes(capsys, tmp_path, k):
+    """Every mutant of a valid module or ledger document, read by count,
+    ledger eval and ledger eval --theorem B, exits 0, 1, 2 or 3 with one JSON
+    document and raises nothing; an error document of exit 2 names an input
+    error.  Run off fixed examples, under two seeds."""
+    path = tmp_path / "input.json"
+
+    @seed(k)
+    @settings(max_examples=200, deadline=None, derandomize=False, database=None)
+    @given(mutants())
+    def runs_clean(text):
+        path.write_text(text)
+        for argv in (["count", "--budget", "10000", "--module", str(path)],
+                     ["ledger", "eval", "--config", str(path)],
+                     ["ledger", "eval", "--config", str(path), "--theorem", "B"]):
+            code = main(argv)
+            out = capsys.readouterr().out
+            assert code in (0, 1, 2, 3), (argv, text[:200])
+            assert out.endswith("}\n") and out.count("\n") == 1, (argv, out[:200])
+            doc = json.loads(out)
+            if code == 2:
+                assert doc["error"]["type"] in _INPUT_ERRORS, (argv, doc["error"])
+
+    runs_clean()
+
+
+# A run of the CLI in a fresh process: its argv, the input files it writes
+# (name: text), the exit code it wants, a time limit in seconds, checks of
+# its stdout, and the code that runs it under `python -c` (None: `python -m
+# latmin.cli`).  Every run also wants no traceback on stderr.
+Fresh = collections.namedtuple("Fresh", "argv files code timeout checks entry",
+                               defaults=((), None))
+
+
+def _hashes_to(want):
+    def check(stdout):
+        assert hashlib.sha256(stdout).hexdigest()[:16] == want
+    return check
+
+
+def _report_has(**fields):
+    def check(stdout):
+        report = json.loads(stdout)["report"]
+        assert {key: report[key] for key in fields} == fields
+    return check
+
+
+def _chi_near(want, rel):
+    def check(stdout):
+        chi = float(json.loads(stdout)["report"]["chi"])
+        assert abs(chi - want) <= rel * want, (chi, want)
+    return check
+
+
+def _error_document(stdout):
+    assert set(json.loads(stdout)) == {"error", "manifest"}
+
+
+# the rank-2 polymax twist whose cap needs e^alpha to over 1,580 bits
+_DEN = 3 ** 1000
+BIG_DENOMINATOR = _scaled("1/3", {"type": "polymax", "functionals": [
+    [f"{_DEN + 1}/{_DEN}", 0], [0, 1]]})
+# every import of mpmath fails: it is the tests' oracle, not a dependency
+NO_MPMATH = ('import sys\nsys.modules["mpmath"] = None\nfrom latmin import cli\n'
+             'sys.exit(cli.main(sys.argv[1:]))\n')
+# the l1 ball of rank 7 and radius 3: the 64 rows (1, +-1, ..., +-1)/3
+L1_RANK_7 = {"rank": 7, "norm": {"type": "polymax", "functionals": [
+    ["1/3"] + [f"{sign}/3" for sign in signs]
+    for signs in itertools.product((1, -1), repeat=6)]}}
+# G = A^T A / 256, A = [[1, 5, 3], [0, 1, 6], [0, 0, 1]]
+SKEWED = {"rank": 3, "norm": {"type": "ellipsoid", "gram": [
+    ["1/256", "5/256", "3/256"], ["5/256", "26/256", "21/256"],
+    ["3/256", "21/256", "46/256"]]}}
+
+
+def _on_module(command, doc, code, *extra, checks=(), timeout=10, entry=None):
+    """`command --module m.json extra` on doc, a dict or the file's text."""
+    text = doc if isinstance(doc, str) else json.dumps(doc)
+    return Fresh([command, "--module", "m.json", *extra], {"m.json": text}, code,
+                 timeout, checks, entry)
+
+
+def _bad_config(doc, *theorem):
+    """ledger eval of a bad config: exit 2 with an error document."""
+    return Fresh(["ledger", "eval", "--config", "config.json", *theorem],
+                 {"config.json": json.dumps(doc)}, 2, 10, (_error_document,))
+
+
+FRESH = {
+    # a twist past the double range is no crash: a ball past the budget exits
+    # 3, its cap resolved no higher than the first key past the budget, also
+    # at alpha = 10^7 and 10^400, where bit lengths alone put the cap past
+    # that key; lambda or a volume past the double range prints as inf
+    "twist-5000-count": _on_module("count", _scaled("5000", DISK_NORM), 3),
+    "twist-minus-2000-minima": _on_module("minima", _scaled("-2000", DISK_NORM), 0),
+    "twist-2000-hexagon-chi": _on_module("chi", _scaled("2000", HEXAGON_INNER), 0),
+    "twist-10-minima": _on_module("minima", _scaled("10", DISK_NORM), 0),
+    "twist-1e7-count": _on_module("count", _scaled("10000000", DISK_NORM), 3),
+    "twist-1e400-count": _on_module("count", _scaled("1e400", DISK_NORM), 3),
+    "twist-minus-1e400-count": _on_module("count", _scaled("-1e400", DISK_NORM), 0,
+                                          checks=(_report_has(count=1),)),
+    "big-denominator-count": _on_module("count", BIG_DENOMINATOR, 0,
+                                        checks=(_report_has(count=9),)),
+    "skewed-count-budget-1e6": _on_module("count", SKEWED, 0, "--budget", "1000000",
+                                          checks=(_report_has(count=17077),)),
+    # a gram entry past the interpreter's str digit limit is bad input
+    "gram-5000-digits-count": _on_module(
+        "count", '{"rank": 1, "norm": {"type": "ellipsoid", "gram": [[%s]]}}'
+        % ("7" * 5000), 2, checks=(_error_document,)),
+    "twist-1e5000-minima": _on_module("minima", {"rank": 1, "norm": {
+        "type": "scaled", "alpha": "1e5000",
+        "inner": {"type": "ellipsoid", "gram": [["1"]]}}}, 0),
+    # a ball that holds only 0 (38 s when its unit cap doubled one bit a time)
+    "gram-1e10000-count": _on_module("count", {"rank": 1, "norm": {
+        "type": "ellipsoid", "gram": [["1e10000"]]}}, 0),
+    # e^(0 alpha) = 1 at rank 0, not 0 * inf
+    "rank-0-ellipsoid-twist-chi": _on_module("chi", {"rank": 0, "norm": {
+        "type": "scaled", "alpha": "1e400",
+        "inner": {"type": "ellipsoid", "gram": []}}}, 0, checks=(_report_has(chi="0"),)),
+    "rank-0-polymax-twist-chi": _on_module("chi", {"rank": 0, "norm": {
+        "type": "scaled", "alpha": "-1e400",
+        "inner": {"type": "polymax", "functionals": [[]]}}}, 0,
+        checks=(_report_has(chi="0"),)),
+    # the exact volume of an l1 ball off the corpus, (2 m)^n / n!
+    "l1-rank-7-chi": _on_module("chi", L1_RANK_7, 0, timeout=60, checks=(
+        _chi_near(math.log(6 ** 7 / math.factorial(7)), 1e-12),)),
+    # the rank-5 corpus runs pinned in PINNED_VERIFY
+    **{f"verify-{name}": Fresh(argv, {}, 0, 60, (_hashes_to(want),))
+       for name, (argv, want) in PINNED_VERIFY.items() if name.startswith("seed-")},
+    # --budget is the budget of every walk of its run, verify's too
+    "verify-budget-1000": Fresh(
+        ["verify", "--max-rank", "5", "--trials", "6", "--seed", "0", "--budget", "1000"],
+        {}, 0, 60, (_hashes_to("a458741cf79bc2be"), _report_has(skipped=1))),
+    # the strict unit disk {0} lists its vectors at its own cap
+    "strict-vectors-budget-1": _on_module(
+        "count", {"rank": 2, "norm": DISK_NORM}, 0, "--strict", "--emit-vectors",
+        "--budget", "1", checks=(_report_has(count=1, vectors=[[0, 0]]),)),
+    # mpmath is no run-time dependency
+    "no-mpmath-big-denominator-count": _on_module(
+        "count", BIG_DENOMINATOR, 0, timeout=60, checks=(_report_has(count=9),),
+        entry=NO_MPMATH),
+    "no-mpmath-verify-seed-0": Fresh(
+        PINNED_VERIFY["seed-0"][0], {}, 0, 60,
+        (_hashes_to(PINNED_VERIFY["seed-0"][1]),), NO_MPMATH),
+    # bad ledger input exits 2: a real that is a JSON bool, a step degree of
+    # 400 digits, a theorem real that is a string, theorem B counts whose
+    # product a double does not hold, closed forms past the double range, and
+    # a Clifford ledger with g = 0
+    "ledger-boolean-c": _bad_config(dict(LEDGER, steps=[
+        {"d": 4, "r": 3, "c": True, "slack": 2.0}])),
+    "ledger-degree-400-digits": _bad_config(dict(LEDGER, steps=[
+        {"d": 10 ** 399, "r": 3, "c": 1.0, "slack": 2.0}])),
+    "B-string-L2": _bad_config(dict(THEOREM_B, L2="7"), "--theorem", "B"),
+    "B-product-past-double": _bad_config(
+        {"g": 2, "d_circ": 10 ** 300, "kappa": 10 ** 300, "L2": 1.0}, "--theorem", "B"),
+    "trivial-bound-past-double": _bad_config(
+        {"r_minus": 10, "deg_LQ": 1, "L2": 1e308}, "--theorem", "trivial"),
+    "B-bound-past-double": _bad_config(
+        {"g": 0, "d_circ": 1, "kappa": 1, "L2": 1.5e308}, "--theorem", "B"),
+    "E-bound-past-double": _bad_config(dict(THEOREM_E, omega2=1e308), "--theorem", "E"),
+    "ledger-bound-past-double": _bad_config(
+        {"g": 0, "kappa": 1, "mode": "genus-zero", "L2_0": 1.5e308,
+         "steps": [{"d": 1, "r": 2, "c": 0.0, "slack": 0.0}]}),
+    "ledger-clifford-with-g-0": _bad_config(
+        dict(README_LEDGER, g=0, mode="clifford-hyperelliptic")),
+}
+
+
+@pytest.mark.parametrize("case", FRESH.values(), ids=FRESH.keys())
+def test_fresh_process(tmp_path, case):
+    """Each run from a fresh process, within its time limit: its exit code,
+    its stdout, and no traceback on stderr."""
+    for name, text in case.files.items():
+        (tmp_path / name).write_text(text)
+    out = run_latmin(case.argv, code=case.entry, cwd=tmp_path, timeout=case.timeout)
+    err = out.stderr.decode()
+    assert out.returncode == case.code, (out.stdout[:500], err)
+    assert "Traceback" not in err, err
+    for check in case.checks:
+        check(out.stdout)

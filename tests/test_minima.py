@@ -408,6 +408,78 @@ def test_d4_counts_at_norm_2():
     assert strictly_effective_sections(d4).count == 1
 
 
+def _a_edges(n):
+    return [(i, i + 1) for i in range(n - 1)]
+
+
+def _d_edges(n):
+    return _a_edges(n - 1) + [(n - 3, n - 1)]
+
+
+def _a_oracle(n, s):
+    """The closed and strict counts of x in Z^(n+1) with sum 0 and |x|^2 <= s
+    and < s: A_n, whose Cartan matrix is the gram of its roots e_i - e_(i+1)."""
+    r = math.isqrt(s)
+    norms = [sum(v * v for v in x) + sum(x) ** 2
+             for x in itertools.product(range(-r, r + 1), repeat=n)]
+    return sum(q <= s for q in norms), sum(q < s for q in norms)
+
+
+def _d_oracle(n, s):
+    """The same for x in Z^n with |x|^2 even: D_n, whose roots are e_i - e_(i+1)
+    and e_(n-2) + e_(n-1)."""
+    r = math.isqrt(s)
+    norms = [q for x in itertools.product(range(-r, r + 1), repeat=n)
+             if (q := sum(v * v for v in x)) % 2 == 0]
+    return sum(q <= s for q in norms), sum(q < s for q in norms)
+
+
+# upper unitriangular, so each leading n x n block is unimodular
+_U = [[1, -2, 3, 1, 0, -1],
+      [0, 1, -1, 2, 3, 0],
+      [0, 0, 1, -3, 1, 2],
+      [0, 0, 0, 1, 2, -1],
+      [0, 0, 0, 0, 1, 3],
+      [0, 0, 0, 0, 0, 1]]
+
+
+def _changed_basis(module):
+    """The module of U^T G U, U the leading block of _U: the same lattice."""
+    n, g = module.rank, module.norm.rows
+    return make_normed_module(n, make_ellipsoid(
+        [[sum(_U[k][i] * g[k][m] * _U[m][j] for k in range(n) for m in range(n))
+          for j in range(n)] for i in range(n)]))
+
+
+ROOT_LATTICES = {"A2": (2, _a_edges(2), _a_oracle), "A3": (3, _a_edges(3), _a_oracle),
+                 "A4": (4, _a_edges(4), _a_oracle), "D5": (5, _d_edges(5), _d_oracle),
+                 "D6": (6, _d_edges(6), _d_oracle)}
+
+
+@pytest.mark.parametrize("n, edges, oracle", ROOT_LATTICES.values(),
+                         ids=ROOT_LATTICES.keys())
+def test_root_lattice_counts_match_their_coordinates(n, edges, oracle):
+    """At G = C/s the unit ball holds the vectors of norm up to s: the counts
+    of the listed coordinate vectors, also in the basis U^T G U."""
+    for s in (2, 6, 10):
+        module = cartan(n, edges, s)
+        want = oracle(n, s)
+        for m in (module, _changed_basis(module)):
+            assert (effective_sections(m).count,
+                    strictly_effective_sections(m).count) == want, s
+
+
+@pytest.mark.parametrize("n, edges", [row[:2] for row in ROOT_LATTICES.values()],
+                         ids=ROOT_LATTICES.keys())
+def test_root_lattice_minima_are_the_key_of_a_root(n, edges):
+    """A_n and D_n are spanned by their roots, so at G = C/2 every minimum
+    is the key 2 of a root, in the basis U^T G U too."""
+    module = cartan(n, edges, 2)
+    for m in (module, _changed_basis(module)):
+        rep = successive_minima(m)
+        assert [(key, den) for _, key, den, _ in rep.mu_parts] == [(2, 2)] * n
+
+
 def _divisors(k):
     return [d for d in range(1, k + 1) if k % d == 0]
 

@@ -1,13 +1,11 @@
 """The package surface: names resolved on first access (PEP 562)."""
 
 import importlib
-import os
-import subprocess
-import sys
 
 import pytest
 
 import latmin
+from conftest import run_latmin
 
 HOMES = {"latmin.enumeration", "latmin.linalg", "latmin.minima", "latmin.norms"}
 
@@ -34,12 +32,7 @@ def test_unknown_attribute_raises_attribute_error():
 
 
 def test_package_import_loads_no_submodule():
-    env = dict(os.environ,
-               PYTHONPATH=os.path.dirname(os.path.dirname(latmin.__file__)))
-    out = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, latmin\n"
-         "print(*sorted(m for m in sys.modules if m.startswith('latmin')))"],
-        capture_output=True, env=env)
+    out = run_latmin([], code="import sys, latmin\n"
+                     "print(*sorted(m for m in sys.modules if m.startswith('latmin')))")
     assert out.returncode == 0, out.stderr
     assert out.stdout.split() == [b"latmin"]

@@ -1,16 +1,20 @@
 """Frozen records: the behaviour the value types keep from frozen dataclasses."""
 
+import copy
 import hashlib
+import json
 import pickle
 from fractions import Fraction
 
 import pytest
 
+from conftest import run_latmin
 from latmin import inequalities
 from latmin.cli import encode
+from latmin.enumeration import effective_sections
 from latmin.errors import ConfigError
 from latmin.inequalities import run_suite
-from latmin.ledger import Ledger, LedgerStep
+from latmin.ledger import Ledger, LedgerStep, simulate_reduction
 from latmin.minima import VolumeReport
 from latmin.norms import NormedModule, NormSpec, compile_norm
 from latmin.record import digest16, record
@@ -96,6 +100,52 @@ def test_values_every_use_reads_are_set_when_a_record_is_made():
     module = NormedModule(1, spec)
     assert "_digest" not in vars(module)
     assert module.digest() is vars(module)["_digest"] is module.digest()
+
+
+_SPEC = 'make_ellipsoid([["1", "0"], ["0", "1"]])'
+
+
+def test_a_pickled_spec_takes_the_hash_of_the_process_that_loads_it():
+    """A str's hash is seeded per process: a spec pickled under one seed and
+    loaded under another is rebuilt from its fields, so it hashes as an equal
+    spec made there, and compile_norm finds it in its cache."""
+    dump = run_latmin([], code="import pickle, sys\nfrom latmin import make_ellipsoid\n"
+                      f"sys.stdout.buffer.write(pickle.dumps({_SPEC}))",
+                      env={"PYTHONHASHSEED": "1"})
+    assert dump.returncode == 0, dump.stderr
+    load = run_latmin([], code="import pickle, sys\nfrom latmin import make_ellipsoid\n"
+                      "from latmin.norms import compile_norm\n"
+                      f"a, b = {_SPEC}, pickle.loads(sys.stdin.buffer.read())\n"
+                      "compile_norm(a), compile_norm(b)\n"
+                      "print(a == b, hash(a) == hash(b), len({a, b}),"
+                      " compile_norm.cache_info().misses)",
+                      env={"PYTHONHASHSEED": "2"}, input=dump.stdout)
+    assert load.returncode == 0, load.stderr
+    assert load.stdout.split() == [b"True", b"True", b"1", b"1"]
+
+
+@pytest.mark.parametrize("twin", [lambda r: pickle.loads(pickle.dumps(r)), copy.copy,
+                                  copy.deepcopy], ids=["pickle", "copy", "deepcopy"])
+def test_pickle_and_copy_rebuild_a_record_from_its_fields(twin):
+    """Only the fields cross over: a ledger is validated again and takes its
+    digest anew, and a module's digest and a count's vectors are computed
+    again on their first read."""
+    led = simulate_reduction(3, "positive-genus")
+    again = twin(led)
+    assert again == led and again is not led
+    assert set(vars(again)) == set(vars(led))
+    blob = json.dumps(led.to_json(), sort_keys=True, separators=(",", ":"))
+    assert again.digest() == hashlib.sha256(blob.encode()).hexdigest()[:16]
+    spec = NormSpec("ellipsoid", ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1))))
+    module = NormedModule(2, spec)
+    module.digest()
+    sections = effective_sections(module)
+    assert len(sections.vectors) == 5
+    for rec, lazy in ((module, "_digest"), (sections, "vectors")):
+        copied = twin(rec)
+        assert copied == rec and lazy not in vars(copied)
+    assert twin(sections).vectors == sections.vectors
+    assert twin(module).digest() == module.digest()
 
 
 def test_violation_dump_text_is_unchanged(monkeypatch):
