@@ -434,7 +434,9 @@ def _run(args) -> int:
         if sys.stdout is None:  # file descriptor 1 was closed at start-up
             raise OSError(errno.EBADF, os.strerror(errno.EBADF))
         sys.stdout.flush()  # what the text layer holds goes out first
-        out = sys.stdout.buffer
+        out = getattr(sys.stdout, "buffer", None)
+        if out is None:  # a text stream only (io.StringIO): the same text
+            document, out = [piece.decode() for piece in document], sys.stdout
         for piece in document:
             out.write(piece)
         out.flush()

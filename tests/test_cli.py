@@ -1,9 +1,11 @@
 """CLI behaviour: JSON output, exit codes, determinism."""
 
 import collections
+import contextlib
 import errno
 import gc
 import hashlib
+import importlib.util
 import io
 import itertools
 import json
@@ -21,7 +23,7 @@ from hypothesis import HealthCheck, given, seed, settings
 from hypothesis import strategies as st
 
 import latmin
-from conftest import run_latmin
+from conftest import run_latmin, session_left
 from latmin import enumeration
 from latmin import ledger as ledger_mod
 from latmin.cli import (COMMANDS, _run_forked, _trial_text, encode, fmt_real,
@@ -36,6 +38,7 @@ from latmin.norms import format_rational, load_module
 from latmin.record import record
 
 
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 LEDGER = {"g": 2, "kappa": 1, "mode": "positive-genus", "L2_0": 20.0,
           "steps": [{"d": 4, "r": 3, "c": 1.0, "slack": 2.0}]}
 THEOREM_E = {"g": 2, "kappa": 1, "eps": 1, "absD": 1.0, "r1": 1, "r2": 0,
@@ -723,8 +726,7 @@ def test_only_the_process_entry_freezes_the_heap(tmp_path):
 def test_console_script_is_the_process_entry():
     """The `latmin` script of pyproject.toml and `python -m latmin.cli` call
     one function."""
-    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    with open(os.path.join(root, "pyproject.toml")) as fh:
+    with open(os.path.join(ROOT, "pyproject.toml")) as fh:
         scripts = fh.read().split("[project.scripts]", 1)[1]
     target = re.search(r'^latmin = "latmin\.cli:(\w+)"$', scripts, re.M).group(1)
     with open(latmin.cli.__file__) as fh:
@@ -1213,8 +1215,8 @@ def test_ledger_eval_is_pinned(capsys, monkeypatch, tmp_path, theorem, cfg,
 
 
 # sha256 prefixes of the stdout of corpus commands: three rank-5 runs pinned
-# from the release before the compiled norm became the validator, and CI's
-# rank-8 run (a few seconds), whose minima and volumes do the most work
+# from the release before the compiled norm became the validator, and a
+# rank-8 run (about a second), whose minima and volumes do the most work
 PINNED_VERIFY = {f"seed-{seed}": (["verify", "--max-rank", "5", "--trials", "6",
                                    "--seed", str(seed)], want)
                  for seed, want in ((0, "01d4b95842f82c69"), (1, "b7885099572b8171"),
@@ -1288,6 +1290,31 @@ def test_module_stdout_is_pinned(tmp_path, argv, code, want):
         assert doc["manifest"]["config"]["budget"] == budget
 
 
+def test_benchmark_count_modules_have_their_reference_counts(capsys, monkeypatch,
+                                                             tmp_path):
+    """The closed and strict counts of the 15 seed-0 modules of the
+    benchmark's count workload, through main(), are those of
+    perfbench/reference_counts.json.  perfbench/ is read only: its workloads
+    module is loaded with no bytecode written."""
+    perfbench = os.path.join(ROOT, "perfbench")
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec = importlib.util.spec_from_file_location(
+        "workloads", os.path.join(perfbench, "workloads.py"))
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, "workloads", workloads)  # for its dataclasses
+    spec.loader.exec_module(workloads)
+    with open(os.path.join(perfbench, "reference_counts.json")) as fh:
+        reference = json.load(fh)["0"]
+    assert len(reference) == 15
+    path = tmp_path / "module.json"
+    for k, want in enumerate(reference):
+        path.write_text(json.dumps(workloads.count_module(0, k)))
+        got = [run_main(capsys, ["count", "--module", str(path), *strict])
+               for strict in ([], ["--strict"])]
+        assert [(code, doc["report"]["count"]) for code, doc in got] == [
+            (0, count) for count in want], k
+
+
 @pytest.mark.parametrize("argv", [
     ["count", "--module", "MODULE"],
     ["minima", "--module", "MODULE", "--budget", "100"],
@@ -1359,6 +1386,24 @@ def test_unwritable_stdout_exits_4(tmp_path, argv, sink):
     assert err.startswith("latmin: cannot write to stdout: ")
     assert len(err.splitlines()) == 1
     assert "Traceback" not in err and "Exception ignored" not in err
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["ledger", "sweep", "--g-max", "2", "--kappa-max", "1"], 0),
+    (["--threads", "2", "ledger", "simulate", "--mode", "genus-zero",
+      "--trials", "300"], 0),
+    (["count", "--module", "/no/such/file.json"], 2),
+], ids=["sweep", "forked-simulate", "error-document"])
+def test_a_text_stdout_takes_the_same_document(capsysbinary, argv, code):
+    """A caller whose stdout is a text stream with no .buffer (io.StringIO
+    under redirect_stdout) gets the document as text: the bytes that a
+    binary stdout takes, with the same exit code."""
+    assert main(argv) == code
+    want = capsysbinary.readouterr().out
+    text = io.StringIO()
+    with contextlib.redirect_stdout(text):
+        assert main(argv) == code
+    assert text.getvalue().encode() == want
 
 
 def _kinds(*bases):
@@ -1458,10 +1503,12 @@ def test_mutated_input_never_crashes(capsys, tmp_path, k):
 
 # A run of the CLI in a fresh process: its argv, the input files it writes
 # (name: text), the exit code it wants, a time limit in seconds, checks of
-# its stdout, and the code that runs it under `python -c` (None: `python -m
-# latmin.cli`).  Every run also wants no traceback on stderr.
-Fresh = collections.namedtuple("Fresh", "argv files code timeout checks entry",
-                               defaults=((), None))
+# its stdout, the code that runs it under `python -c` (None: `python -m
+# latmin.cli`), and a bound in MB on its peak RSS (None: not read).  Every
+# run also wants no traceback on stderr and, once it has exited, no process
+# of its session left running.
+Fresh = collections.namedtuple("Fresh", "argv files code timeout checks entry peak_mb",
+                               defaults=((), None, None))
 
 
 def _hashes_to(want):
@@ -1495,6 +1542,15 @@ BIG_DENOMINATOR = _scaled("1/3", {"type": "polymax", "functionals": [
 # every import of mpmath fails: it is the tests' oracle, not a dependency
 NO_MPMATH = ('import sys\nsys.modules["mpmath"] = None\nfrom latmin import cli\n'
              'sys.exit(cli.main(sys.argv[1:]))\n')
+# a small parent that runs `python -m latmin.cli argv` with stdout passed
+# through, exits with its code and writes its peak RSS (with that of the
+# shards it reaped) last on stderr, in kB on Linux: a child started by a
+# large process (pytest) would read that process's RSS, which it starts with
+PEAK = ("import resource, subprocess, sys\n"
+        "argv = [sys.executable, '-m', 'latmin.cli', *sys.argv[1:]]\n"
+        "code = subprocess.run(argv).returncode\n"
+        "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss, file=sys.stderr)\n"
+        "sys.exit(code)\n")
 # the l1 ball of rank 7 and radius 3: the 64 rows (1, +-1, ..., +-1)/3
 L1_RANK_7 = {"rank": 7, "norm": {"type": "polymax", "functionals": [
     ["1/3"] + [f"{sign}/3" for sign in signs]
@@ -1505,11 +1561,18 @@ SKEWED = {"rank": 3, "norm": {"type": "ellipsoid", "gram": [
     ["3/256", "21/256", "46/256"]]}}
 
 
-def _on_module(command, doc, code, *extra, checks=(), timeout=10, entry=None):
+def _on_module(command, doc, code, *extra, checks=(), timeout=10, entry=None,
+               peak_mb=None):
     """`command --module m.json extra` on doc, a dict or the file's text."""
     text = doc if isinstance(doc, str) else json.dumps(doc)
     return Fresh([command, "--module", "m.json", *extra], {"m.json": text}, code,
-                 timeout, checks, entry)
+                 timeout, checks, entry, peak_mb)
+
+
+def _rank_3_ball(den):
+    """Z^3 under G = I/den."""
+    return {"rank": 3, "norm": {"type": "ellipsoid", "gram": [
+        [f"1/{den}" if i == j else "0" for j in range(3)] for i in range(3)]}}
 
 
 def _bad_config(doc, *theorem):
@@ -1559,6 +1622,34 @@ FRESH = {
     # the rank-5 corpus runs pinned in PINNED_VERIFY
     **{f"verify-{name}": Fresh(argv, {}, 0, 60, (_hashes_to(want),))
        for name, (argv, want) in PINNED_VERIFY.items() if name.startswith("seed-")},
+    # ranks 6-8, where the span does the most work, with no list kept for the
+    # filtration ranks: no skipped instance, no violation, under 50 MB
+    "verify-rank-8-seed-3": Fresh(PINNED_VERIFY["rank-8-seed-3"][0], {}, 0, 60, (
+        _hashes_to(PINNED_VERIFY["rank-8-seed-3"][1]),
+        _report_has(skipped=0, total_violations=0)), peak_mb=50),
+    # a count walks lines and lists no vector: the 904,089-point ball of
+    # G = I/3600 and its interior, each under 40 MB; --emit-vectors lists its
+    # vectors by key shell, with no key kept per vector: the 113,081-point
+    # ball of G = I/900 under 32 MB
+    "ball-3600-count": _on_module("count", _rank_3_ball(3600), 0, peak_mb=40,
+                                  checks=(_report_has(count=904089),)),
+    "ball-3600-count-strict": _on_module(
+        "count", _rank_3_ball(3600), 0, "--strict", peak_mb=40,
+        checks=(_report_has(count=903939),)),
+    "ball-900-emit-vectors": _on_module(
+        "count", _rank_3_ball(900), 0, "--emit-vectors", peak_mb=32),
+    # simulate writes each trial's text into one buffer per shard and keeps no
+    # dict or string per trial: 10,000 trials under 30 MB, forked or not
+    **{f"simulate-10000-threads-{threads}": Fresh(
+        ["--threads", threads, "ledger", "simulate", "--mode", "genus-zero",
+         "--trials", "10000", "--seed", "7"], {}, 0, 60, peak_mb=30)
+       for threads in "12"},
+    # the ledger pins of PINNED_STDOUT, with simulate's trials sharded over
+    # 2 and 4 processes where the CPUs allow: a shard left running would fail
+    # an op of the benchmark
+    **{f"ledger-{name}-threads-{threads}": Fresh(
+        ["--threads", threads, *argv], {}, 0, 60, (_hashes_to(want),))
+       for name, (argv, want) in PINNED_STDOUT.items() for threads in "124"},
     # --budget is the budget of every walk of its run, verify's too
     "verify-budget-1000": Fresh(
         ["verify", "--max-rank", "5", "--trials", "6", "--seed", "0", "--budget", "1000"],
@@ -1598,15 +1689,81 @@ FRESH = {
 }
 
 
-@pytest.mark.parametrize("case", FRESH.values(), ids=FRESH.keys())
-def test_fresh_process(tmp_path, case):
-    """Each run from a fresh process, within its time limit: its exit code,
-    its stdout, and no traceback on stderr."""
+def _run_fresh(case, tmp_path):
+    """Runs case in tmp_path, in a session of its own (through PEAK if it
+    has a bound and this is Linux, where ru_maxrss is in kB), and checks its
+    exit code, stderr, session, stdout and peak.  Returns the peak in MB,
+    None if it was not read."""
     for name, text in case.files.items():
         (tmp_path / name).write_text(text)
-    out = run_latmin(case.argv, code=case.entry, cwd=tmp_path, timeout=case.timeout)
+    peak = case.peak_mb is not None and sys.platform.startswith("linux")
+    out = run_latmin(case.argv, code=PEAK if peak else case.entry, cwd=tmp_path,
+                     timeout=case.timeout, start_new_session=True)
     err = out.stderr.decode()
     assert out.returncode == case.code, (out.stdout[:500], err)
     assert "Traceback" not in err, err
+    if os.path.isdir("/proc/self"):
+        assert session_left(out.pid) == [], case.argv
     for check in case.checks:
         check(out.stdout)
+    if not peak:
+        return None
+    mb = int(err.split()[-1]) / 1024
+    assert mb < case.peak_mb, (case.argv, mb)
+    return mb
+
+
+@pytest.mark.parametrize("case", FRESH.values(), ids=FRESH.keys())
+def test_fresh_process(tmp_path, case):
+    """Each run from a fresh process, within its time limit: its exit code,
+    its stdout, no traceback on stderr, no process left in its session, and
+    its peak RSS under its bound."""
+    _run_fresh(case, tmp_path)
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads kB of RSS")
+def test_peak_is_the_childs_own(tmp_path):
+    """PEAK reads the peak of its own child, not that of pytest, nor of an
+    earlier child: the vector list of the I/900 ball, run first, reads at
+    least 8 MB above the plain count of the I/3600 ball, run next."""
+    vectors = _run_fresh(FRESH["ball-900-emit-vectors"], tmp_path)
+    count = _run_fresh(FRESH["ball-3600-count"], tmp_path)
+    assert vectors >= count + 8, (vectors, count)
+
+
+def test_verify_memory_is_bounded_in_its_trials(tmp_path):
+    """verify draws each corpus instance when it runs and keeps nothing per
+    instance but its tally: the rank-1 corpus of seed 0 with 1,000 and then
+    10,000 trials, each with no skipped instance and no violation, and the
+    second run's peak RSS at most 4 MB above the first's (read on Linux; no
+    bound of its own, so an infinite one)."""
+    peaks = [_run_fresh(Fresh(["verify", "--max-rank", "1", "--seed", "0",
+                               "--trials", trials], {}, 0, 120,
+                              (_report_has(skipped=0, total_violations=0),),
+                              peak_mb=math.inf), tmp_path)
+             for trials in ("1000", "10000")]
+    if peaks[0] is not None:
+        assert peaks[1] - peaks[0] <= 4, peaks
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="reads /proc")
+def test_a_process_left_in_its_session_is_found():
+    """The control of the leftover check: a run that leaves a sleeping child
+    (its stdio on /dev/null, so the run's pipes close) has it found in its
+    session; once killed, the child is no longer counted."""
+    code = ("import subprocess, sys\n"
+            "null = subprocess.DEVNULL\n"
+            "sleeper = subprocess.Popen([sys.executable, '-c', 'import time; time.sleep(60)'],\n"
+            "                           stdin=null, stdout=null, stderr=null)\n"
+            "print(sleeper.pid)\n")
+    out = run_latmin([], code=code, timeout=60, start_new_session=True)
+    assert out.returncode == 0, out.stderr
+    sleeper = int(out.stdout)
+    try:
+        assert session_left(out.pid) == [sleeper]
+    finally:
+        os.kill(sleeper, signal.SIGKILL)
+    deadline = time.monotonic() + 5
+    while session_left(out.pid):
+        assert time.monotonic() < deadline, "the killed child is still counted"
+        time.sleep(0.01)

@@ -229,11 +229,11 @@ def _count_volume_work(monkeypatch):
 
 def test_minima_ladder_lists_few_vectors_at_ranks_6_to_8(monkeypatch):
     """Work gates at 1.25 times the counts: the ranks 6-8 corpus of seed 3
-    lists 69,112 vectors in its minima rungs, and CI's corpus (seed 3, 40
-    trials, ranks <= 8) lists 21,440, makes 6,138 Lasserre calls and misses
-    the memo 1,450 times.  The radius doubles until a rung finds a vector,
-    then grows by about e^(1/r) per rung, and each rung lists only the keys
-    above the last cap.  At ranks 6-8, doubling all the way listed 4,105,947
+    lists 69,112 vectors in its minima rungs, and the pinned rank-8 corpus
+    (seed 3, 40 trials, ranks <= 8) lists 21,440, makes 6,138 Lasserre calls
+    and misses the memo 1,450 times.  The radius doubles until a rung finds
+    a vector, then grows by about e^(1/r) per rung, and each rung lists only
+    the keys above the last cap.  At ranks 6-8, doubling all the way listed 4,105,947
     vectors and re-listing every rung's prefix 126,684."""
     from latmin.inequalities import run_suite
     work, walk = {}, minima.vectors_with_keys
@@ -368,6 +368,77 @@ def test_l1_ball_volume_and_count_in_closed_form(n):
         2 ** k * math.comb(n, k) * math.comb(m, k) for k in range(n + 1))
 
 
+def cube(n, m):
+    """The cube max |x_k| <= m: the polymax norm whose rows are e_k/m."""
+    return make_normed_module(n, make_polymax(
+        [[Fraction(int(i == j), m) for j in range(n)] for i in range(n)]))
+
+
+def _interpolate(points):
+    """The coefficients, constant first, of the polynomial of least degree
+    through the points (x, y), exactly: Newton's divided differences,
+    expanded by Horner's rule."""
+    xs = [x for x, _ in points]
+    c = [Fraction(y) for _, y in points]
+    for j in range(1, len(xs)):
+        for i in range(len(xs) - 1, j - 1, -1):
+            c[i] = (c[i] - c[i - 1]) / (xs[i] - xs[i - j])
+    poly = []
+    for ci, x in zip(reversed(c), reversed(xs)):  # poly * (t - x) + ci
+        poly = [a - x * b for a, b in zip([0] + poly, poly + [0])]
+        poly[0] += ci
+    while poly and poly[-1] == 0:
+        poly.pop()
+    return poly
+
+
+def _ehrhart(n, dilate):
+    """L(T) = #(T P), P = {|A'x|_inf <= 1} for integer rows A' and integer
+    vertices, and dilate(n, T) the module whose rows are A'/T: L is a
+    polynomial (Ehrhart), and L(-T) = (-1)^n #(interior of T P) (Ehrhart-
+    Macdonald reciprocity; Beck & Robins, Computing the Continuous
+    Discretely, ch. 3-4).  Returns the polynomial through the nodes T = 0
+    (the origin alone), +-1, ..., +-k, k = ceil((n + 1)/2), from the closed
+    and strict counts at T = 1, ..., k, and k."""
+    k = (n + 2) // 2
+    nodes = [(0, 1)]
+    for t in range(1, k + 1):
+        nodes += [(t, effective_sections(dilate(n, t)).count),
+                  (-t, (-1) ** n * strictly_effective_sections(dilate(n, t)).count)]
+    return _interpolate(nodes), k
+
+
+def _at(poly, t):
+    return sum(a * t ** i for i, a in enumerate(poly))
+
+
+EHRHART_BODIES = {**{f"l1-rank-{n}": (n, l1_ball) for n in range(2, 7)},
+                  **{f"cube-rank-{n}": (n, cube) for n in range(2, 5)}}
+
+
+@pytest.mark.parametrize("n, dilate", EHRHART_BODIES.values(), ids=EHRHART_BODIES.keys())
+def test_ehrhart_polynomial_ties_the_walk_to_the_volume(n, dilate):
+    """The interpolant of the closed and strict counts has degree n, its
+    leading coefficient is the exact volume of P (2^n/n! for the l1 ball,
+    2^n for the cube), and it gives the walk's count at T = k + 1, a node
+    it was not given: the walk, the strict cap and Lasserre agree."""
+    poly, k = _ehrhart(n, dilate)
+    assert len(poly) == n + 1
+    assert poly[-1] == ball_volume(dilate(n, 1)).exact
+    assert _at(poly, k + 1) == effective_sections(dilate(n, k + 1)).count
+
+
+@pytest.mark.parametrize("alpha, cap, count", [("1", 2, 25), ("5/2", 12, 2625),
+                                               ("-1/3", 0, 1)])
+def test_a_twist_counts_the_ehrhart_polynomial_at_its_cap(alpha, cap, count):
+    """The rank-3 l1 ball twisted by alpha is e^alpha P, whose points are
+    those of floor(e^alpha) P: its count is L at that cap."""
+    poly, _ = _ehrhart(3, l1_ball)
+    assert math.floor(math.exp(Fraction(alpha))) == cap
+    twisted = twist(l1_ball(3, 1), alpha)
+    assert effective_sections(twisted).count == _at(poly, cap) == count
+
+
 def cartan(n, edges, scale=1):
     """The Cartan matrix of the simply laced Dynkin diagram on n nodes with
     these edges, divided by scale, as an ellipsoid module."""
@@ -435,12 +506,13 @@ def _d_oracle(n, s):
 
 
 # upper unitriangular, so each leading n x n block is unimodular
-_U = [[1, -2, 3, 1, 0, -1],
-      [0, 1, -1, 2, 3, 0],
-      [0, 0, 1, -3, 1, 2],
-      [0, 0, 0, 1, 2, -1],
-      [0, 0, 0, 0, 1, 3],
-      [0, 0, 0, 0, 0, 1]]
+_U = [[1, -2, 3, 1, 0, -1, 2],
+      [0, 1, -1, 2, 3, 0, -1],
+      [0, 0, 1, -3, 1, 2, 0],
+      [0, 0, 0, 1, 2, -1, 3],
+      [0, 0, 0, 0, 1, 3, -2],
+      [0, 0, 0, 0, 0, 1, 1],
+      [0, 0, 0, 0, 0, 0, 1]]
 
 
 def _changed_basis(module):
@@ -454,6 +526,13 @@ def _changed_basis(module):
 ROOT_LATTICES = {"A2": (2, _a_edges(2), _a_oracle), "A3": (3, _a_edges(3), _a_oracle),
                  "A4": (4, _a_edges(4), _a_oracle), "D5": (5, _d_edges(5), _d_oracle),
                  "D6": (6, _d_edges(6), _d_oracle)}
+# E6, a chain of 5 nodes with a sixth on the middle one, and E7, a chain of 6
+# with a seventh on the third, with their closed counts at G = C/2, C/4 and
+# C/6: the theta partial sums of their 1, 72, 270 and 720 (E6) and 1, 126,
+# 756 and 2072 (E7) vectors of norm 0, 2, 4 and 6 (Conway & Sloane, Sphere
+# Packings, Lattices and Groups, ch. 4)
+EXCEPTIONAL = {"E6": (6, _a_edges(5) + [(2, 5)], (73, 343, 1063)),
+               "E7": (7, _a_edges(6) + [(2, 6)], (127, 883, 2955))}
 
 
 @pytest.mark.parametrize("n, edges, oracle", ROOT_LATTICES.values(),
@@ -469,11 +548,26 @@ def test_root_lattice_counts_match_their_coordinates(n, edges, oracle):
                     strictly_effective_sections(m).count) == want, s
 
 
-@pytest.mark.parametrize("n, edges", [row[:2] for row in ROOT_LATTICES.values()],
-                         ids=ROOT_LATTICES.keys())
+@pytest.mark.parametrize("n, edges, closed", EXCEPTIONAL.values(), ids=EXCEPTIONAL.keys())
+def test_e6_e7_counts_are_their_theta_partial_sums(n, edges, closed):
+    """At G = C/m the unit ball holds the norms up to m and its interior
+    those below m, all even: each strict count is the closed count at the
+    previous m, also in the basis U^T G U."""
+    for m, want, below in zip((2, 4, 6), closed, (1,) + closed):
+        module = cartan(n, edges, m)
+        for mod in (module, _changed_basis(module)):
+            assert (effective_sections(mod).count,
+                    strictly_effective_sections(mod).count) == (want, below), m
+
+
+SPANNED_BY_ROOTS = {**ROOT_LATTICES, **EXCEPTIONAL}
+
+
+@pytest.mark.parametrize("n, edges", [row[:2] for row in SPANNED_BY_ROOTS.values()],
+                         ids=SPANNED_BY_ROOTS.keys())
 def test_root_lattice_minima_are_the_key_of_a_root(n, edges):
-    """A_n and D_n are spanned by their roots, so at G = C/2 every minimum
-    is the key 2 of a root, in the basis U^T G U too."""
+    """A_n, D_n, E6 and E7 are spanned by their roots, so at G = C/2 every
+    minimum is the key 2 of a root, in the basis U^T G U too."""
     module = cartan(n, edges, 2)
     for m in (module, _changed_basis(module)):
         rep = successive_minima(m)
