@@ -3,28 +3,30 @@
 Each threshold becomes one integer first: ``CompiledNorm.cap(t)`` is the
 largest key K with ||v|| <= t exactly when key(v) <= K, and the strict
 ball {||v|| < t} has its own cap.  The lattice vectors with key at most K
-are walked depth first, x_0 outermost, over the module's compiled norm
-(``norms.CompiledNorm``): each level admits only the integers x_i that can
-still finish with a key at most K, exact ranges from the integer LDL^T
-chain for ellipsoids (Fincke & Pohst, Math. Comp. 44, 1985), and per-row
-intervals for PolyMax norms.  At the innermost level that range is a
-line: every t in [lo, hi] ends in the ball.  Level i ranges over at most
-2 B_i + 1 integers (``CompiledNorm.box``), and the budget is charged on
-prod (2 B_i + 1) before any walk.  The unit ball resolves its cap no
-higher than the first key t = 2^k whose box passes the budget
-(``CompiledNorm.box_limit``), so a huge twist never computes its cap.
+are walked by one recursion per norm kind, depth first, x_0 outermost,
+over the module's compiled norm (``norms.CompiledNorm``): each level admits
+only the integers x_i that can still finish with a key at most K, exact
+ranges from the integer LDL^T chain for ellipsoids (Fincke & Pohst, Math.
+Comp. 44, 1985), and per-row intervals for PolyMax norms.  At the innermost
+level that range is a line: every t in [lo, hi] ends in the ball.  Level i
+ranges over at most 2 B_i + 1 integers (``CompiledNorm.box``), and the
+budget is charged on prod (2 B_i + 1) before any walk.  The unit ball
+resolves its cap no higher than the first key t = 2^k whose box passes the
+budget (``CompiledNorm.box_limit``), so a huge twist never computes its cap.
 One budget governs every walk of a run: the context variable ``BUDGET``,
 which the CLI sets once per subcommand, read only where a walk is charged.
 A count already cached did its walk, so it is returned again without a
 charge, also under a smaller budget.
 
-A count adds hi - lo + 1 per line at the closed or the strict cap and
-lists nothing, in O(r) memory.  The same lines expand into one list of
-vectors per key: the vectors of a ``SectionSet`` (read on first access)
-join them in key order, keeping no key per vector, and
-``vectors_with_keys`` lists them as sorted (key, vector) pairs, or only
-the shell of keys above a given key, for the rungs of the minima; no list
-is shared, so none is cached.
+Every count and every list is one call of ``_walk``: each level returns the
+sum of its children's counts, and the innermost level returns the length
+hi - lo + 1 of its line.  A count stops there, in O(r) memory.  Given a
+dict of shells, the innermost level also appends its line's vectors to the
+list of their key: the vectors of a ``SectionSet`` (read on first access)
+join those lists in key order, keeping no key per vector, and
+``vectors_with_keys`` lists them as sorted (key, vector) pairs, or only the
+shell of keys above a given key, for the rungs of the minima; no list is
+shared, so none is cached.
 """
 
 from __future__ import annotations
@@ -51,9 +53,17 @@ def _check_budget(bounds: list[int], budget: int) -> None:
         raise EnumerationBudgetExceeded(predicted, budget)
 
 
-def _ellipsoid_walk(compiled: CompiledNorm, cap: int):
-    """Lines (head, lo, hi, keys) of the lattice v with v^T G' v <= cap:
-    the v = head + (t,) for lo <= t <= hi, keys() their keys, depth first.
+def _line(shells: dict, above: int, head: tuple, lo: int, keys) -> None:
+    """Append the vectors head + (t,), t = lo, lo + 1, ..., of the keys
+    ``keys`` in turn, to the shell of their key when it is above ``above``."""
+    for t, k in enumerate(keys, lo):
+        if k > above:
+            shells[k].append(head + (t,))
+
+
+def _ellipsoid_walk(compiled: CompiledNorm, cap: int, shells, above: int) -> int:
+    """# of the lattice v with v^T G' v <= cap, depth first, each listed
+    into ``shells`` (if given) as in ``_walk``.
 
     x_0 is the outermost coordinate.  At level i, with P the value at
     x_{<i} of the chain (``linalg.ldl_chain``), x_i = t is admissible iff
@@ -63,86 +73,86 @@ def _ellipsoid_walk(compiled: CompiledNorm, cap: int):
     at most d cap, and d is the next level's a.  At the innermost level d = 1
     and the chain value is the key.
     """
-    chain, last, x = compiled.chain, compiled.rank - 1, [0] * compiled.rank
+    chain, last = compiled.chain, compiled.rank - 1
 
-    def level(i: int, p: int):
+    def level(i: int, p: int, head: tuple) -> int:
         a, d, row = chain[i]
-        b = sum(map(operator.mul, row, x))
+        b = sum(map(operator.mul, row, head))
         s = math.isqrt(d * (a * cap - p))
         lo, hi = -((b + s) // a), (s - b) // a
-        if i == last:
-            if lo <= hi:
-                yield tuple(x[:i]), lo, hi, lambda: [
-                    (u * u + p) // a for u in range(a * lo + b, a * hi + b + 1, a)]
-            return
-        base = d * p
-        for t in range(lo, hi + 1):
-            u = a * t + b
-            x[i] = t
-            yield from level(i + 1, (u * u + base) // a)
+        if i < last:
+            return sum(level(i + 1, ((a * t + b) ** 2 + d * p) // a, head + (t,))
+                       for t in range(lo, hi + 1))
+        if shells is not None:
+            _line(shells, above, head, lo, (
+                (u * u + p) // a for u in range(a * lo + b, a * hi + b + 1, a)))
+        return max(hi - lo + 1, 0)
 
-    yield from level(0, 0)
+    return level(0, 0, ())
 
 
-def _polymax_walk(compiled: CompiledNorm, cap: int, bounds: list[int]):
-    """Lines, as in ``_ellipsoid_walk``, of the v with max_j |A'_j . v| <= cap.
+def _polymax_walk(compiled: CompiledNorm, cap: int, bounds: list[int],
+                  shells, above: int) -> int:
+    """# of the v with max_j |A'_j . v| <= cap, as in ``_ellipsoid_walk``.
 
-    With p_j the partial sum over x_{<i} and tail_j = sum_{l>i} |a'_jl| B_l,
-    row j admits x_i = t only if |p_j + a'_ji t| <= cap + tail_j.  A row with
-    a'_ji = 0 needs no test: p_j is 0 or met the same limit at the row's last
-    nonzero coefficient, as the zero ones since took no term off the tail.
+    With p_j the partial sum over x_{<i}, row j admits x_i = t only if
+    |p_j + a'_ji t| <= cap + tail_j, for tail_j any bound of |u . v| over
+    the ball, u = (0, ..., 0, a'_j,i+1, ..., a'_j,r-1) the row after level i.
+    It is the smaller of the box tail sum_{l>i} |a'_jl| B_l and the basis-dual
+    tail floor(cap sum_k |(u adj(A'_0))_k| / |det A'_0|): v = adj(A'_0) y /
+    det A'_0 with |y_k| <= cap on the ball.  Both depend on u alone, so a
+    row with a'_ji = 0 needs no test: p_j is 0 or met the same limit at the
+    row's last nonzero coefficient.  With c_j = cap + tail_j signed as a'_ji,
+    the row admits exactly -((c_j + p_j) // a'_ji) <= t <= (c_j - p_j) // a'_ji.
     The tails vanish at the innermost level, so every vector of a line is in
     the ball, and along a line row j runs through p_j + a'_ji t, a
     progression in t.
     """
-    rows, r, x = compiled.int_rows, len(bounds), [0] * len(bounds)
+    rows, r, adj = compiled.int_rows, len(bounds), compiled.adjugate
     columns = [[row[i] for row in rows] for i in range(r)]
-    limits = [[cap + sum(abs(row[l]) * bounds[l] for l in range(i + 1, r))
-               for row in rows] for i in range(r)]
+    limits = [[(-1) ** (row[i] < 0) * (cap + min(
+        sum(abs(row[l]) * bounds[l] for l in range(i + 1, r)),
+        cap * sum(abs(sum(row[l] * adj[l][k] for l in range(i + 1, r))) for k in range(r))
+        // abs(compiled.int_det))) for row in rows] for i in range(r)]
 
-    def level(i: int, partial: list):
+    def level(i: int, partial: list, head: tuple) -> int:
         lo, hi = -bounds[i], bounds[i]
-        for p, a, lim in zip(partial, columns[i], limits[i]):
-            if a > 0:
-                lo, hi = max(lo, -((lim + p) // a)), min(hi, (lim - p) // a)
-            elif a < 0:
-                lo, hi = max(lo, -((lim - p) // -a)), min(hi, (lim + p) // -a)
-        if i == r - 1:
-            if lo <= hi:
-                yield tuple(x[:i]), lo, hi, lambda: list(map(max, zip(*(
-                    map(abs, range(p + a * lo, p + a * (hi + 1), a) if a
-                        else repeat(p, hi - lo + 1))
-                    for p, a in zip(partial, columns[i])))))
-            return
-        for t in range(lo, hi + 1):
-            x[i] = t
-            yield from level(i + 1, [p + a * t for p, a in zip(partial, columns[i])])
+        for p, a, c in zip(partial, columns[i], limits[i]):
+            if a:
+                low, high = -((c + p) // a), (c - p) // a
+                if low > lo:
+                    lo = low
+                if high < hi:
+                    hi = high
+        if i < r - 1:
+            return sum(level(i + 1, [p + a * t for p, a in zip(partial, columns[i])],
+                             head + (t,)) for t in range(lo, hi + 1))
+        if shells is not None:
+            _line(shells, above, head, lo, map(max, zip(*(
+                map(abs, range(p + a * lo, p + a * (hi + 1), a) if a
+                    else repeat(p, hi - lo + 1))
+                for p, a in zip(partial, columns[i])))))
+        return max(hi - lo + 1, 0)
 
-    yield from level(0, [0] * len(rows))
+    return level(0, [0] * len(rows), ())
 
 
-def _lines(module: NormedModule, cap: int):
-    """The compiled norm, the widths of the cap (charged) and the walk's lines."""
+def _walk(module: NormedModule, cap: int, shells: dict | None = None,
+          above: int = -1) -> tuple[CompiledNorm, int]:
+    """The compiled norm and the number of lattice vectors with key <= cap;
+    given ``shells``, a defaultdict(list), also {key: [vectors]} for the
+    keys above ``above``.  The walk is depth first, x_0 outermost, so each
+    key's vectors arrive in increasing order.  The budget is charged on
+    the widths of the cap."""
     compiled = compile_norm(module.norm)
     bounds = compiled.box(cap)
     _check_budget(bounds, BUDGET.get())
-    return compiled, bounds, (_ellipsoid_walk(compiled, cap) if compiled.squared
-                              else _polymax_walk(compiled, cap, bounds))
-
-
-def _shells(module: NormedModule, cap: int, above: int) -> tuple[CompiledNorm, dict]:
-    """The lattice vectors with above < key <= cap as {key: [vectors]}: the
-    walk is depth first, x_0 outermost, so each key's vectors arrive in
-    increasing order.  The budget is charged on the widths of the cap."""
-    compiled, bounds, lines = _lines(module, cap)
     if not bounds:  # rank 0: the zero vector, key 0, is the only lattice vector
-        return compiled, {0: [()]} if above < 0 else {}
-    shells = defaultdict(list)
-    for head, lo, hi, keys in lines:
-        for t, k in enumerate(keys(), lo):
-            if k > above:
-                shells[k].append(head + (t,))
-    return compiled, shells
+        if shells is not None and above < 0:
+            shells[0].append(())
+        return compiled, 1
+    return compiled, (_ellipsoid_walk(compiled, cap, shells, above) if compiled.squared
+                      else _polymax_walk(compiled, cap, bounds, shells, above))
 
 
 def vectors_with_keys(module: NormedModule, cap: int,
@@ -150,7 +160,8 @@ def vectors_with_keys(module: NormedModule, cap: int,
     """The lattice vectors with above < key <= cap (all up to cap by default),
     as (key, vector) pairs sorted so that consumers are deterministic; the
     budget is charged on the widths of the cap, and only that shell is listed."""
-    compiled, shells = _shells(module, cap, above)
+    shells = defaultdict(list)
+    compiled, _ = _walk(module, cap, shells, above)
     return compiled, [(k, v) for k in sorted(shells) for v in shells[k]]
 
 
@@ -166,18 +177,19 @@ def _unit_cap(module: NormedModule, strict: bool) -> int:
 # run_suite reads the counts of one module up to five times
 @lru_cache(maxsize=2048)
 def _unit_count(module: NormedModule, strict: bool) -> int:
-    """# {v : ||v|| <= 1} (< 1 if strict): the walk at the cap adds up the
-    lengths of its lines and lists no vector, in O(r) memory.  A twist's
-    strict cap is its closed cap, so its strict count is its closed count."""
+    """# {v : ||v|| <= 1} (< 1 if strict): ``_walk`` at the cap, given no
+    shells, sums the lengths of its lines and lists no vector, in O(r)
+    memory.  A twist's strict cap is its closed cap, so its strict count is
+    its closed count."""
     if strict and compile_norm(module.norm).scale:
         return _unit_count(module, False)
-    _, bounds, lines = _lines(module, _unit_cap(module, strict))
-    return sum(hi - lo + 1 for _, lo, hi, _ in lines) if bounds else 1
+    return _walk(module, _unit_cap(module, strict))[1]
 
 
 @record
 class SectionSet:
-    """The count of a unit ball; its vectors are listed on first access."""
+    """The count of a unit ball; its vectors are listed on first access, by
+    one more ``_walk`` at the cap of the set's kind, into shells by key."""
     module: NormedModule
     threshold_kind: str  # "closed" or "open"
     count: int
@@ -189,8 +201,8 @@ class SectionSet:
     @cached_property
     def vectors(self) -> tuple:
         """The vectors in key order, listed at the cap of the set's own kind."""
-        cap = _unit_cap(self.module, self.threshold_kind == "open")
-        shells = _shells(self.module, cap, -1)[1]
+        shells = defaultdict(list)
+        _walk(self.module, _unit_cap(self.module, self.threshold_kind == "open"), shells)
         return tuple(v for k in sorted(shells) for v in shells[k])
 
 

@@ -1335,6 +1335,22 @@ def test_timing_adds_only_the_duration(capsys, monkeypatch, tmp_path, argv):
     assert timed == plain
 
 
+def test_the_tracer_finds_every_function_it_wraps(tmp_path):
+    """perfbench/traced_cli.py wraps latmin functions by name and dumps the
+    names it did not find as "missing", which the benchmark's smoke run
+    reports as "not traced": a renamed traced function fails here first.
+    -B writes no bytecode under perfbench/ or src/."""
+    module, spans = tmp_path / "disk.json", tmp_path / "spans.json"
+    module.write_text(json.dumps({"rank": 2, "norm": DISK_NORM}))
+    script = os.path.join(ROOT, "perfbench", "traced_cli.py")
+    out = run_latmin([str(spans), "count", "--module", str(module)], flags=("-B",),
+                     code=f"import runpy\nrunpy.run_path({script!r}, run_name='__main__')",
+                     cwd=tmp_path, timeout=60)
+    assert out.returncode == 0, out.stderr
+    with open(spans) as fh:
+        assert json.load(fh)["missing"] == []
+
+
 def test_timing_leaves_an_error_document_as_it_is(capsys, monkeypatch):
     """An error document has no duration: with LATMIN_TIMING set it is the
     same bytes, with the same exit code."""

@@ -484,9 +484,9 @@ def test_a_twists_strict_count_is_its_closed_count(monkeypatch):
     """No sphere of a twist meets an integer key, so its strict cap is its
     closed cap: its strict count, made after its closed count, walks
     nothing.  An untwisted module's strict count walks its own cap."""
-    walks, lines = [], enumeration._lines
-    monkeypatch.setattr(enumeration, "_lines",
-                        lambda module, cap: walks.append(cap) or lines(module, cap))
+    walks, walk = [], enumeration._walk
+    monkeypatch.setattr(enumeration, "_walk", lambda module, cap, *rest: (
+        walks.append(cap) or walk(module, cap, *rest)))
     twists = [shaped_module(3, family, True) for family in ("ellipsoid", "polymax")]
     for m in twists + large_denominator_twists():
         enumeration._unit_count.cache_clear()
@@ -567,16 +567,16 @@ def test_found_module_counts_under_a_budget_of_a_million(capsys, tmp_path):
     assert json.loads(capsys.readouterr().out)["report"]["count"] == 17077
 
 
-def _level_spreads(lines, r):
+def _level_spreads(vectors, r):
     """Per level i and prefix x_{<i}: the spread max - min + 1 of the x_i
-    that the lines reach, a lower bound on the number of integers the walk's
-    range at that level holds."""
+    that the listed vectors reach, a lower bound on the number of integers
+    the walk's range at that level holds.  Every vector of an innermost
+    range is listed, so at level r - 1 the spread is that range's length."""
     spread = [{} for _ in range(r)]
-    for head, lo, hi, _ in lines:
-        for i in range(r - 1):
-            low, high = spread[i].get(head[:i], (head[i], head[i]))
-            spread[i][head[:i]] = (min(low, head[i]), max(high, head[i]))
-        spread[r - 1][head] = (lo, hi)
+    for v in vectors:
+        for i in range(r):
+            low, high = spread[i].get(v[:i], (v[i], v[i]))
+            spread[i][v[:i]] = (min(low, v[i]), max(high, v[i]))
     return [max((high - low + 1 for low, high in level.values()), default=0)
             for level in spread]
 
@@ -584,22 +584,20 @@ def _level_spreads(lines, r):
 def test_box_bounds_every_walk_range():
     """Level i of the walk ranges over at most 2 B_i + 1 integers, on every
     module the oracle checks at every radius; for a polymax, B_i also bounds
-    |x_i|."""
+    |x_i|.  The walk's count is the length of its list."""
     modules = [shaped_module(rank, family, twisted) for rank in range(1, 6)
                for family in ("ellipsoid", "polymax") for twisted in (False, True)]
     for module, radius in itertools.product(modules + hand_built_modules(), RADII):
         compiled = compile_norm(module.norm)
         cap = compiled.cap(radius)
         box = compiled.box(cap)
-        _, _, lines = enumeration._lines(module, cap)
-        lines = list(lines)
-        spreads = _level_spreads(lines, module.rank)
+        vectors = [v for _, v in vectors_with_keys(module, cap)[1]]
+        spreads = _level_spreads(vectors, module.rank)
         assert all(s <= 2 * b + 1 for s, b in zip(spreads, box)), (spreads, box)
-        assert sum(hi - lo + 1 for _, lo, hi, _ in lines) <= math.prod(
-            2 * b + 1 for b in box)
+        count = enumeration._walk(module, cap)[1]
+        assert count == len(vectors) <= math.prod(2 * b + 1 for b in box)
         if not compiled.squared:
-            assert all(abs(x) <= b for _, v in vectors_with_keys(module, cap)[1]
-                       for x, b in zip(v, box))
+            assert all(abs(x) <= b for v in vectors for x, b in zip(v, box))
 
 
 # --- counts by lines ---------------------------------------------------------
