@@ -5,6 +5,11 @@ are proved theorems, so a "violated" verdict on any instance means an
 implementation bug; the batch runner treats violations as data and dumps the
 offending instance for replay.  Verdicts follow the tolerance policy of
 ``reports``.
+
+``run_suite`` (``latmin verify --suite NAME``) runs one entry of ``SUITES``:
+its witnesses, its trial draw and its checks.  Only ``counting`` exists; an
+unknown name raises ConfigError("unknown suite 'NAME'"), which the CLI
+reports as a document with exit 2.
 """
 
 from __future__ import annotations
@@ -170,14 +175,48 @@ def witness_modules() -> list[NormedModule]:
     return [z1, box]
 
 
-def run_suite(seed: int = 0, trials: int = 100, rank_min: int = 1,
-              rank_max: int = 3) -> dict:
-    """Run all checks over the witnesses, then over `trials` random modules of
-    rank rank_min..rank_max drawn from `seed`; violations are returned as data.
-    Each instance is drawn when it runs, so memory does not grow with `trials`.
+def _counting_witnesses() -> list[tuple]:
+    return [(w, Fraction(1), [Fraction(0), Fraction(1)]) for w in witness_modules()]
+
+
+def _counting_draw(seed: int, t: int, rank_min: int, rank_max: int) -> tuple:
+    """Trial t of the counting suite: a module, a scaling alpha in [0, 3] and
+    a filtration of at most 4 alphas."""
+    mod = random_module(derive(seed, t), rank_min, rank_max)
+    rng = DetRNG(seed, t, 0xC0FFEE)
+    alpha = rng.fraction(Fraction(0), Fraction(3), 8)
+    alphas = [Fraction(0)]
+    for _ in range(rng.randint(0, 3)):
+        alphas.append(alphas[-1] + rng.fraction(Fraction(0), Fraction(3, 4), 8))
+    return mod, alpha, alphas
+
+
+def _counting_checks(mod: NormedModule, alpha, alphas) -> list[InequalityReport]:
+    return (check_norm_scaling(mod, alpha) + check_sef_gap(mod)
+            + check_filtration(mod, alphas) + check_second_minima(mod)
+            + check_gs_count(mod) + [check_minkowski_count(mod)])
+
+
+# suite name -> (witnesses() giving its witness instances, draw(seed, t,
+# rank_min, rank_max) giving trial t's instance, checks(*instance) giving
+# that instance's reports); an instance's first entry is its module.  Each
+# is a function that calls what it uses by its module-level name, so the
+# witnesses are made when the suite runs and a function rebound in this
+# module is the one every suite calls.
+SUITES = {"counting": (_counting_witnesses, _counting_draw, _counting_checks)}
+
+
+def run_suite(suite: str = "counting", seed: int = 0, trials: int = 100,
+              rank_min: int = 1, rank_max: int = 3) -> dict:
+    """Run the checks of the named entry of SUITES over its witnesses, then
+    over `trials` instances of rank rank_min..rank_max drawn from `seed`;
+    violations are returned as data.  Each instance is drawn when it runs, so
+    memory does not grow with `trials`.
 
     Every walk is charged to the one budget of the run, ``enumeration.BUDGET``:
     an instance with a walk past it counts as skipped."""
+    if suite not in SUITES:
+        raise ConfigError(f"unknown suite {suite!r}")
     if trials < 1:
         raise ConfigError("trials must be >= 1")
     if seed < 0:
@@ -187,23 +226,12 @@ def run_suite(seed: int = 0, trials: int = 100, rank_min: int = 1,
     stats: dict = {}
     violations: list = []
     skipped = 0
-    witnesses = witness_modules()
+    make_witnesses, draw, checks = SUITES[suite]
+    witnesses = make_witnesses()
     for t in range(-len(witnesses), trials):  # t < 0 picks a witness
-        if t < 0:
-            mod, alpha, alphas = witnesses[t], Fraction(1), [Fraction(0), Fraction(1)]
-        else:
-            mod = random_module(derive(seed, t), rank_min, rank_max)
-            rng = DetRNG(seed, t, 0xC0FFEE)
-            # scaling alpha in [0, 3]; a filtration of at most 4 alphas
-            alpha = rng.fraction(Fraction(0), Fraction(3), 8)
-            n = rng.randint(0, 3)
-            alphas = [Fraction(0)]
-            for _ in range(n):
-                alphas.append(alphas[-1] + rng.fraction(Fraction(0), Fraction(3, 4), 8))
+        instance = witnesses[t] if t < 0 else draw(seed, t, rank_min, rank_max)
         try:  # all of an instance's reports, or none of them
-            reports = (check_norm_scaling(mod, alpha) + check_sef_gap(mod)
-                       + check_filtration(mod, alphas) + check_second_minima(mod)
-                       + check_gs_count(mod) + [check_minkowski_count(mod)])
+            reports = checks(*instance)
         except EnumerationBudgetExceeded:
             skipped += 1
             continue
@@ -214,14 +242,14 @@ def run_suite(seed: int = 0, trials: int = 100, rank_min: int = 1,
             if rep.verdict == "violated":
                 s["violations"] += 1
                 report = {name: getattr(rep, name) for name in rep._fields}
-                violations.append({"report": report, "instance": mod.to_json()})
+                violations.append({"report": report, "instance": instance[0].to_json()})
             else:
                 s["holds"] += 1
             if s["min_slack"] is None or rep.slack < s["min_slack"]:
                 s["min_slack"] = rep.slack
 
     return {
-        "suite": "counting",
+        "suite": suite,
         "trials": trials,
         "seed": seed,
         "instances": len(witnesses) + trials,

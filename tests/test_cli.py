@@ -1551,6 +1551,13 @@ def _error_document(stdout):
     assert set(json.loads(stdout)) == {"error", "manifest"}
 
 
+def _error_is(kind, message):
+    def check(stdout):
+        _error_document(stdout)
+        assert json.loads(stdout)["error"] == {"type": kind, "message": message}
+    return check
+
+
 # the rank-2 polymax twist whose cap needs e^alpha to over 1,580 bits
 _DEN = 3 ** 1000
 BIG_DENOMINATOR = _scaled("1/3", {"type": "polymax", "functionals": [
@@ -1670,6 +1677,10 @@ FRESH = {
     "verify-budget-1000": Fresh(
         ["verify", "--max-rank", "5", "--trials", "6", "--seed", "0", "--budget", "1000"],
         {}, 0, 60, (_hashes_to("a458741cf79bc2be"), _report_has(skipped=1))),
+    # an unknown suite is refused before its trials are read
+    "verify-unknown-suite": Fresh(
+        ["verify", "--suite", "nope", "--trials", "0"], {}, 2, 10,
+        (_error_is("ConfigError", "unknown suite 'nope'"),)),
     # the strict unit disk {0} lists its vectors at its own cap
     "strict-vectors-budget-1": _on_module(
         "count", {"rank": 2, "norm": DISK_NORM}, 0, "--strict", "--emit-vectors",

@@ -1,5 +1,6 @@
 """Inequality checks and the randomized corpus runner."""
 
+import json
 import math
 from fractions import Fraction
 from itertools import accumulate
@@ -9,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from latmin import inequalities
+from latmin.cli import encode, main
 from latmin.enumeration import effective_sections, h0_hat, h0_hat_sef
 from latmin.errors import ConfigError, EnumerationBudgetExceeded
 from latmin.inequalities import (LOG3, _xlogx, check_filtration, check_gs_count,
@@ -17,6 +19,7 @@ from latmin.inequalities import (LOG3, _xlogx, check_filtration, check_gs_count,
                                  random_module, run_suite, witness_modules)
 from latmin.linalg import span_rank
 from latmin.norms import make_ellipsoid, make_normed_module, make_polymax, twist
+from latmin.reports import _report
 from conftest import with_budget
 from test_enumeration import drawn_modules, large_denominator_twists
 
@@ -193,6 +196,36 @@ def test_run_suite_counts_an_instance_past_the_budget_as_skipped():
 
 def test_run_suite_is_reproducible():
     assert run_suite(seed=5, trials=4) == run_suite(seed=5, trials=4)
+
+
+def test_run_suite_runs_any_entry_of_suites(monkeypatch, capsys):
+    """A second suite shares the loop: its one witness runs first, trial 1
+    is skipped on the budget, trial 2 violates "stub-a", and the tallies,
+    the dump of the violating module and the summary's name follow; through
+    `latmin verify --suite stub` the report is the same and the exit is 1."""
+    def draw(seed, t, rank_min, rank_max):
+        return euclid(t + 1), t
+
+    def checks(module, t):
+        if t == 1:
+            raise EnumerationBudgetExceeded(10, 1)
+        digest = module.digest()
+        return [_report("stub-a", float(t == 2), 0.5, digest),
+                _report("stub-b", 0.0, 1.0, digest)]
+
+    monkeypatch.setitem(inequalities.SUITES, "stub",
+                        (lambda: [(witness_modules()[1], -1)], draw, checks))
+    summary = run_suite("stub", seed=0, trials=4)
+    assert (summary["suite"], summary["instances"], summary["skipped"],
+            summary["total_violations"]) == ("stub", 5, 1, 1)
+    assert summary["inequalities"] == {
+        "stub-a": {"checked": 4, "holds": 3, "violations": 1, "min_slack": -0.5},
+        "stub-b": {"checked": 4, "holds": 4, "violations": 0, "min_slack": 1.0}}
+    [dump] = summary["violation_dumps"]
+    assert dump["instance"] == euclid(3).to_json()
+    assert dump["report"]["name"] == "stub-a"
+    assert main(["verify", "--suite", "stub", "--trials", "4", "--seed", "0"]) == 1
+    assert json.loads(capsys.readouterr().out)["report"] == json.loads(encode(summary))
 
 
 def test_each_instance_is_drawn_when_it_runs(monkeypatch):

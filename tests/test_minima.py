@@ -16,6 +16,7 @@ from latmin.inequalities import random_module
 from latmin.intervals import log_unit_ball_volume
 from latmin.linalg import span_rank
 from latmin.minima import ball_volume, euler_characteristic, successive_minima
+from latmin.rng import derive
 from latmin.norms import (CompiledNorm, compile_norm, make_ellipsoid,
                           make_normed_module, make_polymax, make_scaled,
                           norm_eval, twist)
@@ -439,6 +440,58 @@ def test_a_twist_counts_the_ehrhart_polynomial_at_its_cap(alpha, cap, count):
     assert math.floor(math.exp(Fraction(alpha))) == cap
     twisted = twist(l1_ball(3, 1), alpha)
     assert effective_sections(twisted).count == _at(poly, cap) == count
+
+
+def _period(int_rows, n):
+    """The lcm of the denominators of the vertices of P = {|A'x|_inf <= 1},
+    by brute force: each vertex meets n of the halfspaces +-A'_j x <= 1 with
+    independent normals, so it is A'_S^{-1} s for n rows S of A' with an
+    inverse and a sign vector s, solved exactly and kept if it lies in P."""
+    p = 1
+    for rows in itertools.combinations(int_rows, n):
+        if _oracle_det(rows) == 0:
+            continue
+        inv = _oracle_invert(rows)
+        for signs in itertools.product((1, -1), repeat=n):
+            v = [sum(a * s for a, s in zip(row, signs)) for row in inv]
+            if all(abs(sum(a * x for a, x in zip(row, v))) <= 1 for row in int_rows):
+                p = math.lcm(p, *(x.denominator for x in v))
+    return p
+
+
+def test_ehrhart_quasi_polynomial_of_the_small_period_corpus_bodies():
+    """Each polymax body of rank n <= 3 among the first 600 corpus draws of
+    seed 0 whose vertex period p is at most 2500 (97, 79 and 2 bodies of
+    ranks 1, 2 and 3; a larger p or more draws put a rank-3 walk past the
+    budget or the test past 2 s): L(T) = #(T P) is a polynomial on T in
+    pZ (Ehrhart), so L(up) is a polynomial in u, through the closed and
+    strict counts of the rows A'/(up) at u = 1, ..., k.  Its leading
+    coefficient is p^n vol(P) = p^n vol(B)/den^n, Lasserre's exact volume;
+    reciprocity gives the strict count, and the closed one, at u = k + 1,
+    a node it was not given."""
+    ranks = []
+    for s in range(600):
+        module = random_module(derive(0, s), 1, 3)
+        if module.norm.kind != "polymax":
+            continue
+        compiled, n = compile_norm(module.norm), module.rank
+        p = _period(compiled.int_rows, n)
+        if p > 2500:
+            continue
+
+        def dilate(n, u):
+            return make_normed_module(n, make_polymax(
+                [[Fraction(a, u * p) for a in row] for row in compiled.int_rows]))
+
+        poly, k = _ehrhart(n, dilate)
+        ball = make_normed_module(n, make_polymax(module.norm.rows))
+        assert len(poly) == n + 1, s
+        assert poly[-1] * compiled.den ** n == p ** n * ball_volume(ball).exact, s
+        spare = dilate(n, k + 1)
+        assert _at(poly, k + 1) == effective_sections(spare).count, s
+        assert _at(poly, -k - 1) == (-1) ** n * strictly_effective_sections(spare).count, s
+        ranks.append(n)
+    assert [ranks.count(n) for n in (1, 2, 3)] == [97, 79, 2]
 
 
 def cartan(n, edges, scale=1):
