@@ -19,7 +19,8 @@ from fractions import Fraction
 
 from .enumeration import h0_hat, h0_hat_sef
 from .errors import ConfigError, EnumerationBudgetExceeded
-from .minima import euler_characteristic, successive_minima
+from .intervals import log_unit_ball_volume, saturated_float
+from .minima import ball_volume, euler_characteristic, successive_minima
 from .norms import (NormedModule, compile_norm, make_ellipsoid,
                     make_normed_module, make_polymax, twist)
 from .reports import InequalityReport, _report
@@ -36,7 +37,8 @@ LOG3 = math.log(3.0)
 
 
 def check_norm_scaling(module: NormedModule, alpha) -> list[InequalityReport]:
-    """Scaling bounds for h0 and h0_sef under a twist by -alpha."""
+    """Scaling bounds for h0 and h0_sef under a twist by -alpha; an alpha
+    past the double range makes the upper bounds infinite."""
     alpha = Fraction(alpha)
     if alpha < 0:
         raise ConfigError("alpha must be nonnegative")
@@ -47,7 +49,7 @@ def check_norm_scaling(module: NormedModule, alpha) -> list[InequalityReport]:
     h0a = h0_hat(shrunk)
     sef = h0_hat_sef(module)
     sefa = h0_hat_sef(shrunk)
-    err = r * float(alpha) + r * LOG3
+    err = (r and r * saturated_float(alpha)) + r * LOG3  # not 0 * inf at rank 0
     return [
         _report("scaling-closed-lower", h0a, h0, digest),
         _report("scaling-closed-upper", h0, h0a + err, digest),
@@ -72,7 +74,8 @@ def check_filtration(module: NormedModule, alphas: tuple | list) -> list[Inequal
     is # {j : lambda_j <= e^(-a_i)}: the minima keys at most the unit cap of
     the twist by -a_i, which has the module's keys.  Each cap is resolved no
     higher than the largest minimum key, so no twist's ball is charged; the
-    module's own is, by its count."""
+    module's own is, by its count.  A step past the double range is inf, and
+    a step of rank 0 adds 0, not 0 * inf."""
     alphas = [Fraction(a) for a in alphas]
     if not alphas or alphas[0] != 0:
         raise ConfigError("filtration must start at alpha_0 = 0")
@@ -89,9 +92,9 @@ def check_filtration(module: NormedModule, alphas: tuple | list) -> list[Inequal
     h0n = h0_hat(twist(module, -alphas[-1]))
     sef = h0_hat_sef(module)
     sefn = h0_hat_sef(twist(module, -alphas[-1]))
-    steps = [float(b - a) for a, b in zip(alphas, alphas[1:])]
-    upper_sum = sum(ranks[i] * steps[i] for i in range(len(steps)))
-    lower_sum = sum(ranks[i + 1] * steps[i] for i in range(len(steps)))
+    steps = [saturated_float(b - a) for a, b in zip(alphas, alphas[1:])]
+    upper_sum = sum(ranks[i] and ranks[i] * steps[i] for i in range(len(steps)))
+    lower_sum = sum(ranks[i + 1] and ranks[i + 1] * steps[i] for i in range(len(steps)))
     up_err = 4.0 * _xlogx(r0) + 2.0 * r0 * LOG3
     low_err = 2.0 * _xlogx(r0) + r0 * LOG3
     return [
@@ -103,12 +106,24 @@ def check_filtration(module: NormedModule, alphas: tuple | list) -> list[Inequal
 
 
 def check_second_minima(module: NormedModule) -> list[InequalityReport]:
-    """Minkowski window: r log 2 - log r! <= chi - sum mu_i <= r log 2."""
+    """Minkowski window: r log 2 - log r! <= chi - sum mu_i <= r log 2.
+
+    A twist by alpha adds r alpha to chi and to sum mu_i, so the gap is read
+    off the untwisted parts that the volume and the minima keep (the exact
+    polymax volume or the gram's det, and each minimum's key and den), by
+    the expressions that ball_volume and CompiledNorm.log use at alpha = 0:
+    no two floats that carry r alpha are subtracted."""
     digest = module.digest()
     r = module.rank
-    chi = euler_characteristic(module)
-    minima = successive_minima(module)
-    gap = chi - sum(minima.mus)
+    vol = ball_volume(module).exact
+    if vol is None:  # an ellipsoid
+        det = compile_norm(module.norm).det
+        chi0 = log_unit_ball_volume(r) - 0.5 * (math.log(det.numerator)
+                                                - math.log(det.denominator))
+    else:
+        chi0 = math.log(vol.numerator) - math.log(vol.denominator)
+    gap = chi0 - sum(-((math.log(k) - math.log(den)) / (1 + squared)) + 0.0
+                     for _, k, den, squared in successive_minima(module).mu_parts)
     return [
         _report("minima-window-lower", r * LOG2 - math.lgamma(r + 1), gap,
                 digest),

@@ -7,15 +7,17 @@ scope; its arithmetic consequences (derived self-intersections, chained
 count bounds, closed-form constants) are all mechanically checkable here.
 
 Admissibility is decided once, when a Ledger is made: the mode's rules,
-feasible derived intersections and the preconditions of its closed-form
-bound; the intersections and the digest, which every check reads, are kept
-then.  All evaluation is double precision; verdicts use EXACT_TOL.
+feasible derived intersections, and the mode's closed-form bound, which
+must meet its preconditions and be finite; that bound, the intersections
+and the digest, which every check reads, are kept then, so no check of a
+ledger that was made raises.  All evaluation is double precision; verdicts
+use EXACT_TOL.
 
 The paper's six closed forms (the trivial and degree-one bounds, Theorems
 B, C and D, Corollary E's bounds on delta_X) are evaluated through one
 table, _THEOREMS, and each evaluator checks its own preconditions.  A
 closed form past the double range (an OverflowError, or a float that is not
-finite) is bad input, in eval_theorem and in theorem_chain_check.
+finite) is bad input, in eval_theorem and in Ledger.validate.
 """
 
 from __future__ import annotations
@@ -85,8 +87,11 @@ class Ledger:
         r ones that a double holds; c, slack and L2_0 finite reals, an int
         made a float so 20 and 20.0 give one digest); the mode's rules; then
         L_i^2 and L_i'^2 = L_i^2 - 2 d_i c_i, which must be >= 0 (to
-        _FEAS_TOL) and are kept outside the fields; then the preconditions
-        of theorem_chain_check's closed-form bound; then the digest is kept."""
+        _FEAS_TOL); then the genus the mode needs and the closed-form bound
+        of theorem_chain_check (theorem_b_bound for positive genus / genus
+        zero, theorem_c_bound for the Clifford modes), which must meet its
+        preconditions and be finite.  Only then are the bound, the
+        intersections and the digest kept outside the fields."""
         if type(self.g) is not int or not _is_count(self.kappa):
             raise ConfigError("g and kappa must be ints, and kappa one that a "
                               "double holds")
@@ -139,12 +144,20 @@ class Ledger:
                 raise InfeasibleLedger(f"L_{i + 1}^2 = {l2[-1]} < 0")
         if self.steps[0].d % self.kappa:
             raise ConfigError("d_0 must be a multiple of kappa")
-        if self.mode == "positive-genus" and self.g < 1:
-            raise PreconditionViolated("positive-genus ledger needs g >= 1")
-        if self.mode == "genus-zero" and self.g != 0:
-            raise PreconditionViolated("genus-zero ledger needs g = 0")
-        if self.mode.startswith("clifford") and self.g < 2:
+        d_circ = self.steps[0].d // self.kappa
+        if self.mode in ("positive-genus", "genus-zero"):  # Theorem B at g >= 1, g = 0
+            if (self.g > 0) != (self.mode == "positive-genus"):
+                raise PreconditionViolated(
+                    f"{self.mode} ledger needs g {'= 0' if self.g else '>= 1'}")
+            bound = theorem_b_bound(self.g, d_circ, self.kappa, self.L2_0)
+        elif self.g < 2:
             raise PreconditionViolated("Clifford ledger needs g >= 2")
+        else:
+            eps = 2 if self.mode == "clifford-hyperelliptic" else 1
+            bound = theorem_c_bound(d_circ, self.kappa, eps, self.L2_0)
+        if not math.isfinite(bound):
+            raise ConfigError(f"ledger is past the double range: bound = {bound}")
+        object.__setattr__(self, "_bound", bound)  # theorem_chain_check's rhs
         object.__setattr__(self, "_l2", tuple(l2[:-1]))  # one L_i^2 per step
         object.__setattr__(self, "_l2p", tuple(l2p))
         object.__setattr__(self, "_digest", digest16(self.json_text(_DIGEST_LAYOUT).encode()))
@@ -209,7 +222,8 @@ def onestep_chain(ledger: Ledger, j: int) -> tuple[InequalityReport, InequalityR
 
     The count bound treats the terminal section count as 0 (the reduction's
     endpoint): sum r_i c_i + 4 r_0 log r_0 + 2 r_0 log 3 over i <= j, which
-    the second report compares with theorem_chain_check's closed form.
+    the second report compares with the closed form that Ledger.validate
+    kept for theorem_chain_check.
     """
     if not (0 <= j < len(ledger.steps)):
         raise ConfigError(f"step index {j} out of range")
@@ -217,7 +231,7 @@ def onestep_chain(ledger: Ledger, j: int) -> tuple[InequalityReport, InequalityR
     lhs = ledger._l2p[j] + 2.0 * _left_sum(s.d * s.c for s in ledger.steps[: j + 1])
     first = _report("chain-intersection", lhs, ledger.L2_0, digest)
     second = _report("chain-count-bound", _chain_value(ledger.steps[: j + 1]),
-                     theorem_chain_check(ledger).rhs, digest)
+                     ledger._bound, digest)
     return first, second
 
 
@@ -508,16 +522,9 @@ def theorem_chain_check(ledger: Ledger) -> InequalityReport:
     """The chained reduction bound never exceeds the closed-form bound.
 
     The chained value takes the terminal count as 0: V = sum r_i c_i +
-    4 r_0 log r_0 + 2 r_0 log 3.  The closed form is theorem_b_bound for
-    positive genus / genus zero and theorem_c_bound for the Clifford modes.
+    4 r_0 log r_0 + 2 r_0 log 3.  The closed form, theorem_b_bound for
+    positive genus / genus zero and theorem_c_bound for the Clifford modes,
+    is the one Ledger.validate kept.
     """
-    d_circ = ledger.steps[0].d // ledger.kappa
-    value = _chain_value(ledger.steps)
-    if ledger.mode in ("positive-genus", "genus-zero"):  # g >= 1, g = 0
-        bound = theorem_b_bound(ledger.g, d_circ, ledger.kappa, ledger.L2_0)
-    else:
-        eps = 2 if ledger.mode == "clifford-hyperelliptic" else 1
-        bound = theorem_c_bound(d_circ, ledger.kappa, eps, ledger.L2_0)
-    if not math.isfinite(bound):
-        raise ConfigError(f"ledger is past the double range: bound = {bound}")
-    return _report("theorem-chain", value, bound, ledger.digest())
+    return _report("theorem-chain", _chain_value(ledger.steps), ledger._bound,
+                   ledger.digest())

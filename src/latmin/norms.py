@@ -47,7 +47,11 @@ from .record import digest16, record
 
 
 def parse_rational(s) -> Fraction:
-    """Parse a 'p/q' string (or int) into a Fraction; a bool is no number."""
+    """A norm entry as a Fraction: an int, or a string or float read as its
+    decimal value, so 0.5, "0.5" and "1/2" are one entry and "1e3" is 1000
+    (a float as its shortest repr: the JSON number 0.1 is 1/10).  A float or
+    string inf or nan (a JSON number past the double range loads as inf)
+    raises ValueError, and a bool is no number."""
     if isinstance(s, bool):
         raise TypeError(f"{s!r} is not a rational")
     if isinstance(s, int):

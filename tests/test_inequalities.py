@@ -18,6 +18,7 @@ from latmin.inequalities import (LOG3, _xlogx, check_filtration, check_gs_count,
                                  check_second_minima, check_sef_gap,
                                  random_module, run_suite, witness_modules)
 from latmin.linalg import span_rank
+from latmin.minima import euler_characteristic, successive_minima
 from latmin.norms import make_ellipsoid, make_normed_module, make_polymax, twist
 from latmin.reports import _report
 from conftest import with_budget
@@ -129,6 +130,83 @@ def test_minima_window_tight_witnesses():
         assert lower.holds and upper.holds
         # chi - sum mu = r log 2 exactly for these box norms
         assert abs(upper.slack) < 1e-9
+
+
+BOX = make_normed_module(2, make_polymax([["1", "0"], ["0", "2"]]))
+# twists at which the parent's gap, chi - sum mu_i of two floats that each
+# carry r alpha, read "violated" (nan past the double range)
+WINDOW_TWISTS = {"box-1e8": (BOX, 10 ** 8 + Fraction(1, 3)),
+                 "box-1e10": (BOX, 10 ** 10 + Fraction(1, 3)),
+                 "box-1e15": (BOX, 10 ** 15 + Fraction(1, 3)),
+                 "z1-1e12": (witness_modules()[0], 10 ** 12 + Fraction(1, 3)),
+                 **{f"{name}-{label}": (module, alpha)
+                    for name, module in (("disk", euclid(2)), ("box", BOX))
+                    for label, alpha in (("1e400", 10 ** 400), ("minus-1e400", -10 ** 400))}}
+
+
+@pytest.mark.parametrize("module, alpha", WINDOW_TWISTS.values(), ids=WINDOW_TWISTS.keys())
+def test_minima_window_does_not_move_under_a_twist(module, alpha):
+    """A twist adds r alpha to chi and to sum mu_i, so the window's reports
+    on a twist are the module's own, float for float, and hold."""
+    def window(m):
+        return [(rep.name, rep.lhs, rep.rhs, rep.slack, rep.verdict)
+                for rep in check_second_minima(m)]
+
+    assert window(twist(module, alpha)) == window(module)
+    assert [verdict for *_, verdict in window(module)] == ["holds"] * 2
+
+
+def test_minima_window_of_an_untwisted_module_is_chi_less_the_mus():
+    """On an untwisted module the gap is the float chi - sum mu_i."""
+    modules = [twist(m, -m.norm.alpha) for m in
+               [random_module(seed, 1, 4) for seed in range(40)] + witness_modules()]
+    for m in modules:
+        gap = euler_characteristic(m) - sum(successive_minima(m).mus)
+        lower, upper = check_second_minima(m)
+        assert lower.rhs == upper.lhs == gap, m
+
+
+def test_scaling_and_filtration_saturate_past_the_double_range():
+    """A scaling alpha or a filtration step past the double range is inf in
+    the upper bounds, not an OverflowError, and a step at whose end the rank
+    is 0 adds 0 to the lower sum, not 0 * inf = nan; at 10^9 + 1/3 both
+    checks hold too."""
+    disk = euclid(2)
+    for alpha in (10 ** 400, 10 ** 9 + Fraction(1, 3)):
+        reports = (check_norm_scaling(disk, alpha) + check_filtration(disk, [0, alpha])
+                   + check_filtration(disk, [0, 1, alpha, 2 * alpha]))
+        assert all(rep.holds for rep in reports), reports
+    scaling = check_norm_scaling(disk, 10 ** 400)
+    assert [rep.rhs for rep in scaling[1::2]] == [math.inf] * 2
+    upper, lower, upper_sef, lower_sef = check_filtration(disk, [0, 10 ** 400])
+    assert upper.rhs == upper_sef.rhs == math.inf
+    # the rank at 10^400 is 0: the lower sums are 0, less 2 xlogx(2) + 2 log 3
+    assert lower.lhs == lower_sef.lhs == -(2.0 * _xlogx(2) + 2 * LOG3)
+
+
+TWIST_DRAWS = 200
+
+
+@pytest.mark.parametrize("a", [-(10 ** 8 + Fraction(1, 3)), 10 ** 400, -10 ** 400],
+                         ids=["minus-1e8", "1e400", "minus-1e400"])
+def test_counting_checks_hold_on_large_twists(a):
+    """Each of the first drawn counting instances, twisted by a, holds every
+    report of _counting_checks or walks past the budget, with its own
+    scaling alpha and filtration and with alpha and a last step of 10^400."""
+    held = 0
+    for t in range(TWIST_DRAWS):
+        mod, alpha, alphas = inequalities._counting_draw(5, t, 1, 3)
+        mod = twist(mod, a)
+        for instance in ((mod, alpha, alphas),
+                         (mod, 10 ** 400, alphas + [alphas[-1] + 10 ** 400])):
+            try:
+                reports = inequalities._counting_checks(*instance)
+            except EnumerationBudgetExceeded:
+                continue
+            assert all(rep.holds for rep in reports), (t, instance, reports)
+            held += 1
+    # a shrinking twist is never refused, and a growing one always is
+    assert held == (0 if a > 0 else 2 * TWIST_DRAWS)
 
 
 def test_gs_count_bound():

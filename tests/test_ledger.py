@@ -83,20 +83,69 @@ def test_digest_is_cached_sha256_of_to_json():
 def test_a_ledger_keeps_its_digest_when_it_is_made():
     """The digest, which every check reads, is in a ledger's dict as soon as
     it is made and equals the hashlib oracle; a ledger that fails an early,
-    a middle or the last check gets none."""
+    a middle or a late check, or whose closed form is not defined or past
+    the double range, gets none of the kept values."""
     led = sample_ledger()
     blob = json.dumps(led.to_json(), sort_keys=True, separators=(",", ":"))
     assert vars(led)["_digest"] == hashlib.sha256(blob.encode()).hexdigest()[:16]
+    assert vars(led)["_bound"] == theorem_b_bound(2, 4, 1, 20.0)
     for changes, error in (({"steps": ()}, ConfigError),
                            ({"L2_0": 1.0}, InfeasibleLedger),
                            ({"mode": "clifford-hyperelliptic", "g": 1},
-                            PreconditionViolated)):
+                            PreconditionViolated),
+                           *(({"mode": mode, "g": g, "steps": ONE_STEP_OF_DEGREE_1},
+                               PreconditionViolated) for mode, g, _ in D0_IS_KAPPA),
+                           (GENUS_ZERO_PAST_DOUBLE, ConfigError)):
         bad = object.__new__(Ledger)
         vars(bad).update({name: getattr(led, name) for name in led._fields},
                          **changes)
         with pytest.raises(error):
             bad.validate()
-        assert not {"_l2", "_l2p", "_digest"} & set(vars(bad))
+        assert not {"_bound", "_l2", "_l2p", "_digest"} & set(vars(bad))
+
+
+ONE_STEP_OF_DEGREE_1 = (LedgerStep(1, 1, 0.0, 0.0),)
+# (mode, g, message) of ledgers with d_0 = kappa = 1, so d_circ = 1, where
+# Theorems B (g > 0) and C are not defined: the message each closed form raises
+D0_IS_KAPPA = [("positive-genus", 2, "g > 0 needs d_circ > 1"),
+               ("clifford-hyperelliptic", 2, "theorem C needs d_circ > 1"),
+               ("clifford-nonhyperelliptic", 3, "theorem C needs d_circ > 1")]
+# a feasible genus-zero ledger whose Theorem B bound, 1.5 L2_0 + 8 log 6, is inf
+GENUS_ZERO_PAST_DOUBLE = {"g": 0, "mode": "genus-zero", "L2_0": 1.5e308,
+                          "steps": (LedgerStep(1, 2, 0.0, 0.0),)}
+
+
+@pytest.mark.parametrize("mode, g, message", D0_IS_KAPPA,
+                         ids=[mode for mode, _, _ in D0_IS_KAPPA])
+def test_a_ledger_whose_closed_form_is_undefined_raises_when_made(mode, g, message):
+    """Admissibility includes the preconditions of theorem_chain_check's
+    closed form: d_0 = kappa is refused by Ledger(...) and ledger_from_json
+    with the closed form's own message, not later by a check."""
+    with pytest.raises(PreconditionViolated, match=f"^{message}$"):
+        Ledger(g, 1, ONE_STEP_OF_DEGREE_1, 1.0, mode)
+    data = {"g": g, "kappa": 1, "L2_0": 1.0, "mode": mode,
+            "steps": [{"d": 1, "r": 1, "c": 0.0, "slack": 0.0}]}
+    with pytest.raises(PreconditionViolated, match=f"^{message}$"):
+        ledger_from_json(data)
+
+
+def test_a_ledger_whose_closed_form_is_past_the_double_range_raises_when_made():
+    case = GENUS_ZERO_PAST_DOUBLE
+    want = "^ledger is past the double range: bound = inf$"
+    with pytest.raises(ConfigError, match=want):
+        Ledger(case["g"], 1, case["steps"], case["L2_0"], case["mode"])
+    with pytest.raises(ConfigError, match=want):
+        ledger_from_json(dict(case, kappa=1, steps=[dict(vars(case["steps"][0]))]))
+
+
+def test_every_simulated_ledger_has_a_defined_closed_form():
+    """simulate_reduction draws kappa = 1 and d_0 >= 2, so d_circ > 1, where
+    Theorems B and C are defined: no draw is refused for its closed form."""
+    for mode in ("positive-genus", "genus-zero", "clifford-hyperelliptic",
+                 "clifford-nonhyperelliptic"):
+        for seed in range(1000):
+            led = simulate_reduction(seed, mode)
+            assert led.kappa == 1 and led.steps[0].d // led.kappa >= 2, (mode, seed)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, True,
@@ -354,7 +403,7 @@ def test_inadmissible_ledgers_raise_when_made():
         Ledger(0, 1, (LedgerStep(4, 3, 1.0, 2.0),), 20.0, "positive-genus")
     with pytest.raises(PreconditionViolated, match="needs g = 0"):
         Ledger(5, 1, (LedgerStep(4, 5, 1.0, 2.0),), 20.0, "genus-zero")
-    # several faults: the one theorem_chain_check met first is reported
+    # several faults: the one validate meets first is reported
     with pytest.raises(InfeasibleLedger):
         Ledger(0, 2, (LedgerStep(5, 3, 3.0, 0.0),), 20.0, "positive-genus")
     with pytest.raises(ConfigError, match="multiple of kappa"):
@@ -373,15 +422,22 @@ def test_derived_intersections_hands_out_copies():
 
 
 def test_checks_read_the_ledger_without_deriving(monkeypatch):
-    led = sample_ledger()
-    want = (theorem_chain_check(led), sum_ci_bound(led), onestep_chain(led, 1))
+    """The checks read what validate kept: they derive no intersection and
+    evaluate no closed form, in any mode."""
+    leds = [sample_ledger()] + [simulate_reduction(3, mode) for mode in
+                                ("genus-zero", "clifford-hyperelliptic",
+                                 "clifford-nonhyperelliptic")]
+    want = [(theorem_chain_check(led), sum_ci_bound(led),
+             [onestep_chain(led, j) for j in range(len(led.steps))]) for led in leds]
 
-    def fail(_):
+    def fail(*_):
         raise AssertionError("checked or derived again")
 
-    monkeypatch.setattr(ledger_module, "derived_intersections", fail)
-    assert (theorem_chain_check(led), sum_ci_bound(led),
-            onestep_chain(led, 1)) == want
+    for name in ("derived_intersections", "theorem_b_bound", "theorem_c_bound"):
+        monkeypatch.setattr(ledger_module, name, fail)
+    assert [(theorem_chain_check(led), sum_ci_bound(led),
+             [onestep_chain(led, j) for j in range(len(led.steps))])
+            for led in leds] == want
 
 
 def test_simulate_derives_each_ledger_once(monkeypatch, capsys):

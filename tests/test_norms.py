@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 from latmin import intervals, linalg
+from latmin.cli import main
 from latmin.errors import DimensionMismatch, InvalidNorm, UnboundedBall
 from latmin.inequalities import random_module
 from latmin.norms import (compile_norm, format_rational, make_ellipsoid,
@@ -29,6 +30,25 @@ def test_parse_and_format_rational():
     assert format_rational(Fraction(3, 4)) == "3/4"
     assert format_rational(Fraction(-3, 2)) == "-3/2"
     assert format_rational(Fraction(5)) == "5/1"
+
+
+def test_norm_entries_load_as_their_decimal_value(tmp_path, capsys):
+    """A JSON number or a decimal string loads as its decimal value, a JSON
+    number as the shortest decimal that reads back as its double; a JSON
+    number past the double range is read as inf, and inf and nan exit 2."""
+    def loaded(entry):
+        return module_from_json({"rank": 1, "norm": {"type": "ellipsoid",
+                                                     "gram": [[entry]]}}).norm
+
+    half = make_ellipsoid([[Fraction(1, 2)]])
+    assert loaded(0.5) == loaded("0.5") == loaded("1/2") == half
+    assert loaded(json.loads("0.1")).rows == ((Fraction(1, 10),),)
+    assert loaded("1e3").rows == loaded(1000).rows == ((Fraction(1000),),)
+    for text in ("1e400", '"inf"', '"nan"'):
+        path = tmp_path / "module.json"
+        path.write_text('{"rank": 1, "norm": {"type": "ellipsoid", "gram": [[%s]]}}' % text)
+        assert main(["count", "--module", str(path)]) == 2, text
+        assert json.loads(capsys.readouterr().out)["error"]["type"] == "ConfigError"
 
 
 def test_ellipsoid_requires_symmetric_positive_definite():
